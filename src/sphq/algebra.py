@@ -8,6 +8,12 @@ are reducible; the surviving paths form the basis.  Finite-dimensionality
 is certified, not assumed: if any path of length == cap survives, the cap
 does not witness nilpotency of the arrow ideal and the build fails.
 
+The terms of a relation are parallel, so each product touches only paths
+with one (source, target) pair.  The rows are sparse {column: coeff} dicts
+grouped by that pair, and each group is reduced on its own by
+``sparse_rref``.  The reduced echelon form is unique, so the union of the
+groups' forms is the form of the whole matrix.
+
 Composition convention (fixed once, used everywhere): multiply(a, b) means
 "first b, then a" (function composition).  Paths are stored in traversal
 order, so the concatenation underlying a*b is b.arrows + a.arrows.
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import (CapInsufficient, NotAdmissible, UnknownArrow,
                      UnknownVertex, SchemaError)
-from .linalg import QQ, PrimeField, Matrix, rref, scalar_to_str
+from .linalg import QQ, PrimeField, scalar_to_str, sparse_rref
 
 
 @dataclass(frozen=True)
@@ -39,9 +45,6 @@ class Path:
 
     def __len__(self):
         return len(self.arrows)
-
-    def is_trivial(self):
-        return not self.arrows
 
     def label(self):
         if not self.arrows:
@@ -117,9 +120,8 @@ class Element:
     """Finite k-linear combination of parallel-or-not paths."""
 
     def __init__(self, terms, field=QQ):
-        z = field.zero()
         self.field = field
-        self.terms = {p: c for p, c in terms.items() if c != z}
+        self.terms = {p: c for p, c in terms.items() if c}
 
     def is_zero(self):
         return not self.terms
@@ -208,13 +210,14 @@ class BoundQuiverAlgebra:
         # the ones eliminated as pivots.
         paths.sort(key=q.path_sort_key, reverse=True)
         col_of = {p: i for i, p in enumerate(paths)}
-        # Ideal slice rows: left_path * relation * right_path within the cap.
+        # Ideal slice rows: left_path * relation * right_path within the cap,
+        # grouped by the (source, target) shared by all their paths.
         by_target = {}
         by_source = {}
         for p in paths:
             by_target.setdefault(p.target, []).append(p)
             by_source.setdefault(p.source, []).append(p)
-        rows = []
+        blocks = {}
         for rel in self.relations:
             s, t = rel.endpoints()
             rel_len = max(len(p) for p in rel.terms)
@@ -224,35 +227,18 @@ class BoundQuiverAlgebra:
                 for left in by_source.get(t, []):
                     if len(right) + rel_len + len(left) > self.length_cap:
                         continue
-                    row = [self.field.zero()] * len(paths)
-                    ok = True
-                    for p, c in rel.terms.items():
-                        full = right.arrows + p.arrows + left.arrows
-                        if len(full) > self.length_cap:
-                            ok = False
-                            break
-                        fp = Path(right.source, left.target, full)
-                        row[col_of[fp]] = row[col_of[fp]] + c
-                    if ok:
-                        rows.append(row)
-        if rows:
-            M = Matrix(len(rows), len(paths), rows, self.field)
-            R, pivots = rref(M)
-        else:
-            R, pivots = None, []
-        pivot_set = set(pivots)
-        # reduction[pivot path] = {basis path: coeff}
-        self._reduction = {}
-        for r, pc in enumerate(pivots):
-            red = {}
-            for j in range(pc + 1, len(paths)):
-                if j in pivot_set:
-                    continue
-                c = R.entries[r][j]
-                if c != self.field.zero():
-                    red[paths[j]] = -c
-            self._reduction[paths[pc]] = red
-        basis = [paths[j] for j in range(len(paths)) if j not in pivot_set]
+                    row = {col_of[Path(right.source, left.target,
+                                       right.arrows + p.arrows + left.arrows)]: c
+                           for p, c in rel.terms.items()}
+                    blocks.setdefault((right.source, left.target), []).append(row)
+        # reduction[pivot path] = {basis path: coeff}, both in column order
+        reduction = {}
+        for rows in blocks.values():
+            reduced, pivots = sparse_rref(rows, self.field)
+            for pc, row in zip(pivots, reduced):
+                reduction[pc] = {paths[j]: -c for j, c in row.items() if j != pc}
+        self._reduction = {paths[pc]: reduction[pc] for pc in sorted(reduction)}
+        basis = [p for j, p in enumerate(paths) if j not in reduction]
         for p in basis:
             if len(p) >= self.length_cap:
                 raise CapInsufficient(
@@ -297,7 +283,7 @@ class BoundQuiverAlgebra:
                 ext = Path(bp.source, a.target, bp.arrows + (a.name,))
                 for rp, rc in self._reduce_known(ext).items():
                     nxt[rp] = nxt.get(rp, self.field.zero()) + c * rc
-            vec = {k: v for k, v in nxt.items() if v != self.field.zero()}
+            vec = {k: v for k, v in nxt.items() if v}
         return Element(vec, self.field)
 
     def reduce_element(self, e):
@@ -330,15 +316,6 @@ class BoundQuiverAlgebra:
             for q, cq in b.terms.items():
                 out = out + self.mult_paths(p, q).scale(cp * cq)
         return out
-
-    def mult_table(self):
-        """Full basis-times-basis product table (lazy, then cached)."""
-        table = {}
-        for p in self.basis:
-            for q in self.basis:
-                if q.target == p.source:
-                    table[(p, q)] = self.mult_paths(p, q)
-        return table
 
     def slice_basis(self, x, y):
         """Basis of e_x A e_y: normal paths y -> x."""

@@ -1,13 +1,19 @@
-"""Exact dense linear algebra over the rationals or a prime field.
+"""Exact linear algebra over the rationals or a prime field.
 
 Everything upstream (path bases, Hom spaces, cohomology of Hom complexes)
-reduces to rref / kernel / solve over an exact field.  Matrices are naive
-dense lists of lists; scalars are ``fractions.Fraction`` or ``ModInt``.
+reduces to rref / kernel / solve over an exact field.  ``Matrix`` is a
+dense list of lists; ``sparse_rref`` reduces rows given as ``{column:
+coeff}`` dicts and yields the same reduced echelon form.  Scalars are
+``fractions.Fraction`` or ``ModInt``.  Zero tests use truthiness (``if x``
+/ ``if not x``), never a comparison with a freshly built ``field.zero()``.
 Pivoting is deterministic (leftmost column, first nonzero row) so all
 outputs are reproducible bit-for-bit.
 """
 
 from fractions import Fraction
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ModInt:
@@ -59,19 +65,19 @@ class Rationals:
     characteristic = 0
 
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def from_int(self, n):
         return Fraction(n)
 
     def parse(self, s):
-        return Fraction(s)
-
-    def to_str(self, x):
-        return str(x)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (s,)) from None
 
     def __eq__(self, o):
         return isinstance(o, Rationals)
@@ -104,11 +110,11 @@ class PrimeField:
     def parse(self, s):
         if "/" in s:
             a, b = s.split("/")
-            return ModInt(int(a), self.p) / ModInt(int(b), self.p)
+            den = ModInt(int(b), self.p)
+            if not den:
+                raise ValueError("denominator of %r is zero in GF(%d)" % (s, self.p))
+            return ModInt(int(a), self.p) / den
         return ModInt(int(s), self.p)
-
-    def to_str(self, x):
-        return str(x.v)
 
     def __eq__(self, o):
         return isinstance(o, PrimeField) and o.p == self.p
@@ -158,14 +164,6 @@ class Matrix:
         return cls(n, n, [[o if i == j else z for j in range(n)] for i in range(n)], field)
 
     @classmethod
-    def from_rows(cls, rows_list, cols=None, field=QQ):
-        rows = len(rows_list)
-        if cols is None:
-            cols = len(rows_list[0]) if rows else 0
-        conv = [[x if not isinstance(x, int) else field.from_int(x) for x in r] for r in rows_list]
-        return cls(rows, cols, conv, field)
-
-    @classmethod
     def column(cls, vec, field=QQ):
         return cls(len(vec), 1, [[x] for x in vec], field)
 
@@ -180,8 +178,7 @@ class Matrix:
         return "Matrix(%d, %d, %r)" % (self.rows, self.cols, self.entries)
 
     def is_zero(self):
-        z = self.field.zero()
-        return all(x == z for row in self.entries for x in row)
+        return not any(x for row in self.entries for x in row)
 
     def __add__(self, o):
         assert self.rows == o.rows and self.cols == o.cols
@@ -215,7 +212,7 @@ class Matrix:
                 s = z
                 for k in range(self.cols):
                     a = ri[k]
-                    if a != z:
+                    if a:
                         s = s + a * o.entries[k][j]
                 row.append(s)
             out.append(row)
@@ -238,7 +235,7 @@ class Matrix:
             s = z
             ri = self.entries[i]
             for k in range(self.cols):
-                if ri[k] != z:
+                if ri[k]:
                     s = s + ri[k] * vec[k]
             out.append(s)
         return out
@@ -266,22 +263,6 @@ def vstack(mats, field=QQ):
     return Matrix(len(entries), cols, entries, mats[0].field)
 
 
-def block_diag(mats, field=QQ):
-    mats = list(mats)
-    fld = mats[0].field if mats else field
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = Matrix.zero(rows, cols, fld)
-    r0 = c0 = 0
-    for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out.entries[r0 + i][c0 + j] = m.entries[i][j]
-        r0 += m.rows
-        c0 += m.cols
-    return out
-
-
 def rref(M):
     """Reduced row echelon form.  Returns (R, pivot_columns).
 
@@ -289,41 +270,82 @@ def rref(M):
     entry below the current row as pivot.
     """
     R = M.copy()
-    z = R.field.zero()
+    one = R.field.one()
     ent = R.entries
     pivots = []
     pr = 0
     for pc in range(R.cols):
         pivot_row = None
         for i in range(pr, R.rows):
-            if ent[i][pc] != z:
+            if ent[i][pc]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         ent[pr], ent[pivot_row] = ent[pivot_row], ent[pr]
         pv = ent[pr][pc]
-        if pv != R.field.one():
+        if pv != one:
             inv_row = ent[pr]
             for j in range(pc, R.cols):
-                if inv_row[j] != z:
+                if inv_row[j]:
                     inv_row[j] = inv_row[j] / pv
         for i in range(R.rows):
             if i == pr:
                 continue
             f = ent[i][pc]
-            if f == z:
+            if not f:
                 continue
             src = ent[pr]
             dst = ent[i]
             for j in range(pc, R.cols):
-                if src[j] != z:
+                if src[j]:
                     dst[j] = dst[j] - f * src[j]
         pivots.append(pc)
         pr += 1
         if pr == R.rows:
             break
     return R, pivots
+
+
+def _sub_multiple(dst, f, src):
+    """dst -= f * src on {column: coeff} dicts, dropping entries that vanish."""
+    for j, c in src.items():
+        v = dst.get(j)
+        v = -f * c if v is None else v - f * c
+        if v:
+            dst[j] = v
+        else:
+            dst.pop(j, None)
+
+
+def sparse_rref(rows, field=QQ):
+    """Reduced row echelon form of rows given as {column: coeff} dicts.
+
+    Returns (rows, pivots) like ``rref``: the nonzero rows of the reduced
+    form in increasing pivot order, each a dict in increasing column order,
+    and the sorted pivot columns.  Gauss-Jordan, one row at a time: every
+    stored row has a leading 1 at its pivot and is kept free of every other
+    pivot column, so the result is the unique reduced form of the row space.
+    """
+    one = field.one()
+    reduced = {}
+    for row in rows:
+        row = {j: c for j, c in row.items() if c}
+        for pc in [j for j in row if j in reduced]:
+            _sub_multiple(row, row[pc], reduced[pc])
+        if not row:
+            continue
+        pc = min(row)
+        pv = row[pc]
+        if pv != one:
+            row = {j: c / pv for j, c in row.items()}
+        for other in reduced.values():
+            f = other.get(pc)
+            if f:
+                _sub_multiple(other, f, row)
+        reduced[pc] = row
+    pivots = sorted(reduced)
+    return [dict(sorted(reduced[pc].items())) for pc in pivots], pivots
 
 
 def rank(M):
@@ -364,13 +386,3 @@ def solve(M, b):
     for r, pc in enumerate(pivots):
         x[pc] = R.entries[r][M.cols]
     return x
-
-
-def column_space_rref(M):
-    """rref of the transpose: canonical row-space form of the columns of M.
-
-    Used to compare subspaces: two column sets span the same space iff the
-    nonzero rows of this form agree.
-    """
-    R, pivots = rref(M.transpose())
-    return [row for row in R.entries[:len(pivots)]]

@@ -4,19 +4,27 @@ The oracle enumerates all paths of the quiver up to a length limit with
 plain tuples, spans the two-sided ideal generated by the relations inside
 that truncation with sympy, and counts dimensions by rank.  It shares no
 code with the engine.
+
+``dense_basis`` is the reference for the engine's block-sparse build: one
+dense row per ideal-slice product, as wide as all enumerated paths, reduced
+by the dense ``rref``.  The two must agree exactly, dict order included.
 """
 
+import json
+import os
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from sphq.algebra import (Arrow, Element, Quiver, algebra_from_json,
+from sphq.algebra import (Arrow, Element, Path, Quiver, algebra_from_json,
                           algebra_to_json, build_algebra)
 from sphq.constructions import (canonical, cb, ci, circular, insert_An,
                                 kronecker, tensor_algebra)
+from sphq.corpus import FIXTURE_DIR
 from sphq.errors import CapInsufficient, NotAdmissible, SchemaError
-from sphq.linalg import QQ
+from sphq.linalg import QQ, Matrix, PrimeField, rref
 
 
 def oracle_dim(vertices, arrows, relations, maxlen):
@@ -164,3 +172,148 @@ def test_malformed_json_rejected():
     data["relations"] = [[{"coeff": "1", "path": ["nope"]}]]
     with pytest.raises(Exception):
         algebra_from_json(data)
+
+
+# -- block-sparse build against the dense reference ----------------------
+
+
+def dense_basis(quiver, relations, cap, field):
+    """(reduction, basis, basis_by_st) by one dense rref over all paths."""
+    for rel in relations:
+        if rel.is_zero() or rel.endpoints() is None:
+            raise NotAdmissible("relation")
+        for p in rel.terms:
+            if len(p) < 2:
+                raise NotAdmissible("short path")
+            if len(p) > cap:
+                raise CapInsufficient("relation beyond cap")
+    by_len = [[quiver.trivial_path(v) for v in quiver.vertices]]
+    for _ in range(cap):
+        by_len.append([Path(p.source, a.target, p.arrows + (a.name,))
+                       for p in by_len[-1] for a in quiver.arrows_out[p.target]])
+    paths = sorted((p for lst in by_len for p in lst),
+                   key=quiver.path_sort_key, reverse=True)
+    col_of = {p: i for i, p in enumerate(paths)}
+    rows = []
+    for rel in relations:
+        s, t = rel.endpoints()
+        rel_len = max(len(p) for p in rel.terms)
+        for right in paths:
+            if right.target != s or len(right) + rel_len > cap:
+                continue
+            for left in paths:
+                if left.source != t or len(right) + rel_len + len(left) > cap:
+                    continue
+                row = [field.zero()] * len(paths)
+                for p, c in rel.terms.items():
+                    fp = Path(right.source, left.target,
+                              right.arrows + p.arrows + left.arrows)
+                    row[col_of[fp]] = row[col_of[fp]] + c
+                rows.append(row)
+    R, pivots = rref(Matrix(len(rows), len(paths), rows, field)) if rows else (None, [])
+    pivot_set = set(pivots)
+    reduction = {}
+    for r, pc in enumerate(pivots):
+        reduction[paths[pc]] = {paths[j]: -R.entries[r][j]
+                                for j in range(pc + 1, len(paths))
+                                if j not in pivot_set and R.entries[r][j] != field.zero()}
+    basis = [p for j, p in enumerate(paths) if j not in pivot_set]
+    if any(len(p) >= cap for p in basis):
+        raise CapInsufficient("basis path at cap")
+    basis.sort(key=quiver.path_sort_key)
+    by_st = {}
+    for p in basis:
+        by_st.setdefault((p.source, p.target), []).append(p)
+    return reduction, basis, by_st
+
+
+def ordered(d):
+    """A dict of dicts as nested item lists, so == also checks key order."""
+    return [(k, list(v.items()) if isinstance(v, dict) else v) for k, v in d.items()]
+
+
+def assert_matches_dense(alg):
+    reduction, basis, by_st = dense_basis(alg.quiver, alg.relations,
+                                          alg.length_cap, alg.field)
+    assert ordered(alg._reduction) == ordered(reduction)
+    assert alg.basis == basis
+    assert ordered(alg.basis_by_st) == ordered(by_st)
+
+
+@pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(FIXTURE_DIR)))
+def test_fixture_basis_matches_dense(name):
+    with open(os.path.join(FIXTURE_DIR, name + ".json")) as fh:
+        data = json.load(fh)
+    for field in ({"kind": "rational"}, {"kind": "prime", "p": 3}):
+        data["field"] = field
+        alg = algebra_from_json(data)
+        assert_matches_dense(alg)
+        assert_matches_dense(alg.opposite())
+
+
+def build_outcome(quiver, relations, cap, field):
+    """The error type the build raises, or None; the dense reference agrees."""
+    try:
+        alg = build_algebra(quiver, relations, cap=cap, field=field)
+    except (CapInsufficient, NotAdmissible) as e:
+        with pytest.raises(type(e)):
+            dense_basis(quiver, relations, cap, field)
+        return type(e)
+    assert_matches_dense(alg)
+    return None
+
+
+@pytest.mark.parametrize("arrows,relations,cap,expected", [
+    # loop x with x^2 = 0
+    ([("x", "1", "1")], [{("x", "x"): 1}], 3, None),
+    # loop with no relation: the cap cannot certify finite dimension
+    ([("x", "1", "1")], [], 3, CapInsufficient),
+    # mixed-length relation a*b = c*d*e through a loop d with d^2 = 0
+    ([("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "3"),
+      ("e", "3", "4")], [{("a", "b"): 1, ("c", "d", "e"): -1}, {("d", "d"): 1}], 5, None),
+    # terms with different endpoints
+    ([("a", "1", "2"), ("b", "2", "3"), ("c", "1", "2"), ("d", "2", "2")],
+     [{("a", "b"): 1, ("c", "d"): 1}], 4, NotAdmissible),
+    # mixed lengths 2 and 1
+    ([("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")],
+     [{("a", "b"): 1, ("c",): 1}], 4, NotAdmissible),
+])
+def test_edge_cases_match_dense(arrows, relations, cap, expected):
+    q = Quiver(sorted({v for _, s, t in arrows for v in (s, t)}), arrows)
+    rels = [Element({q.path(list(p)): QQ.from_int(c) for p, c in rel.items()}, QQ)
+            for rel in relations]
+    assert build_outcome(q, rels, cap, QQ) is expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_random_bound_quiver_matches_dense(data):
+    """Loops, parallel arrows, non-monomial and mixed-length relations."""
+    n = data.draw(st.integers(1, 3), label="vertices")
+    vertices = [str(i) for i in range(1, n + 1)]
+    ends = data.draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                        st.sampled_from(vertices)),
+                              min_size=1, max_size=3), label="arrows")
+    q = Quiver(vertices, [Arrow("a%d" % i, s, t) for i, (s, t) in enumerate(ends)])
+    field = data.draw(st.sampled_from([QQ, PrimeField(3)]), label="field")
+    cap = data.draw(st.integers(3, 5), label="cap")
+    paths = [q.path([a.name]) for a in q.arrows]
+    frontier = paths
+    for _ in range(2):
+        frontier = [Path(p.source, a.target, p.arrows + (a.name,))
+                    for p in frontier for a in q.arrows_out[p.target]]
+        paths = paths + frontier
+    long_paths = [p for p in paths if len(p) >= 2]
+    relations = []
+    for _ in range(data.draw(st.integers(0, 3), label="relations") if long_paths else 0):
+        lead = data.draw(st.sampled_from(long_paths))
+        # mostly parallel terms; any path may join, which tests rejection
+        pool = [p for p in long_paths if (p.source, p.target) == (lead.source, lead.target)]
+        others = data.draw(st.lists(st.sampled_from(pool), max_size=2, unique=True))
+        if data.draw(st.integers(0, 9)) == 0:
+            others.append(data.draw(st.sampled_from(paths)))
+        terms = {}
+        for p in [lead] + others:
+            terms[p] = field.from_int(data.draw(st.sampled_from([1, -1, 2])))
+        relations.append(Element(terms, field))
+    build_outcome(q, relations, cap, field)

@@ -48,6 +48,25 @@ def test_cap_insufficient_is_input_error(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "input"
 
 
+@pytest.mark.parametrize("field,coeff", [
+    ({"kind": "rational"}, "1/0"),
+    ({"kind": "prime", "p": 3}, "1/3"),
+])
+def test_zero_denominator_is_input_error(tmp_path, capsys, field, coeff):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "field": field,
+        "quiver": {"vertices": ["1", "2", "3"],
+                   "arrows": [{"id": "a", "from": "1", "to": "2"},
+                              {"id": "b", "from": "2", "to": "3"}]},
+        "relations": [[{"coeff": coeff, "path": ["a", "b"]}]],
+    }))
+    code, out, err = run(capsys, "build", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "input"
+
+
 def test_unknown_vertex_is_input_error(capsys):
     code, _, err = run(capsys, "spherelike", "cb2", "--object", "S:9")
     assert code == 2

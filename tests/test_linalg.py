@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from sphq.linalg import (Matrix, PrimeField, QQ, hstack, kernel_basis, rank,
-                         rref, scalar_to_str, solve, vstack)
+                         rref, scalar_to_str, solve, sparse_rref, vstack)
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -81,6 +82,45 @@ def test_prime_field_arithmetic():
     assert a * b == F.from_int(2)
     assert (a / b) * b == a
     assert F.parse("3/4") * b == a
+
+
+def sparse_matrices(field):
+    """Small matrices over ``field``, mostly zeros, as sparse rows give."""
+    if field == QQ:
+        nonzero = fractions
+    else:
+        nonzero = st.integers(-4, 4).map(field.from_int)
+    entry = st.one_of(st.just(field.zero()), st.just(field.zero()), nonzero)
+    return st.integers(0, 6).flatmap(
+        lambda r: st.integers(0, 7).flatmap(
+            lambda c: st.builds(
+                lambda ent: Matrix(r, c, ent, field),
+                st.lists(st.lists(entry, min_size=c, max_size=c),
+                         min_size=r, max_size=r))))
+
+
+def sparse_rows(entries):
+    return [{j: x for j, x in enumerate(row) if x} for row in entries]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(7)])
+       .flatmap(sparse_matrices))
+def test_sparse_rref_matches_rref(M):
+    R, pivots = rref(M)
+    rows, sparse_pivots = sparse_rref(sparse_rows(M.entries), M.field)
+    assert sparse_pivots == pivots
+    assert rows == sparse_rows(R.entries[:len(pivots)])
+    assert all(list(row) == sorted(row) for row in rows)
+
+
+def test_parse_rejects_zero_denominator():
+    with pytest.raises(ValueError):
+        QQ.parse("1/0")
+    for s in ("1/0", "2/5", "1/-10"):
+        with pytest.raises(ValueError):
+            PrimeField(5).parse(s)
+    assert PrimeField(5).parse("1/6") == PrimeField(5).one()
 
 
 def test_prime_field_rejects_composite():

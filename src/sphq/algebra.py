@@ -172,7 +172,13 @@ class BoundQuiverAlgebra:
         self.name = name
         self._check_admissible()
         self._build_basis()
+        # Per-algebra memos, filled on first use: path products
+        # (mult_paths), standard modules keyed (kind, vertex)
+        # (derived._std_cached) and the global dimension
+        # (spherelike.certify_finite_gldim).
         self._mult_cache = {}
+        self._std_cache = {}
+        self._gldim = None
 
     # -- construction ---------------------------------------------------
 

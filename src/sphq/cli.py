@@ -7,8 +7,7 @@ import sys
 
 from .algebra import algebra_from_json, algebra_to_json
 from .constructions import (Embedding, canonical, cb, ci, circular, dda,
-                            induce, insert_An, kronecker, synthesize_poset_algebra,
-                            tack, tensor_algebra)
+                            induce, insert_An, kronecker, tack, tensor_algebra)
 from .corpus import FIXTURE_DIR, run_corpus
 from .derived import (complex_from_json, complex_to_json, hom_profile,
                       perfectify, resolve)
@@ -18,7 +17,7 @@ from .errors import (CapInsufficient, NotAcyclic, NotAdmissible, NotASink,
                      UnsupportedFamily, WitnessFailed)
 from .ktheory import euler_matrix, k_class, perp_lattice, vertex_order
 from .poset import build_poset, hasse_dot, stats, verify_edges
-from .reps import rep_from_json, rep_to_json, standard_module
+from .reps import rep_from_json, standard_module
 from .spherelike import (asphericality, certify_finite_gldim,
                          classify_spherelike, interval_modules, scan)
 
@@ -361,7 +360,7 @@ def cmd_poset(args):
 def cmd_corpus(args):
     if args.action != "run":
         raise SchemaError("unknown corpus action %r" % (args.action,))
-    report = run_corpus(threads=args.threads)
+    report = run_corpus()
     _emit(args, report, [
         "criterion %2d %-24s %s" % (r["criterion"], r["name"],
                                     "PASS" if r["pass"] else "FAIL")
@@ -456,8 +455,6 @@ def make_parser():
 
     sp = add("corpus", cmd_corpus, help="run the full acceptance suite")
     sp.add_argument("action", choices=["run"])
-    sp.add_argument("--threads", type=int,
-                    default=int(os.environ.get("SPHQ_THREADS", "1")))
     return p
 
 

@@ -3,14 +3,11 @@ circular/canonical/cycle-with-tail families, tensor algebras, and the
 poset-synthesis construction.
 """
 
-from fractions import Fraction
-
 import networkx as nx
 
-from .algebra import (Arrow, BoundQuiverAlgebra, Element, Path, Quiver,
-                      build_algebra, default_cap)
-from .errors import (HasRelations, NotAcyclic, NotASink, SchemaError,
-                     FamilyParameterError, UnknownVertex)
+from .algebra import Arrow, Element, Quiver, build_algebra, default_cap
+from .errors import (NotAcyclic, NotASink, SchemaError, FamilyParameterError,
+                     UnknownVertex)
 from .derived import LabeledComplex
 from .linalg import Matrix, rref
 from .reps import Representation
@@ -294,7 +291,7 @@ def canonical(ps, lambdas, field=None):
         if bs[3] != field.one():
             raise FamilyParameterError("normalization requires b_3 = 1")
         vals = list(bs.values())
-        if any(v == field.zero() for v in vals) or len({str(v) for v in vals}) != len(vals):
+        if not all(vals) or len({str(v) for v in vals}) != len(vals):
             raise FamilyParameterError("tube parameters must be distinct and nonzero")
     vertices = ["s", "t"]
     arrows = []

@@ -491,18 +491,7 @@ def run_criterion(number):
     raise KeyError(number)
 
 
-def run_corpus(threads=None):
-    if threads is None:
-        threads = int(os.environ.get("SPHQ_THREADS", "1"))
-    results = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = {ex.submit(run_criterion, num): num
-                    for num, _, _ in CRITERIA}
-            results = [f.result() for f in futs]
-        results.sort(key=lambda r: r["criterion"])
-    else:
-        results = [run_criterion(num) for num, _, _ in CRITERIA]
+def run_corpus():
+    results = [run_criterion(num) for num, _, _ in CRITERIA]
     return {"results": results,
             "pass": all(r["pass"] for r in results)}

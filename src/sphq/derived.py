@@ -24,19 +24,20 @@ the total Hom complex together with representative chain maps.
 
 import random
 
+from .algebra import Path
 from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
                      EngineInvariantViolation, SchemaError)
-from .linalg import Matrix, hstack, kernel_basis, rank, rref, solve
-from .reps import (ModuleMorphism, ProjectiveBasis, Representation,
-                   direct_sum, injective_module, kernel_cokernel,
-                   projective_module, simple_module, top_and_radical,
-                   zero_morphism)
+from .linalg import Matrix, hstack, kernel_basis, rank, rref, solve, vstack
+from .reps import (ModuleMorphism, Representation, direct_sum,
+                   injective_module, kernel_cokernel, projective_module,
+                   top_and_radical, zero_morphism)
+
+# Largest resolution length tried before GlobalDimensionExceeded.
+DEFAULT_BOUND = 40
 
 
 def _std_cached(alg, kind, x):
-    cache = getattr(alg, "_std_cache", None)
-    if cache is None:
-        cache = alg._std_cache = {}
+    cache = alg._std_cache
     key = (kind, x)
     if key not in cache:
         cache[key] = projective_module(alg, x) if kind == "proj" else injective_module(alg, x)
@@ -204,15 +205,9 @@ def cone(f):
             dy = Y.diff(n).mats[v]
             top = hstack([dx, Matrix.zero(dx.rows, dy.cols, field)])
             bot = hstack([fy, dy])
-            mats[v] = _vstack2(top, bot, field)
+            mats[v] = vstack([top, bot])
         diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
     return BoundedComplex(alg, pieces, diffs, check=False)
-
-
-def _vstack2(a, b, field):
-    assert a.cols == b.cols
-    return Matrix(a.rows + b.rows, a.cols,
-                  [r[:] for r in a.entries] + [r[:] for r in b.entries], field)
 
 
 def is_derived_iso(f):
@@ -352,13 +347,11 @@ class LabeledComplex:
     def total_rank(self):
         return sum(len(lab) for lab in self.pieces.values())
 
-    def describe(self):
-        return {str(n): ["P(%s)" % x if self.kind == "proj" else "I(%s)" % x
-                         for x in self.labels(n)] for n in self.degrees()}
 
-
-def perfect_stalk(alg, x, degree=0):
-    return LabeledComplex(alg, {degree: [x]}, {}, "proj", check=False)
+def generator_column(index, j, x):
+    """Column of the generator e_x of summand j at vertex x, where
+    ``index`` is the ``summand_basis(n)[1]`` of the summand's degree."""
+    return index[x][(j, Path(x, x, ()))]
 
 
 def nakayama(F):
@@ -379,7 +372,7 @@ def inverse_nakayama(G):
                           "proj", check=False)
 
 
-def tau(F, bound=40):
+def tau(F, bound=DEFAULT_BOUND):
     """tau = nu o [-1] followed by re-resolution to perfect form."""
     return perfectify(nakayama(F).to_rep().shift(-1), bound=bound)
 
@@ -414,7 +407,7 @@ def projective_cover(M):
     return labels, gens, cover, pi
 
 
-def minimal_projective_resolution(M, bound=40):
+def minimal_projective_resolution(M, bound=DEFAULT_BOUND):
     """Iterated projective covers; perfect complex in degrees -len..0.
 
     Raises GlobalDimensionExceeded if the syzygies do not vanish within
@@ -441,7 +434,7 @@ def minimal_projective_resolution(M, bound=40):
                 vec = incl.mats[x].apply(gens[j])
                 for r, (i, p) in enumerate(order[x]):
                     c = vec[r]
-                    if c != alg.field.zero():
+                    if c:
                         d[i][j] = d[i][j] + alg.element({p: c})
             diffs[-deg] = d
         syz, _, incl, _ = kernel_cokernel(pi)
@@ -457,7 +450,7 @@ def minimal_projective_resolution(M, bound=40):
     return res
 
 
-def resolve(obj, bound=40):
+def resolve(obj, bound=DEFAULT_BOUND):
     """Perfect presentation of a Representation or BoundedComplex."""
     if isinstance(obj, LabeledComplex):
         return obj
@@ -534,7 +527,7 @@ class HomComplexData:
                 dg = self.G.diff(p + n).mats[x]
                 for r in range(dg.rows):
                     for c in range(dg.cols):
-                        if dg.entries[r][c] != field.zero():
+                        if dg.entries[r][c]:
                             M.entries[tgt_off[(p, j)] + r][off + c] = \
                                 M.entries[tgt_off[(p, j)] + r][off + c] + dg.entries[r][c]
             # -(-1)^n phi o d_F term: slot (p-1, j') receives from (p, j)
@@ -551,7 +544,7 @@ class HomComplexData:
                     for r in range(act.rows):
                         for c in range(act.cols):
                             v = act.entries[r][c]
-                            if v != field.zero():
+                            if v:
                                 M.entries[tgt_off[(p - 1, j2)] + r][off + c] = \
                                     M.entries[tgt_off[(p - 1, j2)] + r][off + c] - sign * v
         return M
@@ -724,14 +717,12 @@ def _lift_through(R, P, q, h):
     rhs = []
 
     Pmeta = {n: P.summand_basis(n) for n in P.degrees()}
+    Rindex = {n: R.summand_basis(n)[1] for n in hc}
 
     # homotopy equations: q g - h = d_T s + s d_R, evaluated on generators
     for n in R.degrees():
         for j, x in enumerate(R.labels(n)):
             dim = T.piece(n).dims[x]
-            if dim == 0 and T.piece(n - 1).dims[x] == 0:
-                # still may constrain s at n+1 via d_R; handled in its own row block
-                pass
             block = [[field.zero()] * N for _ in range(dim)]
             bvec = [field.zero()] * dim
             # q g term
@@ -748,7 +739,7 @@ def _lift_through(R, P, q, h):
             # -h term -> rhs
             hm = hc.get(n)
             if hm is not None and dim:
-                col = hm.mats[x].col(_gen_col(R, n, j, x))
+                col = hm.mats[x].col(generator_column(Rindex[n], j, x))
                 for r in range(dim):
                     bvec[r] = bvec[r] + col[r]
             # -d_T s term
@@ -757,7 +748,7 @@ def _lift_through(R, P, q, h):
                 for r in range(dim):
                     for c in range(dT.cols):
                         v = dT.entries[r][c]
-                        if v != field.zero():
+                        if v:
                             ui = s_index[(n, j, c)]
                             block[r][ui] = block[r][ui] - v
             # -s d_R term: s^{n+1} applied to d_R(e_x)
@@ -775,7 +766,7 @@ def _lift_through(R, P, q, h):
                             continue
                         for r in range(dim):
                             v = act.entries[r][c]
-                            if v != field.zero():
+                            if v:
                                 block[r][ui] = block[r][ui] - v
             rows.extend(block)
             rhs.extend(bvec)
@@ -834,7 +825,7 @@ def _lift_through(R, P, q, h):
                 terms = {}
                 for p in alg.slice_basis(x, y):
                     c = sol[g_index[(n, i, j, p)]]
-                    if c != field.zero():
+                    if c:
                         terms[p] = c
                 if terms:
                     d[i][j] = alg.element(terms)
@@ -845,12 +836,6 @@ def _lift_through(R, P, q, h):
             dim = T.piece(n - 1).dims[x]
             svals[(n, j)] = [sol[s_index[(n, j, r)]] for r in range(dim)]
     return g, svals
-
-
-def _gen_col(L, n, j, x):
-    """Column index of the generator e_x of summand j in L.to_rep() at x."""
-    order, index = L.summand_basis(n)
-    return index[x][(j, L.alg.quiver.trivial_path(x))]
 
 
 def _labeled_cone(g, R, P):
@@ -895,7 +880,7 @@ def _cone_quasi_iso(newP, R, P, qcomps, svals, aug, Ck, T, Tnext, k):
     alg = newP.alg
     field = alg.field
     newrep = newP.to_rep()
-    rgen = {n: R.summand_basis(n) for n in R.degrees()}
+    rindex = R.summand_basis(k + 1)[1]
     pidx = {n: P.summand_basis(n)[1] for n in P.degrees()}
     norder = {n: newP.summand_basis(n)[0] for n in newP.degrees()}
     for sgn_s in (1, -1):
@@ -911,7 +896,7 @@ def _cone_quasi_iso(newP, R, P, qcomps, svals, aug, Ck, T, Tnext, k):
                         if si < nr:
                             x = R.labels(n + 1)[si]
                             if n == k:
-                                gc = rgen[n + 1][1][x][(si, alg.quiver.trivial_path(x))]
+                                gc = generator_column(rindex, si, x)
                                 genvec = [field.from_int(sgn_a) * c
                                           for c in aug.mats[x].col(gc)]
                                 out = Ck.path_action(path).apply(genvec)
@@ -939,7 +924,7 @@ def _cone_quasi_iso(newP, R, P, qcomps, svals, aug, Ck, T, Tnext, k):
     raise EngineInvariantViolation("could not assemble quasi-iso after cone")
 
 
-def perfectify(C, bound=40, certify=True):
+def perfectify(C, bound=DEFAULT_BOUND, certify=True):
     """Projective-labeled complex quasi-isomorphic to a BoundedComplex.
 
     Descending induction on degrees: the brutal truncation at the top
@@ -1042,7 +1027,7 @@ def dual_of_op_perfect(P, alg):
     return LabeledComplex(alg, pieces, diffs, "inj")
 
 
-def injective_model(X, bound=40):
+def injective_model(X, bound=DEFAULT_BOUND):
     """Injective-labeled complex quasi-isomorphic to X."""
     if isinstance(X, LabeledComplex):
         X = X.to_rep()
@@ -1053,7 +1038,7 @@ def injective_model(X, bound=40):
     return dual_of_op_perfect(P, X.alg)
 
 
-def tau_inverse(F, bound=40):
+def tau_inverse(F, bound=DEFAULT_BOUND):
     """tau^{-1} = nu^{-1} o [1] on a perfect complex."""
     if not isinstance(F, LabeledComplex):
         raise NotElementValued("tau_inverse needs a projective-labeled complex")

@@ -29,10 +29,6 @@ class AlgebraMismatch(SphqError):
     """Operands live over different algebras."""
 
 
-class CharNotZero(SphqError):
-    """Endomorphism-radical analysis requires characteristic 0."""
-
-
 class GlobalDimensionExceeded(SphqError):
     """Projective resolution did not terminate within the bound."""
 
@@ -62,10 +58,6 @@ class NotASink(SphqError):
 
 
 class NotAcyclic(SphqError):
-    pass
-
-
-class HasRelations(SphqError):
     pass
 
 

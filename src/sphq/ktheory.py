@@ -1,8 +1,8 @@
 """Grothendieck-group utilities: Cartan and Euler matrices, classes of
 complexes, and orthogonal sublattices of the Euler form."""
 
-from .derived import (BoundedComplex, LabeledComplex,
-                      minimal_projective_resolution, hom_profile, resolve)
+from .derived import (DEFAULT_BOUND, LabeledComplex,
+                      minimal_projective_resolution, hom_profile)
 from .reps import Representation, hom_basis, projective_module, simple_module
 from .spherelike import certify_finite_gldim
 
@@ -38,7 +38,7 @@ def cartan_matrix(alg):
     return [[len(hom_basis(projs[x], projs[y])) for y in order] for x in order]
 
 
-def euler_matrix(alg, bound=40):
+def euler_matrix(alg, bound=DEFAULT_BOUND):
     """E[x][y] = sum_i (-1)^i dim Ext^i(S(x), S(y)); needs finite global
     dimension."""
     certify_finite_gldim(alg, bound)

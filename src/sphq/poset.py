@@ -7,9 +7,9 @@ import itertools
 from .algebra import Element
 from .constructions import (canonical, dda, dda_small_corner, induce,
                             synthesize_poset_algebra)
-from .derived import (LabeledComplex, hom_profile, minimal_projective_resolution,
-                      perfectify, resolve, tau)
-from .errors import (EngineInvariantViolation, IncompatibleKinds,
+from .derived import (DEFAULT_BOUND, LabeledComplex, hom_profile,
+                      minimal_projective_resolution, resolve, tau)
+from .errors import (EngineInvariantViolation, IncompatibleKinds, SphqError,
                      UnsupportedFamily, WitnessFailed)
 from .linalg import Matrix
 from .reps import Representation, simple_module
@@ -156,7 +156,7 @@ def _member(W_perf, Q):
     return hom_profile(W_perf, Q) == {}
 
 
-def _vertex_signature(alg, Q, bound=40):
+def _vertex_signature(alg, Q, bound=DEFAULT_BOUND):
     out = set()
     for v in alg.quiver.vertices:
         R = minimal_projective_resolution(simple_module(alg, v), bound)
@@ -233,7 +233,7 @@ def verify_edges(poset):
 # node factories
 
 
-def _classified_node(name, desc, obj_perf, components, provenance, bound=40):
+def _classified_node(name, desc, obj_perf, components, provenance, bound=DEFAULT_BOUND):
     report = classify_spherelike(obj_perf, desc, bound)
     if not report.is_spherelike():
         raise EngineInvariantViolation("%s is not spherelike" % desc)
@@ -260,7 +260,7 @@ def _two_term_candidates(alg):
                                       "proj", check=False))
 
 
-def _find_spherelike(alg, d_target, bound=40):
+def _find_spherelike(alg, d_target, bound=DEFAULT_BOUND):
     """Deterministic scan for a spherelike object of the requested degree:
     simples and interval modules first, then two-term path complexes."""
     cands = []
@@ -270,14 +270,14 @@ def _find_spherelike(alg, d_target, bound=40):
     for desc, M in cands:
         try:
             rep = classify_spherelike(M, desc, bound)
-        except Exception:
+        except SphqError:
             continue
         if rep.is_spherelike() and rep.d == d_target:
             return desc, resolve(M, bound)
     for desc, C in _two_term_candidates(alg):
         try:
             rep = classify_spherelike(C, desc, bound)
-        except Exception:
+        except SphqError:
             continue
         if rep.is_spherelike() and rep.d == d_target:
             return desc, C
@@ -285,7 +285,7 @@ def _find_spherelike(alg, d_target, bound=40):
         "no spherelike object of degree %d found" % d_target)
 
 
-def _tau_orbit(F, count, bound=40):
+def _tau_orbit(F, count, bound=DEFAULT_BOUND):
     out = [F]
     for _ in range(count - 1):
         out.append(tau(out[-1], bound))
@@ -296,7 +296,7 @@ def _tau_orbit(F, count, bound=40):
 # families
 
 
-def _build_dda_poset(r, n, m, field=None, bound=40):
+def _build_dda_poset(r, n, m, field=None, bound=DEFAULT_BOUND):
     big, _ = dda(r, n, m, field=field)
     poset = SpherelikePoset(big, ("dda", r, n, m))
     if (r, n, m) == (1, 2, 0):
@@ -357,14 +357,14 @@ def _build_dda_poset(r, n, m, field=None, bound=40):
     return poset
 
 
-def _find_y_corner(alg, bound=40):
+def _find_y_corner(alg, bound=DEFAULT_BOUND):
     """The spherical simple of a full-relation-run cycle algebra."""
     for v in alg.quiver.vertices:
         desc = "S:%s" % v
         M = simple_module(alg, v)
         try:
             rep = classify_spherelike(M, desc, bound)
-        except Exception:
+        except SphqError:
             continue
         if rep.is_spherical():
             return desc, resolve(M, bound)
@@ -384,7 +384,7 @@ def _arm_value_module(alg, ps, cvals):
     return Representation(alg, dims, maps)
 
 
-def _build_canonical_poset(ps, lambdas, field=None, bound=40):
+def _build_canonical_poset(ps, lambdas, field=None, bound=DEFAULT_BOUND):
     from .linalg import QQ
     field = field or QQ
     alg = canonical(ps, lambdas, field=field)
@@ -401,7 +401,7 @@ def _build_canonical_poset(ps, lambdas, field=None, bound=40):
     k = 2
     while mu is None:
         cand = consistent(field.one(), field.from_int(k))
-        if all(c != field.zero() for c in cand):
+        if all(cand):
             mu = cand
         k += 1
     top_obj = resolve(_arm_value_module(alg, ps, mu), bound)
@@ -430,7 +430,7 @@ def _build_canonical_poset(ps, lambdas, field=None, bound=40):
     return poset
 
 
-def _build_synthesized_poset(elements, less, field=None, bound=40):
+def _build_synthesized_poset(elements, less, field=None, bound=DEFAULT_BOUND):
     alg, designated, iotas = synthesize_poset_algebra(elements, less,
                                                       field=field)
     poset = SpherelikePoset(alg, ("synthesized", tuple(elements),
@@ -476,7 +476,7 @@ def _build_synthesized_poset(elements, less, field=None, bound=40):
     return poset
 
 
-def build_poset(family, field=None, bound=40):
+def build_poset(family, field=None, bound=DEFAULT_BOUND):
     """family: ("dda", r, n, m) | ("canonical", ps, lambdas) |
     ("synthesized", elements, less)."""
     kind = family[0]

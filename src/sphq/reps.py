@@ -2,14 +2,13 @@
 
 A representation assigns an exact vector space k^d to every vertex and a
 (target-dim x source-dim) matrix to every arrow, with all relations of the
-algebra evaluating to zero.  Hom spaces, kernels/cokernels, radicals and
-endomorphism-ring analysis are all reduced to the linalg kernels.
+algebra evaluating to zero.  Hom spaces, kernels/cokernels and radicals
+are all reduced to the linalg kernels.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
-from .errors import (AlgebraMismatch, CharNotZero, SchemaError, UnknownVertex)
+from .errors import AlgebraMismatch, SchemaError, UnknownVertex
 from .linalg import Matrix, hstack, kernel_basis, rref, solve, scalar_to_str
 
 
@@ -118,17 +117,13 @@ def identity_morphism(M):
 
 # -- Hom spaces ---------------------------------------------------------
 
-def _vertex_order(alg):
-    return list(alg.quiver.vertices)
-
-
 def hom_basis(M, N):
     """Basis of Hom(M, N) as a list of ModuleMorphisms."""
     if M.alg is not N.alg and M.alg != N.alg:
         raise AlgebraMismatch("hom between modules over different algebras")
     alg = M.alg
     field = alg.field
-    verts = _vertex_order(alg)
+    verts = alg.quiver.vertices
     # Unknowns: entries of f_v, row-major, vertex blocks in order.
     offs = {}
     total = 0
@@ -270,119 +265,6 @@ def top_and_radical(M):
     tproj = ModuleMorphism(M, top, projs, check=False)
     tsect = {v: sects[v] for v in M.dims}
     return TopRad(rad, rad_incl, top, tproj, tsect)
-
-
-# -- endomorphism analysis ----------------------------------------------
-
-def _flatten(f):
-    verts = _vertex_order(f.source.alg)
-    out = []
-    for v in verts:
-        for row in f.mats[v].entries:
-            out.extend(row)
-    return out
-
-
-def _is_rational_square(x):
-    f = Fraction(x)
-    if f < 0:
-        return False
-    n, d = f.numerator, f.denominator
-    rn = int(n ** 0.5)
-    while rn * rn < n:
-        rn += 1
-    rd = int(d ** 0.5)
-    while rd * rd < d:
-        rd += 1
-    return rn * rn == n and rd * rd == d
-
-
-def end_analysis(M):
-    """Structure of End(M): dimension, locality, k[x]/x^2 vs k x k.
-
-    Radical computed via the characteristic-0 trace-form criterion
-    (x in rad iff trace(L_{x y}) = 0 for all y); refuses prime fields.
-    """
-    alg = M.alg
-    field = alg.field
-    if field.characteristic != 0:
-        raise CharNotZero("endomorphism-radical analysis needs characteristic 0")
-    basis = hom_basis(M, M)
-    n = len(basis)
-    res = {"dim": n, "is_local": None, "semisimple_quotient_dim": None,
-           "radical_dim": None, "kind": None, "field_sensitive": False,
-           "square_of_radical_generator": None}
-    if n == 0:
-        res.update(is_local=False, semisimple_quotient_dim=0, radical_dim=0, kind="zero")
-        return res
-    V = Matrix(len(_flatten(basis[0])), n,
-               [[_flatten(b)[i] for b in basis] for i in range(len(_flatten(basis[0])))],
-               field)
-
-    def coords(f):
-        x = solve(V, _flatten(f))
-        assert x is not None
-        return x
-
-    # Left-multiplication matrices in the chosen basis.
-    L = []
-    for b in basis:
-        cols = [coords(b.compose(c)) for c in basis]
-        L.append(Matrix(n, n, [[cols[j][i] for j in range(n)] for i in range(n)], field))
-
-    def trace_of(coord_vec):
-        t = field.zero()
-        for k, c in enumerate(coord_vec):
-            if c != field.zero():
-                for i in range(n):
-                    t = t + c * L[k].entries[i][i]
-        return t
-
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(trace_of(coords(basis[i].compose(basis[j]))))
-        gram.append(row)
-    radK = kernel_basis(Matrix(n, n, gram, field))
-    rdim = radK.cols
-    res["radical_dim"] = rdim
-    res["semisimple_quotient_dim"] = n - rdim
-    res["is_local"] = (n - rdim == 1)
-    if n == 1:
-        res["kind"] = "k"
-    elif n == 2:
-        if rdim == 1:
-            res["kind"] = "k[x]/x^2"
-            gen = [radK.entries[i][0] for i in range(n)]
-            f = basis[0].scale(gen[0]) + basis[1].scale(gen[1])
-            res["square_of_radical_generator"] = [scalar_to_str(c)
-                                                  for c in coords(f.compose(f))]
-        else:
-            # Semisimple commutative of dim 2: k x k over a closed field, but
-            # possibly a quadratic field extension over the rationals.
-            one = coords(identity_morphism(M))
-            phi = None
-            for i in range(n):
-                e = [field.zero()] * n
-                e[i] = field.one()
-                R, piv = rref(Matrix(2, n, [one, e], field))
-                if len(piv) == 2:
-                    phi = basis[i]
-                    break
-            sq = coords(phi.compose(phi))
-            idm = Matrix(2, n, [one, coords(phi)], field)
-            ab = solve(idm.transpose(), sq)
-            alpha, beta = ab[0], ab[1]
-            disc = beta * beta + 4 * alpha
-            if _is_rational_square(disc):
-                res["kind"] = "k x k"
-            else:
-                res["kind"] = "k x k"
-                res["field_sensitive"] = True
-    else:
-        res["kind"] = "other"
-    return res
 
 
 # -- standard modules ---------------------------------------------------

@@ -8,35 +8,35 @@ object Q_F is the cone of the unique map F -> nu F[-d]; the spherical
 subcategory of F consists of the objects A with Hom^*(A, Q_F) = 0.
 """
 
+import itertools
+from fractions import Fraction
+
 from .errors import (DZeroUnsupported, EngineInvariantViolation,
-                     GlobalDimensionExceeded, NonUniqueMap,
+                     GlobalDimensionExceeded, NonUniqueMap, SchemaError,
                      UnsupportedCandidateSet)
-from .linalg import Matrix, rref
+from .linalg import Matrix, hstack, rank, solve
 from .reps import (Representation, hom_basis, kernel_cokernel,
                    simple_module, top_and_radical)
 from . import reps as _reps
-from .derived import (BoundedComplex, ChainMap, HomComplexData, LabeledComplex,
-                      as_rep_complex, chain_map_space, cone, hom_profile,
+from .derived import (DEFAULT_BOUND, ChainMap, HomComplexData,
+                      chain_map_space, cone, generator_column, hom_profile,
                       iso_up_to_shift, minimal_projective_resolution, nakayama,
                       perfectify, resolve)
-from .algebra import Path
-
-
-DEFAULT_BOUND = 40
 
 
 def certify_finite_gldim(alg, bound=DEFAULT_BOUND):
-    """Global dimension via resolutions of all simples (cached)."""
-    cached = getattr(alg, "_gldim", None)
-    if cached is not None:
-        return cached
-    g = 0
-    for v in alg.quiver.vertices:
-        res = minimal_projective_resolution(simple_module(alg, v), bound)
-        if not res.is_zero():
-            g = max(g, -min(res.degrees()))
-    alg._gldim = g
-    return g
+    """Global dimension via resolutions of all simples (memoised per
+    algebra); raises GlobalDimensionExceeded when it is above ``bound``."""
+    if alg._gldim is None:
+        g = 0
+        for v in alg.quiver.vertices:
+            res = minimal_projective_resolution(simple_module(alg, v), bound)
+            if not res.is_zero():
+                g = max(g, -min(res.degrees()))
+        alg._gldim = g
+    if alg._gldim > bound:
+        raise GlobalDimensionExceeded(bound, "resolving a module")
+    return alg._gldim
 
 
 class SpherelikeReport:
@@ -83,17 +83,11 @@ class SpherelikeReport:
 
 def _hom_coords(data, cm, s):
     """Hom-complex degree-s coordinates of a chain map F_rep -> G[s]."""
+    index = {p: data.F.summand_basis(p)[1] for p in data.F.degrees()}
     vec = []
     for (p, j, x, d) in data.slots(s):
-        gen = _generator_column(data.F, p, j, x)
-        col = cm.comp(p).mats[x].col(gen)
-        vec.extend(col)
+        vec.extend(cm.comp(p).mats[x].col(generator_column(index[p], j, x)))
     return vec
-
-
-def _generator_column(F, p, j, x):
-    _, index = F.summand_basis(p)
-    return index[x][(j, F.alg.quiver.trivial_path(x))]
 
 
 def _degree0_end_structure(F):
@@ -102,8 +96,7 @@ def _degree0_end_structure(F):
     Assumes dim H^0 End(F) = 2; phi is a basis element independent of the
     identity class.
     """
-    alg = F.alg
-    field = alg.field
+    field = F.alg.field
     Frep = F.to_rep()
     data = HomComplexData(F, Frep)
     dim, cands = chain_map_space(F, Frep, 0)
@@ -114,51 +107,40 @@ def _degree0_end_structure(F):
     dprev = data.delta(-1)
     idvec = _hom_coords(data, idm, 0)
 
-    def in_basis(vec_list, target):
-        """Coordinates of target modulo boundaries in span(vec_list)."""
-        cols = [dprev.col(j) for j in range(dprev.cols)] if dprev.cols else []
-        ncols = len(cols) + len(vec_list)
-        n = len(target)
-        M = Matrix(n, ncols,
-                   [[ (cols[j][i] if j < len(cols) else vec_list[j - len(cols)][i])
-                      for j in range(ncols)] for i in range(n)], field)
-        from .linalg import solve as _solve
-        sol = _solve(M, target)
-        assert sol is not None
-        return sol[len(cols):]
+    def with_boundaries(vecs):
+        """[boundaries | vecs] as columns."""
+        return hstack([dprev] + [Matrix.column(v, field) for v in vecs])
 
     # pick phi = candidate independent of id modulo boundaries
-    phi = None
+    id_rank = rank(with_boundaries([idvec]))
+    phi = basis = None
     for cand in cands:
-        cvec = _hom_coords(data, cand, 0)
-        bound_cols = [dprev.col(j) for j in range(dprev.cols)]
-        test = Matrix(len(idvec), len(bound_cols) + 2,
-                      [[ (bound_cols[j][i] if j < len(bound_cols)
-                          else (idvec[i] if j == len(bound_cols) else cvec[i]))
-                         for j in range(len(bound_cols) + 2)]
-                       for i in range(len(idvec))], field)
-        _, piv = rref(test)
-        if len(piv) == len(rref(Matrix(len(idvec), len(bound_cols) + 1,
-                                       [[ (bound_cols[j][i] if j < len(bound_cols)
-                                           else idvec[i])
-                                          for j in range(len(bound_cols) + 1)]
-                                        for i in range(len(idvec))], field))[1]) + 1:
-            phi = cand
+        cols = with_boundaries([idvec, _hom_coords(data, cand, 0)])
+        if rank(cols) == id_rank + 1:
+            phi, basis = cand, cols
             break
     assert phi is not None
-    phivec = _hom_coords(data, phi, 0)
     # phi o phi
     sq = ChainMap(Frep, Frep,
                   {n: phi.comp(n).compose(phi.comp(n)) for n in Frep.pieces},
                   check=False)
-    sqvec = _hom_coords(data, sq, 0)
-    coords = in_basis([idvec, phivec], sqvec)
-    return coords[0], coords[1]
+    coords = solve(basis, _hom_coords(data, sq, 0))
+    assert coords is not None
+    return coords[dprev.cols], coords[dprev.cols + 1]
 
 
-def _is_square(field, x):
-    from .reps import _is_rational_square
-    return _is_rational_square(x)
+def _is_rational_square(x):
+    f = Fraction(x)
+    if f < 0:
+        return False
+    n, d = f.numerator, f.denominator
+    rn = int(n ** 0.5)
+    while rn * rn < n:
+        rn += 1
+    rd = int(d ** 0.5)
+    while rd * rd < d:
+        rd += 1
+    return rn * rn == n and rd * rd == d
 
 
 def classify_spherelike(obj, desc="object", bound=DEFAULT_BOUND):
@@ -185,14 +167,14 @@ def classify_spherelike(obj, desc="object", bound=DEFAULT_BOUND):
     if d == 0:
         alpha, beta = _degree0_end_structure(F)
         disc = beta * beta + alg.field.from_int(4) * alpha
-        if disc == alg.field.zero():
+        if not disc:
             rep.end_kind = "k[x]/x^2"
             iso = iso_up_to_shift(F, nakayama(F).to_rep(), 0)
             rep.spherical_witnessed = iso
             rep.verdict = "d_spherical" if iso is True else "properly_d_spherelike"
         else:
             rep.end_kind = "k x k"
-            if alg.field.characteristic == 0 and not _is_square(alg.field, disc):
+            if alg.field.characteristic == 0 and not _is_rational_square(disc):
                 rep.field_sensitive = True
             rep.verdict = "decomposable_0_spherelike"
         return rep
@@ -276,7 +258,6 @@ def _indecomposables_up_to(alg, bound):
             "(finite enumeration)")
     p = alg.field.characteristic
     verts = alg.quiver.vertices
-    import itertools
     out = []
     seen = []
     for dims in itertools.product(*(range(0, bound + 1) for _ in verts)):
@@ -300,7 +281,7 @@ def _indecomposables_up_to(alg, bound):
                 maps[a.name] = Matrix(dv[a.target], dv[a.source], ent, alg.field)
             try:
                 M = Representation(alg, dv, maps)
-            except Exception:
+            except SchemaError:
                 continue
             if not _is_indecomposable_finite(M):
                 continue
@@ -321,7 +302,6 @@ def _is_indecomposable_finite(M):
     n = len(ends)
     if p ** n > 4096:
         raise UnsupportedCandidateSet("endomorphism ring too large to enumerate")
-    import itertools
     total = M.total_dim()
     for coeffs in itertools.product(range(p), repeat=n):
         f = None
@@ -329,8 +309,7 @@ def _is_indecomposable_finite(M):
             part = e.scale(M.alg.field.from_int(c))
             f = part if f is None else f + part
         # nilpotency / invertibility vertexwise
-        from .linalg import rank as _rank
-        ranks = {v: _rank(f.mats[v]) for v in M.dims}
+        ranks = {v: rank(f.mats[v]) for v in M.dims}
         invertible = all(ranks[v] == M.dims[v] for v in M.dims)
         if invertible:
             continue
@@ -351,14 +330,12 @@ def _iso_modules_finite(M, N):
     p = M.alg.field.characteristic
     if p ** len(homs) > 4096:
         raise UnsupportedCandidateSet("hom space too large to enumerate")
-    import itertools
-    from .linalg import rank as _rank
     for coeffs in itertools.product(range(p), repeat=len(homs)):
         f = None
         for c, e in zip(coeffs, homs):
             part = e.scale(M.alg.field.from_int(c))
             f = part if f is None else f + part
-        if all(_rank(f.mats[v]) == M.dims[v] for v in M.dims):
+        if all(rank(f.mats[v]) == M.dims[v] for v in M.dims):
             return True
     return False
 

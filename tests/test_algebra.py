@@ -22,7 +22,7 @@ from sphq.algebra import (Arrow, Element, Path, Quiver, algebra_from_json,
                           algebra_to_json, build_algebra)
 from sphq.constructions import (canonical, cb, ci, circular, insert_An,
                                 kronecker, tensor_algebra)
-from sphq.corpus import FIXTURE_DIR
+from sphq.corpus import FIXTURE_DIR, write_fixtures
 from sphq.errors import CapInsufficient, NotAdmissible, SchemaError
 from sphq.linalg import QQ, Matrix, PrimeField, rref
 
@@ -172,6 +172,17 @@ def test_malformed_json_rejected():
     data["relations"] = [[{"coeff": "1", "path": ["nope"]}]]
     with pytest.raises(Exception):
         algebra_from_json(data)
+
+
+def test_fixture_builders_match_shipped_json(tmp_path):
+    write_fixtures(str(tmp_path))
+    shipped = sorted(f for f in os.listdir(FIXTURE_DIR) if f.endswith(".json"))
+    assert sorted(os.listdir(tmp_path)) == shipped
+    assert len(shipped) == 16
+    for name in shipped:
+        with open(os.path.join(FIXTURE_DIR, name), "rb") as fh:
+            want = fh.read()
+        assert (tmp_path / name).read_bytes() == want, name
 
 
 # -- block-sparse build against the dense reference ----------------------

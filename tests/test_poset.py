@@ -2,6 +2,8 @@
 
 import pytest
 
+from sphq import poset as poset_module
+from sphq.constructions import cb
 from sphq.errors import IncompatibleKinds, WitnessFailed
 from sphq.poset import (SubcatSignature, build_poset, compare, hasse_dot,
                         stats, verify_edges)
@@ -103,3 +105,13 @@ def test_poset_json_shape():
     assert data["family"] == ["dda", 1, 2, 0]
     assert len(data["nodes"]) == 1
     assert data["nodes"][0]["signature"]["kind"] == "whole_category"
+
+
+def test_engine_fault_is_not_swallowed(monkeypatch):
+    """Only SphqError marks a candidate as unusable; other faults surface."""
+    def broken(*args, **kwargs):
+        raise AssertionError("engine fault")
+
+    monkeypatch.setattr(poset_module, "classify_spherelike", broken)
+    with pytest.raises(AssertionError, match="engine fault"):
+        poset_module._find_y_corner(cb(2))

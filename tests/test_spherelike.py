@@ -2,16 +2,19 @@
 
 import pytest
 
+from sphq.algebra import Quiver, build_algebra
 from sphq.constructions import (cb, circular, induce, kronecker,
                                 kronecker_quasi_simple)
 from sphq.corpus import load_fixture
 from sphq.derived import minimal_projective_resolution, hom_profile, resolve
-from sphq.errors import DZeroUnsupported, UnsupportedCandidateSet
-from sphq.linalg import PrimeField
-from sphq.reps import projective_module, simple_module
-from sphq.spherelike import (asphericality, certify_finite_gldim,
-                             classify_spherelike, fractional_cy_check,
-                             in_spherical_subcat, scan)
+from sphq.errors import (DZeroUnsupported, GlobalDimensionExceeded,
+                         UnsupportedCandidateSet)
+from sphq.linalg import QQ, PrimeField
+from sphq.reps import direct_sum, projective_module, simple_module
+from sphq.spherelike import (_is_rational_square, asphericality,
+                             certify_finite_gldim, classify_spherelike,
+                             fractional_cy_check, in_spherical_subcat,
+                             interval_modules, scan)
 
 
 def test_simple_over_cb_is_spherical():
@@ -81,6 +84,53 @@ def test_gldim_certificates():
     assert certify_finite_gldim(cb(3)) == 3
     alg = load_fixture("preprojective_a3_cluster")
     assert certify_finite_gldim(alg) >= 3
+
+
+def test_gldim_memo_respects_bound():
+    alg = cb(3)
+    with pytest.raises(GlobalDimensionExceeded):
+        certify_finite_gldim(alg, 1)
+    assert certify_finite_gldim(alg) == 3
+    # the memoised value must not hide a bound that is too small
+    with pytest.raises(GlobalDimensionExceeded):
+        certify_finite_gldim(alg, 1)
+    assert certify_finite_gldim(alg, 3) == 3
+
+
+def test_classify_bound_independent_of_call_order():
+    fresh = cb(3)
+    with pytest.raises(GlobalDimensionExceeded):
+        classify_spherelike(simple_module(fresh, "3"), bound=1)
+    warm = cb(3)
+    certify_finite_gldim(warm)
+    with pytest.raises(GlobalDimensionExceeded):
+        classify_spherelike(simple_module(warm, "3"), bound=1)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+def test_d_zero_decomposable_end_ring(field):
+    alg = build_algebra(Quiver(["1", "2"], []), [], field=field)
+    M, _ = direct_sum([simple_module(alg, "1"), simple_module(alg, "2")])
+    data = classify_spherelike(M, "S:1+S:2").to_json()
+    assert data == {"object": "S:1+S:2", "profile": {"0": 2},
+                    "verdict": "decomposable_0_spherelike", "d": 0,
+                    "end_kind": "k x k"}
+
+
+def test_d_zero_local_end_ring():
+    alg = load_fixture("dda_1_2_0")
+    M = dict(interval_modules(alg))["interval:2,3"]
+    data = classify_spherelike(M, "interval:2,3").to_json()
+    assert data == {"object": "interval:2,3", "profile": {"0": 2},
+                    "verdict": "d_spherical", "d": 0,
+                    "end_kind": "k[x]/x^2"}
+
+
+@pytest.mark.parametrize("x, square", [(0, True), (1, True), ("4/9", True),
+                                       (2, False), ("3/4", False),
+                                       (-1, False)])
+def test_is_rational_square(x, square):
+    assert _is_rational_square(QQ.parse(str(x))) is square
 
 
 def test_scan_simples_deterministic_and_complete():

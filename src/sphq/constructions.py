@@ -6,10 +6,10 @@ poset-synthesis construction.
 import networkx as nx
 
 from .algebra import Arrow, Element, Quiver, build_algebra, default_cap
-from .errors import (NotAcyclic, NotASink, SchemaError, FamilyParameterError,
-                     UnknownVertex)
+from .errors import (NotAcyclic, NotASink, NotElementValued, SchemaError,
+                     FamilyParameterError, UnknownVertex)
 from .derived import LabeledComplex
-from .linalg import Matrix, rref
+from .linalg import QQ, Matrix, rref
 from .reps import Representation
 
 
@@ -91,7 +91,6 @@ def induce(emb, F):
     """j_!(F): relabel projective summands along the embedding and rewrite
     every differential entry arrow-by-arrow, then normalize."""
     if not isinstance(F, LabeledComplex) or F.kind != "proj":
-        from .errors import NotElementValued
         raise NotElementValued("induce needs a projective-labeled complex")
     big = emb.big
     pieces = {n: [emb.vertex_map[x] for x in lab] for n, lab in F.pieces.items()}
@@ -194,7 +193,6 @@ def tack(alg, T, t, mult, cap=None):
             name = "n_%s_%s_%d" % (rename[t], xv, k)
             arrows.append(Arrow(name, rename[t], xv))
     newq = Quiver(vertices, arrows)
-    rels = [Element(dict(r.terms), alg.field) for r in alg.relations]
     # re-anchor relation paths in the new quiver (same arrow names)
     rels = [Element({newq.path(list(p.arrows)): c for p, c in r.terms.items()},
                     alg.field) for r in alg.relations]
@@ -220,7 +218,6 @@ def _cycle_quiver(n):
 def circular(n, rs, field=None, with_embedding=False):
     """C_n(r_1 < ... < r_t): oriented n-cycle with arrow-run relations
     between consecutive marked vertices (wrapping through n)."""
-    from .linalg import QQ
     field = field or QQ
     rs = list(rs)
     if not rs or any(not (1 <= r < n) for r in rs) or sorted(set(rs)) != rs:
@@ -254,7 +251,6 @@ def circular(n, rs, field=None, with_embedding=False):
 
 def cb(n, field=None):
     """CB_n = C_n(1, ..., n-1): all consecutive length-2 relations but one."""
-    from .linalg import QQ
     field = field or QQ
     if n < 2:
         raise FamilyParameterError("cb needs n >= 2")
@@ -265,7 +261,6 @@ def cb(n, field=None):
 
 def ci(d, field=None):
     """CI_d: oriented d-cycle with every length-2 relation (self-injective)."""
-    from .linalg import QQ
     field = field or QQ
     if d < 2:
         raise FamilyParameterError("ci needs d >= 2")
@@ -278,7 +273,6 @@ def ci(d, field=None):
 def canonical(ps, lambdas, field=None):
     """Canonical algebra C(p; lambda): t arms from source to sink with
     relations arm_i = arm_2 - b_i arm_1 for i >= 3 (a_i = 1, b_3 = 1)."""
-    from .linalg import QQ
     field = field or QQ
     ps = list(ps)
     t = len(ps)
@@ -326,7 +320,6 @@ def dda(r, n, m, field=None):
     multiplicity 1 at the last vertex inside the relation run.
 
     Returns (algebra, embedding of Lambda(r, n, 0))."""
-    from .linalg import QQ
     field = field or QQ
     if not (n >= 2 and 1 <= r < n and m >= 0):
         raise FamilyParameterError("dda needs n >= 2, 1 <= r < n, m >= 0")
@@ -370,7 +363,6 @@ def dda_small_corner(r, n, m, big=None, field=None):
 
 
 def kronecker(k=2, field=None):
-    from .linalg import QQ
     field = field or QQ
     q = Quiver(["1", "2"], [Arrow("a%d" % i, "1", "2") for i in range(1, k + 1)])
     return build_algebra(q, [], cap=2, field=field, name="K_%d" % k)
@@ -389,7 +381,6 @@ def kronecker_quasi_simple(alg, lam, vertices=("1", "2"), arrows=("a1", "a2")):
 def tensor_algebra(Q1, Q2, field=None, cap=None):
     """Tensor product of two relation-free acyclic path algebras: product
     quiver with commutativity relations."""
-    from .linalg import QQ
     field = field or QQ
     for Q in (Q1, Q2):
         if not Q.is_acyclic():
@@ -438,7 +429,6 @@ def synthesize_poset_algebra(elements, less, field=None):
     its expected spherical-subcategory signature is all Kronecker
     vertices together with the tack vertices of elements below-or-equal i.
     """
-    from .linalg import QQ
     field = field or QQ
     elements = list(elements)
     g = nx.DiGraph()

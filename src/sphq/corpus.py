@@ -5,6 +5,8 @@ import json
 import os
 import random
 
+import networkx as nx
+
 from .algebra import (Arrow, Element, Quiver, algebra_from_json,
                       algebra_to_json, build_algebra)
 from .constructions import (canonical, cb, circular, dda, insert_An,
@@ -345,7 +347,6 @@ def _poset_cycle_quiver():
 
 
 def _crit_synthesis():
-    import networkx as nx
     chain_alg, _, _ = synthesize_poset_algebra(["1", "2"], [("1", "2")])
     checks = {}
     checks["chain_quiver"] = quiver_isomorphic(chain_alg.quiver,

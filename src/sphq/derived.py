@@ -24,10 +24,11 @@ the total Hom complex together with representative chain maps.
 
 import random
 
-from .algebra import Path
+from .algebra import Element, Path
 from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
                      EngineInvariantViolation, SchemaError)
-from .linalg import Matrix, hstack, kernel_basis, rank, rref, solve, vstack
+from .linalg import (Matrix, block_diag, hstack, kernel_basis, rank, rref,
+                     scalar_to_str, solve, vstack)
 from .reps import (ModuleMorphism, Representation, direct_sum,
                    injective_module, kernel_cokernel, projective_module,
                    top_and_radical, zero_morphism)
@@ -96,13 +97,11 @@ class BoundedComplex:
         return BoundedComplex(self.alg, pieces, diffs, check=False)
 
     def cohomology_dims(self):
+        ranks = {n: sum(rank(m) for m in d.mats.values())
+                 for n, d in self.diffs.items()}
         out = {}
         for n in self.degrees():
-            dim = 0
-            for v in self.alg.quiver.vertices:
-                dn = self.diff(n).mats[v]
-                dprev = self.diff(n - 1).mats[v]
-                dim += dn.cols - rank(dn) - rank(dprev)
+            dim = self.pieces[n].total_dim() - ranks.get(n, 0) - ranks.get(n - 1, 0)
             if dim:
                 out[n] = dim
         return out
@@ -137,23 +136,9 @@ def complex_direct_sum(complexes):
             continue
         mats = {}
         for v in alg.quiver.vertices:
-            mats[v] = _block_diag_mats([c.diff(n).mats[v] for c in complexes], alg.field)
+            mats[v] = block_diag([c.diff(n).mats[v] for c in complexes], alg.field)
         diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
     return BoundedComplex(alg, pieces, diffs, check=False)
-
-
-def _block_diag_mats(mats, field):
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = Matrix.zero(rows, cols, field)
-    r0 = c0 = 0
-    for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out.entries[r0 + i][c0 + j] = m.entries[i][j]
-        r0 += m.rows
-        c0 += m.cols
-    return out
 
 
 class ChainMap:
@@ -331,9 +316,7 @@ class LabeledComplex:
                         else:
                             # dual of left multiplication: coefficient of the
                             # I(x_j)-basis path p in e * q for q: v -> y_i
-                            for (ti, q) in tgt_index[v]:
-                                if ti != i:
-                                    continue
+                            for q in alg.slice_basis(self.labels(n + 1)[i], v):
                                 img = alg.multiply(e, q)
                                 c = img.terms.get(p)
                                 if c is not None:
@@ -445,9 +428,7 @@ def minimal_projective_resolution(M, bound=DEFAULT_BOUND):
         prev = (cover, incl)
         cur = syz
         deg += 1
-    res = LabeledComplex(alg, pieces, diffs, "proj")
-    res.resolved_module = M
-    return res
+    return LabeledComplex(alg, pieces, diffs, "proj")
 
 
 def resolve(obj, bound=DEFAULT_BOUND):
@@ -491,9 +472,6 @@ class HomComplexData:
             for j, x in enumerate(self.F.labels(p)):
                 out.append((p, j, x, Gp.dims[x]))
         return out
-
-    def dim(self, n):
-        return sum(s[3] for s in self.slots(n))
 
     def degree_range(self):
         if self.F.is_zero() or self.G.is_zero():
@@ -553,17 +531,14 @@ class HomComplexData:
 def hom_profile(F, G):
     """HomProfile: degree i -> dim Hom_D(F, G[i]); F perfect."""
     data = HomComplexData(F, G)
-    out = {}
     rng = data.degree_range()
-    deltas = {}
+    dims, ranks = {}, {}
     for n in rng:
-        deltas[n] = data.delta(n)
+        dn = data.delta(n)
+        dims[n], ranks[n] = dn.cols, rank(dn)
+    out = {}
     for n in rng:
-        dn = deltas.get(n)
-        kern = dn.cols - rank(dn) if dn is not None else data.dim(n)
-        dprev = deltas.get(n - 1)
-        im = rank(dprev) if dprev is not None else 0
-        h = kern - im
+        h = dims[n] - ranks[n] - ranks.get(n - 1, 0)
         if h:
             out[n] = h
     return out
@@ -875,62 +850,63 @@ def _labeled_cone(g, R, P):
 
 def _cone_quasi_iso(newP, R, P, qcomps, svals, aug, Ck, T, Tnext, k):
     """Chain map cone(g) -> sigma_{>=k} C: q on the P part, the lifting
-    homotopy on the R part, the augmentation at the bottom degree.  The
-    two free signs are fixed by checking the chain-map identity."""
+    homotopy s on the R part above degree k, the augmentation in degree k.
+
+    The cone's differential is [[-d_R, 0], [g, d_P]].  On the R part in
+    degree n > k the chain-map identity reads q g = d_T s + s d_R; in
+    degree k, where T^k = 0, it reads d^k aug = q g - s d_R.  Both are the
+    equations q g - h = d_T s + s d_R solved by ``_lift_through`` (h =
+    d^k aug in degree k+1), so s and aug enter with sign +1.
+    """
     alg = newP.alg
     field = alg.field
     newrep = newP.to_rep()
     rindex = R.summand_basis(k + 1)[1]
     pidx = {n: P.summand_basis(n)[1] for n in P.degrees()}
     norder = {n: newP.summand_basis(n)[0] for n in newP.degrees()}
-    for sgn_s in (1, -1):
-        for sgn_a in (1, -1):
-            comps = {}
-            for n in newrep.degrees():
-                tgt = Tnext.piece(n)
-                nr = len(R.labels(n + 1))
-                m = {}
-                for v in alg.quiver.vertices:
-                    mat = Matrix.zero(tgt.dims[v], newrep.piece(n).dims[v], field)
-                    for col, (si, path) in enumerate(norder[n][v]):
-                        if si < nr:
-                            x = R.labels(n + 1)[si]
-                            if n == k:
-                                gc = generator_column(rindex, si, x)
-                                genvec = [field.from_int(sgn_a) * c
-                                          for c in aug.mats[x].col(gc)]
-                                out = Ck.path_action(path).apply(genvec)
-                            else:
-                                sv = svals.get((n + 1, si), [])
-                                if sv:
-                                    genvec = [field.from_int(sgn_s) * c for c in sv]
-                                    out = T.piece(n).path_action(path).apply(genvec)
-                                else:
-                                    out = [field.zero()] * tgt.dims[v]
-                            for r in range(len(out)):
-                                mat.entries[r][col] = out[r]
+    comps = {}
+    for n in newrep.degrees():
+        tgt = Tnext.piece(n)
+        nr = len(R.labels(n + 1))
+        m = {}
+        for v in alg.quiver.vertices:
+            mat = Matrix.zero(tgt.dims[v], newrep.piece(n).dims[v], field)
+            for col, (si, path) in enumerate(norder[n][v]):
+                if si < nr:
+                    x = R.labels(n + 1)[si]
+                    if n == k:
+                        genvec = aug.mats[x].col(generator_column(rindex, si, x))
+                        out = Ck.path_action(path).apply(genvec)
+                    else:
+                        sv = svals.get((n + 1, si), [])
+                        if sv:
+                            out = T.piece(n).path_action(path).apply(sv)
                         else:
-                            qm = qcomps.get(n)
-                            if qm is not None:
-                                cval = qm.mats[v].col(pidx[n][v][(si - nr, path)])
-                                for r in range(len(cval)):
-                                    mat.entries[r][col] = cval[r]
-                    m[v] = mat
-                comps[n] = ModuleMorphism(newrep.piece(n), tgt, m, check=False)
-            try:
-                return ChainMap(newrep, Tnext, comps, check=True)
-            except NotChainMap:
-                continue
-    raise EngineInvariantViolation("could not assemble quasi-iso after cone")
+                            out = [field.zero()] * tgt.dims[v]
+                    for r in range(len(out)):
+                        mat.entries[r][col] = out[r]
+                else:
+                    qm = qcomps.get(n)
+                    if qm is not None:
+                        cval = qm.mats[v].col(pidx[n][v][(si - nr, path)])
+                        for r in range(len(cval)):
+                            mat.entries[r][col] = cval[r]
+            m[v] = mat
+        comps[n] = ModuleMorphism(newrep.piece(n), tgt, m, check=False)
+    try:
+        return ChainMap(newrep, Tnext, comps, check=True)
+    except NotChainMap as e:
+        raise EngineInvariantViolation("cone map is not a chain map: %s" % e) from e
 
 
-def perfectify(C, bound=DEFAULT_BOUND, certify=True):
+def perfectify(C, bound=DEFAULT_BOUND):
     """Projective-labeled complex quasi-isomorphic to a BoundedComplex.
 
     Descending induction on degrees: the brutal truncation at the top
     degree is resolved, and each further degree is attached by lifting
     the connecting map through the quasi-isomorphism built so far and
-    taking the labeled mapping cone.
+    taking the labeled mapping cone.  The result is certified: the cone
+    of the final quasi-isomorphism must be acyclic.
     """
     if isinstance(C, LabeledComplex):
         return C
@@ -971,10 +947,9 @@ def perfectify(C, bound=DEFAULT_BOUND, certify=True):
         P = newP
         qcomps = newq.comps
         T = Tnext
-    if certify:
-        final = ChainMap(P.to_rep(), T, qcomps, check=False)
-        if not cone(final).is_acyclic():
-            raise EngineInvariantViolation("perfectify result is not quasi-isomorphic")
+    final = ChainMap(P.to_rep(), T, qcomps, check=False)
+    if not cone(final).is_acyclic():
+        raise EngineInvariantViolation("perfectify result is not quasi-isomorphic")
     return P
 
 
@@ -1050,7 +1025,6 @@ def tau_inverse(F, bound=DEFAULT_BOUND):
 
 
 def complex_to_json(C):
-    from .linalg import scalar_to_str
     if not isinstance(C, LabeledComplex):
         raise NotElementValued("only labeled complexes serialize to JSON")
     out = {"kind": C.kind, "pieces": {}, "diffs": {}}
@@ -1068,8 +1042,6 @@ def complex_to_json(C):
 
 
 def complex_from_json(alg, d):
-    from .algebra import Element
-    from .errors import SchemaError
     try:
         kind = d.get("kind", "proj")
         pieces = {int(n): [str(x) for x in lab]

@@ -263,6 +263,18 @@ def vstack(mats, field=QQ):
     return Matrix(len(entries), cols, entries, mats[0].field)
 
 
+def block_diag(mats, field=QQ):
+    """Block-diagonal matrix with the given blocks in order."""
+    out = Matrix.zero(sum(m.rows for m in mats), sum(m.cols for m in mats), field)
+    r0 = c0 = 0
+    for m in mats:
+        for i, row in enumerate(m.entries):
+            out.entries[r0 + i][c0:c0 + m.cols] = row
+        r0 += m.rows
+        c0 += m.cols
+    return out
+
+
 def rref(M):
     """Reduced row echelon form.  Returns (R, pivot_columns).
 

@@ -2,6 +2,7 @@
 classification-backed poset construction for supported families, witness
 verification, statistics and Hasse-diagram output."""
 
+import functools
 import itertools
 
 from .algebra import Element
@@ -11,7 +12,7 @@ from .derived import (DEFAULT_BOUND, LabeledComplex, hom_profile,
                       minimal_projective_resolution, resolve, tau)
 from .errors import (EngineInvariantViolation, IncompatibleKinds, SphqError,
                      UnsupportedFamily, WitnessFailed)
-from .linalg import Matrix
+from .linalg import QQ, Matrix
 from .reps import Representation, simple_module
 from .spherelike import asphericality, classify_spherelike, interval_modules
 
@@ -385,7 +386,6 @@ def _arm_value_module(alg, ps, cvals):
 
 
 def _build_canonical_poset(ps, lambdas, field=None, bound=DEFAULT_BOUND):
-    from .linalg import QQ
     field = field or QQ
     alg = canonical(ps, lambdas, field=field)
     t = len(ps)
@@ -500,8 +500,6 @@ def stats(poset):
     n = len(names)
     height = 1 if names else 0
     # longest chain by dynamic programming over the strict order
-    import functools
-
     @functools.lru_cache(maxsize=None)
     def chain_from(a):
         best = 1

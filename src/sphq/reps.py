@@ -3,13 +3,16 @@
 A representation assigns an exact vector space k^d to every vertex and a
 (target-dim x source-dim) matrix to every arrow, with all relations of the
 algebra evaluating to zero.  Hom spaces, kernels/cokernels and radicals
-are all reduced to the linalg kernels.
+are all reduced to the linalg kernels, with one elimination per quotient
+(``_quotient_data`` row-reduces [A | I] once) and one per arrow of a
+sub-module (``_subrep_from_inclusions``).
 """
 
 from collections import namedtuple
 
 from .errors import AlgebraMismatch, SchemaError, UnknownVertex
-from .linalg import Matrix, hstack, kernel_basis, rref, solve, scalar_to_str
+from .linalg import (Matrix, block_diag, hstack, kernel_basis, rref,
+                     scalar_to_str)
 
 
 class Representation:
@@ -70,8 +73,8 @@ class ModuleMorphism:
     def __init__(self, source, target, mats, check=True):
         self.source = source
         self.target = target
-        self.mats = {v: mats.get(v, Matrix.zero(target.dims[v], source.dims[v],
-                                                source.alg.field))
+        self.mats = {v: mats[v] if v in mats else
+                     Matrix.zero(target.dims[v], source.dims[v], source.alg.field)
                      for v in source.alg.quiver.vertices}
         if check:
             self._validate()
@@ -161,75 +164,71 @@ def hom_basis(M, N):
 # -- kernels, cokernels, radicals ---------------------------------------
 
 def _subrep_from_inclusions(M, incls):
-    """Subrepresentation given per-vertex full-column-rank inclusion matrices."""
+    """Subrepresentation given per-vertex full-column-rank inclusion matrices.
+
+    One elimination per arrow: in rref([incl_v | M_a incl_u]) the first
+    k = incl_v.cols columns are the pivots, and rows < k of the remaining
+    columns are the arrow map of the subrepresentation.
+    """
     alg = M.alg
     dims = {v: incls[v].cols for v in incls}
     maps = {}
     for a in alg.quiver.arrows:
-        u, v = a.source, a.target
-        img = M.maps[a.name] * incls[u]
-        cols = []
-        for j in range(img.cols):
-            x = solve(incls[v], img.col(j))
-            assert x is not None, "subspace not arrow-stable"
-            cols.append(x)
-        maps[a.name] = Matrix(incls[v].cols, img.cols,
-                              [[cols[j][i] for j in range(img.cols)]
-                               for i in range(incls[v].cols)], alg.field)
+        inc = incls[a.target]
+        k = inc.cols
+        img = M.maps[a.name] * incls[a.source]
+        R, pivots = rref(hstack([inc, img]))
+        assert len(pivots) == k, "subspace not arrow-stable"
+        maps[a.name] = Matrix(k, img.cols, [row[k:] for row in R.entries[:k]],
+                              alg.field)
     sub = Representation(alg, dims, maps, check=False)
     incl = ModuleMorphism(sub, M, incls, check=False)
     return sub, incl
 
 
 def _quotient_data(A):
-    """For a matrix A (n x r), return (section, projection) for k^n / im A.
+    """For a matrix A (n x r), return (section, projection, pivots) for
+    k^n / im A, from one elimination of [A | I].
 
-    section: n x c matrix of chosen standard basis vectors spanning a
-    complement; projection: c x n with proj * section = identity and
-    proj * A = 0.
+    pivots: the pivot columns of A.  section: n x c matrix of the standard
+    basis vectors e_i whose columns are pivots of [A | I], i.e. e_i not in
+    the span of A and the earlier chosen e_j.  projection: c x n, the
+    identity-part of the rows from rank A on; it is the unique matrix with
+    proj * A = 0 and proj * section = identity.
     """
     field = A.field
-    n = A.rows
-    E = hstack([A, Matrix.identity(n, field)]) if n else Matrix.zero(0, A.cols, field)
-    _, pivots = rref(E)
-    chosen = [p - A.cols for p in pivots if p >= A.cols]
-    c = len(chosen)
-    sect = Matrix.zero(n, c, field)
+    n, r = A.rows, A.cols
+    R, pivots = rref(hstack([A, Matrix.identity(n, field)]))
+    apiv = [p for p in pivots if p < r]
+    chosen = [p - r for p in pivots if p >= r]
+    sect = Matrix.zero(n, len(chosen), field)
     for j, i in enumerate(chosen):
         sect.entries[i][j] = field.one()
-    # Invert B = [A-pivot-columns | section] to extract the projection rows.
-    apiv = [p for p in pivots if p < A.cols]
-    B = hstack([Matrix(n, len(apiv), [[A.entries[i][j] for j in apiv]
-                                      for i in range(n)], field), sect]) \
-        if n else Matrix.zero(0, 0, field)
-    proj_rows = []
-    Baug = hstack([B, Matrix.identity(n, field)]) if n else B
-    R, piv2 = rref(Baug)
-    # B is square invertible; R = [I | B^-1].
-    Binv = Matrix(n, n, [[R.entries[i][n + j] for j in range(n)]
-                         for i in range(n)], field)
-    for i in range(len(apiv), n):
-        proj_rows.append(Binv.entries[i])
-    proj = Matrix(c, n, proj_rows, field)
-    return sect, proj
+    proj = Matrix(len(chosen), n, [row[r:] for row in R.entries[len(apiv):]],
+                  field)
+    return sect, proj, apiv
+
+
+def _quotient_rep(M, sects, projs):
+    """Quotient of M by a subrepresentation, given per-vertex (section,
+    projection) data: arrow maps proj_v M_a sect_u, and the projection."""
+    alg = M.alg
+    maps = {a.name: projs[a.target] * (M.maps[a.name] * sects[a.source])
+            for a in alg.quiver.arrows}
+    Q = Representation(alg, {v: projs[v].rows for v in M.dims}, maps,
+                       check=False)
+    return Q, ModuleMorphism(M, Q, projs, check=False)
 
 
 def kernel_cokernel(f):
     """(ker, coker, inclusion, projection) of a module morphism."""
     M, N = f.source, f.target
-    alg = M.alg
     kins = {v: kernel_basis(f.mats[v]) for v in M.dims}
     ker, incl = _subrep_from_inclusions(M, kins)
     sects, projs = {}, {}
     for v in N.dims:
-        sects[v], projs[v] = _quotient_data(f.mats[v])
-    cdims = {v: projs[v].rows for v in N.dims}
-    cmaps = {}
-    for a in alg.quiver.arrows:
-        u, v = a.source, a.target
-        cmaps[a.name] = projs[v] * (N.maps[a.name] * sects[u])
-    coker = Representation(alg, cdims, cmaps, check=False)
-    proj = ModuleMorphism(N, coker, projs, check=False)
+        sects[v], projs[v], _ = _quotient_data(f.mats[v])
+    coker, proj = _quotient_rep(N, sects, projs)
     return ker, coker, incl, proj
 
 
@@ -237,34 +236,24 @@ TopRad = namedtuple("TopRad", "rad rad_inclusion top top_projection top_section"
 
 
 def top_and_radical(M):
-    """rad M = sum of arrow images; top = M / rad M (with chosen section)."""
+    """rad M = sum of arrow images; top = M / rad M (with chosen section).
+
+    The radical basis at v is the pivot columns of the incoming arrow maps;
+    the complement depends only on their span, so one elimination gives both.
+    """
     alg = M.alg
     field = alg.field
-    rins = {}
-    rad_mats = {}
+    rins, sects, projs = {}, {}, {}
     for v in M.dims:
         ins = [M.maps[a.name] for a in alg.quiver.arrows_in[v]]
         A = hstack(ins) if ins else Matrix.zero(M.dims[v], 0, field)
-        R, pivots = rref(A)
-        cols = Matrix(M.dims[v], len(pivots),
-                      [[A.entries[i][p] for p in pivots] for i in range(M.dims[v])],
-                      field)
-        rins[v] = cols
-        rad_mats[v] = A
+        sects[v], projs[v], pivots = _quotient_data(A)
+        rins[v] = Matrix(A.rows, len(pivots),
+                         [[row[p] for p in pivots] for row in A.entries], field)
     rad, rad_incl = _subrep_from_inclusions(M, rins)
-    sects, projs = {}, {}
-    for v in M.dims:
-        sects[v], projs[v] = _quotient_data(rins[v])
-    tdims = {v: projs[v].rows for v in M.dims}
-    tmaps = {}
-    for a in alg.quiver.arrows:
-        u, v = a.source, a.target
-        tmaps[a.name] = projs[v] * (M.maps[a.name] * sects[u])
-        assert tmaps[a.name].is_zero()  # top is semisimple
-    top = Representation(alg, tdims, tmaps, check=False)
-    tproj = ModuleMorphism(M, top, projs, check=False)
-    tsect = {v: sects[v] for v in M.dims}
-    return TopRad(rad, rad_incl, top, tproj, tsect)
+    top, tproj = _quotient_rep(M, sects, projs)
+    assert all(m.is_zero() for m in top.maps.values())  # top is semisimple
+    return TopRad(rad, rad_incl, top, tproj, sects)
 
 
 # -- standard modules ---------------------------------------------------
@@ -352,16 +341,8 @@ def direct_sum(reps):
         offsets.append(dict(acc))
         for v in alg.quiver.vertices:
             acc[v] += r.dims[v]
-    maps = {}
-    for a in alg.quiver.arrows:
-        u, v = a.source, a.target
-        m = Matrix.zero(dims[v], dims[u], field)
-        for r, off in zip(reps, offsets):
-            blk = r.maps[a.name]
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    m.entries[off[v] + i][off[u] + j] = blk.entries[i][j]
-        maps[a.name] = m
+    maps = {a.name: block_diag([r.maps[a.name] for r in reps], field)
+            for a in alg.quiver.arrows}
     return Representation(alg, dims, maps, check=False), offsets
 
 

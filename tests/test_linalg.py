@@ -6,8 +6,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from sphq.linalg import (Matrix, PrimeField, QQ, hstack, kernel_basis, rank,
-                         rref, scalar_to_str, solve, sparse_rref, vstack)
+from sphq.linalg import (Matrix, PrimeField, QQ, block_diag, hstack,
+                         kernel_basis, rank, rref, scalar_to_str, solve,
+                         sparse_rref, vstack)
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -144,3 +145,19 @@ def test_scalar_to_str_lowest_terms():
     assert scalar_to_str(Fraction(2, 4)) == "1/2"
     assert scalar_to_str(Fraction(-3)) == "-3"
     assert scalar_to_str(PrimeField(7).from_int(9)) == "2"
+
+
+@given(st.lists(matrices, max_size=4))
+def test_block_diag_places_blocks_at_running_offsets(blocks):
+    D = block_diag(blocks)
+    assert D.rows == sum(m.rows for m in blocks)
+    assert D.cols == sum(m.cols for m in blocks)
+    # the blocks partition the rows: each row band is zeros, the block, zeros
+    r0 = c0 = 0
+    for m in blocks:
+        for i, row in enumerate(m.entries):
+            band = D.entries[r0 + i]
+            assert band[c0:c0 + m.cols] == row
+            assert not any(band[:c0]) and not any(band[c0 + m.cols:])
+        r0 += m.rows
+        c0 += m.cols

@@ -249,12 +249,14 @@ class LabeledComplex:
             if n + 1 not in self.diffs:
                 continue
             d1, d2 = self.diffs[n], self.diffs[n + 1]
-            for ell in range(len(self.pieces[n + 2])):
-                for j in range(len(self.pieces[n])):
-                    acc = self.alg.zero_element()
-                    for i in range(len(self.pieces[n + 1])):
-                        acc = acc + self.alg.multiply(d1[i][j], d2[ell][i])
-                    if not acc.is_zero():
+            for j in range(len(self.pieces[n])):
+                col = [(i, row[j]) for i, row in enumerate(d1) if row[j].terms]
+                for row2 in d2:
+                    acc = alg.zero_element()
+                    for i, e in col:
+                        if row2[i].terms:
+                            acc = acc + alg.multiply(e, row2[i])
+                    if acc.terms:
                         raise SchemaError("d o d != 0 at degree %d (labeled)" % n)
 
     def shift(self, s):
@@ -396,9 +398,15 @@ def minimal_projective_resolution(M, bound=DEFAULT_BOUND):
     Raises GlobalDimensionExceeded if the syzygies do not vanish within
     ``bound`` steps.
     """
+    return _resolution_and_augmentation(M, bound)[0]
+
+
+def _resolution_and_augmentation(M, bound):
+    """(minimal projective resolution of M, its degree-0 cover map onto M);
+    the cover map is None when M = 0."""
     alg = M.alg
     if M.total_dim() == 0:
-        return LabeledComplex(alg, {}, {}, "proj", check=False)
+        return LabeledComplex(alg, {}, {}, "proj", check=False), None
     pieces = {}
     diffs = {}
     cur = M
@@ -407,7 +415,9 @@ def minimal_projective_resolution(M, bound=DEFAULT_BOUND):
     while True:
         labels, gens, cover, pi = projective_cover(cur)
         pieces[-deg] = labels
-        if prev is not None:
+        if prev is None:
+            aug = pi
+        else:
             prev_cover, incl = prev
             order, _ = prev_cover.summand_basis(0)
             d = [[alg.zero_element() for _ in labels]
@@ -428,7 +438,7 @@ def minimal_projective_resolution(M, bound=DEFAULT_BOUND):
         prev = (cover, incl)
         cur = syz
         deg += 1
-    return LabeledComplex(alg, pieces, diffs, "proj")
+    return LabeledComplex(alg, pieces, diffs, "proj"), aug
 
 
 def resolve(obj, bound=DEFAULT_BOUND):
@@ -657,92 +667,60 @@ def _add_chain_maps(a, b):
 # perfectification of bounded complexes
 
 
-def _lift_through(R, P, q, h):
-    """Element-valued chain map g: R -> P with q g homotopic to h.
+def _lift_through(R, P, T, qcomps, h):
+    """Element-valued chain map g: R -> P with q g = h exactly.
 
-    R, P projective-labeled; q: P.to_rep() -> T and h: R.to_rep() -> T
-    are dictionaries degree -> ModuleMorphism into a BoundedComplex T.
-    Returns (g_diff_dict, s_dict) where s is the homotopy (degree ->
-    generator-value vectors).  Raises if no solution exists.
+    R, P projective-labeled; q (``qcomps``) and h are dictionaries
+    degree -> ModuleMorphism from P.to_rep() and R.to_rep() into the
+    BoundedComplex T, q a quasi-isomorphism and h a chain map.  Solves
+    q g = h together with the closedness rows d_P g = g d_R.
+
+    An exact lift exists whenever q is onto in every degree, which holds
+    for every q built by ``perfectify`` (the augmentation of a projective
+    cover on the newest summands, the previous q on the rest).  Its
+    kernel K is acyclic, since q is a quasi-isomorphism.  R is a bounded
+    complex of projectives, so Hom(R, q): Hom(R, P) -> Hom(R, T) is onto
+    with acyclic kernel Hom(R, K), hence onto on cycles: lift h to any y,
+    then d y is a cycle of Hom(R, K), so d y = d w with w in Hom(R, K),
+    and g = y - w is a chain map with q g = h.  Raises
+    EngineInvariantViolation if the system is nevertheless inconsistent.
     """
     alg = R.alg
     field = alg.field
-    T = q["T"]
-    qc = q["comps"]
-    hc = h
 
-    # unknown layout
-    unknowns = []  # (kind, key) kind in {"g","s"}
     g_index = {}
     for n in R.degrees():
         for j, x in enumerate(R.labels(n)):
             for i, y in enumerate(P.labels(n)):
                 for p in alg.slice_basis(x, y):
-                    g_index[(n, i, j, p)] = len(unknowns)
-                    unknowns.append(("g", (n, i, j, p)))
-    s_index = {}
-    for n in R.degrees():
-        for j, x in enumerate(R.labels(n)):
-            d = T.piece(n - 1).dims[x]
-            for r in range(d):
-                s_index[(n, j, r)] = len(unknowns)
-                unknowns.append(("s", (n, j, r)))
-    N = len(unknowns)
+                    g_index[(n, i, j, p)] = len(g_index)
+    N = len(g_index)
     rows = []
     rhs = []
 
     Pmeta = {n: P.summand_basis(n) for n in P.degrees()}
-    Rindex = {n: R.summand_basis(n)[1] for n in hc}
+    Rindex = {n: R.summand_basis(n)[1] for n in h}
 
-    # homotopy equations: q g - h = d_T s + s d_R, evaluated on generators
+    # lifting equations: q g = h, evaluated on generators
     for n in R.degrees():
         for j, x in enumerate(R.labels(n)):
             dim = T.piece(n).dims[x]
             block = [[field.zero()] * N for _ in range(dim)]
             bvec = [field.zero()] * dim
-            # q g term
-            if n in P.pieces and dim:
+            qm = qcomps.get(n)
+            if n in P.pieces and qm is not None and dim:
                 _, pidx = Pmeta[n]
-                qm = qc.get(n)
-                if qm is not None:
-                    for i, y in enumerate(P.labels(n)):
-                        for p in alg.slice_basis(x, y):
-                            colv = qm.mats[x].col(pidx[x][(i, p)])
-                            ui = g_index[(n, i, j, p)]
-                            for r in range(dim):
-                                block[r][ui] = block[r][ui] + colv[r]
-            # -h term -> rhs
-            hm = hc.get(n)
+                for i, y in enumerate(P.labels(n)):
+                    for p in alg.slice_basis(x, y):
+                        colv = qm.mats[x].col(pidx[x][(i, p)])
+                        ui = g_index[(n, i, j, p)]
+                        for r in range(dim):
+                            block[r][ui] = block[r][ui] + colv[r]
+            hm = h.get(n)
             if hm is not None and dim:
                 col = hm.mats[x].col(generator_column(Rindex[n], j, x))
                 for r in range(dim):
                     bvec[r] = bvec[r] + col[r]
-            # -d_T s term
-            if dim:
-                dT = T.diff(n - 1).mats[x]
-                for r in range(dim):
-                    for c in range(dT.cols):
-                        v = dT.entries[r][c]
-                        if v:
-                            ui = s_index[(n, j, c)]
-                            block[r][ui] = block[r][ui] - v
-            # -s d_R term: s^{n+1} applied to d_R(e_x)
-            dR = R.diffs.get(n)
-            if dR is not None and dim:
-                Tn = T.piece(n)
-                for i2, y2 in enumerate(R.labels(n + 1)):
-                    e = dR[i2][j]
-                    if e.is_zero():
-                        continue
-                    act = Tn.element_action(e, source=y2, target=x)
-                    for c in range(act.cols):
-                        ui = s_index.get((n + 1, i2, c))
-                        if ui is None:
-                            continue
-                        for r in range(dim):
-                            v = act.entries[r][c]
-                            if v:
-                                block[r][ui] = block[r][ui] - v
             rows.extend(block)
             rhs.extend(bvec)
 
@@ -805,12 +783,7 @@ def _lift_through(R, P, q, h):
                 if terms:
                     d[i][j] = alg.element(terms)
         g[n] = d
-    svals = {}
-    for n in R.degrees():
-        for j, x in enumerate(R.labels(n)):
-            dim = T.piece(n - 1).dims[x]
-            svals[(n, j)] = [sol[s_index[(n, j, r)]] for r in range(dim)]
-    return g, svals
+    return g
 
 
 def _labeled_cone(g, R, P):
@@ -848,15 +821,14 @@ def _labeled_cone(g, R, P):
     return LabeledComplex(alg, pieces, diffs, "proj")
 
 
-def _cone_quasi_iso(newP, R, P, qcomps, svals, aug, Ck, T, Tnext, k):
-    """Chain map cone(g) -> sigma_{>=k} C: q on the P part, the lifting
-    homotopy s on the R part above degree k, the augmentation in degree k.
+def _cone_quasi_iso(newP, R, P, qcomps, aug, Ck, Tnext, k):
+    """Chain map cone(g) -> sigma_{>=k} C: q on the P part, the
+    augmentation on the R part in degree k, zero on the R part above k.
 
     The cone's differential is [[-d_R, 0], [g, d_P]].  On the R part in
-    degree n > k the chain-map identity reads q g = d_T s + s d_R; in
-    degree k, where T^k = 0, it reads d^k aug = q g - s d_R.  Both are the
-    equations q g - h = d_T s + s d_R solved by ``_lift_through`` (h =
-    d^k aug in degree k+1), so s and aug enter with sign +1.
+    degree n > k the chain-map identity reads 0 = q g, and in degree k it
+    reads d^k aug = q g; both hold because ``_lift_through`` solves
+    q g = h exactly, with h = d^k aug concentrated in degree k+1.
     """
     alg = newP.alg
     field = alg.field
@@ -868,29 +840,23 @@ def _cone_quasi_iso(newP, R, P, qcomps, svals, aug, Ck, T, Tnext, k):
     for n in newrep.degrees():
         tgt = Tnext.piece(n)
         nr = len(R.labels(n + 1))
+        qm = qcomps.get(n)
         m = {}
         for v in alg.quiver.vertices:
             mat = Matrix.zero(tgt.dims[v], newrep.piece(n).dims[v], field)
             for col, (si, path) in enumerate(norder[n][v]):
                 if si < nr:
+                    if n != k:
+                        continue
                     x = R.labels(n + 1)[si]
-                    if n == k:
-                        genvec = aug.mats[x].col(generator_column(rindex, si, x))
-                        out = Ck.path_action(path).apply(genvec)
-                    else:
-                        sv = svals.get((n + 1, si), [])
-                        if sv:
-                            out = T.piece(n).path_action(path).apply(sv)
-                        else:
-                            out = [field.zero()] * tgt.dims[v]
-                    for r in range(len(out)):
-                        mat.entries[r][col] = out[r]
+                    genvec = aug.mats[x].col(generator_column(rindex, si, x))
+                    out = Ck.path_action(path).apply(genvec)
+                elif qm is not None:
+                    out = qm.mats[v].col(pidx[n][v][(si - nr, path)])
                 else:
-                    qm = qcomps.get(n)
-                    if qm is not None:
-                        cval = qm.mats[v].col(pidx[n][v][(si - nr, path)])
-                        for r in range(len(cval)):
-                            mat.entries[r][col] = cval[r]
+                    continue
+                for r in range(len(out)):
+                    mat.entries[r][col] = out[r]
             m[v] = mat
         comps[n] = ModuleMorphism(newrep.piece(n), tgt, m, check=False)
     try:
@@ -903,27 +869,27 @@ def perfectify(C, bound=DEFAULT_BOUND):
     """Projective-labeled complex quasi-isomorphic to a BoundedComplex.
 
     Descending induction on degrees: the brutal truncation at the top
-    degree is resolved, and each further degree is attached by lifting
-    the connecting map through the quasi-isomorphism built so far and
-    taking the labeled mapping cone.  The result is certified: the cone
-    of the final quasi-isomorphism must be acyclic.
+    degree is resolved, and each further degree is attached by an exact
+    lift of the connecting map through the quasi-isomorphism built so far
+    (see ``_lift_through``) and taking the labeled mapping cone.  Each
+    module is resolved once; its resolution supplies the augmentation.
+    The result is certified: the cone of the final quasi-isomorphism must
+    be acyclic.
     """
     if isinstance(C, LabeledComplex):
         return C
     if isinstance(C, Representation):
         return minimal_projective_resolution(C, bound)
     alg = C.alg
-    field = alg.field
     if C.is_zero():
         return LabeledComplex(alg, {}, {}, "proj", check=False)
     degs = C.degrees()
     kmax = degs[-1]
     top = C.piece(kmax)
-    res = minimal_projective_resolution(top, bound)
+    res, pi = _resolution_and_augmentation(top, bound)
     P = res.shift(-kmax)
     # quasi-iso q: P -> sigma_{>=kmax} C (augmentation in degree kmax)
-    labels0, gens0, cover0, pi0 = projective_cover(top)
-    qcomps = {kmax: ModuleMorphism(P.to_rep().piece(kmax), top, pi0.mats, check=False)}
+    qcomps = {kmax: ModuleMorphism(P.to_rep().piece(kmax), top, pi.mats, check=False)}
     T = C.brutal_truncate_above(kmax)
     for k in range(kmax - 1, min(degs) - 1, -1):
         Ck = C.piece(k)
@@ -931,19 +897,16 @@ def perfectify(C, bound=DEFAULT_BOUND):
         if Ck.total_dim() == 0:
             T = Tnext
             continue
-        resk = minimal_projective_resolution(Ck, bound)
-        _, _, _, aug = projective_cover(Ck)
+        resk, aug = _resolution_and_augmentation(Ck, bound)
         R = resk.shift(-k - 1)
         # h: R -> T is d^k o aug concentrated in degree k+1
-        Rrep = R.to_rep()
-        augm = ModuleMorphism(Rrep.piece(k + 1), Ck, aug.mats, check=False)
         dk = C.diff(k)
-        h = {k + 1: ModuleMorphism(Rrep.piece(k + 1), T.piece(k + 1),
-                                   {v: dk.mats[v] * augm.mats[v] for v in Ck.dims},
+        h = {k + 1: ModuleMorphism(R.to_rep().piece(k + 1), T.piece(k + 1),
+                                   {v: dk.mats[v] * aug.mats[v] for v in Ck.dims},
                                    check=False)}
-        g, svals = _lift_through(R, P, {"T": T, "comps": qcomps}, h)
+        g = _lift_through(R, P, T, qcomps, h)
         newP = _labeled_cone(g, R, P)
-        newq = _cone_quasi_iso(newP, R, P, qcomps, svals, aug, Ck, T, Tnext, k)
+        newq = _cone_quasi_iso(newP, R, P, qcomps, aug, Ck, Tnext, k)
         P = newP
         qcomps = newq.comps
         T = Tnext

@@ -367,19 +367,27 @@ def rank(M):
 def kernel_basis(M):
     """Matrix whose columns span the null space of M."""
     R, pivots = rref(M)
-    z, o = M.field.zero(), M.field.one()
+    return kernel_from_rref(R, pivots, M.cols)
+
+
+def kernel_from_rref(R, pivots, ncols):
+    """Null-space basis of a matrix with ``ncols`` columns, read off a
+    reduced row echelon form R whose first ``ncols`` columns are the
+    matrix's own reduced form with pivot columns ``pivots`` (R may carry
+    further columns, as the rref of [M | I] does)."""
+    z, o = R.field.zero(), R.field.one()
     pivset = set(pivots)
-    free = [j for j in range(M.cols) if j not in pivset]
+    free = [j for j in range(ncols) if j not in pivset]
     cols = []
     for f in free:
-        v = [z] * M.cols
+        v = [z] * ncols
         v[f] = o
         for r, pc in enumerate(pivots):
             v[pc] = -R.entries[r][f]
         cols.append(v)
-    return Matrix(M.cols, len(cols),
-                  [[cols[j][i] for j in range(len(cols))] for i in range(M.cols)],
-                  M.field)
+    return Matrix(ncols, len(cols),
+                  [[cols[j][i] for j in range(len(cols))] for i in range(ncols)],
+                  R.field)
 
 
 def solve(M, b):

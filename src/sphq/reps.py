@@ -4,15 +4,16 @@ A representation assigns an exact vector space k^d to every vertex and a
 (target-dim x source-dim) matrix to every arrow, with all relations of the
 algebra evaluating to zero.  Hom spaces, kernels/cokernels and radicals
 are all reduced to the linalg kernels, with one elimination per quotient
-(``_quotient_data`` row-reduces [A | I] once) and one per arrow of a
-sub-module (``_subrep_from_inclusions``).
+(``_quotient_data`` row-reduces [A | I] once; ``kernel_cokernel`` reads
+the kernel off the same elimination) and one per arrow of a sub-module
+(``_subrep_from_inclusions``).
 """
 
 from collections import namedtuple
 
 from .errors import AlgebraMismatch, SchemaError, UnknownVertex
-from .linalg import (Matrix, block_diag, hstack, kernel_basis, rref,
-                     scalar_to_str)
+from .linalg import (Matrix, block_diag, hstack, kernel_basis,
+                     kernel_from_rref, rref, scalar_to_str)
 
 
 class Representation:
@@ -196,6 +197,13 @@ def _quotient_data(A):
     identity-part of the rows from rank A on; it is the unique matrix with
     proj * A = 0 and proj * section = identity.
     """
+    return _quotient_elimination(A)[:3]
+
+
+def _quotient_elimination(A):
+    """``_quotient_data(A)`` plus the reduced form R of [A | I] it came
+    from.  The left A.cols columns of R are rref(A): every row operation
+    after them only touches rows that are zero there."""
     field = A.field
     n, r = A.rows, A.cols
     R, pivots = rref(hstack([A, Matrix.identity(n, field)]))
@@ -206,7 +214,7 @@ def _quotient_data(A):
         sect.entries[i][j] = field.one()
     proj = Matrix(len(chosen), n, [row[r:] for row in R.entries[len(apiv):]],
                   field)
-    return sect, proj, apiv
+    return sect, proj, apiv, R
 
 
 def _quotient_rep(M, sects, projs):
@@ -223,11 +231,11 @@ def _quotient_rep(M, sects, projs):
 def kernel_cokernel(f):
     """(ker, coker, inclusion, projection) of a module morphism."""
     M, N = f.source, f.target
-    kins = {v: kernel_basis(f.mats[v]) for v in M.dims}
-    ker, incl = _subrep_from_inclusions(M, kins)
-    sects, projs = {}, {}
+    kins, sects, projs = {}, {}, {}
     for v in N.dims:
-        sects[v], projs[v], _ = _quotient_data(f.mats[v])
+        sects[v], projs[v], apiv, R = _quotient_elimination(f.mats[v])
+        kins[v] = kernel_from_rref(R, apiv, f.mats[v].cols)
+    ker, incl = _subrep_from_inclusions(M, kins)
     coker, proj = _quotient_rep(N, sects, projs)
     return ker, coker, incl, proj
 
@@ -357,8 +365,10 @@ def rep_from_json(alg, d):
             if arr is None:
                 raise SchemaError("unknown arrow %r in representation" % (a,))
             ent = [[alg.field.parse(str(x)) for x in row] for row in rows]
-            maps[str(a)] = Matrix(dims.get(arr.target, 0), dims.get(arr.source, 0),
-                                  ent, alg.field)
+            r, c = dims.get(arr.target, 0), dims.get(arr.source, 0)
+            if len(ent) != r or any(len(row) != c for row in ent):
+                raise SchemaError("arrow %s matrix is not %d x %d" % (a, r, c))
+            maps[str(a)] = Matrix(r, c, ent, alg.field)
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError("malformed representation file: %s" % e)
     return Representation(alg, dims, maps)

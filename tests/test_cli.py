@@ -159,3 +159,31 @@ def test_bad_family_is_input_error(capsys):
     code, _, err = run(capsys, "family", "nope:1")
     assert code == 2
     assert json.loads(err)["error"]["code"] == "input"
+
+
+@pytest.mark.parametrize("maps", [
+    {"a1": [[1, 0]]},    # one row of length 2 for a 1 x 1 map
+    {"a1": [[1], [2]]},  # two rows for a 1 x 1 map
+])
+def test_rep_file_with_misshapen_matrix_is_input_error(tmp_path, capsys, maps):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"dims": {"1": 1, "2": 1}, "maps": maps}))
+    code, out, err = run(capsys, "hom", "cb3", "--from", "file:%s" % path,
+                         "--to", "S:1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "input"
+
+
+def test_complex_file_with_nonzero_d_squared_is_input_error(tmp_path, capsys):
+    # P(2) -> P(1) -> P(3) on cb3 with entries a1, a3: a3 * a1 != 0
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps({
+        "pieces": {"0": ["2"], "1": ["1"], "2": ["3"]},
+        "diffs": {"0": [[[{"path": ["a1"]}]]], "1": [[[{"path": ["a3"]}]]]},
+    }))
+    code, out, err = run(capsys, "hom", "cb3", "--from", "file:%s" % path,
+                         "--to", "S:1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "input"

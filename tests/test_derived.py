@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from sphq.algebra import Arrow, Quiver, build_algebra
+from hypothesis import given, settings, strategies as st
+
+from sphq import derived
+from sphq.algebra import Arrow, Element, Path, Quiver, build_algebra
 from sphq.constructions import cb
 from sphq.corpus import load_fixture, _ncc_E
 from sphq.derived import (chain_map_space, complex_direct_sum,
@@ -13,9 +16,10 @@ from sphq.derived import (chain_map_space, complex_direct_sum,
                           iso_up_to_shift, minimal_projective_resolution,
                           nakayama, perfectify, resolve, stalk_complex, tau,
                           tau_inverse)
-from sphq.errors import GlobalDimensionExceeded
-from sphq.linalg import QQ
-from sphq.reps import injective_module, projective_module, simple_module
+from sphq.errors import GlobalDimensionExceeded, SchemaError
+from sphq.linalg import QQ, Matrix, PrimeField
+from sphq.reps import (ModuleMorphism, injective_module, projective_module,
+                       simple_module)
 
 
 def a2_algebra():
@@ -150,3 +154,115 @@ def test_resolve_accepts_modules_and_complexes():
     F = resolve(S)
     assert resolve(F) is F
     assert hom_profile(F, S) == {0: 1, 2: 1}
+
+
+def test_labeled_d_squared_nonzero_rejected():
+    alg = cb(3)
+    # P(2) -> P(1) -> P(3) with entries a1, a3: a3 * a1 != 0
+    a1, a3 = alg.element({("a1",): 1}), alg.element({("a3",): 1})
+    with pytest.raises(SchemaError):
+        derived.LabeledComplex(alg, {0: ["2"], 1: ["1"], 2: ["3"]},
+                               {0: [[a1]], 1: [[a3]]})
+
+
+def element_map(R, P, g, n):
+    """The module map R^n -> P^n of the element-valued g^n: the generator
+    of summand j of R^n goes to the entries of column j of g^n."""
+    alg = R.alg
+    Rn, Pn = R.to_rep().piece(n), P.to_rep().piece(n)
+    rorder, _ = R.summand_basis(n)
+    _, pidx = P.summand_basis(n)
+    mats = {}
+    for v in alg.quiver.vertices:
+        m = Matrix.zero(Pn.dims[v], Rn.dims[v], alg.field)
+        for col, (j, path) in enumerate(rorder[v]):
+            x = R.labels(n)[j]
+            gen = [alg.field.zero()] * Pn.dims[x]
+            for i, row in enumerate(g.get(n, [])):
+                for p, c in row[j].terms.items():
+                    gen[pidx[x][(i, p)]] += c
+            for r, c in enumerate(Pn.path_action(path).apply(gen)):
+                m.entries[r][col] = c
+        mats[v] = m
+    return ModuleMorphism(Rn, Pn, mats, check=False)
+
+
+def same_map(f, g):
+    return all((f.mats[v] - g.mats[v]).is_zero() for v in f.mats)
+
+
+def test_perfectify_lifts_are_exact(monkeypatch):
+    """Every lift g in tau of a simple satisfies q g = h and d_P g = g d_R
+    exactly, as module maps in every degree."""
+    lifts = []
+    lift = derived._lift_through
+
+    def recording(R, P, T, qcomps, h):
+        g = lift(R, P, T, qcomps, h)
+        lifts.append((R, P, T, qcomps, h, g))
+        return g
+
+    monkeypatch.setattr(derived, "_lift_through", recording)
+    for name in ("cb3", "ncc"):
+        alg = load_fixture(name)
+        for v in alg.quiver.vertices:
+            tau(minimal_projective_resolution(simple_module(alg, v)))
+    assert any(not h[n].is_zero() for *_, h, _ in lifts for n in h)
+    for R, P, T, qcomps, h, g in lifts:
+        Rrep, Prep = R.to_rep(), P.to_rep()
+        degs = range(R.degrees()[0] - 1, R.degrees()[-1] + 1)
+        G = {n: element_map(R, P, g, n) for n in list(degs) + [degs[-1] + 1]}
+        for n in degs:
+            Rn = Rrep.piece(n)
+            q = qcomps.get(n) or derived.zero_morphism(Prep.piece(n), T.piece(n))
+            want = h.get(n) or derived.zero_morphism(Rn, T.piece(n))
+            assert same_map(q.compose(G[n]), want)
+            assert same_map(Prep.diff(n).compose(G[n]),
+                            G[n + 1].compose(Rrep.diff(n)))
+
+
+@st.composite
+def acyclic_bound_quivers(draw):
+    """At most three arrows, each from a lower to a higher vertex, at most
+    two of them parallel; relations are combinations of parallel paths of
+    length 2 or 3.
+
+    More arrows make tau^-1 tau of a simple grow to hundreds of summands
+    (perfectify never cancels contractible summands): four parallel arrows
+    take minutes, two doubled pairs several seconds.
+    """
+    n = draw(st.integers(2, 4))
+    vertices = [str(i) for i in range(1, n + 1)]
+    pairs = [(s, t) for s in vertices for t in vertices if s < t]
+    ends = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3)
+                .filter(lambda ends: all(ends.count(e) <= 2 for e in ends)))
+    q = Quiver(vertices, [Arrow("a%d" % i, s, t) for i, (s, t) in enumerate(ends)])
+    field = draw(st.sampled_from([QQ, PrimeField(3)]))
+    paths = [Path(a.source, a.target, (a.name,)) for a in q.arrows]
+    frontier, long_paths = paths, []
+    for _ in range(2):
+        frontier = [Path(p.source, a.target, p.arrows + (a.name,))
+                    for p in frontier for a in q.arrows_out[p.target]]
+        long_paths += frontier
+    relations = []
+    for _ in range(draw(st.integers(0, 2)) if long_paths else 0):
+        lead = draw(st.sampled_from(long_paths))
+        pool = [p for p in long_paths if p != lead and
+                (p.source, p.target) == (lead.source, lead.target)]
+        others = draw(st.lists(st.sampled_from(pool), max_size=1)) if pool else []
+        relations.append(Element({p: field.from_int(draw(st.sampled_from([1, -1, 2])))
+                                  for p in [lead] + others}, field))
+    return build_algebra(q, relations, field=field), draw(st.sampled_from(vertices))
+
+
+@settings(max_examples=50, deadline=None)
+@given(acyclic_bound_quivers())
+def test_random_acyclic_perfectify_and_tau_round_trip(case):
+    alg, v = case
+    R = minimal_projective_resolution(simple_module(alg, v))
+    N = nakayama(R).to_rep()
+    assert perfectify(N).to_rep().cohomology_dims() == N.cohomology_dims()
+    back = tau_inverse(tau(R))
+    for u in alg.quiver.vertices:
+        S = simple_module(alg, u)
+        assert hom_profile(back, S) == hom_profile(R, S)

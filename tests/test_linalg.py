@@ -7,8 +7,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from sphq.linalg import (Matrix, PrimeField, QQ, block_diag, hstack,
-                         kernel_basis, rank, rref, scalar_to_str, solve,
-                         sparse_rref, vstack)
+                         kernel_basis, kernel_from_rref, rank, rref,
+                         scalar_to_str, solve, sparse_rref, vstack)
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -113,6 +113,17 @@ def test_sparse_rref_matches_rref(M):
     assert sparse_pivots == pivots
     assert rows == sparse_rows(R.entries[:len(pivots)])
     assert all(list(row) == sorted(row) for row in rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(7)])
+       .flatmap(sparse_matrices))
+def test_kernel_read_off_the_rref_of_a_with_identity(M):
+    """The elimination of [M | I] gives M's kernel basis entry for entry."""
+    R, pivots = rref(hstack([M, Matrix.identity(M.rows, M.field)]))
+    K = kernel_from_rref(R, [p for p in pivots if p < M.cols], M.cols)
+    want = kernel_basis(M)
+    assert (K.rows, K.cols, K.entries) == (want.rows, want.cols, want.entries)
 
 
 def test_parse_rejects_zero_denominator():

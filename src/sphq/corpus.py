@@ -13,9 +13,10 @@ from .constructions import (canonical, cb, circular, dda, insert_An,
                             kronecker, kronecker_quasi_simple,
                             quiver_isomorphic, synthesize_poset_algebra, tack,
                             tensor_algebra, induce, Embedding)
-from .derived import (chain_map_space, cone, hom_profile, iso_up_to_shift,
-                      minimal_projective_resolution, nakayama, perfectify,
-                      resolve, stalk_complex, complex_direct_sum, tau_inverse)
+from .derived import (chain_map_space, cone, hom_profile, is_minimal,
+                      iso_up_to_shift, minimal_projective_resolution,
+                      nakayama, perfectify, resolve, stalk_complex,
+                      complex_direct_sum, tau_inverse)
 from .ktheory import (euler_matrix, euler_pairing, k_class, perp_lattice,
                       same_lattice)
 from .linalg import QQ, Matrix
@@ -450,11 +451,8 @@ def _crit_properties():
         alg = load_fixture(name)
         for v in alg.quiver.vertices:
             R = minimal_projective_resolution(simple_module(alg, v))
-            for n in R.diffs:
-                for row in R.diffs[n]:
-                    for e in row:
-                        if any(not p.arrows for p in e.terms):
-                            min_ok = False
+            if not is_minimal(R):
+                min_ok = False
     checks["resolution_minimality"] = min_ok
 
     # scan output is deterministic

@@ -865,8 +865,83 @@ def _cone_quasi_iso(newP, R, P, qcomps, aug, Ck, Tnext, k):
         raise EngineInvariantViolation("cone map is not a chain map: %s" % e) from e
 
 
+def _unit_entry(d):
+    """(i, j) of the first entry, row by row, of the element matrix ``d``
+    that has a trivial-path term, or None.
+
+    All terms of an entry are parallel, so such an entry joins two
+    summands with one label x and lies in e_x A e_x."""
+    for i, row in enumerate(d):
+        for j, e in enumerate(row):
+            if any(not p.arrows for p in e.terms):
+                return i, j
+    return None
+
+
+def is_minimal(F):
+    """True when every differential entry of F lies in the radical."""
+    return all(_unit_entry(d) is None for d in F.diffs.values())
+
+
+def _unit_inverse(alg, b):
+    """Inverse of b = c (e_x + r) in e_x A e_x, c a nonzero scalar and r in
+    the radical: c^-1 sum_k (-r)^k, a finite sum since r is nilpotent."""
+    e = next(p for p in b.terms if not p.arrows)
+    c_inv = alg.field.one() / b.terms[e]
+    minus_r = Element({p: -c * c_inv for p, c in b.terms.items() if p.arrows},
+                      alg.field)
+    total = alg.zero_element()
+    power = alg.unit(e.source)
+    while power.terms:
+        total = total + power
+        power = alg.multiply(power, minus_r)
+    return total.scale(c_inv)
+
+
+def _minimise(F):
+    """Cancel the contractible summands of a projective-labeled complex.
+
+    Gaussian elimination (Bar-Natan, *Fast Khovanov homology
+    computations*, arXiv math/0606318): if the entry b = d^n[i][j]
+    joining summand j of F^n to summand i of F^{n+1} is an isomorphism,
+    F is homotopy equivalent to the complex without those two summands,
+    in which d^n loses row i and column j and every other entry becomes
+    d[l][k] - d[i][k] b^-1 d[l][j] (products in ``alg.multiply`` order),
+    d^{n-1} loses row j and d^{n+1} column i.  Eliminating in degree n
+    changes no other differential's entries, so one ascending pass over
+    the degrees, eliminating the first unit entry (row by row) until none
+    is left, ends with every entry in the radical.
+    """
+    alg = F.alg
+    pieces = {n: list(lab) for n, lab in F.pieces.items()}
+    diffs = {n: [row[:] for row in d] for n, d in F.diffs.items()}
+    for n in sorted(diffs):
+        d = diffs[n]
+        pos = _unit_entry(d)
+        while pos is not None:
+            i, j = pos
+            binv = _unit_inverse(alg, d[i][j])
+            left = [(k, alg.multiply(e, binv))
+                    for k, e in enumerate(d[i]) if k != j and e.terms]
+            for ell, row in enumerate(d):
+                if ell != i and row[j].terms:
+                    for k, u in left:
+                        row[k] = row[k] - alg.multiply(u, row[j])
+            del d[i]
+            for row in d:
+                del row[j]
+            del pieces[n][j], pieces[n + 1][i]
+            if n - 1 in diffs:
+                del diffs[n - 1][j]
+            for row in diffs.get(n + 1, []):
+                del row[i]
+            pos = _unit_entry(d)
+    return LabeledComplex(alg, pieces, diffs, F.kind)
+
+
 def perfectify(C, bound=DEFAULT_BOUND):
-    """Projective-labeled complex quasi-isomorphic to a BoundedComplex.
+    """Minimal projective-labeled complex quasi-isomorphic to a
+    BoundedComplex.
 
     Descending induction on degrees: the brutal truncation at the top
     degree is resolved, and each further degree is attached by an exact
@@ -875,6 +950,17 @@ def perfectify(C, bound=DEFAULT_BOUND):
     module is resolved once; its resolution supplies the augmentation.
     The result is certified: the cone of the final quasi-isomorphism must
     be acyclic.
+
+    The certified complex is then minimised (``_minimise``): every
+    differential entry of the output lies in the radical, so the output
+    is the minimal model, unique up to isomorphism.  An entry b of
+    e_x A e_x whose trivial path e_x has a nonzero coefficient c is a
+    unit: b = c (e_x + r) with r in the radical of e_x A e_x, which is
+    nilpotent because the arrow ideal of the bound quiver algebra is, so
+    b^-1 = c^-1 sum_k (-r)^k is a finite sum (``_unit_inverse``).  Right
+    multiplication by b is then an isomorphism P(x) -> P(x), and the
+    Gaussian-elimination lemma cancels the two summands it joins without
+    changing the homotopy type.
     """
     if isinstance(C, LabeledComplex):
         return C
@@ -913,7 +999,7 @@ def perfectify(C, bound=DEFAULT_BOUND):
     final = ChainMap(P.to_rep(), T, qcomps, check=False)
     if not cone(final).is_acyclic():
         raise EngineInvariantViolation("perfectify result is not quasi-isomorphic")
-    return P
+    return _minimise(P)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from sphq.algebra import algebra_from_json
 from sphq.cli import main
+from sphq.derived import complex_from_json, is_minimal
 
 
 def run(capsys, *argv):
@@ -88,6 +90,15 @@ def test_spherelike_report(capsys):
     assert data["d"] == 3
 
 
+def test_asphericality_of_spherical_object_is_zero(capsys):
+    """Q of a spherical object is acyclic, so its minimal model is 0."""
+    code, out, _ = run(capsys, "asphericality", "cb3", "--object", "S:1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["acyclic"] is True
+    assert data["pieces"] == {}
+
+
 def test_hom_profile(capsys):
     code, out, _ = run(capsys, "hom", "cb3", "--from", "S:1", "--to", "S:1")
     assert code == 0
@@ -120,6 +131,8 @@ def test_family_and_member_pipeline(tmp_path, capsys):
                        "--object", desc, "--out", str(q_path))
     assert code == 0
     assert json.loads(out)["acyclic"] is False
+    alg = algebra_from_json(json.loads(alg_path.read_text()))
+    assert is_minimal(complex_from_json(alg, json.loads(q_path.read_text())))
 
     code, out, _ = run(capsys, "member", str(alg_path),
                        "--object", "S:1", "--q", str(q_path))

@@ -29,7 +29,10 @@ INPUT_ERRORS = (SchemaError, CapInsufficient, NotAdmissible, UnknownVertex,
 
 def _read_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise SchemaError("%s does not hold a JSON object" % (path,))
+    return data
 
 
 def load_algebra(spec):
@@ -82,10 +85,14 @@ def load_embedding(path, big):
         small = algebra_from_json(small_spec)
     else:
         raise SchemaError("embedding file needs a 'small' algebra")
+    vertex_map, arrow_paths = data["vertex_map"], data["arrow_paths"]
+    if not (isinstance(vertex_map, dict) and isinstance(arrow_paths, dict) and
+            all(isinstance(p, list) for p in arrow_paths.values())):
+        raise SchemaError("embedding 'vertex_map' must be an object, and "
+                          "'arrow_paths' must map arrows to arrow lists")
     emb = Embedding(small, big,
-                    {str(k): str(v) for k, v in data["vertex_map"].items()},
-                    {str(k): [str(x) for x in v]
-                     for k, v in data["arrow_paths"].items()})
+                    {str(k): str(v) for k, v in vertex_map.items()},
+                    {str(k): [str(x) for x in v] for k, v in arrow_paths.items()})
     return emb, small
 
 

@@ -672,117 +672,63 @@ def _lift_through(R, P, T, qcomps, h):
 
     R, P projective-labeled; q (``qcomps``) and h are dictionaries
     degree -> ModuleMorphism from P.to_rep() and R.to_rep() into the
-    BoundedComplex T, q a quasi-isomorphism and h a chain map.  Solves
-    q g = h together with the closedness rows d_P g = g d_R.
+    BoundedComplex T, q a quasi-isomorphism and h a chain map.
 
-    An exact lift exists whenever q is onto in every degree, which holds
-    for every q built by ``perfectify`` (the augmentation of a projective
-    cover on the newest summands, the previous q on the rest).  Its
-    kernel K is acyclic, since q is a quasi-isomorphism.  R is a bounded
-    complex of projectives, so Hom(R, q): Hom(R, P) -> Hom(R, T) is onto
-    with acyclic kernel Hom(R, K), hence onto on cycles: lift h to any y,
-    then d y is a cycle of Hom(R, K), so d y = d w with w in Hom(R, K),
-    and g = y - w is a chain map with q g = h.  Raises
-    EngineInvariantViolation if the system is nevertheless inconsistent.
+    g is built one generator at a time, descending through the degrees
+    of R: the comparison-theorem step of Weibel, *An Introduction to
+    Homological Algebra*, §2.2.  With g^{n+1} known, the generator e_j
+    of a summand P(x) of R^n goes to the y in (P^n)_x with
+
+        d_P y = g^{n+1}(d_R e_j)   and   q^n y = h^n(e_j),
+
+    one linear system at vertex x.  Sending e_j to y is a module map
+    because P(x) is projective, and the coordinates of y are column j
+    of g^n; the two conditions are d_P g = g d_R and q g = h on e_j.
+
+    Why a y always exists.  Every q built by ``perfectify`` (the
+    augmentation of a projective cover on the newest summands, the
+    previous q on the rest) is onto in every degree, and its kernel K is
+    acyclic since q is a quasi-isomorphism.  So
+    P^n -> Z^{n+1}(P) x_{Z^{n+1}(T)} T^n, y -> (d y, q y) is onto: for
+    (b, t) with q b = d t, lift t to y0 with q y0 = t; then q kills
+    b - d y0 and d b = 0, so b - d y0 is a cycle of K^{n+1}, hence d w
+    for some w in K^n, and y = y0 + w has d y = b and q y = t.  The
+    right-hand side lies in that fibre product:
+    d_P g^{n+1} d_R e_j = g^{n+2} d_R d_R e_j = 0, and
+    q g^{n+1} d_R e_j = h^{n+1} d_R e_j = d_T h^n e_j because h is a
+    chain map.  Raises EngineInvariantViolation if a system is
+    nevertheless inconsistent.
     """
     alg = R.alg
     field = alg.field
-
-    g_index = {}
-    for n in R.degrees():
-        for j, x in enumerate(R.labels(n)):
-            for i, y in enumerate(P.labels(n)):
-                for p in alg.slice_basis(x, y):
-                    g_index[(n, i, j, p)] = len(g_index)
-    N = len(g_index)
-    rows = []
-    rhs = []
-
-    Pmeta = {n: P.summand_basis(n) for n in P.degrees()}
-    Rindex = {n: R.summand_basis(n)[1] for n in h}
-
-    # lifting equations: q g = h, evaluated on generators
-    for n in R.degrees():
-        for j, x in enumerate(R.labels(n)):
-            dim = T.piece(n).dims[x]
-            block = [[field.zero()] * N for _ in range(dim)]
-            bvec = [field.zero()] * dim
-            qm = qcomps.get(n)
-            if n in P.pieces and qm is not None and dim:
-                _, pidx = Pmeta[n]
-                for i, y in enumerate(P.labels(n)):
-                    for p in alg.slice_basis(x, y):
-                        colv = qm.mats[x].col(pidx[x][(i, p)])
-                        ui = g_index[(n, i, j, p)]
-                        for r in range(dim):
-                            block[r][ui] = block[r][ui] + colv[r]
-            hm = h.get(n)
-            if hm is not None and dim:
-                col = hm.mats[x].col(generator_column(Rindex[n], j, x))
-                for r in range(dim):
-                    bvec[r] = bvec[r] + col[r]
-            rows.extend(block)
-            rhs.extend(bvec)
-
-    # closedness equations: d_P g = g d_R (element coefficients)
-    for n in R.degrees():
-        dPn = P.diffs.get(n)
-        for j, x in enumerate(R.labels(n)):
-            for ell, z in enumerate(P.labels(n + 1)):
-                coeffs = {}  # basis path -> row template dict unknown->coef
-                # d_P g
-                if dPn is not None:
-                    for i, y in enumerate(P.labels(n)):
-                        e2 = dPn[ell][i]
-                        if e2.is_zero():
-                            continue
-                        for p in alg.slice_basis(x, y):
-                            prod = alg.multiply(p, e2)
-                            ui = g_index[(n, i, j, p)]
-                            for t, c in prod.terms.items():
-                                coeffs.setdefault(t, {}).setdefault(ui, field.zero())
-                                coeffs[t][ui] = coeffs[t][ui] + c
-                # - g d_R
-                dRn = R.diffs.get(n)
-                if dRn is not None:
-                    for i2, y2 in enumerate(R.labels(n + 1)):
-                        e1 = dRn[i2][j]
-                        if e1.is_zero():
-                            continue
-                        for p in alg.slice_basis(y2, z):
-                            prod = alg.multiply(e1, p)
-                            ui = g_index.get((n + 1, ell, i2, p))
-                            if ui is None:
-                                continue
-                            for t, c in prod.terms.items():
-                                coeffs.setdefault(t, {}).setdefault(ui, field.zero())
-                                coeffs[t][ui] = coeffs[t][ui] - c
-                for t, du in coeffs.items():
-                    row = [field.zero()] * N
-                    for ui, c in du.items():
-                        row[ui] = c
-                    rows.append(row)
-                    rhs.append(field.zero())
-
-    sol = solve(Matrix(len(rows), N, rows, field), rhs) if rows else [field.zero()] * N
-    if sol is None:
-        raise EngineInvariantViolation("chain-map lifting system inconsistent")
-
+    Prep = P.to_rep()
     g = {}
-    for n in R.degrees():
-        if n not in P.pieces:
-            continue
-        d = [[alg.zero_element() for _ in R.labels(n)] for _ in P.labels(n)]
+    for n in reversed(R.degrees()):
+        order = P.summand_basis(n)[0]
+        above = P.summand_basis(n + 1)[1]
+        rindex = R.summand_basis(n)[1]
+        dP = Prep.diff(n)
+        dR = R.diffs.get(n, [])
+        gnext = g.get(n + 1, [])
+        qm = qcomps.get(n) or zero_morphism(Prep.piece(n), T.piece(n))
+        hm = h.get(n)
+        gn = [[alg.zero_element() for _ in R.labels(n)] for _ in P.labels(n)]
         for j, x in enumerate(R.labels(n)):
-            for i, y in enumerate(P.labels(n)):
-                terms = {}
-                for p in alg.slice_basis(x, y):
-                    c = sol[g_index[(n, i, j, p)]]
-                    if c:
-                        terms[p] = c
-                if terms:
-                    d[i][j] = alg.element(terms)
-        g[n] = d
+            z = [field.zero()] * Prep.piece(n + 1).dims[x]
+            for i2, row in enumerate(dR):
+                if row[j].terms:
+                    for ell, grow in enumerate(gnext):
+                        for path, c in alg.multiply(row[j], grow[i2]).terms.items():
+                            z[above[x][(ell, path)]] += c
+            t = (hm.mats[x].col(generator_column(rindex, j, x)) if hm
+                 else [field.zero()] * T.piece(n).dims[x])
+            y = solve(vstack([dP.mats[x], qm.mats[x]], field), z + t)
+            if y is None:
+                raise EngineInvariantViolation("chain-map lifting system inconsistent")
+            for (i, p), c in zip(order[x], y):
+                if c:
+                    gn[i][j] = gn[i][j] + Element({p: c}, field)
+        g[n] = gn
     return g
 
 
@@ -1093,10 +1039,14 @@ def complex_to_json(C):
 def complex_from_json(alg, d):
     try:
         kind = d.get("kind", "proj")
-        pieces = {int(n): [str(x) for x in lab]
-                  for n, lab in d["pieces"].items()}
+        pieces, rawdiffs = d["pieces"], d.get("diffs", {})
+        if not (isinstance(pieces, dict) and isinstance(rawdiffs, dict) and
+                all(isinstance(lab, list) for lab in pieces.values())):
+            raise SchemaError("complex 'pieces' must map degrees to label "
+                              "lists, and 'diffs' must be an object")
+        pieces = {int(n): [str(x) for x in lab] for n, lab in pieces.items()}
         diffs = {}
-        for n, rows in d.get("diffs", {}).items():
+        for n, rows in rawdiffs.items():
             mat = []
             for row in rows:
                 erow = []
@@ -1112,6 +1062,6 @@ def complex_from_json(alg, d):
                     erow.append(Element(t, alg.field))
                 mat.append(erow)
             diffs[int(n)] = mat
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise SchemaError("malformed complex file: %s" % e)
     return LabeledComplex(alg, pieces, diffs, kind)

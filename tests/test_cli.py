@@ -188,6 +188,38 @@ def test_rep_file_with_misshapen_matrix_is_input_error(tmp_path, capsys, maps):
     assert json.loads(err)["error"]["code"] == "input"
 
 
+HOM_FROM = ("hom", "cb3", "--to", "S:1", "--from")
+
+
+@pytest.mark.parametrize("argv, content", [
+    (("build", "{}"), 5),
+    (("build", "{}"), [1]),
+    (HOM_FROM + ("file:{}",), 5),
+    (HOM_FROM + ("induced:{}:S:1",), [1]),
+    (HOM_FROM + ("induced:{}:S:1",),
+     {"small": "cb2", "vertex_map": [1], "arrow_paths": {}}),
+    (HOM_FROM + ("induced:{}:S:1",),
+     {"small": "cb2", "vertex_map": {"1": "1", "2": "2"}, "arrow_paths": 5}),
+    (HOM_FROM + ("induced:{}:S:1",),
+     {"small": "cb2", "vertex_map": {"1": "1", "2": "2"},
+      "arrow_paths": {"a1": 5}}),
+    (HOM_FROM + ("file:{}",), {"pieces": [["1"]]}),
+    (HOM_FROM + ("file:{}",), {"pieces": {"0": ["1"]}, "diffs": 5}),
+    (HOM_FROM + ("file:{}",), {"pieces": {"0": "12"}}),
+    (HOM_FROM + ("file:{}",),
+     {"pieces": {"0": ["1"], "1": ["2"]}, "diffs": {"0": [["x"]]}}),
+], ids=["algebra-number", "algebra-list", "file-number", "embedding-list",
+        "vertex-map-list", "arrow-paths-number", "arrow-path-number",
+        "pieces-list", "diffs-number", "labels-string", "term-string"])
+def test_misshapen_json_file_is_input_error(tmp_path, capsys, argv, content):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, *(a.format(path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "input"
+
+
 def test_complex_file_with_nonzero_d_squared_is_input_error(tmp_path, capsys):
     # P(2) -> P(1) -> P(3) on cb3 with entries a1, a3: a3 * a1 != 0
     path = tmp_path / "cx.json"

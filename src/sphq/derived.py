@@ -28,9 +28,9 @@ from .algebra import Element, Path
 from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
                      EngineInvariantViolation, SchemaError)
 from .linalg import (Matrix, block_diag, hstack, kernel_basis, rank, rref,
-                     scalar_to_str, solve, vstack)
-from .reps import (ModuleMorphism, Representation, direct_sum,
-                   injective_module, kernel_cokernel, projective_module,
+                     scalar_to_str, vstack)
+from .reps import (ModuleMorphism, Representation, _subrep_from_inclusions,
+                   direct_sum, injective_module, projective_module,
                    top_and_radical, zero_morphism)
 
 # Largest resolution length tried before GlobalDimensionExceeded.
@@ -108,12 +108,6 @@ class BoundedComplex:
 
     def is_acyclic(self):
         return not self.cohomology_dims()
-
-    def brutal_truncate_above(self, k):
-        """sigma_{>=k}: keep degrees >= k."""
-        pieces = {n: p for n, p in self.pieces.items() if n >= k}
-        diffs = {n: d for n, d in self.diffs.items() if n >= k}
-        return BoundedComplex(self.alg, pieces, diffs, check=False)
 
     def total_dim(self):
         return sum(p.total_dim() for p in self.pieces.values())
@@ -366,79 +360,111 @@ def tau(F, bound=DEFAULT_BOUND):
 # minimal projective resolutions
 
 
-def projective_cover(M):
-    """(labels, generators, ProjSum data, cover map onto M)."""
-    alg = M.alg
-    tr = top_and_radical(M)
-    labels = []
-    gens = []
-    for v in alg.quiver.vertices:
-        sect = tr.top_section[v]
-        for j in range(sect.cols):
-            labels.append(v)
-            gens.append(sect.col(j))
-    cover = LabeledComplex(alg, {0: labels}, {}, "proj", check=False)
-    rep = cover.to_rep().piece(0)
-    order, _ = cover.summand_basis(0)
-    mats = {}
-    for v in alg.quiver.vertices:
-        m = Matrix.zero(M.dims[v], rep.dims[v], alg.field)
-        for col, (i, p) in enumerate(order[v]):
-            vec = M.path_action(p).apply(gens[i])
-            for r in range(M.dims[v]):
-                m.entries[r][col] = vec[r]
-        mats[v] = m
-    pi = ModuleMorphism(rep, M, mats, check=False)
-    return labels, gens, cover, pi
-
-
 def minimal_projective_resolution(M, bound=DEFAULT_BOUND):
     """Iterated projective covers; perfect complex in degrees -len..0.
 
     Raises GlobalDimensionExceeded if the syzygies do not vanish within
     ``bound`` steps.
     """
-    return _resolution_and_augmentation(M, bound)[0]
+    return _cover_complex(stalk_complex(M), bound)[0]
 
 
-def _resolution_and_augmentation(M, bound):
-    """(minimal projective resolution of M, its degree-0 cover map onto M);
-    the cover map is None when M = 0."""
-    alg = M.alg
-    if M.total_dim() == 0:
-        return LabeledComplex(alg, {}, {}, "proj", check=False), None
-    pieces = {}
-    diffs = {}
-    cur = M
-    prev = None  # (cover LabeledComplex, inclusion Syz -> cover rep)
-    deg = 0
+def _cover_complex(C, bound):
+    """(P, q): a projective-labeled complex P and a chain map q from P to
+    the BoundedComplex C (degree -> ModuleMorphism from the direct sum of
+    the projectives of P^n, which is P.to_rep().piece(n), to C^n) whose
+    cone is acyclic.
+
+    One projective cover per degree, descending from the top degree of C
+    (Weibel, *An Introduction to Homological Algebra*, the projective
+    resolution of a bounded complex).  With P^{n+1} and q^{n+1} built,
+    P^n is the projective cover of
+
+        F^n = {(b, c) in P^{n+1} + C^n : d_P b = 0, q b = d_C c},
+
+    the kernel of Phi^n(b, c) = (d_P b, q b - d_C c), and a generator of
+    P^n that maps to (b, c) gets d_P = b and q = c.  Then d_P d_P = 0
+    because d_P b = 0, and q is a chain map because q b = d_C c.  The
+    cone of q has differential (b, c) -> (-d_P b, q b + d_C c) on
+    P^{n+1} + C^n.  A cocycle (b, c) in degree n has d_P b = 0 and
+    q b = d_C (-c), so (b, -c) is in F^n and is the image of some y in
+    P^n; then (b, c) is the cone differential of (-y, 0).  So the cone is
+    acyclic.  F^n = 0 means P^n = 0, and the loop stops at the first such
+    n below C; it raises GlobalDimensionExceeded when F^n != 0 for some
+    n < min deg C - ``bound``.
+
+    Per vertex, E^{n+1} = [d_P ; q] is the matrix of P^{n+1} into
+    P^{n+2} + C^{n+1}, so Phi^n = [E^{n+1} | 0 ; -d_C^n].  Column (j, p)
+    of E^n is the path p applied, one arrow at a time, to the vector of
+    generator j in P^{n+1} + C^n.  For a stalk complex, Phi^n is the
+    previous cover map followed by the inclusion of its syzygy, which has
+    full column rank, so Phi^n has the reduced form of the cover map and
+    this is the classical loop of covers and syzygies.
+    """
+    alg = C.alg
+    field = alg.field
+    verts = alg.quiver.vertices
+    pieces, diffs, q = {}, {}, {}
+    if C.is_zero():
+        return LabeledComplex(alg, pieces, diffs, "proj", check=False), q
+    lo, n = C.degrees()[0], C.degrees()[-1]
+    prev = None  # (P^{n+1} as a module, its summand order, E^{n+1})
     while True:
-        labels, gens, cover, pi = projective_cover(cur)
-        pieces[-deg] = labels
-        if prev is None:
-            aug = pi
+        Cn = C.piece(n)
+        if prev is None:  # the top degree: Phi^n has no rows
+            F, A, incl = Cn, Cn, None
         else:
-            prev_cover, incl = prev
-            order, _ = prev_cover.summand_basis(0)
-            d = [[alg.zero_element() for _ in labels]
-                 for _ in prev_cover.labels(0)]
-            for j, x in enumerate(labels):
-                # image of the j-th generator inside the previous cover
-                vec = incl.mats[x].apply(gens[j])
-                for r, (i, p) in enumerate(order[x]):
-                    c = vec[r]
-                    if c:
-                        d[i][j] = d[i][j] + alg.element({p: c})
-            diffs[-deg] = d
-        syz, _, incl, _ = kernel_cokernel(pi)
-        if syz.total_dim() == 0:
+            Prev, above, E = prev
+            A = Prev if Cn.is_zero() else direct_sum([Prev, Cn])[0]
+            dC = C.diff(n)
+            kins = {}
+            for v in verts:
+                phi = E[v]
+                if not Cn.is_zero():
+                    m = dC.mats[v]
+                    low = vstack([Matrix.zero(phi.rows - m.rows, m.cols, field), -m])
+                    phi = hstack([phi, low])
+                kins[v] = kernel_basis(phi)
+            F, incl = _subrep_from_inclusions(A, kins)
+        if n < lo and F.is_zero():
             break
-        if deg >= bound:
+        if n < lo - bound:
             raise GlobalDimensionExceeded(bound, "resolving a module")
-        prev = (cover, incl)
-        cur = syz
-        deg += 1
-    return LabeledComplex(alg, pieces, diffs, "proj"), aug
+        sects = top_and_radical(F).top_section
+        labels, gens = [], []
+        for v in verts:
+            for j in range(sects[v].cols):
+                labels.append(v)
+                g = sects[v].col(j)
+                gens.append(incl.mats[v].apply(g) if incl else g)
+        pieces[n] = labels
+        if prev is not None:
+            # the first rows of generator j are its coordinates (i, p) in P^{n+1}
+            d = [[alg.zero_element() for _ in labels] for _ in pieces[n + 1]]
+            for j, x in enumerate(labels):
+                for (i, p), c in zip(above[x], gens[j]):
+                    if c:
+                        d[i][j] = d[i][j] + Element({p: c}, field)
+            diffs[n] = d
+        Pn = (direct_sum([_std_cached(alg, "proj", x) for x in labels])[0]
+              if labels else zero_rep(alg))
+        order = {v: [(j, p) for j, x in enumerate(labels)
+                     for p in alg.slice_basis(v, x)] for v in verts}
+        E, qmats = {}, {}
+        for v in verts:
+            cols = []
+            for j, p in order[v]:
+                vec = gens[j]
+                for a in p.arrows:
+                    vec = A.maps[a].apply(vec)
+                cols.append(vec)
+            E[v] = Matrix(len(cols), A.dims[v], cols, field).transpose()
+            qmats[v] = Matrix(Cn.dims[v], len(cols),
+                              E[v].entries[A.dims[v] - Cn.dims[v]:], field)
+        q[n] = ModuleMorphism(Pn, Cn, qmats, check=False)
+        prev = (Pn, order, E)
+        n -= 1
+    return LabeledComplex(alg, pieces, diffs, "proj"), q
 
 
 def resolve(obj, bound=DEFAULT_BOUND):
@@ -667,150 +693,6 @@ def _add_chain_maps(a, b):
 # perfectification of bounded complexes
 
 
-def _lift_through(R, P, T, qcomps, h):
-    """Element-valued chain map g: R -> P with q g = h exactly.
-
-    R, P projective-labeled; q (``qcomps``) and h are dictionaries
-    degree -> ModuleMorphism from P.to_rep() and R.to_rep() into the
-    BoundedComplex T, q a quasi-isomorphism and h a chain map.
-
-    g is built one generator at a time, descending through the degrees
-    of R: the comparison-theorem step of Weibel, *An Introduction to
-    Homological Algebra*, §2.2.  With g^{n+1} known, the generator e_j
-    of a summand P(x) of R^n goes to the y in (P^n)_x with
-
-        d_P y = g^{n+1}(d_R e_j)   and   q^n y = h^n(e_j),
-
-    one linear system at vertex x.  Sending e_j to y is a module map
-    because P(x) is projective, and the coordinates of y are column j
-    of g^n; the two conditions are d_P g = g d_R and q g = h on e_j.
-
-    Why a y always exists.  Every q built by ``perfectify`` (the
-    augmentation of a projective cover on the newest summands, the
-    previous q on the rest) is onto in every degree, and its kernel K is
-    acyclic since q is a quasi-isomorphism.  So
-    P^n -> Z^{n+1}(P) x_{Z^{n+1}(T)} T^n, y -> (d y, q y) is onto: for
-    (b, t) with q b = d t, lift t to y0 with q y0 = t; then q kills
-    b - d y0 and d b = 0, so b - d y0 is a cycle of K^{n+1}, hence d w
-    for some w in K^n, and y = y0 + w has d y = b and q y = t.  The
-    right-hand side lies in that fibre product:
-    d_P g^{n+1} d_R e_j = g^{n+2} d_R d_R e_j = 0, and
-    q g^{n+1} d_R e_j = h^{n+1} d_R e_j = d_T h^n e_j because h is a
-    chain map.  Raises EngineInvariantViolation if a system is
-    nevertheless inconsistent.
-    """
-    alg = R.alg
-    field = alg.field
-    Prep = P.to_rep()
-    g = {}
-    for n in reversed(R.degrees()):
-        order = P.summand_basis(n)[0]
-        above = P.summand_basis(n + 1)[1]
-        rindex = R.summand_basis(n)[1]
-        dP = Prep.diff(n)
-        dR = R.diffs.get(n, [])
-        gnext = g.get(n + 1, [])
-        qm = qcomps.get(n) or zero_morphism(Prep.piece(n), T.piece(n))
-        hm = h.get(n)
-        gn = [[alg.zero_element() for _ in R.labels(n)] for _ in P.labels(n)]
-        for j, x in enumerate(R.labels(n)):
-            z = [field.zero()] * Prep.piece(n + 1).dims[x]
-            for i2, row in enumerate(dR):
-                if row[j].terms:
-                    for ell, grow in enumerate(gnext):
-                        for path, c in alg.multiply(row[j], grow[i2]).terms.items():
-                            z[above[x][(ell, path)]] += c
-            t = (hm.mats[x].col(generator_column(rindex, j, x)) if hm
-                 else [field.zero()] * T.piece(n).dims[x])
-            y = solve(vstack([dP.mats[x], qm.mats[x]], field), z + t)
-            if y is None:
-                raise EngineInvariantViolation("chain-map lifting system inconsistent")
-            for (i, p), c in zip(order[x], y):
-                if c:
-                    gn[i][j] = gn[i][j] + Element({p: c}, field)
-        g[n] = gn
-    return g
-
-
-def _labeled_cone(g, R, P):
-    """Cone of an element-valued chain map g: R -> P (both proj-labeled)."""
-    alg = R.alg
-    field = alg.field
-    degs = sorted({n - 1 for n in R.pieces} | set(P.pieces))
-    pieces = {}
-    for n in degs:
-        pieces[n] = list(R.labels(n + 1)) + list(P.labels(n))
-    diffs = {}
-    minus = field.from_int(-1)
-    for n in degs:
-        if n + 1 not in pieces:
-            continue
-        nr, np_ = len(R.labels(n + 1)), len(P.labels(n))
-        mr, mp = len(R.labels(n + 2)), len(P.labels(n + 1))
-        d = [[alg.zero_element() for _ in range(nr + np_)] for _ in range(mr + mp)]
-        dR = R.diffs.get(n + 1)
-        if dR is not None:
-            for i in range(mr):
-                for j in range(nr):
-                    d[i][j] = dR[i][j].scale(minus)
-        gn = g.get(n + 1)
-        if gn is not None:
-            for i in range(mp):
-                for j in range(nr):
-                    d[mr + i][j] = gn[i][j]
-        dP = P.diffs.get(n)
-        if dP is not None:
-            for i in range(mp):
-                for j in range(np_):
-                    d[mr + i][nr + j] = dP[i][j]
-        diffs[n] = d
-    return LabeledComplex(alg, pieces, diffs, "proj")
-
-
-def _cone_quasi_iso(newP, R, P, qcomps, aug, Ck, Tnext, k):
-    """Chain map cone(g) -> sigma_{>=k} C: q on the P part, the
-    augmentation on the R part in degree k, zero on the R part above k.
-
-    The cone's differential is [[-d_R, 0], [g, d_P]].  On the R part in
-    degree n > k the chain-map identity reads 0 = q g, and in degree k it
-    reads d^k aug = q g; both hold because ``_lift_through`` solves
-    q g = h exactly, with h = d^k aug concentrated in degree k+1.
-    """
-    alg = newP.alg
-    field = alg.field
-    newrep = newP.to_rep()
-    rindex = R.summand_basis(k + 1)[1]
-    pidx = {n: P.summand_basis(n)[1] for n in P.degrees()}
-    norder = {n: newP.summand_basis(n)[0] for n in newP.degrees()}
-    comps = {}
-    for n in newrep.degrees():
-        tgt = Tnext.piece(n)
-        nr = len(R.labels(n + 1))
-        qm = qcomps.get(n)
-        m = {}
-        for v in alg.quiver.vertices:
-            mat = Matrix.zero(tgt.dims[v], newrep.piece(n).dims[v], field)
-            for col, (si, path) in enumerate(norder[n][v]):
-                if si < nr:
-                    if n != k:
-                        continue
-                    x = R.labels(n + 1)[si]
-                    genvec = aug.mats[x].col(generator_column(rindex, si, x))
-                    out = Ck.path_action(path).apply(genvec)
-                elif qm is not None:
-                    out = qm.mats[v].col(pidx[n][v][(si - nr, path)])
-                else:
-                    continue
-                for r in range(len(out)):
-                    mat.entries[r][col] = out[r]
-            m[v] = mat
-        comps[n] = ModuleMorphism(newrep.piece(n), tgt, m, check=False)
-    try:
-        return ChainMap(newrep, Tnext, comps, check=True)
-    except NotChainMap as e:
-        raise EngineInvariantViolation("cone map is not a chain map: %s" % e) from e
-
-
 def _unit_entry(d):
     """(i, j) of the first entry, row by row, of the element matrix ``d``
     that has a trivial-path term, or None.
@@ -889,13 +771,9 @@ def perfectify(C, bound=DEFAULT_BOUND):
     """Minimal projective-labeled complex quasi-isomorphic to a
     BoundedComplex.
 
-    Descending induction on degrees: the brutal truncation at the top
-    degree is resolved, and each further degree is attached by an exact
-    lift of the connecting map through the quasi-isomorphism built so far
-    (see ``_lift_through``) and taking the labeled mapping cone.  Each
-    module is resolved once; its resolution supplies the augmentation.
-    The result is certified: the cone of the final quasi-isomorphism must
-    be acyclic.
+    ``_cover_complex`` covers C one degree at a time, from the top down,
+    and returns the complex P with its map q to C.  The result is
+    certified: q must be a chain map and its cone must be acyclic.
 
     The certified complex is then minimised (``_minimise``): every
     differential entry of the output lies in the radical, so the output
@@ -912,37 +790,11 @@ def perfectify(C, bound=DEFAULT_BOUND):
         return C
     if isinstance(C, Representation):
         return minimal_projective_resolution(C, bound)
-    alg = C.alg
-    if C.is_zero():
-        return LabeledComplex(alg, {}, {}, "proj", check=False)
-    degs = C.degrees()
-    kmax = degs[-1]
-    top = C.piece(kmax)
-    res, pi = _resolution_and_augmentation(top, bound)
-    P = res.shift(-kmax)
-    # quasi-iso q: P -> sigma_{>=kmax} C (augmentation in degree kmax)
-    qcomps = {kmax: ModuleMorphism(P.to_rep().piece(kmax), top, pi.mats, check=False)}
-    T = C.brutal_truncate_above(kmax)
-    for k in range(kmax - 1, min(degs) - 1, -1):
-        Ck = C.piece(k)
-        Tnext = C.brutal_truncate_above(k)
-        if Ck.total_dim() == 0:
-            T = Tnext
-            continue
-        resk, aug = _resolution_and_augmentation(Ck, bound)
-        R = resk.shift(-k - 1)
-        # h: R -> T is d^k o aug concentrated in degree k+1
-        dk = C.diff(k)
-        h = {k + 1: ModuleMorphism(R.to_rep().piece(k + 1), T.piece(k + 1),
-                                   {v: dk.mats[v] * aug.mats[v] for v in Ck.dims},
-                                   check=False)}
-        g = _lift_through(R, P, T, qcomps, h)
-        newP = _labeled_cone(g, R, P)
-        newq = _cone_quasi_iso(newP, R, P, qcomps, aug, Ck, Tnext, k)
-        P = newP
-        qcomps = newq.comps
-        T = Tnext
-    final = ChainMap(P.to_rep(), T, qcomps, check=False)
+    P, q = _cover_complex(C, bound)
+    try:
+        final = ChainMap(P.to_rep(), C, q, check=True)
+    except NotChainMap as e:
+        raise EngineInvariantViolation("perfectify map is not a chain map: %s" % e) from e
     if not cone(final).is_acyclic():
         raise EngineInvariantViolation("perfectify result is not quasi-isomorphic")
     return _minimise(P)
@@ -1040,6 +892,9 @@ def complex_from_json(alg, d):
     try:
         kind = d.get("kind", "proj")
         pieces, rawdiffs = d["pieces"], d.get("diffs", {})
+        if kind not in ("proj", "inj"):
+            raise SchemaError("complex 'kind' must be \"proj\" or \"inj\", "
+                              "not %r" % (kind,))
         if not (isinstance(pieces, dict) and isinstance(rawdiffs, dict) and
                 all(isinstance(lab, list) for lab in pieces.values())):
             raise SchemaError("complex 'pieces' must map degrees to label "
@@ -1047,6 +902,10 @@ def complex_from_json(alg, d):
         pieces = {int(n): [str(x) for x in lab] for n, lab in pieces.items()}
         diffs = {}
         for n, rows in rawdiffs.items():
+            n = int(n)
+            if not (pieces.get(n) and pieces.get(n + 1)):
+                raise SchemaError("differential at degree %d needs pieces in "
+                                  "degrees %d and %d" % (n, n, n + 1))
             mat = []
             for row in rows:
                 erow = []
@@ -1061,7 +920,10 @@ def complex_from_json(alg, d):
                             alg.field.parse(str(term.get("coeff", "1")))
                     erow.append(Element(t, alg.field))
                 mat.append(erow)
-            diffs[int(n)] = mat
+            diffs[n] = mat
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise SchemaError("malformed complex file: %s" % e)
-    return LabeledComplex(alg, pieces, diffs, kind)
+    try:
+        return LabeledComplex(alg, pieces, diffs, kind)
+    except NotElementValued as e:
+        raise SchemaError("malformed complex file: %s" % e) from e

@@ -208,9 +208,16 @@ HOM_FROM = ("hom", "cb3", "--to", "S:1", "--from")
     (HOM_FROM + ("file:{}",), {"pieces": {"0": "12"}}),
     (HOM_FROM + ("file:{}",),
      {"pieces": {"0": ["1"], "1": ["2"]}, "diffs": {"0": [["x"]]}}),
+    (HOM_FROM + ("file:{}",), {"kind": "projective", "pieces": {"0": ["1"]}}),
+    (HOM_FROM + ("file:{}",),
+     {"pieces": {"0": ["2"]}, "diffs": {"0": [[[{"path": ["a2"]}]]]}}),
+    (HOM_FROM + ("file:{}",),
+     {"pieces": {"0": ["2"], "1": ["1"]},
+      "diffs": {"0": [[[{"path": ["a2"]}]]]}}),
 ], ids=["algebra-number", "algebra-list", "file-number", "embedding-list",
         "vertex-map-list", "arrow-paths-number", "arrow-path-number",
-        "pieces-list", "diffs-number", "labels-string", "term-string"])
+        "pieces-list", "diffs-number", "labels-string", "term-string",
+        "unknown-kind", "diff-without-target", "entry-outside-slice"])
 def test_misshapen_json_file_is_input_error(tmp_path, capsys, argv, content):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(content))

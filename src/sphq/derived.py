@@ -29,9 +29,8 @@ from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
                      EngineInvariantViolation, SchemaError)
 from .linalg import (Matrix, block_diag, hstack, kernel_basis, rank, rref,
                      scalar_to_str, vstack)
-from .reps import (ModuleMorphism, Representation, _subrep_from_inclusions,
-                   direct_sum, injective_module, projective_module,
-                   top_and_radical, zero_morphism)
+from .reps import (ModuleMorphism, Representation, direct_sum,
+                   injective_module, projective_module, zero_morphism)
 
 # Largest resolution length tried before GlobalDimensionExceeded.
 DEFAULT_BOUND = 40
@@ -187,10 +186,6 @@ def cone(f):
             mats[v] = vstack([top, bot])
         diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
     return BoundedComplex(alg, pieces, diffs, check=False)
-
-
-def is_derived_iso(f):
-    return cone(f).is_acyclic()
 
 
 # ----------------------------------------------------------------------
@@ -400,6 +395,18 @@ def _cover_complex(C, bound):
     previous cover map followed by the inclusion of its syzygy, which has
     full column rank, so Phi^n has the reduced form of the cover map and
     this is the classical loop of covers and syzygies.
+
+    The generators of P^n are picked from the top of F^n (Green, Solberg
+    and Zacharia, *Minimal projective resolutions*, Trans. AMS 2001)
+    without building F^n as a module.  At vertex v, K = ker Phi^n_v
+    (the identity at the top degree) spans F^n_v, and the arrows into v
+    map F^n onto the span of R = [A_a K_{source a}], A = P^{n+1} + C^n.
+    The columns of K that are pivots of [R | K] are the generators with
+    label v.  Since K is injective and R = K R' for the arrow maps R' of
+    F^n, column i of K is independent of R and the earlier columns of K
+    exactly when e_i is independent of R' and the earlier e_j: these
+    are the basis vectors of a complement of rad F^n_v in F^n_v.  More
+    than K.cols pivots would mean F^n is not arrow-stable.
     """
     alg = C.alg
     field = alg.field
@@ -411,8 +418,9 @@ def _cover_complex(C, bound):
     prev = None  # (P^{n+1} as a module, its summand order, E^{n+1})
     while True:
         Cn = C.piece(n)
-        if prev is None:  # the top degree: Phi^n has no rows
-            F, A, incl = Cn, Cn, None
+        if prev is None:  # the top degree: Phi^n has no rows, F^n = C^n
+            A = Cn
+            kins = {v: Matrix.identity(Cn.dims[v], field) for v in verts}
         else:
             Prev, above, E = prev
             A = Prev if Cn.is_zero() else direct_sum([Prev, Cn])[0]
@@ -425,18 +433,23 @@ def _cover_complex(C, bound):
                     low = vstack([Matrix.zero(phi.rows - m.rows, m.cols, field), -m])
                     phi = hstack([phi, low])
                 kins[v] = kernel_basis(phi)
-            F, incl = _subrep_from_inclusions(A, kins)
-        if n < lo and F.is_zero():
+        if n < lo and all(K.cols == 0 for K in kins.values()):
             break
         if n < lo - bound:
             raise GlobalDimensionExceeded(bound, "resolving a module")
-        sects = top_and_radical(F).top_section
         labels, gens = [], []
         for v in verts:
-            for j in range(sects[v].cols):
-                labels.append(v)
-                g = sects[v].col(j)
-                gens.append(incl.mats[v].apply(g) if incl else g)
+            K = kins[v]
+            R = [A.maps[a.name] * kins[a.source] for a in alg.quiver.arrows_in[v]]
+            r = sum(m.cols for m in R)
+            _, piv = rref(hstack(R + [K]))
+            if len(piv) != K.cols:
+                raise EngineInvariantViolation(
+                    "F^%d is not arrow-stable at vertex %s" % (n, v))
+            for p in piv:
+                if p >= r:
+                    labels.append(v)
+                    gens.append(K.col(p - r))
         pieces[n] = labels
         if prev is not None:
             # the first rows of generator j are its coordinates (i, p) in P^{n+1}
@@ -468,8 +481,9 @@ def _cover_complex(C, bound):
 
 
 def resolve(obj, bound=DEFAULT_BOUND):
-    """Perfect presentation of a Representation or BoundedComplex."""
-    if isinstance(obj, LabeledComplex):
+    """Perfect presentation of a Representation, BoundedComplex or
+    LabeledComplex."""
+    if isinstance(obj, LabeledComplex) and obj.kind == "proj":
         return obj
     if isinstance(obj, Representation):
         return minimal_projective_resolution(obj, bound)
@@ -785,9 +799,14 @@ def perfectify(C, bound=DEFAULT_BOUND):
     multiplication by b is then an isomorphism P(x) -> P(x), and the
     Gaussian-elimination lemma cancels the two summands it joins without
     changing the homotopy type.
+
+    A projective-labeled complex is returned as it is; an
+    injective-labeled one is resolved through its representation.
     """
     if isinstance(C, LabeledComplex):
-        return C
+        if C.kind == "proj":
+            return C
+        C = C.to_rep()
     if isinstance(C, Representation):
         return minimal_projective_resolution(C, bound)
     P, q = _cover_complex(C, bound)

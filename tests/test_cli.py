@@ -239,3 +239,23 @@ def test_complex_file_with_nonzero_d_squared_is_input_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["code"] == "input"
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (("hom", "cb3", "--to", "S:1", "--from"), "from"),
+    (("spherelike", "cb3", "--object"), "object"),
+], ids=["hom", "spherelike"])
+def test_injective_labeled_file_acts_as_its_module(tmp_path, capsys, argv,
+                                                   echoed):
+    """A one-piece injective-labeled complex I(1) works as an object and a
+    Hom source, where it is resolved like the module I:1."""
+    path = tmp_path / "inj.json"
+    path.write_text(json.dumps({"kind": "inj", "pieces": {"0": ["1"]}}))
+    results = []
+    for desc in ("file:%s" % path, "I:1"):
+        code, out, _ = run(capsys, *argv, desc)
+        assert code == 0
+        data = json.loads(out)
+        assert data.pop(echoed) == desc
+        results.append(data)
+    assert results[0] == results[1]

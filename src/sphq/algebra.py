@@ -174,7 +174,8 @@ class BoundQuiverAlgebra:
         self._build_basis()
         # Per-algebra memos, filled on first use: path products
         # (mult_paths), standard modules keyed (kind, vertex)
-        # (derived._std_cached) and the global dimension
+        # (derived._std_cached) and the zero module keyed "zero"
+        # (derived.zero_rep), and the global dimension
         # (spherelike.certify_finite_gldim).
         self._mult_cache = {}
         self._std_cache = {}

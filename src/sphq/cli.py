@@ -16,7 +16,7 @@ from .errors import (CapInsufficient, NotAcyclic, NotAdmissible, NotASink,
                      UnknownArrow, UnknownVertex, UnsupportedCandidateSet,
                      UnsupportedFamily, WitnessFailed)
 from .ktheory import euler_matrix, k_class, perp_lattice, vertex_order
-from .poset import build_poset, hasse_dot, stats, verify_edges
+from .poset import build_poset, hasse_dot, verify_edges
 from .reps import rep_from_json, standard_module
 from .spherelike import (asphericality, certify_finite_gldim,
                          classify_spherelike, interval_modules, scan)
@@ -102,11 +102,6 @@ def embedding_to_json(emb):
     return d
 
 
-def _target_of(obj):
-    """Hom target: a module stays a module, a complex becomes a rep complex."""
-    return obj.to_rep() if hasattr(obj, "to_rep") else obj
-
-
 def _emit(args, data, text_lines=None):
     if getattr(args, "text", False) and text_lines is not None:
         print("\n".join(text_lines))
@@ -152,7 +147,7 @@ def cmd_build(args):
 def cmd_hom(args):
     alg = load_algebra(args.algebra)
     F = resolve(parse_object(alg, args.source))
-    G = _target_of(parse_object(alg, args.target))
+    G = parse_object(alg, args.target)
     prof = hom_profile(F, G)
     data = {"from": args.source, "to": args.target,
             "profile": {str(i): d for i, d in sorted(prof.items())}}
@@ -193,7 +188,7 @@ def cmd_member(args):
     alg = load_algebra(args.algebra)
     A = resolve(parse_object(alg, args.object))
     Q = complex_from_json(alg, _read_json(args.q))
-    member = hom_profile(A, Q.to_rep()) == {}
+    member = hom_profile(A, Q) == {}
     data = {"object": args.object, "q": args.q, "member": member}
     _emit(args, data, ["%s in perp(Q): %s" % (args.object, member)])
     return 0
@@ -350,7 +345,6 @@ def _parse_poset_spec(spec):
 def cmd_poset(args):
     poset = build_poset(_parse_poset_spec(args.spec))
     data = poset.to_json()
-    data["stats"] = stats(poset)
     if args.verify:
         data["verified"] = verify_edges(poset)
     if args.dot:

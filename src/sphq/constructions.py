@@ -103,7 +103,7 @@ def induce(emb, F):
 # A_n-insertion and tacking
 
 
-def insert_An(alg, x, n, cap=None):
+def insert_An(alg, x, n):
     """Replace vertex x by a chain x_0 -> ... -> x_n.
 
     Arrows into x go into x_0, arrows out of x leave x_n; relations
@@ -148,8 +148,7 @@ def insert_An(alg, x, n, cap=None):
         for p, c in rel.terms.items():
             terms[rewrite(p)] = c
         rels.append(Element(terms, alg.field))
-    if cap is None:
-        cap = max(default_cap(newq, rels), alg.length_cap + n * (alg.length_cap))
+    cap = max(default_cap(newq, rels), alg.length_cap + n * (alg.length_cap))
     big = build_algebra(newq, rels, cap, alg.field,
                         name="%s+A%d@%s" % (alg.name or "alg", n, x))
     vm = {v: v for v in q.vertices if v != x}
@@ -163,7 +162,7 @@ def insert_An(alg, x, n, cap=None):
     return big, Embedding(alg, big, vm, ap)
 
 
-def tack(alg, T, t, mult, cap=None):
+def tack(alg, T, t, mult):
     """(T, t) tacked onto alg with multiplicities: disjoint union plus
     mult(x) arrows t -> x; relations unchanged."""
     if t not in T.arrows_out:
@@ -196,10 +195,8 @@ def tack(alg, T, t, mult, cap=None):
     # re-anchor relation paths in the new quiver (same arrow names)
     rels = [Element({newq.path(list(p.arrows)): c for p, c in r.terms.items()},
                     alg.field) for r in alg.relations]
-    if cap is None:
-        cap = alg.length_cap + len(T.vertices) + 1
-    big = build_algebra(newq, rels, cap, alg.field,
-                        name=(alg.name or "alg") + "+tack")
+    big = build_algebra(newq, rels, alg.length_cap + len(T.vertices) + 1,
+                        alg.field, name=(alg.name or "alg") + "+tack")
     vm = {v: v for v in alg.quiver.vertices}
     ap = {a.name: [a.name] for a in alg.quiver.arrows}
     return big, Embedding(alg, big, vm, ap)
@@ -339,15 +336,15 @@ def dda(r, n, m, field=None):
     return big, emb
 
 
-def dda_small_corner(r, n, m, big=None, field=None):
+def dda_small_corner(r, n, m, big=None):
     """The Lambda(r, r+1, m) corner of Lambda(r, n, m) and its embedding.
 
     The small cycle closes through the relation-free stretch
     r+1 -> r+2 -> ... -> n -> 1 of the big cycle.
     """
     if big is None:
-        big, _ = dda(r, n, m, field=field)
-    small, _ = dda(r, r + 1, m, field=field)
+        big, _ = dda(r, n, m)
+    small, _ = dda(r, r + 1, m, field=big.field)
     vm = {str(i): str(i) for i in range(1, r + 2)}
     for v in small.quiver.vertices:
         if v.startswith("t"):
@@ -378,7 +375,7 @@ def kronecker_quasi_simple(alg, lam, vertices=("1", "2"), arrows=("a1", "a2")):
     return Representation(alg, dims, maps)
 
 
-def tensor_algebra(Q1, Q2, field=None, cap=None):
+def tensor_algebra(Q1, Q2, field=None):
     """Tensor product of two relation-free acyclic path algebras: product
     quiver with commutativity relations."""
     field = field or QQ
@@ -402,9 +399,8 @@ def tensor_algebra(Q1, Q2, field=None, cap=None):
             p1 = q.path(["%s|%s" % (a.name, b.source), "%s|%s" % (a.target, b.name)])
             p2 = q.path(["%s|%s" % (a.source, b.name), "%s|%s" % (a.name, b.target)])
             rels.append(Element({p1: field.one(), p2: -field.one()}, field))
-    if cap is None:
-        cap = len(Q1.vertices) + len(Q2.vertices) + 2
-    return build_algebra(q, rels, cap, field, name="tensor")
+    return build_algebra(q, rels, len(Q1.vertices) + len(Q2.vertices) + 2,
+                         field, name="tensor")
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .reps import (ModuleMorphism, Representation, direct_sum,
                    injective_module, projective_module, zero_morphism)
 
 # Largest resolution length tried before GlobalDimensionExceeded.
-DEFAULT_BOUND = 40
+RESOLUTION_BOUND = 40
 
 
 def _std_cached(alg, kind, x):
@@ -45,7 +45,10 @@ def _std_cached(alg, kind, x):
 
 
 def zero_rep(alg):
-    return Representation(alg, {}, {}, check=False)
+    cache = alg._std_cache
+    if "zero" not in cache:
+        cache["zero"] = Representation(alg, {}, {}, check=False)
+    return cache["zero"]
 
 
 # ----------------------------------------------------------------------
@@ -346,25 +349,25 @@ def inverse_nakayama(G):
                           "proj", check=False)
 
 
-def tau(F, bound=DEFAULT_BOUND):
+def tau(F):
     """tau = nu o [-1] followed by re-resolution to perfect form."""
-    return perfectify(nakayama(F).to_rep().shift(-1), bound=bound)
+    return perfectify(nakayama(F).to_rep().shift(-1))
 
 
 # ----------------------------------------------------------------------
 # minimal projective resolutions
 
 
-def minimal_projective_resolution(M, bound=DEFAULT_BOUND):
+def minimal_projective_resolution(M):
     """Iterated projective covers; perfect complex in degrees -len..0.
 
     Raises GlobalDimensionExceeded if the syzygies do not vanish within
-    ``bound`` steps.
+    ``RESOLUTION_BOUND`` steps.
     """
-    return _cover_complex(stalk_complex(M), bound)[0]
+    return _cover_complex(stalk_complex(M))[0]
 
 
-def _cover_complex(C, bound):
+def _cover_complex(C):
     """(P, q): a projective-labeled complex P and a chain map q from P to
     the BoundedComplex C (degree -> ModuleMorphism from the direct sum of
     the projectives of P^n, which is P.to_rep().piece(n), to C^n) whose
@@ -386,7 +389,7 @@ def _cover_complex(C, bound):
     P^n; then (b, c) is the cone differential of (-y, 0).  So the cone is
     acyclic.  F^n = 0 means P^n = 0, and the loop stops at the first such
     n below C; it raises GlobalDimensionExceeded when F^n != 0 for some
-    n < min deg C - ``bound``.
+    n < min deg C - ``RESOLUTION_BOUND``.
 
     Per vertex, E^{n+1} = [d_P ; q] is the matrix of P^{n+1} into
     P^{n+2} + C^{n+1}, so Phi^n = [E^{n+1} | 0 ; -d_C^n].  Column (j, p)
@@ -435,8 +438,9 @@ def _cover_complex(C, bound):
                 kins[v] = kernel_basis(phi)
         if n < lo and all(K.cols == 0 for K in kins.values()):
             break
-        if n < lo - bound:
-            raise GlobalDimensionExceeded(bound, "resolving a module")
+        if n < lo - RESOLUTION_BOUND:
+            raise GlobalDimensionExceeded(RESOLUTION_BOUND,
+                                          "resolving a module")
         labels, gens = [], []
         for v in verts:
             K = kins[v]
@@ -480,14 +484,17 @@ def _cover_complex(C, bound):
     return LabeledComplex(alg, pieces, diffs, "proj"), q
 
 
-def resolve(obj, bound=DEFAULT_BOUND):
+def resolve(obj):
     """Perfect presentation of a Representation, BoundedComplex or
-    LabeledComplex."""
-    if isinstance(obj, LabeledComplex) and obj.kind == "proj":
-        return obj
+    LabeledComplex: a projective-labeled complex is returned as it is, an
+    injective-labeled one is resolved through its representation."""
     if isinstance(obj, Representation):
-        return minimal_projective_resolution(obj, bound)
-    return perfectify(obj, bound)
+        return minimal_projective_resolution(obj)
+    if isinstance(obj, LabeledComplex):
+        if obj.kind == "proj":
+            return obj
+        obj = obj.to_rep()
+    return perfectify(obj)
 
 
 # ----------------------------------------------------------------------
@@ -781,7 +788,7 @@ def _minimise(F):
     return LabeledComplex(alg, pieces, diffs, F.kind)
 
 
-def perfectify(C, bound=DEFAULT_BOUND):
+def perfectify(C):
     """Minimal projective-labeled complex quasi-isomorphic to a
     BoundedComplex.
 
@@ -799,17 +806,8 @@ def perfectify(C, bound=DEFAULT_BOUND):
     multiplication by b is then an isomorphism P(x) -> P(x), and the
     Gaussian-elimination lemma cancels the two summands it joins without
     changing the homotopy type.
-
-    A projective-labeled complex is returned as it is; an
-    injective-labeled one is resolved through its representation.
     """
-    if isinstance(C, LabeledComplex):
-        if C.kind == "proj":
-            return C
-        C = C.to_rep()
-    if isinstance(C, Representation):
-        return minimal_projective_resolution(C, bound)
-    P, q = _cover_complex(C, bound)
+    P, q = _cover_complex(C)
     try:
         final = ChainMap(P.to_rep(), C, q, check=True)
     except NotChainMap as e:
@@ -868,22 +866,19 @@ def dual_of_op_perfect(P, alg):
     return LabeledComplex(alg, pieces, diffs, "inj")
 
 
-def injective_model(X, bound=DEFAULT_BOUND):
+def injective_model(X):
     """Injective-labeled complex quasi-isomorphic to X."""
-    if isinstance(X, LabeledComplex):
-        X = X.to_rep()
-    if isinstance(X, Representation):
-        X = stalk_complex(X)
+    X = as_rep_complex(X)
     op = X.alg.opposite()
-    P = perfectify(dual_rep_complex(X, op), bound)
+    P = perfectify(dual_rep_complex(X, op))
     return dual_of_op_perfect(P, X.alg)
 
 
-def tau_inverse(F, bound=DEFAULT_BOUND):
+def tau_inverse(F):
     """tau^{-1} = nu^{-1} o [1] on a perfect complex."""
     if not isinstance(F, LabeledComplex):
         raise NotElementValued("tau_inverse needs a projective-labeled complex")
-    return inverse_nakayama(injective_model(F, bound)).shift(1)
+    return inverse_nakayama(injective_model(F)).shift(1)
 
 
 # ----------------------------------------------------------------------

@@ -30,11 +30,12 @@ class AlgebraMismatch(SphqError):
 
 
 class GlobalDimensionExceeded(SphqError):
-    """Projective resolution did not terminate within the bound."""
+    """Projective resolution did not terminate within ``limit`` steps."""
 
-    def __init__(self, bound, what=""):
-        self.bound = bound
-        super().__init__("resolution exceeded bound %d%s" % (bound, " (%s)" % what if what else ""))
+    def __init__(self, limit, what=""):
+        self.limit = limit
+        super().__init__("resolution exceeded bound %d%s"
+                         % (limit, " (%s)" % what if what else ""))
 
 
 class NotChainMap(SphqError):

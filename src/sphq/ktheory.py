@@ -1,8 +1,7 @@
 """Grothendieck-group utilities: Cartan and Euler matrices, classes of
 complexes, and orthogonal sublattices of the Euler form."""
 
-from .derived import (DEFAULT_BOUND, LabeledComplex,
-                      minimal_projective_resolution, hom_profile)
+from .derived import LabeledComplex, minimal_projective_resolution, hom_profile
 from .reps import Representation, hom_basis, projective_module, simple_module
 from .spherelike import certify_finite_gldim
 
@@ -38,14 +37,14 @@ def cartan_matrix(alg):
     return [[len(hom_basis(projs[x], projs[y])) for y in order] for x in order]
 
 
-def euler_matrix(alg, bound=DEFAULT_BOUND):
+def euler_matrix(alg):
     """E[x][y] = sum_i (-1)^i dim Ext^i(S(x), S(y)); needs finite global
     dimension."""
-    certify_finite_gldim(alg, bound)
+    certify_finite_gldim(alg)
     order = vertex_order(alg)
     E = []
     for x in order:
-        R = minimal_projective_resolution(simple_module(alg, x), bound)
+        R = minimal_projective_resolution(simple_module(alg, x))
         row = []
         for y in order:
             prof = hom_profile(R, simple_module(alg, y))

@@ -8,11 +8,11 @@ import itertools
 from .algebra import Element
 from .constructions import (canonical, dda, dda_small_corner, induce,
                             synthesize_poset_algebra)
-from .derived import (DEFAULT_BOUND, LabeledComplex, hom_profile,
+from .derived import (LabeledComplex, hom_profile,
                       minimal_projective_resolution, resolve, tau)
 from .errors import (EngineInvariantViolation, IncompatibleKinds, SphqError,
                      UnsupportedFamily, WitnessFailed)
-from .linalg import QQ, Matrix
+from .linalg import Matrix
 from .reps import Representation, simple_module
 from .spherelike import asphericality, classify_spherelike, interval_modules
 
@@ -157,10 +157,10 @@ def _member(W_perf, Q):
     return hom_profile(W_perf, Q) == {}
 
 
-def _vertex_signature(alg, Q, bound=DEFAULT_BOUND):
+def _vertex_signature(alg, Q):
     out = set()
     for v in alg.quiver.vertices:
-        R = minimal_projective_resolution(simple_module(alg, v), bound)
+        R = minimal_projective_resolution(simple_module(alg, v))
         if _member(R, Q):
             out.add(v)
     return out
@@ -234,15 +234,15 @@ def verify_edges(poset):
 # node factories
 
 
-def _classified_node(name, desc, obj_perf, components, provenance, bound=DEFAULT_BOUND):
-    report = classify_spherelike(obj_perf, desc, bound)
+def _classified_node(name, desc, obj_perf, components, provenance):
+    report = classify_spherelike(obj_perf, desc)
     if not report.is_spherelike():
         raise EngineInvariantViolation("%s is not spherelike" % desc)
     if report.is_spherical():
         sig = SubcatSignature("whole_category", provenance=provenance)
         return PosetNode(name, desc, report.d, report.verdict, sig,
                          obj=obj_perf, Q=None)
-    Q = asphericality(obj_perf, report, bound)
+    Q = asphericality(obj_perf, report)
     sig = SubcatSignature("classified", components=components,
                           provenance=provenance)
     return PosetNode(name, desc, report.d, report.verdict, sig,
@@ -261,7 +261,7 @@ def _two_term_candidates(alg):
                                       "proj", check=False))
 
 
-def _find_spherelike(alg, d_target, bound=DEFAULT_BOUND):
+def _find_spherelike(alg, d_target):
     """Deterministic scan for a spherelike object of the requested degree:
     simples and interval modules first, then two-term path complexes."""
     cands = []
@@ -270,14 +270,14 @@ def _find_spherelike(alg, d_target, bound=DEFAULT_BOUND):
     cands.extend(interval_modules(alg))
     for desc, M in cands:
         try:
-            rep = classify_spherelike(M, desc, bound)
+            rep = classify_spherelike(M, desc)
         except SphqError:
             continue
         if rep.is_spherelike() and rep.d == d_target:
-            return desc, resolve(M, bound)
+            return desc, resolve(M)
     for desc, C in _two_term_candidates(alg):
         try:
-            rep = classify_spherelike(C, desc, bound)
+            rep = classify_spherelike(C, desc)
         except SphqError:
             continue
         if rep.is_spherelike() and rep.d == d_target:
@@ -286,10 +286,10 @@ def _find_spherelike(alg, d_target, bound=DEFAULT_BOUND):
         "no spherelike object of degree %d found" % d_target)
 
 
-def _tau_orbit(F, count, bound=DEFAULT_BOUND):
+def _tau_orbit(F, count):
     out = [F]
     for _ in range(count - 1):
-        out.append(tau(out[-1], bound))
+        out.append(tau(out[-1]))
     return out
 
 
@@ -297,11 +297,11 @@ def _tau_orbit(F, count, bound=DEFAULT_BOUND):
 # families
 
 
-def _build_dda_poset(r, n, m, field=None, bound=DEFAULT_BOUND):
-    big, _ = dda(r, n, m, field=field)
+def _build_dda_poset(r, n, m):
+    big, _ = dda(r, n, m)
     poset = SpherelikePoset(big, ("dda", r, n, m))
     if (r, n, m) == (1, 2, 0):
-        desc, X = _find_spherelike(big, 1 - r, bound)
+        desc, X = _find_spherelike(big, 1 - r)
         node = _classified_node("D", desc, X, None, "all spherelike spherical")
         if not node.is_whole():
             raise EngineInvariantViolation("expected a spherical object")
@@ -314,19 +314,19 @@ def _build_dda_poset(r, n, m, field=None, bound=DEFAULT_BOUND):
 
     # X-side objects: degree 1-r, tau-orbit of length m+r
     if not x_spherical or not y_spherical:
-        dX, X0 = _find_spherelike(big, 1 - r, bound)
+        dX, X0 = _find_spherelike(big, 1 - r)
     if not y_spherical:
         # Y-side from the corner algebra Lambda(r, r+1, m)
-        small, _, emb = dda_small_corner(r, n, m, big=big, field=field)
-        dYs, Ys = _find_y_corner(small, bound)
+        small, _, emb = dda_small_corner(r, n, m, big=big)
+        dYs, Ys = _find_y_corner(small)
         Y0 = induce(emb, Ys)
         dY = "induced:" + dYs
     if y_spherical and not x_spherical:
         # top element from the spherical Y, children are the X orbit
-        dY, Y0 = _find_y_corner(big, bound)
+        dY, Y0 = _find_y_corner(big)
         top = _classified_node("D", dY, Y0, None, "spherical Y")
         poset.add_node(top)
-        for i, Xi in enumerate(_tau_orbit(X0, m + r, bound), start=1):
+        for i, Xi in enumerate(_tau_orbit(X0, m + r), start=1):
             node = _classified_node(
                 "X%d" % i, "tau^%d(%s)" % (i - 1, dX), Xi,
                 ("A_%d" % (m - 1 if m else 0), "L(1,%d,0)" % n)
@@ -337,7 +337,7 @@ def _build_dda_poset(r, n, m, field=None, bound=DEFAULT_BOUND):
     elif x_spherical and not y_spherical:
         top = _classified_node("D", dX, X0, None, "spherical X")
         poset.add_node(top)
-        for i, Yi in enumerate(_tau_orbit(Y0, n - r, bound), start=1):
+        for i, Yi in enumerate(_tau_orbit(Y0, n - r), start=1):
             node = _classified_node(
                 "Y%d" % i, "tau^%d(%s)" % (i - 1, dY), Yi,
                 ("A_%d" % (n - r - 2), "L(%d,%d,%d)" % (r, r + 1, m)),
@@ -345,11 +345,11 @@ def _build_dda_poset(r, n, m, field=None, bound=DEFAULT_BOUND):
             poset.add_node(node)
             poset.add_less(node.name, "D")
     else:
-        for i, Xi in enumerate(_tau_orbit(X0, m + r, bound), start=1):
+        for i, Xi in enumerate(_tau_orbit(X0, m + r), start=1):
             poset.add_node(_classified_node(
                 "X%d" % i, "tau^%d(%s)" % (i - 1, dX), Xi,
                 ("X", str(i)), "X-orbit"))
-        for i, Yi in enumerate(_tau_orbit(Y0, n - r, bound), start=1):
+        for i, Yi in enumerate(_tau_orbit(Y0, n - r), start=1):
             poset.add_node(_classified_node(
                 "Y%d" % i, "tau^%d(%s)" % (i - 1, dY), Yi,
                 ("Y", str(i)), "Y-orbit"))
@@ -358,17 +358,17 @@ def _build_dda_poset(r, n, m, field=None, bound=DEFAULT_BOUND):
     return poset
 
 
-def _find_y_corner(alg, bound=DEFAULT_BOUND):
+def _find_y_corner(alg):
     """The spherical simple of a full-relation-run cycle algebra."""
     for v in alg.quiver.vertices:
         desc = "S:%s" % v
         M = simple_module(alg, v)
         try:
-            rep = classify_spherelike(M, desc, bound)
+            rep = classify_spherelike(M, desc)
         except SphqError:
             continue
         if rep.is_spherical():
-            return desc, resolve(M, bound)
+            return desc, resolve(M)
     raise EngineInvariantViolation("no spherical simple found")
 
 
@@ -385,9 +385,9 @@ def _arm_value_module(alg, ps, cvals):
     return Representation(alg, dims, maps)
 
 
-def _build_canonical_poset(ps, lambdas, field=None, bound=DEFAULT_BOUND):
-    field = field or QQ
-    alg = canonical(ps, lambdas, field=field)
+def _build_canonical_poset(ps, lambdas):
+    alg = canonical(ps, lambdas)
+    field = alg.field
     t = len(ps)
     bs = {i + 3: field.parse(str(l)) for i, l in enumerate(lambdas)}
     poset = SpherelikePoset(alg, ("canonical", tuple(ps), tuple(lambdas)))
@@ -404,7 +404,7 @@ def _build_canonical_poset(ps, lambdas, field=None, bound=DEFAULT_BOUND):
         if all(cand):
             mu = cand
         k += 1
-    top_obj = resolve(_arm_value_module(alg, ps, mu), bound)
+    top_obj = resolve(_arm_value_module(alg, ps, mu))
     top = _classified_node("D", "quasi:homogeneous", top_obj, None,
                            "homogeneous tube quasi-simple")
     if not top.is_whole():
@@ -417,7 +417,7 @@ def _build_canonical_poset(ps, lambdas, field=None, bound=DEFAULT_BOUND):
             cs = consistent(field.one(), field.zero())
         else:
             cs = consistent(field.one(), bs[i])
-        Fi = resolve(_arm_value_module(alg, ps, cs), bound)
+        Fi = resolve(_arm_value_module(alg, ps, cs))
         rest = [ps[j] for j in range(t) if j != i - 1]
         node = _classified_node(
             "F%d" % i, "tube:%d" % i, Fi,
@@ -430,15 +430,14 @@ def _build_canonical_poset(ps, lambdas, field=None, bound=DEFAULT_BOUND):
     return poset
 
 
-def _build_synthesized_poset(elements, less, field=None, bound=DEFAULT_BOUND):
-    alg, designated, iotas = synthesize_poset_algebra(elements, less,
-                                                      field=field)
+def _build_synthesized_poset(elements, less):
+    alg, designated, iotas = synthesize_poset_algebra(elements, less)
     poset = SpherelikePoset(alg, ("synthesized", tuple(elements),
                                   tuple(sorted(less))))
     for (desc, M, expected_sig) in designated:
         name = desc.split(":", 1)[1]
-        obj = resolve(M, bound)
-        report = classify_spherelike(obj, desc, bound)
+        obj = resolve(M)
+        report = classify_spherelike(obj, desc)
         if not report.is_spherelike():
             raise EngineInvariantViolation("%s is not spherelike" % desc)
         if report.is_spherical():
@@ -446,8 +445,8 @@ def _build_synthesized_poset(elements, less, field=None, bound=DEFAULT_BOUND):
             node = PosetNode(name, desc, report.d, report.verdict, sig,
                              obj=obj, Q=None)
         else:
-            Q = asphericality(obj, report, bound)
-            got = _vertex_signature(alg, Q, bound)
+            Q = asphericality(obj, report)
+            got = _vertex_signature(alg, Q)
             if got != expected_sig:
                 raise EngineInvariantViolation(
                     "signature mismatch for %s" % desc)
@@ -476,18 +475,16 @@ def _build_synthesized_poset(elements, less, field=None, bound=DEFAULT_BOUND):
     return poset
 
 
-def build_poset(family, field=None, bound=DEFAULT_BOUND):
+def build_poset(family):
     """family: ("dda", r, n, m) | ("canonical", ps, lambdas) |
     ("synthesized", elements, less)."""
     kind = family[0]
     if kind == "dda":
-        return _build_dda_poset(*family[1:4], field=field, bound=bound)
+        return _build_dda_poset(*family[1:4])
     if kind == "canonical":
-        return _build_canonical_poset(family[1], family[2], field=field,
-                                      bound=bound)
+        return _build_canonical_poset(family[1], family[2])
     if kind == "synthesized":
-        return _build_synthesized_poset(family[1], family[2], field=field,
-                                        bound=bound)
+        return _build_synthesized_poset(family[1], family[2])
     raise UnsupportedFamily(str(kind))
 
 

@@ -18,24 +18,23 @@ from .linalg import Matrix, hstack, rank, solve
 from .reps import (Representation, hom_basis, kernel_cokernel,
                    simple_module, top_and_radical)
 from . import reps as _reps
-from .derived import (DEFAULT_BOUND, ChainMap, HomComplexData,
+from .derived import (RESOLUTION_BOUND, ChainMap, HomComplexData,
                       chain_map_space, cone, generator_column, hom_profile,
                       iso_up_to_shift, minimal_projective_resolution, nakayama,
                       perfectify, resolve)
 
 
-def certify_finite_gldim(alg, bound=DEFAULT_BOUND):
+def certify_finite_gldim(alg):
     """Global dimension via resolutions of all simples (memoised per
-    algebra); raises GlobalDimensionExceeded when it is above ``bound``."""
+    algebra); raises GlobalDimensionExceeded when it is above
+    ``RESOLUTION_BOUND``, before anything is memoised."""
     if alg._gldim is None:
         g = 0
         for v in alg.quiver.vertices:
-            res = minimal_projective_resolution(simple_module(alg, v), bound)
+            res = minimal_projective_resolution(simple_module(alg, v))
             if not res.is_zero():
                 g = max(g, -min(res.degrees()))
         alg._gldim = g
-    if alg._gldim > bound:
-        raise GlobalDimensionExceeded(bound, "resolving a module")
     return alg._gldim
 
 
@@ -143,11 +142,11 @@ def _is_rational_square(x):
     return rn * rn == n and rd * rd == d
 
 
-def classify_spherelike(obj, desc="object", bound=DEFAULT_BOUND):
+def classify_spherelike(obj, desc="object"):
     """SpherelikeReport for a module, bounded complex or perfect complex."""
-    F = resolve(obj, bound)
+    F = resolve(obj)
     alg = F.alg
-    certify_finite_gldim(alg, bound)
+    certify_finite_gldim(alg)
     prof = hom_profile(F, F)
     total = sum(prof.values())
     rep = SpherelikeReport(desc, prof, "not_spherelike", complex=F)
@@ -187,11 +186,11 @@ def classify_spherelike(obj, desc="object", bound=DEFAULT_BOUND):
     return rep
 
 
-def asphericality(F, report=None, bound=DEFAULT_BOUND):
+def asphericality(F, report=None):
     """Q_F = cone of the unique map F -> nu F[-d]; acyclic iff F spherical."""
-    F = resolve(F, bound)
+    F = resolve(F)
     if report is None:
-        report = classify_spherelike(F, bound=bound)
+        report = classify_spherelike(F)
     if not report.is_spherelike():
         raise NonUniqueMap("object is not spherelike; no canonical map")
     d = report.d
@@ -205,9 +204,9 @@ def asphericality(F, report=None, bound=DEFAULT_BOUND):
     return Q
 
 
-def in_spherical_subcat(A, Q, bound=DEFAULT_BOUND):
+def in_spherical_subcat(A, Q):
     """True iff Hom^*(A, Q) = 0, i.e. A lies in the spherical subcategory."""
-    Aperf = resolve(A, bound)
+    Aperf = resolve(A)
     return hom_profile(Aperf, Q) == {}
 
 
@@ -238,19 +237,17 @@ def interval_modules(alg):
     return out
 
 
-def candidate_list(alg, descriptor, dim_bound=None, explicit=None):
+def candidate_list(alg, descriptor, dim_bound=None):
     if descriptor == "all_simples":
         return [("S:%s" % v, simple_module(alg, v)) for v in alg.quiver.vertices]
     if descriptor == "all_interval_modules":
         return interval_modules(alg)
-    if descriptor == "explicit":
-        return list(explicit or [])
     if descriptor == "all_indecomposables_up_to_dimvector":
         return _indecomposables_up_to(alg, dim_bound)
     raise UnsupportedCandidateSet(str(descriptor))
 
 
-def _indecomposables_up_to(alg, bound):
+def _indecomposables_up_to(alg, dim_bound):
     """Exhaustive enumeration over a prime field; refused over the rationals."""
     if alg.field.characteristic == 0:
         raise UnsupportedCandidateSet(
@@ -260,7 +257,7 @@ def _indecomposables_up_to(alg, bound):
     verts = alg.quiver.vertices
     out = []
     seen = []
-    for dims in itertools.product(*(range(0, bound + 1) for _ in verts)):
+    for dims in itertools.product(*(range(0, dim_bound + 1) for _ in verts)):
         if sum(dims) == 0:
             continue
         dv = dict(zip(verts, dims))
@@ -340,24 +337,25 @@ def _iso_modules_finite(M, N):
     return False
 
 
-def scan(alg, descriptor, dim_bound=None, explicit=None, bound=DEFAULT_BOUND):
+def scan(alg, descriptor, dim_bound=None):
     """Classify every candidate; deterministic order; unresolvable
     candidates are reported as skipped, not fatal."""
     out = []
-    for desc, M in candidate_list(alg, descriptor, dim_bound, explicit):
+    for desc, M in candidate_list(alg, descriptor, dim_bound):
         try:
-            out.append(classify_spherelike(M, desc=desc, bound=bound))
+            out.append(classify_spherelike(M, desc=desc))
         except GlobalDimensionExceeded:
             r = SpherelikeReport(desc, {}, "skipped",
-                                 note="resolution exceeded bound %d" % bound)
+                                 note="resolution exceeded bound %d"
+                                 % RESOLUTION_BOUND)
             out.append(r)
     return out
 
 
-def fractional_cy_check(F, r, s, bound=DEFAULT_BOUND):
+def fractional_cy_check(F, r, s):
     """True iff nu^r F is isomorphic to F[s] (re-resolving between steps)."""
-    F = resolve(F, bound)
+    F = resolve(F)
     G = F
     for _ in range(r):
-        G = perfectify(nakayama(G).to_rep(), bound)
+        G = perfectify(nakayama(G).to_rep())
     return iso_up_to_shift(F, G.to_rep(), s) is True

@@ -82,6 +82,24 @@ def test_d_zero_is_computation_error(capsys):
     assert json.loads(err)["error"]["code"] == "computation"
 
 
+def test_resolution_past_the_bound(tmp_path, capsys):
+    """ci(2) has infinite global dimension: resolving a simple stops after
+    40 steps with a computation error, and build leaves gldim uncertified."""
+    path = tmp_path / "ci2.json"
+    assert run(capsys, "family", "ci:2", "--out", str(path))[0] == 0
+    for argv in (("spherelike", str(path), "--object", "S:1"),
+                 ("hom", str(path), "--from", "S:1", "--to", "S:2")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == {
+            "code": "computation",
+            "message": "resolution exceeded bound 40 (resolving a module)"}
+    code, out, _ = run(capsys, "build", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["gldim"] is None and data["gldim_certified"] is False
+
+
 def test_spherelike_report(capsys):
     code, out, _ = run(capsys, "spherelike", "cb3", "--object", "S:1")
     assert code == 0

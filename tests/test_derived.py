@@ -1,8 +1,11 @@
 """Derived-category layer: resolutions, Hom profiles, Serre functor, cones."""
 
 import hashlib
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 
 import pytest
 
@@ -76,12 +79,12 @@ def test_cone_of_self_map_acyclic():
 def test_nakayama_swaps_proj_and_inj():
     alg = cb(3)
     for v in alg.quiver.vertices:
-        P = perfectify(projective_module(alg, v))
+        P = resolve(projective_module(alg, v))
         N = nakayama(P).to_rep()
         I = injective_module(alg, v)
         assert N.piece(0).dims == I.dims
     # and inverse_nakayama inverts it on labeled complexes
-    P = perfectify(projective_module(alg, "2"))
+    P = resolve(projective_module(alg, "2"))
     back = inverse_nakayama(nakayama(P))
     assert iso_up_to_shift(back, P, 0)
 
@@ -143,7 +146,26 @@ def test_resolution_bound_exceeded():
     alg = ci(2)  # self-injective, infinite global dimension
     S = simple_module(alg, "1")
     with pytest.raises(GlobalDimensionExceeded):
-        minimal_projective_resolution(S, 10)
+        minimal_projective_resolution(S)
+
+
+def test_no_function_takes_a_bound():
+    """derived.RESOLUTION_BOUND is the one resolution limit: no function or
+    method of a sphq module has a parameter named ``bound``."""
+    import sphq
+    offenders = []
+    for info in pkgutil.iter_modules(sphq.__path__):
+        mod = importlib.import_module("sphq." + info.name)
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for f in members:
+                f = getattr(f, "__func__", f)
+                if inspect.isfunction(f) and \
+                        "bound" in inspect.signature(f).parameters:
+                    offenders.append("%s.%s" % (mod.__name__, f.__qualname__))
+    assert offenders == []
 
 
 def test_complex_json_roundtrip():
@@ -256,7 +278,7 @@ def test_cover_complex_maps_quasi_isomorphically(name):
     for v in alg.quiver.vertices:
         C = nakayama(minimal_projective_resolution(simple_module(alg, v))
                      ).to_rep().shift(-1)
-        P, q = derived._cover_complex(C, derived.DEFAULT_BOUND)
+        P, q = derived._cover_complex(C)
         f = derived.ChainMap(P.to_rep(), C, q, check=True)
         assert f.comps
         assert cone(f).is_acyclic()
@@ -278,11 +300,11 @@ def test_perfectify_bound_exceeded():
     P, S = projective_module(alg, "1"), simple_module(alg, "1")
     C = derived.BoundedComplex(alg, {-1: P, 0: S}, {-1: hom_basis(P, S)[0]})
     with pytest.raises(GlobalDimensionExceeded):
-        perfectify(C, 10)
+        perfectify(C)
 
 
-# sha256 of the JSON list of complex_to_json(minimal_projective_resolution(M,
-# 12)) over M = the simple, then projective, then injective modules of each
+# sha256 of the JSON list of complex_to_json(minimal_projective_resolution(M))
+# over M = the simple, then projective, then injective modules of each
 # fixture, vertices in quiver order.  A change to how the resolution loop
 # picks generators or orders labels changes these bytes.
 RESOLUTION_DIGESTS = {
@@ -328,7 +350,7 @@ def test_resolutions_are_byte_stable(name):
     for kind in ("simple", "projective", "injective"):
         for v in alg.quiver.vertices:
             M = standard_module(alg, kind, v)
-            R = minimal_projective_resolution(M, 12)
+            R = minimal_projective_resolution(M)
             top = top_and_radical(M).top.dims
             assert sorted(R.labels(0)) == sorted(
                 x for x, d in top.items() for _ in range(d))

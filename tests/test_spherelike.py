@@ -3,7 +3,7 @@
 import pytest
 
 from sphq.algebra import Quiver, build_algebra
-from sphq.constructions import (cb, circular, induce, kronecker,
+from sphq.constructions import (cb, ci, circular, induce, kronecker,
                                 kronecker_quasi_simple)
 from sphq.corpus import load_fixture
 from sphq.derived import minimal_projective_resolution, hom_profile, resolve
@@ -86,25 +86,22 @@ def test_gldim_certificates():
     assert certify_finite_gldim(alg) >= 3
 
 
-def test_gldim_memo_respects_bound():
-    alg = cb(3)
+def test_infinite_gldim_raises_on_every_call():
+    """ci(2) is self-injective of infinite global dimension: no failed
+    certificate is memoised as a dimension."""
+    alg = ci(2)
+    for _ in range(2):
+        with pytest.raises(GlobalDimensionExceeded):
+            certify_finite_gldim(alg)
     with pytest.raises(GlobalDimensionExceeded):
-        certify_finite_gldim(alg, 1)
-    assert certify_finite_gldim(alg) == 3
-    # the memoised value must not hide a bound that is too small
-    with pytest.raises(GlobalDimensionExceeded):
-        certify_finite_gldim(alg, 1)
-    assert certify_finite_gldim(alg, 3) == 3
+        classify_spherelike(simple_module(alg, "1"), "S:1")
 
 
-def test_classify_bound_independent_of_call_order():
-    fresh = cb(3)
-    with pytest.raises(GlobalDimensionExceeded):
-        classify_spherelike(simple_module(fresh, "3"), bound=1)
-    warm = cb(3)
-    certify_finite_gldim(warm)
-    with pytest.raises(GlobalDimensionExceeded):
-        classify_spherelike(simple_module(warm, "3"), bound=1)
+def test_scan_skips_past_the_resolution_bound():
+    reports = scan(ci(2), "all_simples")
+    assert [r.to_json() for r in reports] == [
+        {"object": "S:%d" % v, "profile": {}, "verdict": "skipped",
+         "note": "resolution exceeded bound 40"} for v in (1, 2)]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])

@@ -175,11 +175,13 @@ class BoundQuiverAlgebra:
         # Per-algebra memos, filled on first use: path products
         # (mult_paths), standard modules keyed (kind, vertex)
         # (derived._std_cached) and the zero module keyed "zero"
-        # (derived.zero_rep), and the global dimension
-        # (spherelike.certify_finite_gldim).
+        # (derived.zero_rep), the global dimension
+        # (spherelike.certify_finite_gldim) and the opposite algebra
+        # (opposite).
         self._mult_cache = {}
         self._std_cache = {}
         self._gldim = None
+        self._opposite = None
 
     # -- construction ---------------------------------------------------
 
@@ -341,7 +343,9 @@ class BoundQuiverAlgebra:
         return self.reduce_element(Element(terms, self.field))
 
     def opposite(self):
-        """The opposite algebra (all arrows reversed)."""
+        """The opposite algebra (all arrows reversed), built once."""
+        if self._opposite is not None:
+            return self._opposite
         q = self.quiver
         oq = Quiver(list(q.vertices), [Arrow(a.name, a.target, a.source) for a in q.arrows])
         rels = []
@@ -350,8 +354,10 @@ class BoundQuiverAlgebra:
             for p, c in rel.terms.items():
                 terms[oq.path(list(reversed(p.arrows)))] = c
             rels.append(Element(terms, self.field))
-        return BoundQuiverAlgebra(oq, rels, self.length_cap, self.field,
-                                  name=self.name + "^op" if self.name else "")
+        self._opposite = BoundQuiverAlgebra(
+            oq, rels, self.length_cap, self.field,
+            name=self.name + "^op" if self.name else "")
+        return self._opposite
 
 
 def default_cap(quiver, relations):

@@ -19,7 +19,8 @@ from .ktheory import euler_matrix, k_class, perp_lattice, vertex_order
 from .poset import build_poset, hasse_dot, verify_edges
 from .reps import rep_from_json, standard_module
 from .spherelike import (asphericality, certify_finite_gldim,
-                         classify_spherelike, interval_modules, scan)
+                         classify_spherelike, in_spherical_subcat,
+                         interval_modules, scan)
 
 INPUT_ERRORS = (SchemaError, CapInsufficient, NotAdmissible, UnknownVertex,
                 UnknownArrow, FamilyParameterError, UnsupportedFamily,
@@ -186,9 +187,9 @@ def cmd_asphericality(args):
 
 def cmd_member(args):
     alg = load_algebra(args.algebra)
-    A = resolve(parse_object(alg, args.object))
+    A = parse_object(alg, args.object)
     Q = complex_from_json(alg, _read_json(args.q))
-    member = hom_profile(A, Q) == {}
+    member = in_spherical_subcat(A, Q)
     data = {"object": args.object, "q": args.q, "member": member}
     _emit(args, data, ["%s in perp(Q): %s" % (args.object, member)])
     return 0
@@ -245,8 +246,18 @@ def cmd_tack(args):
     return 0
 
 
-def _parse_family(spec):
+def _family_bits(spec):
+    """kind:params[:more] split on ':'; every family but kronecker needs
+    its params."""
     bits = spec.split(":")
+    if len(bits) < 2 and bits[0] != "kronecker":
+        raise SchemaError("family spec %r needs parameters, as in %s:..."
+                          % (spec, bits[0]))
+    return bits
+
+
+def _parse_family(spec):
+    bits = _family_bits(spec)
     kind = bits[0]
     if kind == "cb":
         return cb(int(bits[1])), None
@@ -324,8 +335,7 @@ def cmd_perp(args):
 
 def _parse_poset_spec(spec):
     if spec.startswith("family:"):
-        rest = spec[len("family:"):]
-        bits = rest.split(":")
+        bits = _family_bits(spec[len("family:"):])
         if bits[0] == "dda":
             r, n, m = (int(x) for x in bits[1].split(","))
             return ("dda", r, n, m)
@@ -336,8 +346,13 @@ def _parse_poset_spec(spec):
         raise UnsupportedFamily(bits[0])
     if spec.startswith("synth:"):
         data = _read_json(spec[len("synth:"):])
-        elements = [str(x) for x in data["elements"]]
-        less = [(str(a), str(b)) for a, b in data["less"]]
+        elements, less = data["elements"], data["less"]
+        if not (isinstance(elements, list) and isinstance(less, list) and
+                all(isinstance(p, list) and len(p) == 2 for p in less)):
+            raise SchemaError("synth file needs an 'elements' list and a "
+                              "'less' list of pairs")
+        elements = [str(x) for x in elements]
+        less = [(str(a), str(b)) for a, b in less]
         return ("synthesized", elements, less)
     raise SchemaError("poset spec must be family:... or synth:file.json")
 

@@ -415,7 +415,7 @@ def downset(elements, less, i):
     return {i} | set(nx.ancestors(g, i))
 
 
-def synthesize_poset_algebra(elements, less, field=None):
+def synthesize_poset_algebra(elements, less):
     """One Kronecker copy per poset element, plus one tack vertex per
     element i with an arrow onto the sink of copy j exactly when
     i is not below-or-equal j.
@@ -425,7 +425,6 @@ def synthesize_poset_algebra(elements, less, field=None):
     its expected spherical-subcategory signature is all Kronecker
     vertices together with the tack vertices of elements below-or-equal i.
     """
-    field = field or QQ
     elements = list(elements)
     g = nx.DiGraph()
     g.add_nodes_from(elements)
@@ -442,7 +441,7 @@ def synthesize_poset_algebra(elements, less, field=None):
         arrows.append(Arrow("k%sa" % i, src, snk))
         arrows.append(Arrow("k%sb" % i, src, snk))
     q = Quiver(vertices, arrows)
-    alg = build_algebra(q, [], cap=2, field=field, name="poset-kron")
+    alg = build_algebra(q, [], cap=2, name="poset-kron")
     for i in elements:
         T = Quiver(["t%s" % i], [])
         mult = {"%s'" % j: (1 if i not in iotas[j] else 0) for j in elements}

@@ -23,7 +23,7 @@ from .linalg import QQ, Matrix
 from .poset import build_poset, stats, verify_edges
 from .reps import Representation, simple_module, standard_module
 from .spherelike import (asphericality, classify_spherelike,
-                         fractional_cy_check, scan)
+                         fractional_cy_check, in_spherical_subcat, scan)
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -168,10 +168,8 @@ def _crit_circular():
     rep = classify_spherelike(G, "induced:S:1")
     class_ok = rep.verdict == "properly_d_spherelike" and rep.d == 2
     Q = asphericality(G, rep)
-    member = {}
-    for v in big.quiver.vertices:
-        Rv = minimal_projective_resolution(simple_module(big, v))
-        member[v] = hom_profile(Rv, Q) == {}
+    member = {v: in_spherical_subcat(simple_module(big, v), Q)
+              for v in big.quiver.vertices}
     table_ok = all(member[v] for v in ("1", "2", "3")) and \
         not member["4"] and not member["6"]
     ok = shape_ok and class_ok and table_ok

@@ -5,16 +5,19 @@ verification, statistics and Hasse-diagram output."""
 import functools
 import itertools
 
+import networkx as nx
+
 from .algebra import Element
 from .constructions import (canonical, dda, dda_small_corner, induce,
                             synthesize_poset_algebra)
-from .derived import (LabeledComplex, hom_profile,
-                      minimal_projective_resolution, resolve, tau)
+from .derived import (LabeledComplex, minimal_projective_resolution, resolve,
+                      tau)
 from .errors import (EngineInvariantViolation, IncompatibleKinds, SphqError,
                      UnsupportedFamily, WitnessFailed)
 from .linalg import Matrix
 from .reps import Representation, simple_module
-from .spherelike import asphericality, classify_spherelike, interval_modules
+from .spherelike import (asphericality, classify_spherelike,
+                         in_spherical_subcat, interval_modules)
 
 
 class SubcatSignature:
@@ -25,11 +28,10 @@ class SubcatSignature:
     (carries an opaque component-label tuple from a family classification).
     """
 
-    def __init__(self, kind, vertices=None, components=None, provenance=""):
+    def __init__(self, kind, vertices=None, components=None):
         self.kind = kind
         self.vertices = frozenset(vertices) if vertices is not None else None
         self.components = tuple(components) if components is not None else None
-        self.provenance = provenance
 
     def __repr__(self):
         if self.kind == "vertex_supported":
@@ -72,7 +74,7 @@ class Witness:
     """A test object W certifying non-membership/membership: the profile
     Hom^*(W, Q_{must_hit}) is nonzero while Hom^*(W, Q_{must_miss}) = 0."""
 
-    def __init__(self, desc, obj, must_hit, must_miss=None):
+    def __init__(self, desc, obj, must_hit, must_miss):
         self.desc = desc
         self.obj = obj
         self.must_hit = must_hit
@@ -108,6 +110,7 @@ class SpherelikePoset:
         self.order = []
         self.relation = set()
         self.witnesses = []
+        self._members = {}
 
     def add_node(self, node):
         self.nodes[node.name] = node
@@ -116,29 +119,38 @@ class SpherelikePoset:
     def add_less(self, a, b):
         self.relation.add((a, b))
 
+    def graph(self):
+        g = nx.DiGraph()
+        g.add_nodes_from(self.order)
+        g.add_edges_from(self.relation)
+        return g
+
     def close_transitively(self):
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(self.relation):
-                for (c, d) in list(self.relation):
-                    if b == c and (a, d) not in self.relation:
-                        self.relation.add((a, d))
-                        changed = True
-        for (a, b) in self.relation:
-            if a == b:
-                raise EngineInvariantViolation("relation is not irreflexive")
+        g = self.graph()
+        if not nx.is_directed_acyclic_graph(g):
+            raise EngineInvariantViolation("relation is not irreflexive")
+        self.relation = set(nx.transitive_closure_dag(g).edges())
 
     def less(self, a, b):
         return (a, b) in self.relation
 
     def covers(self):
-        out = []
-        for (a, b) in sorted(self.relation):
-            if not any(self.less(a, c) and self.less(c, b)
-                       for c in self.nodes):
-                out.append((a, b))
-        return out
+        return sorted(nx.transitive_reduction(self.graph()).edges())
+
+    @functools.cached_property
+    def simples(self):
+        """[(desc, minimal resolution)] of the simples, in vertex order."""
+        return [("S:%s" % v, minimal_projective_resolution(
+            simple_module(self.alg, v))) for v in self.alg.quiver.vertices]
+
+    def contains(self, W, Q):
+        """W in D_F = perp(Q_F), memoised per (W, Q) for this poset; Q is
+        None for the whole category."""
+        if Q is None:
+            return True
+        if (W, Q) not in self._members:
+            self._members[W, Q] = in_spherical_subcat(W, Q)
+        return self._members[W, Q]
 
     def to_json(self):
         return {
@@ -153,79 +165,41 @@ class SpherelikePoset:
         }
 
 
-def _member(W_perf, Q):
-    return hom_profile(W_perf, Q) == {}
-
-
-def _vertex_signature(alg, Q):
-    out = set()
-    for v in alg.quiver.vertices:
-        R = minimal_projective_resolution(simple_module(alg, v))
-        if _member(R, Q):
-            out.add(v)
-    return out
-
-
-def _edge_witness(poset, lower, upper):
-    """W not in D_lower, W in D_upper (both checked on verification)."""
-    alg = poset.alg
-    nl, nu = poset.nodes[lower], poset.nodes[upper]
-    for v in alg.quiver.vertices:
-        if nl.signature.kind == "vertex_supported" and \
-                v in nl.signature.vertices:
-            continue
-        R = minimal_projective_resolution(simple_module(alg, v))
-        if _member(R, nl.Q):
-            continue
-        if nu.Q is not None and not _member(R, nu.Q):
-            continue
-        return Witness("S:%s" % v, R, must_hit=lower, must_miss=upper)
-    raise WitnessFailed("no witness for edge %s < %s" % (lower, upper))
-
-
-def _incomparability_witness(poset, a, b):
-    """W in D_a but not in D_b, certifying D_a not contained in D_b."""
-    alg = poset.alg
-    na, nb = poset.nodes[a], poset.nodes[b]
-    for v in alg.quiver.vertices:
-        R = minimal_projective_resolution(simple_module(alg, v))
-        if _member(R, na.Q) and not _member(R, nb.Q):
-            return Witness("S:%s" % v, R, must_hit=b, must_miss=a)
-    # fall back to defining objects of poset nodes (a's own object is
-    # always a member of D_a)
-    for name in poset.order:
-        W = poset.nodes[name].obj
-        if W is None:
-            continue
-        if _member(W, na.Q) and not _member(W, nb.Q):
-            return Witness(poset.nodes[name].desc, W, must_hit=b, must_miss=a)
-    raise WitnessFailed("no witness separating %s from %s" % (a, b))
+def _witness(poset, hit, miss, tests):
+    """The first (desc, W) of tests with W not in D_hit and W in D_miss."""
+    Q_hit, Q_miss = poset.nodes[hit].Q, poset.nodes[miss].Q
+    for desc, W in tests:
+        if not poset.contains(W, Q_hit) and poset.contains(W, Q_miss):
+            return Witness(desc, W, must_hit=hit, must_miss=miss)
+    raise WitnessFailed("no witness in D_%s outside D_%s" % (miss, hit))
 
 
 def _attach_witnesses(poset):
-    names = poset.order
+    """Edges try the simples; incomparabilities try the simples, then the
+    node objects (a's own object is always a member of D_a)."""
     for (a, b) in poset.covers():
-        poset.witnesses.append(_edge_witness(poset, a, b))
-    for a, b in itertools.combinations(names, 2):
+        poset.witnesses.append(_witness(poset, a, b, poset.simples))
+    tests = poset.simples + [(poset.nodes[name].desc, poset.nodes[name].obj)
+                             for name in poset.order]
+    for a, b in itertools.combinations(poset.order, 2):
         if poset.less(a, b) or poset.less(b, a):
             continue
-        poset.witnesses.append(_incomparability_witness(poset, a, b))
-        poset.witnesses.append(_incomparability_witness(poset, b, a))
+        poset.witnesses.append(_witness(poset, b, a, tests))
+        poset.witnesses.append(_witness(poset, a, b, tests))
 
 
 def verify_edges(poset):
-    """Re-run every witness; raises WitnessFailed on any divergence."""
+    """Re-run every witness without the build's memo; raises WitnessFailed
+    on any divergence."""
     checked = 0
     for w in poset.witnesses:
-        hit = poset.nodes[w.must_hit]
-        if hit.Q is None or _member(w.obj, hit.Q):
+        hit, miss = poset.nodes[w.must_hit], poset.nodes[w.must_miss]
+        if hit.Q is None or in_spherical_subcat(w.obj, hit.Q):
             raise WitnessFailed("witness %s does not avoid D_%s"
                                 % (w.desc, w.must_hit))
-        if w.must_miss is not None:
-            miss = poset.nodes[w.must_miss]
-            if miss.Q is not None and not _member(w.obj, miss.Q):
-                raise WitnessFailed("witness %s is not inside D_%s"
-                                    % (w.desc, w.must_miss))
+        if miss.Q is not None and not in_spherical_subcat(w.obj, miss.Q):
+            raise WitnessFailed("witness %s is not inside D_%s"
+                                % (w.desc, w.must_miss))
         checked += 1
     return {"checked": checked, "passed": checked}
 
@@ -234,17 +208,16 @@ def verify_edges(poset):
 # node factories
 
 
-def _classified_node(name, desc, obj_perf, components, provenance):
+def _classified_node(name, desc, obj_perf, components):
     report = classify_spherelike(obj_perf, desc)
     if not report.is_spherelike():
         raise EngineInvariantViolation("%s is not spherelike" % desc)
     if report.is_spherical():
-        sig = SubcatSignature("whole_category", provenance=provenance)
+        sig = SubcatSignature("whole_category")
         return PosetNode(name, desc, report.d, report.verdict, sig,
                          obj=obj_perf, Q=None)
     Q = asphericality(obj_perf, report)
-    sig = SubcatSignature("classified", components=components,
-                          provenance=provenance)
+    sig = SubcatSignature("classified", components=components)
     return PosetNode(name, desc, report.d, report.verdict, sig,
                      obj=obj_perf, Q=Q)
 
@@ -302,7 +275,7 @@ def _build_dda_poset(r, n, m):
     poset = SpherelikePoset(big, ("dda", r, n, m))
     if (r, n, m) == (1, 2, 0):
         desc, X = _find_spherelike(big, 1 - r)
-        node = _classified_node("D", desc, X, None, "all spherelike spherical")
+        node = _classified_node("D", desc, X, None)
         if not node.is_whole():
             raise EngineInvariantViolation("expected a spherical object")
         poset.add_node(node)
@@ -324,35 +297,33 @@ def _build_dda_poset(r, n, m):
     if y_spherical and not x_spherical:
         # top element from the spherical Y, children are the X orbit
         dY, Y0 = _find_y_corner(big)
-        top = _classified_node("D", dY, Y0, None, "spherical Y")
+        top = _classified_node("D", dY, Y0, None)
         poset.add_node(top)
         for i, Xi in enumerate(_tau_orbit(X0, m + r), start=1):
             node = _classified_node(
                 "X%d" % i, "tau^%d(%s)" % (i - 1, dX), Xi,
                 ("A_%d" % (m - 1 if m else 0), "L(1,%d,0)" % n)
-                if r == 1 else ("non-algebra",),
-                "X-orbit")
+                if r == 1 else ("non-algebra",))
             poset.add_node(node)
             poset.add_less(node.name, "D")
     elif x_spherical and not y_spherical:
-        top = _classified_node("D", dX, X0, None, "spherical X")
+        top = _classified_node("D", dX, X0, None)
         poset.add_node(top)
         for i, Yi in enumerate(_tau_orbit(Y0, n - r), start=1):
             node = _classified_node(
                 "Y%d" % i, "tau^%d(%s)" % (i - 1, dY), Yi,
-                ("A_%d" % (n - r - 2), "L(%d,%d,%d)" % (r, r + 1, m)),
-                "Y-orbit")
+                ("A_%d" % (n - r - 2), "L(%d,%d,%d)" % (r, r + 1, m)))
             poset.add_node(node)
             poset.add_less(node.name, "D")
     else:
         for i, Xi in enumerate(_tau_orbit(X0, m + r), start=1):
             poset.add_node(_classified_node(
                 "X%d" % i, "tau^%d(%s)" % (i - 1, dX), Xi,
-                ("X", str(i)), "X-orbit"))
+                ("X", str(i))))
         for i, Yi in enumerate(_tau_orbit(Y0, n - r), start=1):
             poset.add_node(_classified_node(
                 "Y%d" % i, "tau^%d(%s)" % (i - 1, dY), Yi,
-                ("Y", str(i)), "Y-orbit"))
+                ("Y", str(i))))
     poset.close_transitively()
     _attach_witnesses(poset)
     return poset
@@ -405,8 +376,7 @@ def _build_canonical_poset(ps, lambdas):
             mu = cand
         k += 1
     top_obj = resolve(_arm_value_module(alg, ps, mu))
-    top = _classified_node("D", "quasi:homogeneous", top_obj, None,
-                           "homogeneous tube quasi-simple")
+    top = _classified_node("D", "quasi:homogeneous", top_obj, None)
     if not top.is_whole():
         raise EngineInvariantViolation("homogeneous quasi-simple not spherical")
     poset.add_node(top)
@@ -421,8 +391,7 @@ def _build_canonical_poset(ps, lambdas):
         rest = [ps[j] for j in range(t) if j != i - 1]
         node = _classified_node(
             "F%d" % i, "tube:%d" % i, Fi,
-            ("C(%s)" % ",".join(map(str, rest)), "A_%d" % (ps[i - 1] - 2)),
-            "exceptional tube mouth")
+            ("C(%s)" % ",".join(map(str, rest)), "A_%d" % (ps[i - 1] - 2)))
         poset.add_node(node)
         poset.add_less(node.name, "D")
     poset.close_transitively()
@@ -441,17 +410,17 @@ def _build_synthesized_poset(elements, less):
         if not report.is_spherelike():
             raise EngineInvariantViolation("%s is not spherelike" % desc)
         if report.is_spherical():
-            sig = SubcatSignature("whole_category", provenance="poset synthesis")
+            sig = SubcatSignature("whole_category")
             node = PosetNode(name, desc, report.d, report.verdict, sig,
                              obj=obj, Q=None)
         else:
             Q = asphericality(obj, report)
-            got = _vertex_signature(alg, Q)
+            got = {v for v, (_, S) in zip(alg.quiver.vertices, poset.simples)
+                   if poset.contains(S, Q)}
             if got != expected_sig:
                 raise EngineInvariantViolation(
                     "signature mismatch for %s" % desc)
-            sig = SubcatSignature("vertex_supported", vertices=got,
-                                  provenance="poset synthesis")
+            sig = SubcatSignature("vertex_supported", vertices=got)
             node = PosetNode(name, desc, report.d, report.verdict, sig,
                              obj=obj, Q=Q)
         poset.add_node(node)
@@ -493,27 +462,20 @@ def build_poset(family):
 
 
 def stats(poset):
-    names = list(poset.order)
-    n = len(names)
-    height = 1 if names else 0
-    # longest chain by dynamic programming over the strict order
-    @functools.lru_cache(maxsize=None)
-    def chain_from(a):
-        best = 1
-        for b in names:
-            if poset.less(a, b):
-                best = max(best, 1 + chain_from(b))
-        return best
-
-    for a in names:
-        height = max(height, chain_from(a))
-    width = 0
-    for k in range(1, n + 1):
-        for combo in itertools.combinations(names, k):
-            if all(not poset.less(a, b) and not poset.less(b, a)
-                   for a, b in itertools.combinations(combo, 2)):
-                width = max(width, k)
-    return {"cardinality": n, "height": height, "width": width}
+    """Cardinality; height, the longest chain; width, the largest antichain,
+    which by Dilworth's theorem is n minus a maximum matching of the
+    bipartite graph {(a, b) : a < b}."""
+    g = poset.graph()
+    n = len(g)
+    height = nx.dag_longest_path_length(g) + 1 if n else 0
+    lower = [("<", a) for a in g]
+    b = nx.Graph()
+    b.add_nodes_from(lower)
+    b.add_nodes_from((">", a) for a in g)
+    b.add_edges_from((("<", x), (">", y)) for x, y in poset.relation)
+    matching = nx.bipartite.hopcroft_karp_matching(b, top_nodes=lower)
+    return {"cardinality": n, "height": height,
+            "width": n - len(matching) // 2}
 
 
 def hasse_dot(poset):

@@ -143,6 +143,7 @@ def test_opposite_reverses():
     assert op.total_dim == alg.total_dim
     a = op.quiver.arrow_by_name["a1"]
     assert (a.source, a.target) == ("2", "1")
+    assert alg.opposite() is op
 
 
 def test_relation_of_length_one_rejected():

@@ -192,6 +192,18 @@ def test_bad_family_is_input_error(capsys):
     assert json.loads(err)["error"]["code"] == "input"
 
 
+@pytest.mark.parametrize("argv", [
+    ("poset", "family:dda"), ("poset", "family:canonical"),
+    ("family", "cb"), ("family", "ci"), ("family", "circular"),
+    ("family", "dda"), ("family", "tensor"),
+], ids=lambda argv: " ".join(argv))
+def test_family_spec_without_params_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "input"
+
+
 @pytest.mark.parametrize("maps", [
     {"a1": [[1, 0]]},    # one row of length 2 for a 1 x 1 map
     {"a1": [[1], [2]]},  # two rows for a 1 x 1 map
@@ -232,10 +244,14 @@ HOM_FROM = ("hom", "cb3", "--to", "S:1", "--from")
     (HOM_FROM + ("file:{}",),
      {"pieces": {"0": ["2"], "1": ["1"]},
       "diffs": {"0": [[[{"path": ["a2"]}]]]}}),
+    (("poset", "synth:{}"), {"elements": ["1", "2"], "less": 5}),
+    (("poset", "synth:{}"), {"elements": ["1", "2"], "less": [["1"]]}),
+    (("poset", "synth:{}"), {"elements": 5, "less": []}),
 ], ids=["algebra-number", "algebra-list", "file-number", "embedding-list",
         "vertex-map-list", "arrow-paths-number", "arrow-path-number",
         "pieces-list", "diffs-number", "labels-string", "term-string",
-        "unknown-kind", "diff-without-target", "entry-outside-slice"])
+        "unknown-kind", "diff-without-target", "entry-outside-slice",
+        "synth-less-number", "synth-less-short-pair", "synth-elements-number"])
 def test_misshapen_json_file_is_input_error(tmp_path, capsys, argv, content):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(content))

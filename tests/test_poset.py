@@ -1,12 +1,16 @@
 """Spherelike posets: signatures, witnesses, family builders, statistics."""
 
+import itertools
+import random
+from collections import Counter
+
 import pytest
 
 from sphq import poset as poset_module
 from sphq.constructions import cb
 from sphq.errors import IncompatibleKinds, WitnessFailed
-from sphq.poset import (SubcatSignature, build_poset, compare, hasse_dot,
-                        stats, verify_edges)
+from sphq.poset import (PosetNode, SpherelikePoset, SubcatSignature,
+                        build_poset, compare, hasse_dot, stats, verify_edges)
 
 
 def vs(*verts):
@@ -53,6 +57,86 @@ def test_dda_poset_stats(family, expected):
     assert stats(poset) == expected
     result = verify_edges(poset)
     assert result["checked"] == result["passed"]
+
+
+def test_dda_2_9_6_poset_builds_and_verifies():
+    poset = build_poset(("dda", 2, 9, 6))
+    assert stats(poset) == {"cardinality": 15, "height": 1, "width": 15}
+    assert verify_edges(poset) == {"checked": 210, "passed": 210}
+
+
+def test_build_resolves_each_simple_once_and_tests_each_pair_once(
+        monkeypatch):
+    resolved, tested = Counter(), Counter()
+    real_resolution = poset_module.minimal_projective_resolution
+    real_member = poset_module.in_spherical_subcat
+
+    def resolution(M):
+        resolved[tuple(sorted(M.dims.items()))] += 1
+        return real_resolution(M)
+
+    def member(W, Q):
+        tested[W, Q] += 1
+        return real_member(W, Q)
+
+    monkeypatch.setattr(poset_module, "minimal_projective_resolution",
+                        resolution)
+    monkeypatch.setattr(poset_module, "in_spherical_subcat", member)
+    poset = build_poset(("dda", 2, 4, 1))
+    assert poset.witnesses and resolved and tested
+    assert max(resolved.values()) == 1
+    assert max(tested.values()) == 1
+
+
+def _reference_stats(n, less):
+    """Closure by fixpoint, covers by definition, height and width by
+    enumerating every subset: the brute force that stats replaces."""
+    closed = set(less)
+    changed = True
+    while changed:
+        new = {(a, d) for (a, b) in closed for (c, d) in closed if b == c}
+        changed = not new <= closed
+        closed |= new
+    covers = sorted((a, b) for (a, b) in closed
+                    if not any((a, c) in closed and (c, b) in closed
+                               for c in range(n)))
+    height = width = 0
+    for k in range(1, n + 1):
+        for combo in itertools.combinations(range(n), k):
+            pairs = [(a, b) in closed or (b, a) in closed
+                     for a, b in itertools.combinations(combo, 2)]
+            if all(pairs):
+                height = k
+            if not any(pairs):
+                width = k
+    return closed, covers, {"cardinality": n, "height": height, "width": width}
+
+
+def _random_less(rng, n):
+    p = rng.random()
+    return {(a, b) for a, b in itertools.combinations(range(n), 2)
+            if rng.random() < p}
+
+
+def test_order_algorithms_match_brute_force():
+    """The empty poset, then 200 seeded random posets of at most 9
+    elements, labelled in a shuffled order."""
+    for seed in range(201):
+        rng = random.Random(seed)
+        n = 0 if seed == 0 else rng.randint(1, 9)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        less = {(perm[a], perm[b]) for a, b in _random_less(rng, n)}
+        poset = SpherelikePoset(None, "random")
+        for i in range(n):
+            poset.add_node(PosetNode(i, str(i), None, None, None))
+        for a, b in less:
+            poset.add_less(a, b)
+        poset.close_transitively()
+        closed, covers, expected = _reference_stats(n, less)
+        assert poset.relation == closed, seed
+        assert poset.covers() == covers, seed
+        assert stats(poset) == expected, seed
 
 
 def test_canonical_poset():

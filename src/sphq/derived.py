@@ -736,7 +736,7 @@ def _unit_inverse(alg, b):
     """Inverse of b = c (e_x + r) in e_x A e_x, c a nonzero scalar and r in
     the radical: c^-1 sum_k (-r)^k, a finite sum since r is nilpotent."""
     e = next(p for p in b.terms if not p.arrows)
-    c_inv = alg.field.one() / b.terms[e]
+    c_inv = alg.field.div(alg.field.one(), b.terms[e])
     minus_r = Element({p: -c * c_inv for p, c in b.terms.items() if p.arrows},
                       alg.field)
     total = alg.zero_element()

@@ -3,17 +3,18 @@
 Everything upstream (path bases, Hom spaces, cohomology of Hom complexes)
 reduces to rref / kernel / solve over an exact field.  ``Matrix`` is a
 dense list of lists; ``sparse_rref`` reduces rows given as ``{column:
-coeff}`` dicts and yields the same reduced echelon form.  Scalars are
-``fractions.Fraction`` or ``ModInt``.  Zero tests use truthiness (``if x``
+coeff}`` dicts and yields the same reduced echelon form.  Scalars of ℚ
+are ``int`` while integral and ``fractions.Fraction`` otherwise: the two
+mix exactly, and equal values compare and hash equal, so an integral
+``Fraction`` left by a product is still a valid scalar.  Scalars of
+GF(p) are ``ModInt``.  Division goes only through ``field.div``, since
+``/`` between two ints gives a float.  Zero tests use truthiness (``if x``
 / ``if not x``), never a comparison with a freshly built ``field.zero()``.
 Pivoting is deterministic (leftmost column, first nonzero row) so all
 outputs are reproducible bit-for-bit.
 """
 
 from fractions import Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ModInt:
@@ -65,19 +66,25 @@ class Rationals:
     characteristic = 0
 
     def zero(self):
-        return _ZERO
+        return 0
 
     def one(self):
-        return _ONE
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def parse(self, s):
         try:
-            return Fraction(s)
+            f = Fraction(s)
         except ZeroDivisionError:
             raise ValueError("zero denominator in %r" % (s,)) from None
+        return f.numerator if f.denominator == 1 else f
+
+    def div(self, a, b):
+        """Exact quotient a / b: an ``int`` when it is integral."""
+        q = Fraction(a, b)
+        return q.numerator if q.denominator == 1 else q
 
     def __eq__(self, o):
         return isinstance(o, Rationals)
@@ -115,6 +122,9 @@ class PrimeField:
                 raise ValueError("denominator of %r is zero in GF(%d)" % (s, self.p))
             return ModInt(int(a), self.p) / den
         return ModInt(int(s), self.p)
+
+    def div(self, a, b):
+        return a / b
 
     def __eq__(self, o):
         return isinstance(o, PrimeField) and o.p == self.p
@@ -282,7 +292,8 @@ def rref(M):
     entry below the current row as pivot.
     """
     R = M.copy()
-    one = R.field.one()
+    field = R.field
+    one = field.one()
     ent = R.entries
     pivots = []
     pr = 0
@@ -300,7 +311,7 @@ def rref(M):
             inv_row = ent[pr]
             for j in range(pc, R.cols):
                 if inv_row[j]:
-                    inv_row[j] = inv_row[j] / pv
+                    inv_row[j] = field.div(inv_row[j], pv)
         for i in range(R.rows):
             if i == pr:
                 continue
@@ -350,7 +361,7 @@ def sparse_rref(rows, field=QQ):
         pc = min(row)
         pv = row[pc]
         if pv != one:
-            row = {j: c / pv for j, c in row.items()}
+            row = {j: field.div(c, pv) for j, c in row.items()}
         for other in reduced.values():
             f = other.get(pc)
             if f:

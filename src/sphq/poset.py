@@ -236,25 +236,19 @@ def _two_term_candidates(alg):
 
 def _find_spherelike(alg, d_target):
     """Deterministic scan for a spherelike object of the requested degree:
-    simples and interval modules first, then two-term path complexes."""
-    cands = []
-    for v in alg.quiver.vertices:
-        cands.append(("S:%s" % v, simple_module(alg, v)))
-    cands.extend(interval_modules(alg))
-    for desc, M in cands:
+    simples, then interval modules, then two-term path complexes.  The
+    length-1 intervals P(v)/rad P(v) are the simples again and are
+    skipped."""
+    simples = [("S:%s" % v, simple_module(alg, v)) for v in alg.quiver.vertices]
+    intervals = [c for c in interval_modules(alg) if not c[0].endswith(",1")]
+    for desc, obj in itertools.chain(simples, intervals,
+                                     _two_term_candidates(alg)):
         try:
-            rep = classify_spherelike(M, desc)
+            rep = classify_spherelike(obj, desc)
         except SphqError:
             continue
         if rep.is_spherelike() and rep.d == d_target:
-            return desc, resolve(M)
-    for desc, C in _two_term_candidates(alg):
-        try:
-            rep = classify_spherelike(C, desc)
-        except SphqError:
-            continue
-        if rep.is_spherelike() and rep.d == d_target:
-            return desc, C
+            return desc, rep.complex
     raise EngineInvariantViolation(
         "no spherelike object of degree %d found" % d_target)
 

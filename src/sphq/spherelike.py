@@ -9,6 +9,7 @@ subcategory of F consists of the objects A with Hom^*(A, Q_F) = 0.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import (DZeroUnsupported, EngineInvariantViolation,
@@ -133,13 +134,7 @@ def _is_rational_square(x):
     if f < 0:
         return False
     n, d = f.numerator, f.denominator
-    rn = int(n ** 0.5)
-    while rn * rn < n:
-        rn += 1
-    rd = int(d ** 0.5)
-    while rd * rd < d:
-        rd += 1
-    return rn * rn == n and rd * rd == d
+    return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
 
 
 def classify_spherelike(obj, desc="object"):

@@ -1,11 +1,14 @@
 """Exact linear algebra checked against sympy and algebraic identities."""
 
+import ast
+import pathlib
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import sphq
 from sphq.linalg import (Matrix, PrimeField, QQ, block_diag, hstack,
                          kernel_basis, kernel_from_rref, rank, rref,
                          scalar_to_str, solve, sparse_rref, vstack)
@@ -82,7 +85,84 @@ def test_prime_field_arithmetic():
     assert a + b == F.from_int(2)
     assert a * b == F.from_int(2)
     assert (a / b) * b == a
+    assert F.div(a, b) * b == a
     assert F.parse("3/4") * b == a
+
+
+def test_rational_scalars_are_ints_while_integral():
+    assert type(QQ.zero()) is int and type(QQ.one()) is int
+    assert QQ.from_int(-7) == -7 and type(QQ.from_int(-7)) is int
+    assert QQ.parse("4/2") == 2 and type(QQ.parse("4/2")) is int
+    assert QQ.parse("-3") == -3 and type(QQ.parse("-3")) is int
+    assert type(QQ.parse("1/2")) is Fraction
+    assert QQ.div(3, 6) == Fraction(1, 2)
+    assert QQ.div(6, 3) == 2 and type(QQ.div(6, 3)) is int
+    assert type(QQ.div(Fraction(3, 2), Fraction(1, 2))) is int
+    assert QQ.div(1, Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
+# Integral entries as ints (the fast path) and, for comparison, the same
+# matrix with every entry a Fraction (the slow path).
+mixed_entries = st.one_of(st.integers(-4, 4), st.integers(-4, 4), fractions)
+mixed_matrices = st.integers(0, 5).flatmap(
+    lambda r: st.integers(0, 5).flatmap(
+        lambda c: st.lists(st.lists(mixed_entries, min_size=c, max_size=c),
+                           min_size=r, max_size=r).map(
+            lambda ent: Matrix(r, c, [[QQ.parse(str(x)) for x in row]
+                                      for row in ent], QQ))))
+
+
+def all_fractions(M):
+    return Matrix(M.rows, M.cols,
+                  [[Fraction(x) for x in row] for row in M.entries], QQ)
+
+
+def no_floats(entries):
+    return not any(isinstance(x, float) for row in entries for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_matrices, st.lists(mixed_entries, min_size=5, max_size=5))
+def test_int_scalars_agree_with_fraction_scalars(M, b):
+    S = all_fractions(M)
+    R, pivots = rref(M)
+    R_slow, pivots_slow = rref(S)
+    assert pivots == pivots_slow and R.entries == R_slow.entries
+    K, K_slow = kernel_basis(M), kernel_basis(S)
+    assert K.entries == K_slow.entries
+    b = [QQ.parse(str(x)) for x in b[:M.rows]]
+    x, x_slow = solve(M, b), solve(S, [Fraction(y) for y in b])
+    assert x == x_slow
+    rows, sp = sparse_rref(sparse_rows(M.entries))
+    rows_slow, sp_slow = sparse_rref(sparse_rows(S.entries))
+    assert sp == sp_slow == pivots and rows == rows_slow
+    assert no_floats(R.entries) and no_floats(K.entries)
+    assert no_floats([x or []]) and no_floats(r.values() for r in rows)
+
+
+# A `/` between two ints gives a float, so division goes through the
+# field's own ``div``; these are the only functions that may use `/`.
+ALLOWED_DIVISIONS = {"ModInt.__truediv__", "PrimeField.parse",
+                     "PrimeField.div", "Rationals.div"}
+
+
+def test_no_true_division_outside_the_field_objects():
+    found = []
+    for path in sorted(pathlib.Path(sphq.__file__).parent.glob("*.py")):
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = scope + (node.name,)
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Div)
+                    and ".".join(scope) not in ALLOWED_DIVISIONS):
+                found.append("%s:%d in %s" % (path.name, node.lineno,
+                                              ".".join(scope) or "<module>"))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+        visit(ast.parse(path.read_text()), ())
+    assert found == []
 
 
 def sparse_matrices(field):

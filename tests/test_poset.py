@@ -88,6 +88,22 @@ def test_build_resolves_each_simple_once_and_tests_each_pair_once(
     assert max(tested.values()) == 1
 
 
+def test_find_spherelike_skips_the_length_one_intervals(monkeypatch):
+    """interval:v,1 is P(v)/rad P(v) = S(v), already tried as S:v."""
+    tried = []
+    real_classify = poset_module.classify_spherelike
+
+    def classify(obj, desc):
+        tried.append(desc)
+        return real_classify(obj, desc)
+
+    monkeypatch.setattr(poset_module, "classify_spherelike", classify)
+    build_poset(("dda", 2, 4, 1))
+    assert any(d.startswith("interval:") for d in tried)
+    assert not [d for d in tried
+                if d.startswith("interval:") and d.endswith(",1")]
+
+
 def _reference_stats(n, less):
     """Closure by fixpoint, covers by definition, height and width by
     enumerating every subset: the brute force that stats replaces."""

@@ -123,9 +123,14 @@ def test_d_zero_local_end_ring():
                     "end_kind": "k[x]/x^2"}
 
 
-@pytest.mark.parametrize("x, square", [(0, True), (1, True), ("4/9", True),
-                                       (2, False), ("3/4", False),
-                                       (-1, False)])
+@pytest.mark.parametrize("x, square", [
+    (0, True), (1, True), ("4/9", True), ("9/4", True), (2, False),
+    ("3/4", False), (-1, False), (-4, False), ("-9/4", False),
+    # the float root of this square rounds up
+    pytest.param((10 ** 17 - 1) ** 2, True, id="big_square"),
+    pytest.param((10 ** 17 - 1) ** 2 + 1, False, id="big_square_plus_1"),
+    # too large for a float
+    pytest.param(10 ** 400, True, id="10^400")])
 def test_is_rational_square(x, square):
     assert _is_rational_square(QQ.parse(str(x))) is square
 

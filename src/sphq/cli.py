@@ -168,9 +168,8 @@ def cmd_spherelike(args):
 
 def cmd_asphericality(args):
     alg = load_algebra(args.algebra)
-    F = resolve(parse_object(alg, args.object))
-    rep = classify_spherelike(F, args.object)
-    Q = asphericality(F, rep)
+    rep = classify_spherelike(parse_object(alg, args.object), args.object)
+    Q = asphericality(rep.complex, rep)
     acyclic = Q.is_acyclic()
     Qp = perfectify(Q)
     data = {"object": args.object, "verdict": rep.verdict, "d": rep.d,
@@ -234,7 +233,10 @@ def cmd_tack(args):
     tree_alg = algebra_from_json(tdata)
     if tree_alg.relations:
         raise SchemaError("tacking tree must be relation-free")
-    mult = {str(k): int(v) for k, v in json.loads(args.mult).items()}
+    mult = json.loads(args.mult)
+    if not (isinstance(mult, dict) and
+            all(isinstance(v, int) for v in mult.values())):
+        raise SchemaError("--mult must be a JSON object of vertex: count")
     big, emb = tack(alg, tree_alg.quiver, args.sink, mult)
     data = algebra_to_json(big)
     if args.emb_out:
@@ -256,9 +258,26 @@ def _family_bits(spec):
     return bits
 
 
+def _poset_family(bits):
+    """("dda", r, n, m) or ("canonical", ps, lambdas) from the split bits
+    of a family spec."""
+    if bits[0] == "dda":
+        r, n, m = (int(x) for x in bits[1].split(","))
+        return ("dda", r, n, m)
+    if bits[0] == "canonical":
+        ps = tuple(int(x) for x in bits[1].split(","))
+        lambdas = tuple(bits[2].split(",")) if len(bits) > 2 else ()
+        return ("canonical", ps, lambdas)
+    raise UnsupportedFamily(bits[0])
+
+
 def _parse_family(spec):
     bits = _family_bits(spec)
     kind = bits[0]
+    if kind == "dda":
+        return dda(*_poset_family(bits)[1:])
+    if kind == "canonical":
+        return canonical(*_poset_family(bits)[1:]), None
     if kind == "cb":
         return cb(int(bits[1])), None
     if kind == "ci":
@@ -268,14 +287,6 @@ def _parse_family(spec):
     if kind == "circular":
         params = [int(x) for x in bits[1].split(",")]
         alg, emb = circular(params[0], params[1:], with_embedding=True)
-        return alg, emb
-    if kind == "canonical":
-        ps = tuple(int(x) for x in bits[1].split(","))
-        lambdas = [x for x in bits[2].split(",")] if len(bits) > 2 else []
-        return canonical(ps, lambdas), None
-    if kind == "dda":
-        r, n, m = (int(x) for x in bits[1].split(","))
-        alg, emb = dda(r, n, m)
         return alg, emb
     if kind == "tensor":
         p1, p2 = bits[1].split(",")
@@ -335,15 +346,7 @@ def cmd_perp(args):
 
 def _parse_poset_spec(spec):
     if spec.startswith("family:"):
-        bits = _family_bits(spec[len("family:"):])
-        if bits[0] == "dda":
-            r, n, m = (int(x) for x in bits[1].split(","))
-            return ("dda", r, n, m)
-        if bits[0] == "canonical":
-            ps = tuple(int(x) for x in bits[1].split(","))
-            lambdas = tuple(bits[2].split(",")) if len(bits) > 2 else ()
-            return ("canonical", ps, lambdas)
-        raise UnsupportedFamily(bits[0])
+        return _poset_family(_family_bits(spec[len("family:"):]))
     if spec.startswith("synth:"):
         data = _read_json(spec[len("synth:"):])
         elements, less = data["elements"], data["less"]

@@ -114,6 +114,8 @@ def insert_An(alg, x, n):
     q = alg.quiver
     if x not in q.arrows_out:
         raise UnknownVertex(str(x))
+    if n < 0:
+        raise FamilyParameterError("insert needs n >= 0")
     chain = ["%s_%d" % (x, i) for i in range(n + 1)]
     while any(c in q.vertices for c in chain):
         chain = ["_" + c for c in chain]
@@ -167,6 +169,11 @@ def tack(alg, T, t, mult):
     mult(x) arrows t -> x; relations unchanged."""
     if t not in T.arrows_out:
         raise UnknownVertex(str(t))
+    for x, k in mult.items():
+        if x not in alg.quiver.arrows_out:
+            raise UnknownVertex(str(x))
+        if k < 0:
+            raise FamilyParameterError("multiplicity of %s is negative" % x)
     if T.arrows_out[t]:
         raise NotASink("%s is not a sink of the tacked quiver" % t)
     if not T.is_acyclic():
@@ -188,7 +195,7 @@ def tack(alg, T, t, mult):
         [Arrow(arrow_rename[a.name], rename[a.source], rename[a.target])
          for a in T.arrows]
     for xv in alg.quiver.vertices:
-        for k in range(int(mult.get(xv, 0))):
+        for k in range(mult.get(xv, 0)):
             name = "n_%s_%s_%d" % (rename[t], xv, k)
             arrows.append(Arrow(name, rename[t], xv))
     newq = Quiver(vertices, arrows)

@@ -22,11 +22,13 @@ of chain maps compute derived Homs; ``chain_map_space`` returns H^s of
 the total Hom complex together with representative chain maps.
 """
 
+import functools
+import operator
 import random
 
 from .algebra import Element, Path
 from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
-                     EngineInvariantViolation, SchemaError)
+                     EngineInvariantViolation, SchemaError, UnknownVertex)
 from .linalg import (Matrix, block_diag, hstack, kernel_basis, rank, rref,
                      scalar_to_str, vstack)
 from .reps import (ModuleMorphism, Representation, direct_sum,
@@ -662,52 +664,39 @@ _ISO_SEED = 174
 def iso_up_to_shift(F, Y, s):
     """Semi-decision of F[s] being isomorphic to Y in the derived category.
 
-    F must be projective-labeled.  Returns True, False, or
+    F must be projective-labeled.  F[s] and Y are isomorphic iff some map
+    F -> Y[-s] has an acyclic cone.  Returns True, False, or
     "not_witnessed" (candidate space of dim > 1 where no tested
     combination produced an acyclic cone).
     """
     Yrep = as_rep_complex(Y)
-    Fs = F.to_rep().shift(s)
-    if Fs.is_zero() and Yrep.is_zero():
+    if F.is_zero() and Yrep.is_zero():
         return True
     dim, cands = chain_map_space(F, Yrep, -s)
-    if dim == 0:
-        return False
-    trials = []
     for cm in cands:
-        # reindex: chain map F_rep -> Yrep[-s] becomes F_rep[s] -> Yrep
-        comps = {p - s: ModuleMorphism(Fs.piece(p - s), Yrep.piece(p - s),
-                                       cm.comp(p).mats, check=False)
-                 for p in list(cm.comps)}
-        trials.append(ChainMap(Fs, Yrep, comps, check=False))
-    for t in trials:
-        if cone(t).is_acyclic():
+        if cone(cm).is_acyclic():
             return True
     if dim > 1:
         rng = random.Random(_ISO_SEED)
         for _ in range(ISO_TRIALS):
-            coeffs = [rng.randint(-5, 5) for _ in trials]
+            coeffs = [rng.randint(-5, 5) for _ in cands]
             if all(c == 0 for c in coeffs):
                 coeffs[0] = 1
-            comb = None
-            for c, t in zip(coeffs, trials):
-                part = _scale_chain_map(t, F.alg.field.from_int(c))
-                comb = part if comb is None else _add_chain_maps(comb, part)
+            comb = _combine_chain_maps(
+                cands, [F.alg.field.from_int(c) for c in coeffs])
             if cone(comb).is_acyclic():
                 return True
         return "not_witnessed"
     return False
 
 
-def _scale_chain_map(t, c):
-    return ChainMap(t.source, t.target,
-                    {n: f.scale(c) for n, f in t.comps.items()}, check=False)
-
-
-def _add_chain_maps(a, b):
-    degs = set(a.comps) | set(b.comps)
-    return ChainMap(a.source, a.target,
-                    {n: a.comp(n) + b.comp(n) for n in degs}, check=False)
+def _combine_chain_maps(maps, coeffs):
+    """The chain map sum of c * f over the pairs (c, f)."""
+    degs = set().union(*(f.comps for f in maps))
+    return ChainMap(maps[0].source, maps[0].target, {
+        n: functools.reduce(operator.add, (f.comp(n).scale(c)
+                                           for c, f in zip(coeffs, maps)))
+        for n in degs}, check=False)
 
 
 # ----------------------------------------------------------------------
@@ -914,6 +903,10 @@ def complex_from_json(alg, d):
             raise SchemaError("complex 'pieces' must map degrees to label "
                               "lists, and 'diffs' must be an object")
         pieces = {int(n): [str(x) for x in lab] for n, lab in pieces.items()}
+        unknown = set().union(*pieces.values()) - set(alg.quiver.vertices)
+        if unknown:
+            raise UnknownVertex("piece labels %s are not vertices"
+                                % sorted(unknown))
         diffs = {}
         for n, rows in rawdiffs.items():
             n = int(n)

@@ -16,7 +16,7 @@ from .errors import (EngineInvariantViolation, IncompatibleKinds, SphqError,
                      UnsupportedFamily, WitnessFailed)
 from .linalg import Matrix
 from .reps import Representation, simple_module
-from .spherelike import (asphericality, classify_spherelike,
+from .spherelike import (asphericality, candidate_list, classify_spherelike,
                          in_spherical_subcat, interval_modules)
 
 
@@ -213,11 +213,10 @@ def _classified_node(name, desc, obj_perf, components):
     if not report.is_spherelike():
         raise EngineInvariantViolation("%s is not spherelike" % desc)
     if report.is_spherical():
-        sig = SubcatSignature("whole_category")
-        return PosetNode(name, desc, report.d, report.verdict, sig,
-                         obj=obj_perf, Q=None)
-    Q = asphericality(obj_perf, report)
-    sig = SubcatSignature("classified", components=components)
+        sig, Q = SubcatSignature("whole_category"), None
+    else:
+        sig = SubcatSignature("classified", components=components)
+        Q = asphericality(obj_perf, report)
     return PosetNode(name, desc, report.d, report.verdict, sig,
                      obj=obj_perf, Q=Q)
 
@@ -234,21 +233,29 @@ def _two_term_candidates(alg):
                                       "proj", check=False))
 
 
-def _find_spherelike(alg, d_target):
-    """Deterministic scan for a spherelike object of the requested degree:
-    simples, then interval modules, then two-term path complexes.  The
-    length-1 intervals P(v)/rad P(v) are the simples again and are
-    skipped."""
-    simples = [("S:%s" % v, simple_module(alg, v)) for v in alg.quiver.vertices]
-    intervals = [c for c in interval_modules(alg) if not c[0].endswith(",1")]
-    for desc, obj in itertools.chain(simples, intervals,
-                                     _two_term_candidates(alg)):
+def _find_spherelike(alg, d_target=None):
+    """Deterministic scan for the first spherelike object of degree
+    d_target: simples, then interval modules, then two-term path
+    complexes.  The length-1 intervals P(v)/rad P(v) are the simples again
+    and are skipped.  With d_target None it looks for a spherical simple
+    (the Y corner of a full-relation-run cycle algebra).  Returns the
+    description and the perfect complex classification resolved."""
+    candidates = candidate_list(alg, "all_simples")
+    if d_target is not None:
+        intervals = [c for c in interval_modules(alg)
+                     if not c[0].endswith(",1")]
+        candidates = itertools.chain(candidates, intervals,
+                                     _two_term_candidates(alg))
+    for desc, obj in candidates:
         try:
             rep = classify_spherelike(obj, desc)
         except SphqError:
             continue
-        if rep.is_spherelike() and rep.d == d_target:
+        if (rep.is_spherical() if d_target is None
+                else rep.is_spherelike() and rep.d == d_target):
             return desc, rep.complex
+    if d_target is None:
+        raise EngineInvariantViolation("no spherical simple found")
     raise EngineInvariantViolation(
         "no spherelike object of degree %d found" % d_target)
 
@@ -285,12 +292,12 @@ def _build_dda_poset(r, n, m):
     if not y_spherical:
         # Y-side from the corner algebra Lambda(r, r+1, m)
         small, _, emb = dda_small_corner(r, n, m, big=big)
-        dYs, Ys = _find_y_corner(small)
+        dYs, Ys = _find_spherelike(small)
         Y0 = induce(emb, Ys)
         dY = "induced:" + dYs
     if y_spherical and not x_spherical:
         # top element from the spherical Y, children are the X orbit
-        dY, Y0 = _find_y_corner(big)
+        dY, Y0 = _find_spherelike(big)
         top = _classified_node("D", dY, Y0, None)
         poset.add_node(top)
         for i, Xi in enumerate(_tau_orbit(X0, m + r), start=1):
@@ -321,20 +328,6 @@ def _build_dda_poset(r, n, m):
     poset.close_transitively()
     _attach_witnesses(poset)
     return poset
-
-
-def _find_y_corner(alg):
-    """The spherical simple of a full-relation-run cycle algebra."""
-    for v in alg.quiver.vertices:
-        desc = "S:%s" % v
-        M = simple_module(alg, v)
-        try:
-            rep = classify_spherelike(M, desc)
-        except SphqError:
-            continue
-        if rep.is_spherical():
-            return desc, resolve(M)
-    raise EngineInvariantViolation("no spherical simple found")
 
 
 def _arm_value_module(alg, ps, cvals):
@@ -398,25 +391,14 @@ def _build_synthesized_poset(elements, less):
     poset = SpherelikePoset(alg, ("synthesized", tuple(elements),
                                   tuple(sorted(less))))
     for (desc, M, expected_sig) in designated:
-        name = desc.split(":", 1)[1]
-        obj = resolve(M)
-        report = classify_spherelike(obj, desc)
-        if not report.is_spherelike():
-            raise EngineInvariantViolation("%s is not spherelike" % desc)
-        if report.is_spherical():
-            sig = SubcatSignature("whole_category")
-            node = PosetNode(name, desc, report.d, report.verdict, sig,
-                             obj=obj, Q=None)
-        else:
-            Q = asphericality(obj, report)
+        node = _classified_node(desc.split(":", 1)[1], desc, resolve(M), None)
+        if not node.is_whole():
             got = {v for v, (_, S) in zip(alg.quiver.vertices, poset.simples)
-                   if poset.contains(S, Q)}
+                   if poset.contains(S, node.Q)}
             if got != expected_sig:
                 raise EngineInvariantViolation(
                     "signature mismatch for %s" % desc)
-            sig = SubcatSignature("vertex_supported", vertices=got)
-            node = PosetNode(name, desc, report.d, report.verdict, sig,
-                             obj=obj, Q=Q)
+            node.signature = SubcatSignature("vertex_supported", vertices=got)
         poset.add_node(node)
     for i in elements:
         for j in elements:

@@ -359,6 +359,11 @@ def direct_sum(reps):
 def rep_from_json(alg, d):
     try:
         dims = {str(v): int(n) for v, n in d["dims"].items()}
+        for v, n in dims.items():
+            if v not in alg.quiver.arrows_out:
+                raise UnknownVertex("dims key %r is not a vertex" % v)
+            if n < 0:
+                raise SchemaError("dimension at vertex %s is negative" % v)
         maps = {}
         for a, rows in d.get("maps", {}).items():
             arr = alg.quiver.arrow_by_name.get(str(a))

@@ -2,10 +2,12 @@
 
 An object F with derived endomorphism profile {0:1, d:1} is d-spherelike;
 it is d-spherical when additionally nu F is isomorphic to F[d].  For
-d = 0 the degree-0 endomorphism ring (dimension 2) decides between
-k[x]/x^2 (indecomposable) and k x k (decomposable).  The asphericality
-object Q_F is the cone of the unique map F -> nu F[-d]; the spherical
-subcategory of F consists of the objects A with Hom^*(A, Q_F) = 0.
+d != 0 the map space F -> nu F[-d] has dimension 1 by Serre duality, and
+F is spherical exactly when the cone Q_F of its map vanishes; the report
+keeps Q_F.  For d = 0 the degree-0 endomorphism ring (dimension 2)
+decides between k[x]/x^2 (indecomposable) and k x k (decomposable).  The
+spherical subcategory of F consists of the objects A with
+Hom^*(A, Q_F) = 0.
 """
 
 import itertools
@@ -51,6 +53,7 @@ class SpherelikeReport:
         self.field_sensitive = field_sensitive
         self.note = note
         self.complex = complex  # perfect presentation used
+        self.Q = None  # Q_F, built when d != 0
 
     def is_spherelike(self):
         return self.verdict in ("d_spherical", "properly_d_spherelike",
@@ -172,9 +175,14 @@ def classify_spherelike(obj, desc="object"):
                 rep.field_sensitive = True
             rep.verdict = "decomposable_0_spherelike"
         return rep
-    iso = iso_up_to_shift(F, nakayama(F).to_rep(), d)
-    rep.spherical_witnessed = iso
-    rep.verdict = "d_spherical" if iso is True else "properly_d_spherelike"
+    dim, cands = chain_map_space(F, nakayama(F).to_rep(), -d)
+    if dim != 1:
+        raise EngineInvariantViolation(
+            "Hom(F, nu F[-d]) has dim %d; Serre duality gives 1" % dim)
+    rep.Q = cone(cands[0])
+    rep.spherical_witnessed = rep.Q.is_acyclic()
+    rep.verdict = ("d_spherical" if rep.spherical_witnessed
+                   else "properly_d_spherelike")
     if rep.verdict == "d_spherical" and d < 0:
         raise EngineInvariantViolation(
             "spherical object with negative d=%d over finite global dimension" % d)
@@ -182,21 +190,15 @@ def classify_spherelike(obj, desc="object"):
 
 
 def asphericality(F, report=None):
-    """Q_F = cone of the unique map F -> nu F[-d]; acyclic iff F spherical."""
-    F = resolve(F)
+    """Q_F, the cone of the unique map F -> nu F[-d] that classification
+    built; acyclic iff F spherical."""
     if report is None:
         report = classify_spherelike(F)
     if not report.is_spherelike():
         raise NonUniqueMap("object is not spherelike; no canonical map")
-    d = report.d
-    if d == 0:
+    if report.d == 0:
         raise DZeroUnsupported("asphericality for d = 0 is not computed")
-    nurep = nakayama(F).to_rep()
-    dim, cands = chain_map_space(F, nurep, -d)
-    if dim != 1:
-        raise NonUniqueMap("map space F -> nu F[-d] has dim %d" % dim)
-    Q = cone(cands[0])
-    return Q
+    return report.Q
 
 
 def in_spherical_subcat(A, Q):

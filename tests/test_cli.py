@@ -186,6 +186,47 @@ def test_insert_command(capsys):
     assert len(data["quiver"]["vertices"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("insert", "cb2", "--vertex", "1", "--n", "-1"),
+    ("tack", "cb2", "--tree", "TREE", "--sink", "t", "--mult", "[1]"),
+    ("tack", "cb2", "--tree", "TREE", "--sink", "t", "--mult", '{"2": "x"}'),
+    ("tack", "cb2", "--tree", "TREE", "--sink", "t", "--mult", '{"9": 1}'),
+    ("tack", "cb2", "--tree", "TREE", "--sink", "t", "--mult", '{"2": -1}'),
+], ids=["insert-negative-n", "tack-mult-list", "tack-mult-string",
+        "tack-unknown-vertex", "tack-negative-mult"])
+def test_bad_construction_parameters_are_input_errors(tmp_path, capsys, argv):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"quiver": {"vertices": ["t"], "arrows": []},
+                                "relations": []}))
+    code, out, err = run(capsys, *(a.replace("TREE", str(tree)) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "input"
+
+
+def test_tack_command(tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"quiver": {"vertices": ["t"], "arrows": []},
+                                "relations": []}))
+    code, out, _ = run(capsys, "tack", "cb2", "--tree", str(tree),
+                       "--sink", "t", "--mult", '{"2": 2}')
+    assert code == 0
+    arrows = json.loads(out)["quiver"]["arrows"]
+    assert len([a for a in arrows if a["from"] == "t"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("poset", "family:dda:1,2"), ("poset", "family:dda:1,x,0"),
+    ("poset", "family:canonical:2,x"), ("poset", "family:cb:2"),
+    ("family", "dda:1,2"), ("family", "canonical:2,x"),
+], ids=lambda argv: " ".join(argv))
+def test_bad_family_parameters_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "input"
+
+
 def test_bad_family_is_input_error(capsys):
     code, _, err = run(capsys, "family", "nope:1")
     assert code == 2
@@ -244,6 +285,11 @@ HOM_FROM = ("hom", "cb3", "--to", "S:1", "--from")
     (HOM_FROM + ("file:{}",),
      {"pieces": {"0": ["2"], "1": ["1"]},
       "diffs": {"0": [[[{"path": ["a2"]}]]]}}),
+    (("spherelike", "cb2", "--object", "file:{}"), {"pieces": {"0": ["9"]}}),
+    (HOM_FROM + ("file:{}",), {"kind": "inj", "pieces": {"0": ["1"],
+                                                        "1": ["9"]}}),
+    (HOM_FROM + ("file:{}",), {"dims": {"1": 1, "9": 1}}),
+    (HOM_FROM + ("file:{}",), {"dims": {"1": -1}}),
     (("poset", "synth:{}"), {"elements": ["1", "2"], "less": 5}),
     (("poset", "synth:{}"), {"elements": ["1", "2"], "less": [["1"]]}),
     (("poset", "synth:{}"), {"elements": 5, "less": []}),
@@ -251,6 +297,8 @@ HOM_FROM = ("hom", "cb3", "--to", "S:1", "--from")
         "vertex-map-list", "arrow-paths-number", "arrow-path-number",
         "pieces-list", "diffs-number", "labels-string", "term-string",
         "unknown-kind", "diff-without-target", "entry-outside-slice",
+        "proj-label-not-a-vertex", "inj-label-not-a-vertex",
+        "dims-key-not-a-vertex", "negative-dim",
         "synth-less-number", "synth-less-short-pair", "synth-elements-number"])
 def test_misshapen_json_file_is_input_error(tmp_path, capsys, argv, content):
     path = tmp_path / "in.json"

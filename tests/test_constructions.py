@@ -9,7 +9,8 @@ from sphq.constructions import (cb, canonical, ci, circular, dda,
                                 quiver_isomorphic, synthesize_poset_algebra,
                                 tack, tensor_algebra)
 from sphq.derived import hom_profile, minimal_projective_resolution, resolve
-from sphq.errors import FamilyParameterError, NotAcyclic, NotASink
+from sphq.errors import (FamilyParameterError, NotAcyclic, NotASink,
+                         UnknownVertex)
 from sphq.linalg import QQ
 from sphq.reps import simple_module
 from sphq.spherelike import classify_spherelike
@@ -40,6 +41,11 @@ def test_insert_zero_is_identity_like():
     emb.verify()
 
 
+def test_insert_negative_length_refused():
+    with pytest.raises(FamilyParameterError):
+        insert_An(cb(2), "1", -1)
+
+
 def test_tack_structure():
     base = kronecker(2)
     T = Quiver(["t1", "t2"], [Arrow("c", "t1", "t2")])
@@ -62,6 +68,16 @@ def test_tack_requires_acyclic():
                 Arrow("e", "t2", "t3")])
     with pytest.raises(NotAcyclic):
         tack(base, T, "t3", {})
+
+
+@pytest.mark.parametrize("mult, error", [
+    ({"9": 1}, UnknownVertex),
+    ({"2": -1}, FamilyParameterError),
+], ids=["unknown-vertex", "negative"])
+def test_tack_checks_its_multiplicities(mult, error):
+    T = Quiver(["t1"], [])
+    with pytest.raises(error):
+        tack(kronecker(2), T, "t1", mult)
 
 
 def test_circular_corner_embedding():

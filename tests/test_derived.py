@@ -27,7 +27,8 @@ from sphq.linalg import QQ, PrimeField
 from sphq.reps import (hom_basis, identity_morphism, injective_module,
                        projective_module, simple_module, standard_module,
                        top_and_radical)
-from sphq.spherelike import fractional_cy_check
+from sphq.spherelike import (asphericality, classify_spherelike,
+                             fractional_cy_check)
 
 
 def a2_algebra():
@@ -118,6 +119,26 @@ def test_fractional_cy_of_ncc_object():
     assert iso_up_to_shift(R, N, 4)
     assert N.total_rank() == 3
     assert fractional_cy_check(R, 2, 4)
+
+
+def test_q_f_splitting_needs_a_combination_of_basis_maps():
+    """Criterion 07: Q_F = E[1] + E[-2] for the 3-spherelike F over ncc.
+    The candidate maps Q_F -> E[1] + E[-2] span a space of dim 2, and
+    neither basis map is an isomorphism (End(Q_F) is not local), so only a
+    combination of them, found by the seeded trials, witnesses the
+    splitting."""
+    alg = load_fixture("ncc")
+    E = _ncc_E(alg)
+    TiE = perfectify(tau_inverse(minimal_projective_resolution(E)).to_rep())
+    _, cands = chain_map_space(TiE, stalk_complex(E), 1)
+    F = perfectify(cone(cands[0]).shift(-1))
+    Q = perfectify(asphericality(F, classify_spherelike(F, "F")))
+    D = complex_direct_sum([stalk_complex(E).shift(1),
+                            stalk_complex(E).shift(-2)])
+    dim, basis = chain_map_space(Q, D, 0)
+    assert dim == 2
+    assert not any(cone(w).is_acyclic() for w in basis)
+    assert iso_up_to_shift(Q, D, 0) is True
 
 
 def test_chain_map_space_dimension():

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from sphq import derived, spherelike
 from sphq import poset as poset_module
 from sphq.constructions import cb
 from sphq.errors import IncompatibleKinds, WitnessFailed
@@ -86,6 +87,35 @@ def test_build_resolves_each_simple_once_and_tests_each_pair_once(
     assert poset.witnesses and resolved and tested
     assert max(resolved.values()) == 1
     assert max(tested.values()) == 1
+
+
+def test_build_maps_each_d_nonzero_object_to_its_serre_dual_once(
+        monkeypatch):
+    """Classifying an object with d != 0 builds Hom(F, nu F[-d]) once, and
+    its node reads Q_F off the report: no chain map space is built outside
+    classification."""
+    spaces, per_object = [], []
+    real_space = derived.chain_map_space
+    real_classify = poset_module.classify_spherelike
+
+    def space(F, G, s):
+        spaces.append(s)
+        return real_space(F, G, s)
+
+    def classify(obj, desc):
+        before = len(spaces)
+        rep = real_classify(obj, desc)
+        per_object.append((rep.d, len(spaces) - before))
+        return rep
+
+    monkeypatch.setattr(derived, "chain_map_space", space)
+    monkeypatch.setattr(spherelike, "chain_map_space", space)
+    monkeypatch.setattr(poset_module, "classify_spherelike", classify)
+    build_poset(("dda", 2, 9, 6))
+    d_nonzero = [n for d, n in per_object if d not in (None, 0)]
+    assert len(d_nonzero) == 18
+    assert set(d_nonzero) == {1}
+    assert len(spaces) == sum(n for _, n in per_object)
 
 
 def test_find_spherelike_skips_the_length_one_intervals(monkeypatch):
@@ -214,4 +244,4 @@ def test_engine_fault_is_not_swallowed(monkeypatch):
 
     monkeypatch.setattr(poset_module, "classify_spherelike", broken)
     with pytest.raises(AssertionError, match="engine fault"):
-        poset_module._find_y_corner(cb(2))
+        poset_module._find_spherelike(cb(2))

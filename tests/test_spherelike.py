@@ -6,7 +6,8 @@ from sphq.algebra import Quiver, build_algebra
 from sphq.constructions import (cb, ci, circular, induce, kronecker,
                                 kronecker_quasi_simple)
 from sphq.corpus import load_fixture
-from sphq.derived import minimal_projective_resolution, hom_profile, resolve
+from sphq.derived import (hom_profile, iso_up_to_shift,
+                          minimal_projective_resolution, nakayama, resolve)
 from sphq.errors import (DZeroUnsupported, GlobalDimensionExceeded,
                          UnsupportedCandidateSet)
 from sphq.linalg import QQ, PrimeField
@@ -53,6 +54,29 @@ def test_asphericality_acyclic_iff_spherical():
     G = induce(emb, minimal_projective_resolution(simple_module(emb.small, "1")))
     Q2 = asphericality(G)
     assert not Q2.is_acyclic()
+
+
+def test_d_nonzero_verdict_is_q_f_acyclic():
+    """For d != 0 classification decides sphericity by Q_F = 0.  On the
+    simples and interval modules of six fixtures this agrees with the iso
+    test F[d] = nu F, and asphericality hands back the report's Q_F."""
+    seen = set()
+    for fixture in ("cb3", "auslander_x3", "circular_7_5", "dda_1_3_0",
+                    "dda_2_3_1", "preprojective_a3_cluster"):
+        alg = load_fixture(fixture)
+        simples = [("S:%s" % v, simple_module(alg, v))
+                   for v in alg.quiver.vertices]
+        for desc, M in simples + interval_modules(alg):
+            rep = classify_spherelike(M, desc)
+            if rep.d in (None, 0):
+                assert rep.Q is None
+                continue
+            F = rep.complex
+            iso = iso_up_to_shift(F, nakayama(F).to_rep(), rep.d)
+            assert rep.is_spherical() == rep.Q.is_acyclic() == (iso is True)
+            assert asphericality(F, rep) is rep.Q
+            seen.add(rep.verdict)
+    assert seen == {"d_spherical", "properly_d_spherelike"}
 
 
 def test_membership_table_circular():

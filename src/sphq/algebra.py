@@ -173,9 +173,8 @@ class BoundQuiverAlgebra:
         self._check_admissible()
         self._build_basis()
         # Per-algebra memos, filled on first use: path products
-        # (mult_paths), standard modules keyed (kind, vertex)
-        # (derived._std_cached) and the zero module keyed "zero"
-        # (derived.zero_rep), the global dimension
+        # (mult_paths), P(x) and I(x) keyed ("proj" | "inj", x) and the
+        # zero module keyed "zero" (both owned by reps), the global dimension
         # (spherelike.certify_finite_gldim) and the opposite algebra
         # (opposite).
         self._mult_cache = {}
@@ -373,12 +372,19 @@ def build_algebra(quiver, relations, cap=None, field=QQ, name=""):
 
 # -- JSON (de)serialization ---------------------------------------------
 
+def json_int(x, what):
+    """x if it is a JSON integer; a bool, float or string is a SchemaError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise SchemaError("%s must be an integer, not %r" % (what, x))
+    return x
+
+
 def field_from_json(d):
     kind = d.get("kind")
     if kind == "rational":
         return QQ
     if kind == "prime":
-        return PrimeField(int(d["p"]))
+        return PrimeField(json_int(d["p"], "field 'p'"))
     raise SchemaError("unknown field kind %r" % (kind,))
 
 
@@ -403,7 +409,9 @@ def algebra_from_json(d, name=""):
                 terms[p] = terms.get(p, field.zero()) + field.parse(str(term.get("coeff", "1")))
             rels.append(Element(terms, field))
         cap = d.get("length_cap")
-    except (KeyError, TypeError) as e:
+        if cap is not None:
+            json_int(cap, "'length_cap'")
+    except (AttributeError, KeyError, TypeError) as e:
         raise SchemaError("malformed algebra file: %s" % e)
     return build_algebra(quiver, rels, cap, field, name=name or d.get("name", ""))
 

@@ -5,7 +5,7 @@ import json
 import os
 import sys
 
-from .algebra import algebra_from_json, algebra_to_json
+from .algebra import algebra_from_json, algebra_to_json, json_int
 from .constructions import (Embedding, canonical, cb, ci, circular, dda,
                             induce, insert_An, kronecker, tack, tensor_algebra)
 from .corpus import FIXTURE_DIR, run_corpus
@@ -234,9 +234,10 @@ def cmd_tack(args):
     if tree_alg.relations:
         raise SchemaError("tacking tree must be relation-free")
     mult = json.loads(args.mult)
-    if not (isinstance(mult, dict) and
-            all(isinstance(v, int) for v in mult.values())):
+    if not isinstance(mult, dict):
         raise SchemaError("--mult must be a JSON object of vertex: count")
+    for count in mult.values():
+        json_int(count, "--mult count")
     big, emb = tack(alg, tree_alg.quiver, args.sink, mult)
     data = algebra_to_json(big)
     if args.emb_out:

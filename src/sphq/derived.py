@@ -26,31 +26,17 @@ import functools
 import operator
 import random
 
-from .algebra import Element, Path
+from .algebra import Element
 from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
                      EngineInvariantViolation, SchemaError, UnknownVertex)
 from .linalg import (Matrix, block_diag, hstack, kernel_basis, rank, rref,
                      scalar_to_str, vstack)
 from .reps import (ModuleMorphism, Representation, direct_sum,
-                   injective_module, projective_module, zero_morphism)
+                   from_generators, standard_basis, standard_sum, zero_morphism,
+                   zero_rep)
 
 # Largest resolution length tried before GlobalDimensionExceeded.
 RESOLUTION_BOUND = 40
-
-
-def _std_cached(alg, kind, x):
-    cache = alg._std_cache
-    key = (kind, x)
-    if key not in cache:
-        cache[key] = projective_module(alg, x) if kind == "proj" else injective_module(alg, x)
-    return cache[key]
-
-
-def zero_rep(alg):
-    cache = alg._std_cache
-    if "zero" not in cache:
-        cache["zero"] = Representation(alg, {}, {}, check=False)
-    return cache["zero"]
 
 
 # ----------------------------------------------------------------------
@@ -117,8 +103,8 @@ class BoundedComplex:
         return sum(p.total_dim() for p in self.pieces.values())
 
 
-def stalk_complex(M, degree=0):
-    return BoundedComplex(M.alg, {degree: M}, {}, check=False)
+def stalk_complex(M):
+    return BoundedComplex(M.alg, {0: M}, {}, check=False)
 
 
 def complex_direct_sum(complexes):
@@ -127,8 +113,7 @@ def complex_direct_sum(complexes):
     degs = sorted({n for c in complexes for n in c.pieces})
     pieces, diffs = {}, {}
     for n in degs:
-        summands = [c.piece(n) for c in complexes]
-        pieces[n], _ = direct_sum(summands)
+        pieces[n] = direct_sum([c.piece(n) for c in complexes])
     for n in degs:
         if n + 1 not in pieces:
             continue
@@ -173,12 +158,12 @@ def cone(f):
     degs = sorted({n - 1 for n in X.pieces} | set(Y.pieces))
     pieces = {}
     for n in degs:
-        pieces[n], _ = direct_sum([X.piece(n + 1), Y.piece(n)])
+        pieces[n] = direct_sum([X.piece(n + 1), Y.piece(n)])
     diffs = {}
     for n in degs:
         if n + 1 not in pieces:
             if not (X.piece(n + 2).is_zero() and Y.piece(n + 1).is_zero()):
-                pieces[n + 1], _ = direct_sum([X.piece(n + 2), Y.piece(n + 1)])
+                pieces[n + 1] = direct_sum([X.piece(n + 2), Y.piece(n + 1)])
             else:
                 continue
         mats = {}
@@ -260,64 +245,37 @@ class LabeledComplex:
                  for n, d in self.diffs.items()}
         return LabeledComplex(self.alg, pieces, diffs, self.kind, check=False)
 
-    def summand_basis(self, n):
-        """Per-vertex indexed basis of the degree-n piece.
-
-        Returns (dims, index) where index[v] maps (summand, path) -> row and
-        order[v] lists (summand, path) in order.
-        """
-        alg = self.alg
-        order = {v: [] for v in alg.quiver.vertices}
-        for si, lab in enumerate(self.labels(n)):
-            if self.kind == "proj":
-                for v in alg.quiver.vertices:
-                    for p in alg.slice_basis(v, lab):
-                        order[v].append((si, p))
-            else:
-                for v in alg.quiver.vertices:
-                    for p in alg.slice_basis(lab, v):
-                        order[v].append((si, p))
-        index = {v: {key: i for i, key in enumerate(order[v])} for v in order}
-        return order, index
-
     def to_rep(self):
         if self._rep is not None:
             return self._rep
         alg = self.alg
         field = alg.field
-        pieces = {}
-        meta = {}
+        pieces, orders, indexes = {}, {}, {}
         for n in self.degrees():
-            mods = [_std_cached(alg, self.kind, x) for x in self.labels(n)]
-            pieces[n], _ = direct_sum(mods)
-            meta[n] = self.summand_basis(n)
+            pieces[n], orders[n], indexes[n] = standard_sum(
+                alg, self.kind, self.labels(n))
         diffs = {}
         for n, d in self.diffs.items():
-            src_order, _ = meta[n]
-            _, tgt_index = meta[n + 1]
+            src_order, tgt_order = orders[n], orders[n + 1]
+            tgt_index = indexes[n + 1]
             mats = {}
             for v in alg.quiver.vertices:
-                m = Matrix.zero(pieces[n + 1].dims[v], pieces[n].dims[v], field)
+                m = Matrix.zero(len(tgt_order[v]), len(src_order[v]), field)
                 for col, (j, p) in enumerate(src_order[v]):
-                    for i in range(len(self.labels(n + 1))):
-                        e = d[i][j]
-                        if e.is_zero():
-                            continue
-                        if self.kind == "proj":
-                            # basis path p: x_j -> v maps to p * e in P(y_i)
-                            img = alg.multiply(p, e)
-                            for q, c in img.terms.items():
-                                m.entries[tgt_index[v][(i, q)]][col] = \
-                                    m.entries[tgt_index[v][(i, q)]][col] + c
-                        else:
-                            # dual of left multiplication: coefficient of the
-                            # I(x_j)-basis path p in e * q for q: v -> y_i
-                            for q in alg.slice_basis(self.labels(n + 1)[i], v):
-                                img = alg.multiply(e, q)
-                                c = img.terms.get(p)
+                    if self.kind == "proj":
+                        # basis path p: x_j -> v maps to p * e in P(y_i)
+                        for i, row in enumerate(d):
+                            if row[j].terms:
+                                for q, c in alg.multiply(p, row[j]).terms.items():
+                                    m.entries[tgt_index[v][i, q]][col] = c
+                    else:
+                        # dual of left multiplication: the coefficient of
+                        # the I(x_j)-basis path p in e * q, q: v -> y_i
+                        for r, (i, q) in enumerate(tgt_order[v]):
+                            if d[i][j].terms:
+                                c = alg.multiply(d[i][j], q).terms.get(p)
                                 if c is not None:
-                                    m.entries[tgt_index[v][(i, q)]][col] = \
-                                        m.entries[tgt_index[v][(i, q)]][col] + c
+                                    m.entries[r][col] = c
                 mats[v] = m
             diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
         self._rep = BoundedComplex(alg, pieces, diffs, check=False)
@@ -327,10 +285,11 @@ class LabeledComplex:
         return sum(len(lab) for lab in self.pieces.values())
 
 
-def generator_column(index, j, x):
-    """Column of the generator e_x of summand j at vertex x, where
-    ``index`` is the ``summand_basis(n)[1]`` of the summand's degree."""
-    return index[x][(j, Path(x, x, ()))]
+def _relabelled(F, kind):
+    """F with the same labels and differential entries, read as ``kind``."""
+    return LabeledComplex(F.alg, dict(F.pieces),
+                          {n: [row[:] for row in d] for n, d in F.diffs.items()},
+                          kind, check=False)
 
 
 def nakayama(F):
@@ -338,17 +297,13 @@ def nakayama(F):
     of left multiplication."""
     if F.kind != "proj":
         raise NotElementValued("nakayama needs a projective-labeled complex")
-    return LabeledComplex(F.alg, dict(F.pieces),
-                          {n: [row[:] for row in d] for n, d in F.diffs.items()},
-                          "inj", check=False)
+    return _relabelled(F, "inj")
 
 
 def inverse_nakayama(G):
     if G.kind != "inj":
         raise NotElementValued("inverse_nakayama needs an injective-labeled complex")
-    return LabeledComplex(G.alg, dict(G.pieces),
-                          {n: [row[:] for row in d] for n, d in G.diffs.items()},
-                          "proj", check=False)
+    return _relabelled(G, "proj")
 
 
 def tau(F):
@@ -396,10 +351,11 @@ def _cover_complex(C):
     Per vertex, E^{n+1} = [d_P ; q] is the matrix of P^{n+1} into
     P^{n+2} + C^{n+1}, so Phi^n = [E^{n+1} | 0 ; -d_C^n].  Column (j, p)
     of E^n is the path p applied, one arrow at a time, to the vector of
-    generator j in P^{n+1} + C^n.  For a stalk complex, Phi^n is the
-    previous cover map followed by the inclusion of its syzygy, which has
-    full column rank, so Phi^n has the reduced form of the cover map and
-    this is the classical loop of covers and syzygies.
+    generator j in P^{n+1} + C^n (``reps.from_generators``).  For a stalk
+    complex, Phi^n is the previous cover map followed by the inclusion of
+    its syzygy, which has full column rank, so Phi^n has the reduced form
+    of the cover map and this is the classical loop of covers and
+    syzygies.
 
     The generators of P^n are picked from the top of F^n (Green, Solberg
     and Zacharia, *Minimal projective resolutions*, Trans. AMS 2001)
@@ -428,7 +384,7 @@ def _cover_complex(C):
             kins = {v: Matrix.identity(Cn.dims[v], field) for v in verts}
         else:
             Prev, above, E = prev
-            A = Prev if Cn.is_zero() else direct_sum([Prev, Cn])[0]
+            A = Prev if Cn.is_zero() else direct_sum([Prev, Cn])
             dC = C.diff(n)
             kins = {}
             for v in verts:
@@ -465,22 +421,12 @@ def _cover_complex(C):
                     if c:
                         d[i][j] = d[i][j] + Element({p: c}, field)
             diffs[n] = d
-        Pn = (direct_sum([_std_cached(alg, "proj", x) for x in labels])[0]
-              if labels else zero_rep(alg))
-        order = {v: [(j, p) for j, x in enumerate(labels)
-                     for p in alg.slice_basis(v, x)] for v in verts}
-        E, qmats = {}, {}
-        for v in verts:
-            cols = []
-            for j, p in order[v]:
-                vec = gens[j]
-                for a in p.arrows:
-                    vec = A.maps[a].apply(vec)
-                cols.append(vec)
-            E[v] = Matrix(len(cols), A.dims[v], cols, field).transpose()
-            qmats[v] = Matrix(Cn.dims[v], len(cols),
-                              E[v].entries[A.dims[v] - Cn.dims[v]:], field)
-        q[n] = ModuleMorphism(Pn, Cn, qmats, check=False)
+        Pn, order, _ = standard_sum(alg, "proj", labels)
+        E = from_generators(A, order, gens)
+        q[n] = ModuleMorphism(Pn, Cn, {
+            v: Matrix(Cn.dims[v], E[v].cols,
+                      E[v].entries[A.dims[v] - Cn.dims[v]:], field)
+            for v in verts}, check=False)
         prev = (Pn, order, E)
         n -= 1
     return LabeledComplex(alg, pieces, diffs, "proj"), q
@@ -613,7 +559,6 @@ def chain_map_space(F, G, s):
     data = HomComplexData(F, G)
     Grep = data.G
     alg = data.alg
-    field = alg.field
     dn = data.delta(s)
     K = kernel_basis(dn)
     dprev = data.delta(s - 1)
@@ -626,33 +571,27 @@ def chain_map_space(F, G, s):
 
     Fs = F.to_rep()
     Gs = Grep.shift(s)
-    slots = {n: data.slots(n) for n in [s]}
+    slots = data.slots(s)
+    orders = {p: standard_basis(alg, "proj", F.labels(p))[0]
+              for p in F.degrees()}
     chain_maps = []
-    meta = {n: F.summand_basis(n) for n in F.degrees()}
     for ci in reps_idx:
         vec = K.col(ci)
-        # unpack slot values
+        # the value of slot (p, j) is the image of generator j of F^p
         off = 0
         vals = {}
-        for (p, j, x, d) in slots[s]:
+        for (p, j, x, d) in slots:
             vals[(p, j)] = vec[off:off + d]
             off += d
         comps = {}
         for p in F.degrees():
-            order, _ = meta[p]
             Gp = Grep.piece(p + s)
-            mats = {}
-            for v in alg.quiver.vertices:
-                m = Matrix.zero(Gp.dims[v], Fs.piece(p).dims[v], field)
-                for col, (j, path) in enumerate(order[v]):
-                    val = vals.get((p, j))
-                    if val is None:
-                        continue
-                    img = Gp.path_action(path).apply(val)
-                    for r in range(len(img)):
-                        m.entries[r][col] = img[r]
-                mats[v] = m
-            comps[p] = ModuleMorphism(Fs.piece(p), Gs.piece(p), mats, check=False)
+            if Gp.is_zero():
+                continue
+            images = [vals[p, j] for j in range(len(F.labels(p)))]
+            comps[p] = ModuleMorphism(Fs.piece(p), Gs.piece(p),
+                                      from_generators(Gp, orders[p], images),
+                                      check=False)
         chain_maps.append(ChainMap(Fs, Gs, comps, check=False))
     return hdim, chain_maps
 

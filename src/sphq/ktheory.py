@@ -58,48 +58,13 @@ def euler_pairing(E, x, y):
 
 
 def integer_kernel(rows, n):
-    """Basis of {x in Z^n : A x = 0} via unimodular column reduction."""
-    A = [list(r) for r in rows]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap(c1, c2):
-        for row in A:
-            row[c1], row[c2] = row[c2], row[c1]
-        for row in U:
-            row[c1], row[c2] = row[c2], row[c1]
-
-    def addmul(c, c0, q):
-        for row in A:
-            row[c] -= q * row[c0]
-        for row in U:
-            row[c] -= q * row[c0]
-
-    cur = 0
-    for i in range(len(A)):
-        while True:
-            nz = [c for c in range(cur, n) if A[i][c] != 0]
-            if not nz:
-                break
-            c0 = min(nz, key=lambda c: (abs(A[i][c]), c))
-            if c0 != cur:
-                swap(cur, c0)
-            if A[i][cur] < 0:
-                for row in A:
-                    row[cur] = -row[cur]
-                for row in U:
-                    row[cur] = -row[cur]
-            done = True
-            for c in range(cur + 1, n):
-                if A[i][c] != 0:
-                    addmul(c, cur, A[i][c] // A[i][cur])
-                    if A[i][c] != 0:
-                        done = False
-            if done:
-                cur += 1
-                break
-        if cur >= n:
-            break
-    return [[U[r][c] for r in range(n)] for c in range(cur, n)]
+    """Basis of {x in Z^n : A x = 0}: the Hermite normal form of the rows
+    [A^T e_i | e_i] spans the same lattice, and its rows with zero A-part
+    span the kernel (their identity parts form a basis of it)."""
+    m = len(rows)
+    aug = [[r[i] for r in rows] + [int(i == j) for j in range(n)]
+           for i in range(n)]
+    return [row[m:] for row in _hnf_rows(aug) if not any(row[:m])]
 
 
 def _hnf_rows(basis):
@@ -148,8 +113,7 @@ def perp_lattice(E, classes):
     rows = []
     for c in classes:
         rows.append([sum(E[i][j] * c[j] for j in range(n)) for i in range(n)])
-    basis = integer_kernel(rows, n) if rows else \
-        [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    basis = integer_kernel(rows, n)
     basis = _hnf_rows(basis) if basis else []
     gram = [[euler_pairing(E, b1, b2) for b2 in basis] for b1 in basis]
     anti = all(gram[i][j] == -gram[j][i]

@@ -251,20 +251,20 @@ class Matrix:
         return out
 
 
-def hstack(mats, field=QQ):
+def hstack(mats):
     mats = list(mats)
     if not mats:
-        return Matrix.zero(0, 0, field)
+        return Matrix.zero(0, 0, QQ)
     rows = mats[0].rows
     assert all(m.rows == rows for m in mats)
     entries = [sum((m.entries[i] for m in mats), []) for i in range(rows)]
     return Matrix(rows, sum(m.cols for m in mats), entries, mats[0].field)
 
 
-def vstack(mats, field=QQ):
+def vstack(mats):
     mats = list(mats)
     if not mats:
-        return Matrix.zero(0, 0, field)
+        return Matrix.zero(0, 0, QQ)
     cols = mats[0].cols
     assert all(m.cols == cols for m in mats)
     entries = []

@@ -7,10 +7,16 @@ are all reduced to the linalg kernels, with one elimination per quotient
 (``_quotient_data`` row-reduces [A | I] once; ``kernel_cokernel`` reads
 the kernel off the same elimination) and one per arrow of a sub-module
 (``_subrep_from_inclusions``).
+
+This module alone builds the standard modules P(x) and I(x), memoises
+them per algebra and indexes their sums (``standard_basis``,
+``standard_sum``); maps out of a sum of projectives are given by the
+images of its generators (``from_generators``).
 """
 
 from collections import namedtuple
 
+from .algebra import Path, json_int
 from .errors import AlgebraMismatch, SchemaError, UnknownVertex
 from .linalg import (Matrix, block_diag, hstack, kernel_basis,
                      kernel_from_rref, rref, scalar_to_str)
@@ -35,11 +41,7 @@ class Representation:
             if m.rows != self.dims[a.target] or m.cols != self.dims[a.source]:
                 raise SchemaError("arrow %s matrix has wrong shape" % a.name)
         for rel in self.alg.relations:
-            s, t = rel.endpoints()
-            acc = Matrix.zero(self.dims[t], self.dims[s], self.alg.field)
-            for p, c in rel.terms.items():
-                acc = acc + self.path_action(p).scale(c)
-            if not acc.is_zero():
+            if not self.element_action(rel).is_zero():
                 raise SchemaError("relation does not vanish on representation")
 
     def total_dim(self):
@@ -58,12 +60,19 @@ class Representation:
             m = self.maps[name] * m
         return m
 
-    def element_action(self, e, source=None, target=None):
-        """Action of a parallel-path element; acts M_source -> M_target."""
-        if e.terms:
-            eps = e.endpoints()
-            assert eps is not None, "element terms not parallel"
-            source, target = eps
+    def path_apply(self, p, vec):
+        """The path action on the vector ``vec`` of M_source, one arrow at
+        a time."""
+        for name in p.arrows:
+            vec = self.maps[name].apply(vec)
+        return vec
+
+    def element_action(self, e):
+        """Action M_source -> M_target of a nonzero element whose terms
+        are parallel paths source -> target."""
+        eps = e.endpoints()
+        assert eps is not None, "element is zero or its terms not parallel"
+        source, target = eps
         acc = Matrix.zero(self.dims[target], self.dims[source], self.alg.field)
         for p, c in e.terms.items():
             acc = acc + self.path_action(p).scale(c)
@@ -265,6 +274,12 @@ def top_and_radical(M):
 
 
 # -- standard modules ---------------------------------------------------
+#
+# The labeled complexes of ``derived`` and the JSON format call P(x)
+# "proj" and I(x) "inj"; ``standard_module`` takes the long names.
+
+_KIND = {"projective": "proj", "injective": "inj"}
+
 
 def simple_module(alg, x):
     if x not in alg.quiver.arrows_out:
@@ -272,57 +287,84 @@ def simple_module(alg, x):
     return Representation(alg, {x: 1}, {}, check=False)
 
 
-class ProjectiveBasis:
-    """Indexed basis of P(x) = A e_x: normal paths with source x."""
+def standard_basis(alg, kind, labels):
+    """(order, index) for the sum of P(x_j) ("proj") or I(x_j) ("inj")
+    over the labels x_j.
 
-    def __init__(self, alg, x):
-        self.alg = alg
-        self.vertex = x
-        self.by_vertex = {}
-        for v in alg.quiver.vertices:
-            self.by_vertex[v] = list(alg.slice_basis(v, x))
-        self.index = {v: {p: i for i, p in enumerate(ps)}
-                      for v, ps in self.by_vertex.items()}
+    order[v] lists the coordinates (j, p) at vertex v in the order
+    ``direct_sum`` stacks them: summand j, then its basis paths p, the
+    normal paths x_j -> v for P(x_j) and v -> x_j for I(x_j) (whose basis
+    is dual to them).  index[v] maps (j, p) to its position.
+    """
+    def paths(x, v):
+        return alg.slice_basis(v, x) if kind == "proj" else alg.slice_basis(x, v)
 
-    def dims(self):
-        return {v: len(ps) for v, ps in self.by_vertex.items()}
+    order = {v: [(j, p) for j, x in enumerate(labels) for p in paths(x, v)]
+             for v in alg.quiver.vertices}
+    index = {v: {key: i for i, key in enumerate(keys)}
+             for v, keys in order.items()}
+    return order, index
+
+
+def generator_column(index, j, x):
+    """Column of the generator e_x of summand j, labeled x, of a sum of
+    projectives whose ``standard_basis`` index is ``index``."""
+    return index[x][(j, Path(x, x, ()))]
+
+
+def _standard(alg, kind, x):
+    """P(x) ("proj") or I(x) ("inj"), built once per algebra."""
+    cache = alg._std_cache
+    if (kind, x) not in cache:
+        cache[kind, x] = _build_standard(alg, kind, x)
+    return cache[kind, x]
+
+
+def _build_standard(alg, kind, x):
+    """P(x) ("proj") or I(x) ("inj").
+
+    P(x) = A e_x has basis the normal paths p: x -> v at v, and an arrow
+    a: u -> v sends p to the normal form of p followed by a.  I(x) =
+    D(e_x A) has the dual basis of the normal paths q: v -> x, and its
+    arrow map is the transpose of q -> (a followed by q), from paths
+    v -> x to paths u -> x.
+    """
+    order, index = standard_basis(alg, kind, [x])
+    maps = {}
+    for a in alg.quiver.arrows:
+        u, v = a.source, a.target
+        m = Matrix.zero(len(order[v]), len(order[u]), alg.field)
+        if kind == "proj":
+            for j, (_, p) in enumerate(order[u]):
+                ext = alg.reduce_path(Path(x, v, p.arrows + (a.name,)))
+                for r, c in ext.terms.items():
+                    m.entries[index[v][0, r]][j] = c
+        else:
+            for i, (_, q) in enumerate(order[v]):
+                ext = alg.reduce_path(Path(u, x, (a.name,) + q.arrows))
+                for r, c in ext.terms.items():
+                    m.entries[i][index[u][0, r]] = c
+        maps[a.name] = m
+    return Representation(alg, {v: len(keys) for v, keys in order.items()},
+                          maps, check=False)
+
+
+def zero_rep(alg):
+    """The zero module, shared per algebra."""
+    cache = alg._std_cache
+    if "zero" not in cache:
+        cache["zero"] = Representation(alg, {}, {}, check=False)
+    return cache["zero"]
 
 
 def projective_module(alg, x):
     """P(x) with arrows acting by postcomposition."""
-    pb = ProjectiveBasis(alg, x)
-    dims = pb.dims()
-    maps = {}
-    field = alg.field
-    for a in alg.quiver.arrows:
-        u, v = a.source, a.target
-        m = Matrix.zero(dims[v], dims[u], field)
-        for j, p in enumerate(pb.by_vertex[u]):
-            ext = alg.reduce_path(p.__class__(p.source, a.target, p.arrows + (a.name,)))
-            for q, c in ext.terms.items():
-                m.entries[pb.index[v][q]][j] = c
-        maps[a.name] = m
-    return Representation(alg, dims, maps, check=False)
+    return _standard(alg, "proj", x)
 
 
 def injective_module(alg, x):
     """I(x) = D(e_x A): dual basis indexed by normal paths with target x."""
-    field = alg.field
-    by_vertex = {v: list(alg.slice_basis(x, v)) for v in alg.quiver.vertices}
-    index = {v: {p: i for i, p in enumerate(ps)} for v, ps in by_vertex.items()}
-    dims = {v: len(ps) for v, ps in by_vertex.items()}
-    maps = {}
-    for a in alg.quiver.arrows:
-        u, v = a.source, a.target
-        # Right multiplication by a: paths (v -> x) -> paths (u -> x); the
-        # injective's arrow map I_u -> I_v is its transpose.
-        m = Matrix.zero(dims[u], dims[v], field)
-        for j, q in enumerate(by_vertex[v]):
-            ext = alg.reduce_path(q.__class__(u, q.target, (a.name,) + q.arrows))
-            for r, c in ext.terms.items():
-                m.entries[index[u][r]][j] = c
-        maps[a.name] = m.transpose()
-    return Representation(alg, dims, maps, check=False)
+    return _standard(alg, "inj", x)
 
 
 def standard_module(alg, kind, x):
@@ -330,35 +372,48 @@ def standard_module(alg, kind, x):
         raise UnknownVertex(str(x))
     if kind == "simple":
         return simple_module(alg, x)
-    if kind == "projective":
-        return projective_module(alg, x)
-    if kind == "injective":
-        return injective_module(alg, x)
+    if kind in _KIND:
+        return _standard(alg, _KIND[kind], x)
     raise SchemaError("unknown standard module kind %r" % (kind,))
 
 
 def direct_sum(reps):
-    """Direct sum with block-diagonal arrow maps; returns (rep, offsets)."""
+    """Direct sum with block-diagonal arrow maps."""
     assert reps
     alg = reps[0].alg
-    field = alg.field
     dims = {v: sum(r.dims[v] for r in reps) for v in alg.quiver.vertices}
-    offsets = []
-    acc = {v: 0 for v in alg.quiver.vertices}
-    for r in reps:
-        offsets.append(dict(acc))
-        for v in alg.quiver.vertices:
-            acc[v] += r.dims[v]
-    maps = {a.name: block_diag([r.maps[a.name] for r in reps], field)
+    maps = {a.name: block_diag([r.maps[a.name] for r in reps], alg.field)
             for a in alg.quiver.arrows}
-    return Representation(alg, dims, maps, check=False), offsets
+    return Representation(alg, dims, maps, check=False)
+
+
+def standard_sum(alg, kind, labels):
+    """(module, order, index): the sum of the standard modules of ``kind``
+    over ``labels`` with its ``standard_basis``."""
+    M = (direct_sum([_standard(alg, kind, x) for x in labels]) if labels
+         else zero_rep(alg))
+    return (M,) + standard_basis(alg, kind, labels)
+
+
+def from_generators(M, order, images):
+    """Per-vertex matrices of the map into M from the sum of projectives
+    with coordinates ``order`` (its ``standard_basis``) that sends
+    generator j to the vector images[j] of M: column (j, p) is
+    ``M.path_apply(p, images[j])``."""
+    field = M.alg.field
+    mats = {}
+    for v, keys in order.items():
+        cols = [M.path_apply(p, images[j]) for j, p in keys]
+        mats[v] = Matrix(len(cols), M.dims[v], cols, field).transpose()
+    return mats
 
 
 # -- JSON ---------------------------------------------------------------
 
 def rep_from_json(alg, d):
     try:
-        dims = {str(v): int(n) for v, n in d["dims"].items()}
+        dims = {str(v): json_int(n, "dimension at vertex %s" % v)
+                for v, n in d["dims"].items()}
         for v, n in dims.items():
             if v not in alg.quiver.arrows_out:
                 raise UnknownVertex("dims key %r is not a vertex" % v)

@@ -18,13 +18,14 @@ from .errors import (DZeroUnsupported, EngineInvariantViolation,
                      GlobalDimensionExceeded, NonUniqueMap, SchemaError,
                      UnsupportedCandidateSet)
 from .linalg import Matrix, hstack, rank, solve
-from .reps import (Representation, hom_basis, kernel_cokernel,
-                   simple_module, top_and_radical)
+from .reps import (Representation, generator_column, hom_basis,
+                   kernel_cokernel, simple_module, standard_basis,
+                   top_and_radical)
 from . import reps as _reps
 from .derived import (RESOLUTION_BOUND, ChainMap, HomComplexData,
-                      chain_map_space, cone, generator_column, hom_profile,
-                      iso_up_to_shift, minimal_projective_resolution, nakayama,
-                      perfectify, resolve)
+                      chain_map_space, cone, hom_profile, iso_up_to_shift,
+                      minimal_projective_resolution, nakayama, perfectify,
+                      resolve)
 
 
 def certify_finite_gldim(alg):
@@ -86,7 +87,9 @@ class SpherelikeReport:
 
 def _hom_coords(data, cm, s):
     """Hom-complex degree-s coordinates of a chain map F_rep -> G[s]."""
-    index = {p: data.F.summand_basis(p)[1] for p in data.F.degrees()}
+    F = data.F
+    index = {p: standard_basis(F.alg, "proj", F.labels(p))[1]
+             for p in F.degrees()}
     vec = []
     for (p, j, x, d) in data.slots(s):
         vec.extend(cm.comp(p).mats[x].col(generator_column(index[p], j, x)))
@@ -287,21 +290,28 @@ def _indecomposables_up_to(alg, dim_bound):
     return out
 
 
+def _combinations(homs, what):
+    """Every combination sum c_i f_i of a nonempty hom basis over GF(p), the
+    coefficients (c_i) in ``itertools.product`` order; refused above 4096."""
+    field = homs[0].source.alg.field
+    p = field.characteristic
+    if p ** len(homs) > 4096:
+        raise UnsupportedCandidateSet("%s too large to enumerate" % what)
+    for coeffs in itertools.product(range(p), repeat=len(homs)):
+        f = None
+        for c, e in zip(coeffs, homs):
+            part = e.scale(field.from_int(c))
+            f = part if f is None else f + part
+        yield f
+
+
 def _is_indecomposable_finite(M):
     """Over a finite field: End(M) local iff every endo is nilpotent or unit."""
     ends = hom_basis(M, M)
     if not ends:
         return False
-    p = M.alg.field.characteristic
-    n = len(ends)
-    if p ** n > 4096:
-        raise UnsupportedCandidateSet("endomorphism ring too large to enumerate")
     total = M.total_dim()
-    for coeffs in itertools.product(range(p), repeat=n):
-        f = None
-        for c, e in zip(coeffs, ends):
-            part = e.scale(M.alg.field.from_int(c))
-            f = part if f is None else f + part
+    for f in _combinations(ends, "endomorphism ring"):
         # nilpotency / invertibility vertexwise
         ranks = {v: rank(f.mats[v]) for v in M.dims}
         invertible = all(ranks[v] == M.dims[v] for v in M.dims)
@@ -321,14 +331,7 @@ def _iso_modules_finite(M, N):
     homs = hom_basis(M, N)
     if not homs:
         return False
-    p = M.alg.field.characteristic
-    if p ** len(homs) > 4096:
-        raise UnsupportedCandidateSet("hom space too large to enumerate")
-    for coeffs in itertools.product(range(p), repeat=len(homs)):
-        f = None
-        for c, e in zip(coeffs, homs):
-            part = e.scale(M.alg.field.from_int(c))
-            f = part if f is None else f + part
+    for f in _combinations(homs, "hom space"):
         if all(rank(f.mats[v]) == M.dims[v] for v in M.dims):
             return True
     return False

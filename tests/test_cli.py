@@ -7,6 +7,7 @@ import pytest
 
 from sphq.algebra import algebra_from_json
 from sphq.cli import main
+from sphq.corpus import FIXTURE_DIR
 from sphq.derived import complex_from_json, is_minimal
 
 
@@ -192,8 +193,9 @@ def test_insert_command(capsys):
     ("tack", "cb2", "--tree", "TREE", "--sink", "t", "--mult", '{"2": "x"}'),
     ("tack", "cb2", "--tree", "TREE", "--sink", "t", "--mult", '{"9": 1}'),
     ("tack", "cb2", "--tree", "TREE", "--sink", "t", "--mult", '{"2": -1}'),
+    ("tack", "cb2", "--tree", "TREE", "--sink", "t", "--mult", '{"2": true}'),
 ], ids=["insert-negative-n", "tack-mult-list", "tack-mult-string",
-        "tack-unknown-vertex", "tack-negative-mult"])
+        "tack-unknown-vertex", "tack-negative-mult", "tack-mult-bool"])
 def test_bad_construction_parameters_are_input_errors(tmp_path, capsys, argv):
     tree = tmp_path / "tree.json"
     tree.write_text(json.dumps({"quiver": {"vertices": ["t"], "arrows": []},
@@ -260,6 +262,9 @@ def test_rep_file_with_misshapen_matrix_is_input_error(tmp_path, capsys, maps):
 
 
 HOM_FROM = ("hom", "cb3", "--to", "S:1", "--from")
+with open(os.path.join(FIXTURE_DIR, "cb2.json")) as fh:
+    CB2 = json.load(fh)
+CB2_OBJECT = ("spherelike", "cb2", "--object", "file:{}")
 
 
 @pytest.mark.parametrize("argv, content", [
@@ -293,13 +298,24 @@ HOM_FROM = ("hom", "cb3", "--to", "S:1", "--from")
     (("poset", "synth:{}"), {"elements": ["1", "2"], "less": 5}),
     (("poset", "synth:{}"), {"elements": ["1", "2"], "less": [["1"]]}),
     (("poset", "synth:{}"), {"elements": 5, "less": []}),
+    (CB2_OBJECT, {"dims": {"1": 1.5}}),
+    (CB2_OBJECT, {"dims": {"1": "1"}}),
+    (CB2_OBJECT, {"dims": {"1": True}}),
+    (("build", "{}"), dict(CB2, length_cap=8.5)),
+    (("build", "{}"), dict(CB2, length_cap="8")),
+    (("build", "{}"), dict(CB2, field={"kind": "prime", "p": 7.9})),
+    (("build", "{}"), dict(CB2, field={"kind": "prime", "p": "7"})),
+    (("build", "{}"), dict(CB2, field=5)),
 ], ids=["algebra-number", "algebra-list", "file-number", "embedding-list",
         "vertex-map-list", "arrow-paths-number", "arrow-path-number",
         "pieces-list", "diffs-number", "labels-string", "term-string",
         "unknown-kind", "diff-without-target", "entry-outside-slice",
         "proj-label-not-a-vertex", "inj-label-not-a-vertex",
         "dims-key-not-a-vertex", "negative-dim",
-        "synth-less-number", "synth-less-short-pair", "synth-elements-number"])
+        "synth-less-number", "synth-less-short-pair", "synth-elements-number",
+        "dim-float", "dim-string", "dim-bool", "length-cap-float",
+        "length-cap-string", "field-p-float", "field-p-string",
+        "field-number"])
 def test_misshapen_json_file_is_input_error(tmp_path, capsys, argv, content):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(content))

@@ -1,5 +1,8 @@
 """Grothendieck-group layer: Cartan/Euler matrices and orthogonal lattices."""
 
+import itertools
+import random
+
 from sphq.algebra import Arrow, Quiver, build_algebra
 from sphq.constructions import cb
 from sphq.corpus import load_fixture, _ncc_E
@@ -8,7 +11,7 @@ from sphq.derived import (chain_map_space, cone, minimal_projective_resolution,
 from sphq.ktheory import (cartan_matrix, dim_vector, euler_matrix,
                           euler_pairing, integer_kernel, k_class, perp_lattice,
                           same_lattice, vertex_order)
-from sphq.linalg import QQ
+from sphq.linalg import QQ, Matrix, rank, solve
 from sphq.reps import projective_module, simple_module, standard_module
 
 
@@ -75,6 +78,27 @@ def test_integer_kernel_annihilates():
     for b in basis:
         for r in rows:
             assert sum(x * y for x, y in zip(r, b)) == 0
+
+
+def test_integer_kernel_contains_every_kernel_vector_of_a_box():
+    """Brute-force oracle: the basis is independent, lies in the kernel,
+    and every x in {-2..2}^n with A x = 0 is an integer combination of it."""
+    rng = random.Random(7)
+    for _ in range(40):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        basis = integer_kernel(rows, n)
+        assert len(basis) == n - rank(Matrix(m, n, rows, QQ))
+        for b in basis:
+            assert all(sum(x * y for x, y in zip(r, b)) == 0 for r in rows)
+        B = Matrix(n, len(basis), [[b[i] for b in basis] for i in range(n)],
+                   QQ)
+        for x in itertools.product(range(-2, 3), repeat=n):
+            if any(sum(a * y for a, y in zip(r, x)) for r in rows):
+                continue
+            coeffs = solve(B, list(x))
+            assert coeffs is not None, (rows, x)
+            assert all(c == int(c) for c in coeffs), (rows, x)
 
 
 def test_perp_of_zero_class_is_everything():

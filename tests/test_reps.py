@@ -1,20 +1,27 @@
 """Module-category layer: Hom spaces, kernels, radicals, standard modules."""
 
+import ast
 import os
+import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sphq
+from sphq import reps
+from sphq.algebra import Path
 from sphq.constructions import cb, kronecker, kronecker_quasi_simple
 from sphq.corpus import FIXTURE_DIR, load_fixture
-from sphq.derived import minimal_projective_resolution
+from sphq.derived import LabeledComplex, minimal_projective_resolution
 from sphq.errors import UnknownVertex
 from sphq.linalg import QQ, Matrix, PrimeField, hstack, rank, rref
 from sphq.reps import (ModuleMorphism, Representation, _quotient_data,
-                       _subrep_from_inclusions, direct_sum, hom_basis,
-                       injective_module, kernel_cokernel, projective_module,
-                       rep_from_json, rep_to_json, simple_module,
-                       standard_module, top_and_radical)
+                       _subrep_from_inclusions, direct_sum, from_generators,
+                       generator_column, hom_basis, injective_module,
+                       kernel_cokernel, projective_module, rep_from_json,
+                       rep_to_json, simple_module, standard_basis,
+                       standard_module, standard_sum, top_and_radical)
 
 
 def test_projective_dims_cb3():
@@ -77,7 +84,7 @@ def test_top_and_radical():
 
 def test_direct_sum_dims():
     alg = cb(2)
-    M, _ = direct_sum([projective_module(alg, "1"), simple_module(alg, "2")])
+    M = direct_sum([projective_module(alg, "1"), simple_module(alg, "2")])
     assert M.total_dim() == projective_module(alg, "1").total_dim() + 1
 
 
@@ -210,3 +217,98 @@ def test_subspace_not_arrow_stable_is_rejected():
     assert P1.dims["1"] == 1
     with pytest.raises(AssertionError, match="arrow-stable"):
         _subrep_from_inclusions(P1, incls)
+
+
+FIXTURES = sorted(f[:-5] for f in os.listdir(FIXTURE_DIR))
+STANDARD = {"proj": "projective", "inj": "injective"}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_standard_sum_is_the_direct_sum_of_standard_modules(name):
+    """standard_sum is direct_sum of the standard modules; order[v] lists
+    one coordinate per dimension, and generator j of a sum of projectives
+    is the unit vector at index[x_j][(j, e_{x_j})]: sending each generator
+    there gives the identity."""
+    alg = load_fixture(name)
+    rng = random.Random(name)
+    verts = alg.quiver.vertices
+    for kind in ("proj", "inj"):
+        for _ in range(4):
+            labels = [rng.choice(verts) for _ in range(rng.randint(1, 4))]
+            M, order, index = standard_sum(alg, kind, labels)
+            D = direct_sum([standard_module(alg, STANDARD[kind], x)
+                            for x in labels])
+            assert M.dims == D.dims and M.maps == D.maps
+            assert (order, index) == standard_basis(alg, kind, labels)
+            for v in verts:
+                assert len(order[v]) == M.dims[v]
+                assert [index[v][key] for key in order[v]] == \
+                    list(range(M.dims[v]))
+            if kind == "inj":
+                continue
+            gens = []
+            for j, x in enumerate(labels):
+                col = generator_column(index, j, x)
+                assert col == index[x][(j, Path(x, x, ()))]
+                gens.append(_unit(M.dims[x], col, alg.field).col(0))
+            ident = from_generators(M, order, gens)
+            assert all(ident[v] == Matrix.identity(M.dims[v], alg.field)
+                       for v in verts)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_from_generators_applies_each_path_to_its_image(name):
+    alg = load_fixture(name)
+    rng = random.Random(name)
+    verts = alg.quiver.vertices
+    for _ in range(4):
+        M = standard_module(alg, rng.choice(["projective", "injective"]),
+                            rng.choice(verts))
+        labels = [rng.choice(verts) for _ in range(rng.randint(1, 3))]
+        order, _ = standard_basis(alg, "proj", labels)
+        images = [[alg.field.from_int(rng.randint(-3, 3))
+                   for _ in range(M.dims[x])] for x in labels]
+        mats = from_generators(M, order, images)
+        for v in verts:
+            reference = [M.path_action(p).apply(images[j])
+                         for j, p in order[v]]
+            assert mats[v] == Matrix(len(reference), M.dims[v], reference,
+                                     alg.field).transpose()
+
+
+def test_standard_modules_are_built_once_per_algebra():
+    alg = cb(3)
+    for v in alg.quiver.vertices:
+        assert projective_module(alg, v) is projective_module(alg, v)
+        assert projective_module(alg, v) is \
+            standard_module(alg, "projective", v)
+        assert injective_module(alg, v) is standard_module(alg, "injective", v)
+
+
+def test_to_rep_over_a_warm_algebra_builds_no_standard_module(monkeypatch):
+    alg = load_fixture("auslander_x3")
+    R = minimal_projective_resolution(simple_module(alg, "1"))
+    R.to_rep()
+    builds = []
+    real = reps._build_standard
+
+    def build(alg, kind, x):
+        builds.append((kind, x))
+        return real(alg, kind, x)
+
+    monkeypatch.setattr(reps, "_build_standard", build)
+    again = LabeledComplex(alg, R.pieces, R.diffs)
+    assert again.to_rep().cohomology_dims() == {0: 1}
+    assert builds == []
+    projective_module(kronecker(2), "1")
+    assert builds == [("proj", "1")]
+
+
+def test_only_reps_touches_the_standard_module_cache():
+    """alg._std_cache is declared in algebra.py and read only by reps.py."""
+    found = []
+    for path in sorted(pathlib.Path(sphq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "_std_cache":
+                found.append(path.name)
+    assert set(found) == {"algebra.py", "reps.py"}

@@ -131,7 +131,7 @@ def test_scan_skips_past_the_resolution_bound():
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
 def test_d_zero_decomposable_end_ring(field):
     alg = build_algebra(Quiver(["1", "2"], []), [], field=field)
-    M, _ = direct_sum([simple_module(alg, "1"), simple_module(alg, "2")])
+    M = direct_sum([simple_module(alg, "1"), simple_module(alg, "2")])
     data = classify_spherelike(M, "S:1+S:2").to_json()
     assert data == {"object": "S:1+S:2", "profile": {"0": 2},
                     "verdict": "decomposable_0_spherelike", "d": 0,

@@ -173,10 +173,10 @@ class BoundQuiverAlgebra:
         self._check_admissible()
         self._build_basis()
         # Per-algebra memos, filled on first use: path products
-        # (mult_paths), P(x) and I(x) keyed ("proj" | "inj", x) and the
-        # zero module keyed "zero" (both owned by reps), the global dimension
-        # (spherelike.certify_finite_gldim) and the opposite algebra
-        # (opposite).
+        # (mult_paths); P(x), I(x) and S(x) keyed ("proj" | "inj" |
+        # "simple", x) and the zero module keyed "zero" (all owned by
+        # reps); the global dimension (spherelike.certify_finite_gldim)
+        # and the opposite algebra (opposite).
         self._mult_cache = {}
         self._std_cache = {}
         self._gldim = None

@@ -1,6 +1,7 @@
 """Golden-example corpus: fixture algebras, their designated objects, and
 the acceptance-check runner shared by the CLI and the test suite."""
 
+import functools
 import json
 import os
 import random
@@ -109,7 +110,10 @@ def write_fixtures(directory=FIXTURE_DIR):
             fh.write("\n")
 
 
+@functools.cache
 def load_fixture(name):
+    """The shipped fixture ``name``, built once per process, so its
+    per-algebra memos carry over between callers."""
     path = os.path.join(FIXTURE_DIR, name + ".json")
     with open(path) as fh:
         return algebra_from_json(json.load(fh), name=name)
@@ -386,17 +390,9 @@ def _crit_properties():
     serre_ok = True
     for name in _PROPERTY_ALGS:
         alg = load_fixture(name)
-        res_cache = {}
-
-        def res_of(kind, v, alg=alg, cache=res_cache):
-            if (kind, v) not in cache:
-                cache[(kind, v)] = minimal_projective_resolution(
-                    standard_module(alg, kind, v))
-            return cache[(kind, v)]
-
         for (kx, vx), (ky, vy) in _random_standard_pairs(alg, 50, seed=93):
-            RX = res_of(kx, vx)
-            RY = res_of(ky, vy)
+            RX = minimal_projective_resolution(standard_module(alg, kx, vx))
+            RY = minimal_projective_resolution(standard_module(alg, ky, vy))
             lhs = hom_profile(RX, standard_module(alg, ky, vy))
             nuX = nakayama(RX).to_rep()
             rhs = hom_profile(RY, nuX)

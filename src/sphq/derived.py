@@ -318,10 +318,14 @@ def tau(F):
 def minimal_projective_resolution(M):
     """Iterated projective covers; perfect complex in degrees -len..0.
 
+    Computed once per module object and kept on it as ``M._resolution``,
+    so the result is shared: callers must not mutate its pieces or diffs.
     Raises GlobalDimensionExceeded if the syzygies do not vanish within
-    ``RESOLUTION_BOUND`` steps.
+    ``RESOLUTION_BOUND`` steps; nothing is stored then.
     """
-    return _cover_complex(stalk_complex(M))[0]
+    if M._resolution is None:
+        M._resolution = _cover_complex(stalk_complex(M))[0]
+    return M._resolution
 
 
 def _cover_complex(C):

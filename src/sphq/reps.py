@@ -25,6 +25,9 @@ from .linalg import (Matrix, block_diag, hstack, kernel_basis,
 class Representation:
     def __init__(self, alg, dims, maps, check=True):
         self.alg = alg
+        # Minimal projective resolution, owned and filled on first use by
+        # derived.minimal_projective_resolution.
+        self._resolution = None
         self.dims = {v: int(dims.get(v, 0)) for v in alg.quiver.vertices}
         self.maps = {}
         for a in alg.quiver.arrows:
@@ -282,9 +285,11 @@ _KIND = {"projective": "proj", "injective": "inj"}
 
 
 def simple_module(alg, x):
+    """S(x), built once per algebra."""
     if x not in alg.quiver.arrows_out:
         raise UnknownVertex(str(x))
-    return Representation(alg, {x: 1}, {}, check=False)
+    return _memo(alg, ("simple", x),
+                 lambda: Representation(alg, {x: 1}, {}, check=False))
 
 
 def standard_basis(alg, kind, labels):
@@ -312,12 +317,17 @@ def generator_column(index, j, x):
     return index[x][(j, Path(x, x, ()))]
 
 
+def _memo(alg, key, build):
+    """alg._std_cache[key], set to build() on first use."""
+    cache = alg._std_cache
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
 def _standard(alg, kind, x):
     """P(x) ("proj") or I(x) ("inj"), built once per algebra."""
-    cache = alg._std_cache
-    if (kind, x) not in cache:
-        cache[kind, x] = _build_standard(alg, kind, x)
-    return cache[kind, x]
+    return _memo(alg, (kind, x), lambda: _build_standard(alg, kind, x))
 
 
 def _build_standard(alg, kind, x):
@@ -351,10 +361,7 @@ def _build_standard(alg, kind, x):
 
 def zero_rep(alg):
     """The zero module, shared per algebra."""
-    cache = alg._std_cache
-    if "zero" not in cache:
-        cache["zero"] = Representation(alg, {}, {}, check=False)
-    return cache["zero"]
+    return _memo(alg, "zero", lambda: Representation(alg, {}, {}, check=False))
 
 
 def projective_module(alg, x):

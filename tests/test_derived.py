@@ -168,6 +168,9 @@ def test_resolution_bound_exceeded():
     S = simple_module(alg, "1")
     with pytest.raises(GlobalDimensionExceeded):
         minimal_projective_resolution(S)
+    # a failure is not memoised: the second call resolves and fails again
+    with pytest.raises(GlobalDimensionExceeded):
+        minimal_projective_resolution(S)
 
 
 def test_no_function_takes_a_bound():
@@ -378,6 +381,30 @@ def test_resolutions_are_byte_stable(name):
             outs.append(complex_to_json(R))
     digest = hashlib.sha256(json.dumps(outs).encode()).hexdigest()
     assert digest == RESOLUTION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RESOLUTION_DIGESTS))
+def test_shared_resolutions_stay_unmutated(name):
+    """A resolution is memoised on its module and shared by every caller,
+    so nu, tau, tau^-1, classification and Hom(R, R) must leave its
+    pieces, differential and cohomology as they were."""
+    alg = load_fixture(name)
+    for kind in ("simple", "projective", "injective"):
+        for v in alg.quiver.vertices:
+            M = standard_module(alg, kind, v)
+            R = minimal_projective_resolution(M)
+            if R.total_rank() > 5:
+                continue
+            before = (json.dumps(complex_to_json(R)),
+                      R.to_rep().cohomology_dims())
+            nakayama(R)
+            tau(R)
+            tau_inverse(R)
+            classify_spherelike(R, "%s:%s" % (kind, v))
+            hom_profile(R, R)
+            assert minimal_projective_resolution(M) is R
+            assert (json.dumps(complex_to_json(R)),
+                    R.to_rep().cohomology_dims()) == before
 
 
 @st.composite

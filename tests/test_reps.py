@@ -283,6 +283,14 @@ def test_standard_modules_are_built_once_per_algebra():
         assert projective_module(alg, v) is \
             standard_module(alg, "projective", v)
         assert injective_module(alg, v) is standard_module(alg, "injective", v)
+        assert simple_module(alg, v) is simple_module(alg, v)
+        assert simple_module(alg, v) is standard_module(alg, "simple", v)
+        for kind in ("simple", "projective", "injective"):
+            M = standard_module(alg, kind, v)
+            assert minimal_projective_resolution(M) is \
+                minimal_projective_resolution(M)
+    for name in ("cb3", "auslander_x3"):
+        assert load_fixture(name) is load_fixture(name)
 
 
 def test_to_rep_over_a_warm_algebra_builds_no_standard_module(monkeypatch):
@@ -312,3 +320,14 @@ def test_only_reps_touches_the_standard_module_cache():
             if isinstance(node, ast.Attribute) and node.attr == "_std_cache":
                 found.append(path.name)
     assert set(found) == {"algebra.py", "reps.py"}
+
+
+def test_only_derived_fills_the_resolution_memo():
+    """M._resolution is declared in reps.py and filled only by derived.py
+    (minimal_projective_resolution)."""
+    found = []
+    for path in sorted(pathlib.Path(sphq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "_resolution":
+                found.append(path.name)
+    assert set(found) == {"reps.py", "derived.py"}

@@ -77,7 +77,7 @@ class Quiver:
 
     def trivial_path(self, v):
         if v not in self.arrows_out:
-            raise UnknownVertex(str(v))
+            raise UnknownVertex("unknown vertex %r" % (v,))
         return Path(v, v, ())
 
     def path(self, arrow_names, source=None):

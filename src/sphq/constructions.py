@@ -113,7 +113,7 @@ def insert_An(alg, x, n):
     """
     q = alg.quiver
     if x not in q.arrows_out:
-        raise UnknownVertex(str(x))
+        raise UnknownVertex("unknown vertex %r" % (x,))
     if n < 0:
         raise FamilyParameterError("insert needs n >= 0")
     chain = ["%s_%d" % (x, i) for i in range(n + 1)]
@@ -168,10 +168,10 @@ def tack(alg, T, t, mult):
     """(T, t) tacked onto alg with multiplicities: disjoint union plus
     mult(x) arrows t -> x; relations unchanged."""
     if t not in T.arrows_out:
-        raise UnknownVertex(str(t))
+        raise UnknownVertex("unknown vertex %r" % (t,))
     for x, k in mult.items():
         if x not in alg.quiver.arrows_out:
-            raise UnknownVertex(str(x))
+            raise UnknownVertex("unknown vertex %r" % (x,))
         if k < 0:
             raise FamilyParameterError("multiplicity of %s is negative" % x)
     if T.arrows_out[t]:

@@ -97,7 +97,19 @@ class BoundedComplex:
         return out
 
     def is_acyclic(self):
-        return not self.cohomology_dims()
+        """True when every cohomology group vanishes.  Ranks each
+        differential on first need, in ascending degree order, and stops at
+        the first degree with nonzero cohomology."""
+        ranks = {}
+
+        def rank_of(n):
+            if n not in ranks:
+                d = self.diffs.get(n)
+                ranks[n] = 0 if d is None else sum(rank(m) for m in d.mats.values())
+            return ranks[n]
+
+        return all(self.pieces[n].total_dim() == rank_of(n) + rank_of(n - 1)
+                   for n in self.degrees())
 
     def total_dim(self):
         return sum(p.total_dim() for p in self.pieces.values())
@@ -141,39 +153,65 @@ class ChainMap:
         return zero_morphism(self.source.piece(n), self.target.piece(n))
 
     def _validate(self):
-        degs = set(self.source.pieces) | set(self.target.pieces)
-        for n in degs:
-            lhs = self.target.diff(n).compose(self.comp(n))
-            rhs = self.comp(n + 1).compose(self.source.diff(n))
-            for v in self.source.alg.quiver.vertices:
-                if not (lhs.mats[v] - rhs.mats[v]).is_zero():
+        """d_Y f^n = f^{n+1} d_X in every degree.  A side with an absent
+        factor is zero and is not multiplied out; a square with both sides
+        zero holds."""
+        X, Y = self.source, self.target
+        for n in set(X.pieces) | set(Y.pieces):
+            lhs = _compose_present(Y.diffs.get(n), self.comps.get(n))
+            rhs = _compose_present(self.comps.get(n + 1), X.diffs.get(n))
+            if lhs is None and rhs is None:
+                continue
+            for v in X.alg.quiver.vertices:
+                if rhs is None:
+                    bad = not lhs.mats[v].is_zero()
+                elif lhs is None:
+                    bad = not rhs.mats[v].is_zero()
+                else:
+                    bad = lhs.mats[v] != rhs.mats[v]
+                if bad:
                     raise NotChainMap("square fails at degree %d vertex %s" % (n, v))
 
 
+def _compose_present(g, h):
+    """g after h, or None (the zero map) when either is absent."""
+    return None if g is None or h is None else g.compose(h)
+
+
 def cone(f):
-    """Mapping cone of a chain map: C^n = X^{n+1} + Y^n."""
+    """Mapping cone of a chain map: C^n = X^{n+1} + Y^n, with differential
+    [[-d_X^{n+1}, 0], [f^{n+1}, d_Y^n]].
+
+    Each row of each per-vertex matrix is built once from the blocks that
+    exist; a block absent from ``X.diffs``, ``f.comps`` or ``Y.diffs`` is
+    zero and is never built."""
     X, Y = f.source, f.target
     alg = X.alg
-    field = alg.field
+    z = alg.field.zero()
     degs = sorted({n - 1 for n in X.pieces} | set(Y.pieces))
-    pieces = {}
-    for n in degs:
-        pieces[n] = direct_sum([X.piece(n + 1), Y.piece(n)])
+    pieces = {n: direct_sum([X.piece(n + 1), Y.piece(n)]) for n in degs}
     diffs = {}
     for n in degs:
         if n + 1 not in pieces:
-            if not (X.piece(n + 2).is_zero() and Y.piece(n + 1).is_zero()):
-                pieces[n + 1] = direct_sum([X.piece(n + 2), Y.piece(n + 1)])
-            else:
-                continue
+            continue
+        dx, fn, dy = X.diffs.get(n + 1), f.comps.get(n + 1), Y.diffs.get(n)
+        xr, xc = X.piece(n + 2).dims, X.piece(n + 1).dims
+        yr, yc = Y.piece(n + 1).dims, Y.piece(n).dims
         mats = {}
         for v in alg.quiver.vertices:
-            dx = X.diff(n + 1).mats[v].scale(field.from_int(-1))
-            fy = f.comp(n + 1).mats[v]
-            dy = Y.diff(n).mats[v]
-            top = hstack([dx, Matrix.zero(dx.rows, dy.cols, field)])
-            bot = hstack([fy, dy])
-            mats[v] = vstack([top, bot])
+            cols = xc[v] + yc[v]
+            if dx is None:
+                rows = [[z] * cols for _ in range(xr[v])]
+            else:
+                pad = [z] * yc[v]
+                rows = [[-a for a in row] + pad for row in dx.mats[v].entries]
+            if fn is None and dy is None:
+                rows.extend([z] * cols for _ in range(yr[v]))
+            else:
+                left = fn.mats[v].entries if fn is not None else [[z] * xc[v]] * yr[v]
+                right = dy.mats[v].entries if dy is not None else [[z] * yc[v]] * yr[v]
+                rows.extend(a + b for a, b in zip(left, right))
+            mats[v] = Matrix(len(rows), cols, rows, alg.field)
         diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
     return BoundedComplex(alg, pieces, diffs, check=False)
 
@@ -470,17 +508,28 @@ class HomComplexData:
         self.F = F
         self.G = as_rep_complex(G)
         self.alg = F.alg
+        self._layouts = {}
+
+    def _layout(self, n):
+        """(slots(n), offset of each slot (p, j), dim C^n), computed once
+        per degree."""
+        layout = self._layouts.get(n)
+        if layout is None:
+            slots, offsets, size = [], {}, 0
+            for p in self.F.degrees():
+                Gp = self.G.pieces.get(p + n)
+                if Gp is None:
+                    continue
+                for j, x in enumerate(self.F.labels(p)):
+                    slots.append((p, j, x, Gp.dims[x]))
+                    offsets[p, j] = size
+                    size += Gp.dims[x]
+            layout = self._layouts[n] = (slots, offsets, size)
+        return layout
 
     def slots(self, n):
         """[(p, j, label, dim)] for C^n = sum_p sum_j G^{p+n}_{x_j}."""
-        out = []
-        for p in self.F.degrees():
-            Gp = self.G.piece(p + n)
-            if Gp.is_zero():
-                continue
-            for j, x in enumerate(self.F.labels(p)):
-                out.append((p, j, x, Gp.dims[x]))
-        return out
+        return self._layout(n)[0]
 
     def degree_range(self):
         if self.F.is_zero() or self.G.is_zero():
@@ -490,51 +539,47 @@ class HomComplexData:
         return list(range(gdeg[0] - fdeg[-1], gdeg[-1] - fdeg[0] + 1))
 
     def delta(self, n):
-        """Matrix of the differential C^n -> C^{n+1}."""
-        alg = self.alg
-        field = alg.field
-        src = self.slots(n)
-        tgt = self.slots(n + 1)
-        src_off = {}
-        t = 0
-        for (p, j, x, d) in src:
-            src_off[(p, j)] = t
-            t += d
-        tgt_off = {}
-        u = 0
-        for (p, j, x, d) in tgt:
-            tgt_off[(p, j)] = u
-            u += d
-        M = Matrix.zero(u, t, field)
-        sign = field.from_int((-1) ** (n % 2))
-        for (p, j, x, d) in src:
-            off = src_off[(p, j)]
-            # d_G term: same (p, j) slot upstairs
-            if (p, j) in tgt_off:
-                dg = self.G.diff(p + n).mats[x]
-                for r in range(dg.rows):
-                    for c in range(dg.cols):
-                        if dg.entries[r][c]:
-                            M.entries[tgt_off[(p, j)] + r][off + c] = \
-                                M.entries[tgt_off[(p, j)] + r][off + c] + dg.entries[r][c]
-            # -(-1)^n phi o d_F term: slot (p-1, j') receives from (p, j)
+        """Matrix of the differential C^n -> C^{n+1}.
+
+        Slot (p, j) of C^n sends phi to d_G phi in slot (p, j) of C^{n+1}
+        and to -(-1)^n phi d_F in the slots (p - 1, j2).  These are
+        distinct slots, so every cell receives at most one term, and only
+        the nonzero entries of d_G and of the element actions are
+        written."""
+        field = self.alg.field
+        src, src_off, cols = self._layout(n)
+        _, tgt_off, rows = self._layout(n + 1)
+        M = Matrix.zero(rows, cols, field)
+        if not (rows and cols):
+            return M
+        ent = M.entries
+        one, minus_sign = field.one(), field.from_int((-1) ** (n % 2 + 1))
+        for (p, j, x, _) in src:
+            off = src_off[p, j]
+            dg = self.G.diffs.get(p + n)
+            if dg is not None:
+                _write_block(ent, tgt_off[p, j], off, dg.mats[x], one)
             dprev = self.F.diffs.get(p - 1)
-            if dprev is not None:
-                Gtarget = self.G.piece(p + n)
-                for j2, x2 in enumerate(self.F.labels(p - 1)):
-                    if (p - 1, j2) not in tgt_off:
-                        continue
-                    e = dprev[j][j2]
-                    if e.is_zero():
-                        continue
-                    act = Gtarget.element_action(e)  # G_{x} -> G_{x2}
-                    for r in range(act.rows):
-                        for c in range(act.cols):
-                            v = act.entries[r][c]
-                            if v:
-                                M.entries[tgt_off[(p - 1, j2)] + r][off + c] = \
-                                    M.entries[tgt_off[(p - 1, j2)] + r][off + c] - sign * v
+            if dprev is None:
+                continue
+            Gp = self.G.pieces[p + n]
+            for j2, e in enumerate(dprev[j]):
+                r0 = tgt_off.get((p - 1, j2))
+                if r0 is None or e.is_zero():
+                    continue
+                act = Gp.element_action(e)  # G_{x} -> G_{x2}
+                _write_block(ent, r0, off, act, minus_sign)
         return M
+
+
+def _write_block(ent, r0, c0, block, coeff):
+    """Write coeff times the nonzero entries of the matrix ``block`` into
+    the rows ``ent`` at (r0, c0)."""
+    for r, row in enumerate(block.entries):
+        out = ent[r0 + r]
+        for c, a in enumerate(row):
+            if a:
+                out[c0 + c] = coeff * a
 
 
 def hom_profile(F, G):

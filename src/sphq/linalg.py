@@ -274,15 +274,22 @@ def vstack(mats):
 
 
 def block_diag(mats, field=QQ):
-    """Block-diagonal matrix with the given blocks in order."""
-    out = Matrix.zero(sum(m.rows for m in mats), sum(m.cols for m in mats), field)
-    r0 = c0 = 0
+    """Block-diagonal matrix with the given blocks in order.
+
+    Each output row is built once, from the row of its block; a block
+    with no rows only widens the rows of the others."""
+    z = field.zero()
+    cols = sum(m.cols for m in mats)
+    entries = []
+    c0 = 0
     for m in mats:
-        for i, row in enumerate(m.entries):
-            out.entries[r0 + i][c0:c0 + m.cols] = row
-        r0 += m.rows
-        c0 += m.cols
-    return out
+        c1 = c0 + m.cols
+        for row in m.entries:
+            out = [z] * cols
+            out[c0:c1] = row
+            entries.append(out)
+        c0 = c1
+    return Matrix(len(entries), cols, entries, field)
 
 
 def rref(M):

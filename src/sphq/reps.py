@@ -57,9 +57,14 @@ class Representation:
         return self.total_dim() == 0
 
     def path_action(self, p):
-        """Matrix of the path action M_source -> M_target."""
-        m = Matrix.identity(self.dims[p.source], self.alg.field)
-        for name in p.arrows:
+        """Matrix of the path action M_source -> M_target: the product of
+        the arrow maps along p, or the identity for a trivial path.  For a
+        one-arrow path this is the arrow map itself, so callers must not
+        mutate it."""
+        if not p.arrows:
+            return Matrix.identity(self.dims[p.source], self.alg.field)
+        m = self.maps[p.arrows[0]]
+        for name in p.arrows[1:]:
             m = self.maps[name] * m
         return m
 
@@ -73,12 +78,12 @@ class Representation:
     def element_action(self, e):
         """Action M_source -> M_target of a nonzero element whose terms
         are parallel paths source -> target."""
-        eps = e.endpoints()
-        assert eps is not None, "element is zero or its terms not parallel"
-        source, target = eps
-        acc = Matrix.zero(self.dims[target], self.dims[source], self.alg.field)
+        assert e.endpoints() is not None, \
+            "element is zero or its terms not parallel"
+        acc = None
         for p, c in e.terms.items():
-            acc = acc + self.path_action(p).scale(c)
+            m = self.path_action(p).scale(c)
+            acc = m if acc is None else acc + m
         return acc
 
 
@@ -287,7 +292,7 @@ _KIND = {"projective": "proj", "injective": "inj"}
 def simple_module(alg, x):
     """S(x), built once per algebra."""
     if x not in alg.quiver.arrows_out:
-        raise UnknownVertex(str(x))
+        raise UnknownVertex("unknown vertex %r" % (x,))
     return _memo(alg, ("simple", x),
                  lambda: Representation(alg, {x: 1}, {}, check=False))
 
@@ -300,15 +305,24 @@ def standard_basis(alg, kind, labels):
     ``direct_sum`` stacks them: summand j, then its basis paths p, the
     normal paths x_j -> v for P(x_j) and v -> x_j for I(x_j) (whose basis
     is dual to them).  index[v] maps (j, p) to its position.
-    """
-    def paths(x, v):
-        return alg.slice_basis(v, x) if kind == "proj" else alg.slice_basis(x, v)
 
-    order = {v: [(j, p) for j, x in enumerate(labels) for p in paths(x, v)]
-             for v in alg.quiver.vertices}
-    index = {v: {key: i for i, key in enumerate(keys)}
-             for v, keys in order.items()}
-    return order, index
+    Built once per algebra, kind and label sequence and shared by every
+    caller, so callers must not mutate the result.
+    """
+    labels = tuple(labels)
+
+    def build():
+        def paths(x, v):
+            return (alg.slice_basis(v, x) if kind == "proj"
+                    else alg.slice_basis(x, v))
+
+        order = {v: [(j, p) for j, x in enumerate(labels) for p in paths(x, v)]
+                 for v in alg.quiver.vertices}
+        index = {v: {key: i for i, key in enumerate(keys)}
+                 for v, keys in order.items()}
+        return order, index
+
+    return _memo(alg, ("basis", kind, labels), build)
 
 
 def generator_column(index, j, x):
@@ -376,7 +390,7 @@ def injective_module(alg, x):
 
 def standard_module(alg, kind, x):
     if x not in alg.quiver.arrows_out:
-        raise UnknownVertex(str(x))
+        raise UnknownVertex("unknown vertex %r" % (x,))
     if kind == "simple":
         return simple_module(alg, x)
     if kind in _KIND:

@@ -1,0 +1,223 @@
+"""Cones, Hom-complex differentials and element actions, which are
+assembled from their nonzero blocks only, checked entry for entry against
+dense references: the formulas that build every zero block, kept here."""
+
+import os
+
+import pytest
+
+from sphq import derived, spherelike
+from sphq.corpus import FIXTURE_DIR, load_fixture
+from sphq.derived import (HomComplexData, chain_map_space, cone, hom_profile,
+                          minimal_projective_resolution, nakayama)
+from sphq.linalg import Matrix, hstack, vstack
+from sphq.reps import standard_module
+from sphq.spherelike import classify_spherelike, interval_modules
+
+FIXTURES = sorted(f[:-5] for f in os.listdir(FIXTURE_DIR))
+KINDS = ("simple", "projective", "injective")
+
+
+def standard_resolutions(alg):
+    return [minimal_projective_resolution(standard_module(alg, kind, v))
+            for kind in KINDS for v in alg.quiver.vertices]
+
+
+def dense_path_action(M, p):
+    """The identity at the source times each arrow map of p in turn."""
+    m = Matrix.identity(M.dims[p.source], M.alg.field)
+    for name in p.arrows:
+        m = M.maps[name] * m
+    return m
+
+
+def dense_element_action(M, e):
+    """Sum of c times the path action of p over the terms c p, accumulated
+    on a zero matrix."""
+    source, target = e.endpoints()
+    acc = Matrix.zero(M.dims[target], M.dims[source], M.alg.field)
+    for p, c in e.terms.items():
+        acc = acc + dense_path_action(M, p).scale(c)
+    return acc
+
+
+def dense_cone_matrix(f, n, v):
+    """[[-d_X^{n+1}, 0], [f^{n+1}, d_Y^n]] at v, from zero morphisms for the
+    absent blocks, a zero corner, two hstacks and a vstack."""
+    X, Y = f.source, f.target
+    field = X.alg.field
+    dx = X.diff(n + 1).mats[v].scale(field.from_int(-1))
+    fy = f.comp(n + 1).mats[v]
+    dy = Y.diff(n).mats[v]
+    top = hstack([dx, Matrix.zero(dx.rows, dy.cols, field)])
+    return vstack([top, hstack([fy, dy])])
+
+
+def dense_delta(data, n):
+    """The Hom-complex differential C^n -> C^{n+1} on a zero matrix,
+    every term added to its cell, d_G read through ``G.diff``."""
+    field = data.alg.field
+    src, tgt = data.slots(n), data.slots(n + 1)
+    src_off, tgt_off = {}, {}
+    for slots, off in ((src, src_off), (tgt, tgt_off)):
+        t = 0
+        for (p, j, x, d) in slots:
+            off[p, j] = t
+            t += d
+    M = Matrix.zero(sum(s[3] for s in tgt), sum(s[3] for s in src), field)
+    ent = M.entries
+    sign = field.from_int((-1) ** (n % 2))
+    for (p, j, x, d) in src:
+        off = src_off[p, j]
+        if (p, j) in tgt_off:
+            dg = data.G.diff(p + n).mats[x]
+            for r in range(dg.rows):
+                for c in range(dg.cols):
+                    ent[tgt_off[p, j] + r][off + c] += dg.entries[r][c]
+        dprev = data.F.diffs.get(p - 1)
+        if dprev is not None:
+            for j2 in range(len(data.F.labels(p - 1))):
+                if (p - 1, j2) not in tgt_off or dprev[j][j2].is_zero():
+                    continue
+                act = dense_element_action(data.G.piece(p + n), dprev[j][j2])
+                for r in range(act.rows):
+                    for c in range(act.cols):
+                        ent[tgt_off[p - 1, j2] + r][off + c] -= \
+                            sign * act.entries[r][c]
+    return M
+
+
+def same_matrix(A, B):
+    return (A.rows, A.cols, A.entries) == (B.rows, B.cols, B.entries)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_element_action_matches_the_dense_sum(name):
+    """Every differential entry of every standard-module resolution, acting
+    on every standard module."""
+    alg = load_fixture(name)
+    modules = [standard_module(alg, kind, v)
+               for kind in KINDS for v in alg.quiver.vertices]
+    entries = [e for R in standard_resolutions(alg) for d in R.diffs.values()
+               for row in d for e in row if e.terms]
+    assert entries or name == "poset_cycle"
+    for e in entries:
+        for M in modules:
+            assert same_matrix(M.element_action(e), dense_element_action(M, e))
+
+
+@pytest.mark.parametrize("name", ["cb3", "ncc", "auslander_x3", "circular_7_5"])
+def test_cone_matches_the_dense_construction(name):
+    """For every chain map chain_map_space returns from a standard-module
+    resolution to the shifts of another, the cone has the pieces and the
+    per-vertex differentials of the dense construction."""
+    alg = load_fixture(name)
+    res = standard_resolutions(alg)
+    maps = 0
+    for F in res:
+        for G in res:
+            for s in HomComplexData(F, G).degree_range():
+                for f in chain_map_space(F, G, s)[1]:
+                    maps += 1
+                    C = cone(f)
+                    X, Y = f.source, f.target
+                    degs = sorted({n - 1 for n in X.pieces} | set(Y.pieces))
+                    assert sorted(C.pieces) == [
+                        n for n in degs
+                        if X.piece(n + 1).total_dim() + Y.piece(n).total_dim()]
+                    for n in degs:
+                        dims = {v: X.piece(n + 1).dims[v] + Y.piece(n).dims[v]
+                                for v in alg.quiver.vertices}
+                        assert C.piece(n).dims == dims
+                        if n + 1 not in degs:
+                            continue
+                        for v in alg.quiver.vertices:
+                            want = dense_cone_matrix(f, n, v)
+                            if n in C.diffs:
+                                assert same_matrix(C.diffs[n].mats[v], want)
+                            else:
+                                assert want.is_zero()
+    assert maps
+
+
+def q_f_complexes(alg):
+    """The Q_F of every d != 0 spherelike standard or interval module."""
+    out = []
+    objects = [(kind, standard_module(alg, kind, v))
+               for kind in KINDS for v in alg.quiver.vertices]
+    for desc, M in objects + interval_modules(alg):
+        rep = classify_spherelike(M, desc)
+        if rep.Q is not None:
+            out.append(rep.Q)
+    return out
+
+
+@pytest.mark.parametrize("name", ["cb3", "auslander_x3", "circular_7_5",
+                                  "dda_2_4_1"])
+def test_delta_matches_the_dense_build(name):
+    """Every differential of Hom(res X, G) for X standard and G a standard
+    module as a stalk, nu(res X) as a complex, or a Q_F, one degree beyond
+    the degree range on both sides."""
+    alg = load_fixture(name)
+    res = standard_resolutions(alg)
+    qfs = q_f_complexes(alg)
+    assert any(not Q.is_acyclic() for Q in qfs) or \
+        name in ("cb3", "auslander_x3")
+    targets = ([standard_module(alg, kind, v)
+                for kind in KINDS for v in alg.quiver.vertices]
+               + [nakayama(F).to_rep() for F in res] + qfs)
+    deltas = 0
+    for F in res:
+        for G in targets:
+            data = HomComplexData(F, G)
+            rng = data.degree_range()
+            if not rng:
+                continue
+            for n in range(rng[0] - 1, rng[-1] + 1):
+                deltas += 1
+                assert same_matrix(data.delta(n), dense_delta(data, n))
+    assert deltas
+
+
+def recorded_cones(name, monkeypatch):
+    """Every cone that iso_up_to_shift and classify_spherelike build while
+    classifying the standard and interval modules of a fixture."""
+    built = []
+
+    def recording_cone(f):
+        C = cone(f)
+        built.append(C)
+        return C
+
+    monkeypatch.setattr(derived, "cone", recording_cone)
+    monkeypatch.setattr(spherelike, "cone", recording_cone)
+    alg = load_fixture(name)
+    objects = [("%s:%s" % (kind, v), standard_module(alg, kind, v))
+               for kind in KINDS for v in alg.quiver.vertices]
+    for desc, M in objects + interval_modules(alg):
+        classify_spherelike(M, desc)
+    return built
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_is_acyclic_agrees_with_cohomology(name, monkeypatch):
+    """The early-stopping is_acyclic agrees with the full cohomology."""
+    for C in recorded_cones(name, monkeypatch):
+        assert C.is_acyclic() == (C.cohomology_dims() == {})
+
+
+def test_recorded_cones_have_both_answers(monkeypatch):
+    """On auslander_x3, 5 of the 55 recorded cones are acyclic, so both
+    answers of is_acyclic are exercised."""
+    built = recorded_cones("auslander_x3", monkeypatch)
+    assert {C.is_acyclic() for C in built} == {True, False}
+
+
+def test_hom_profile_unchanged_on_the_dense_delta(monkeypatch):
+    """hom_profile read through the dense reference gives the same
+    profiles, on every pair of standard modules of ncc."""
+    alg = load_fixture("ncc")
+    res = standard_resolutions(alg)
+    fast = [hom_profile(F, G) for F in res for G in res]
+    monkeypatch.setattr(HomComplexData, "delta", dense_delta)
+    assert [hom_profile(F, G) for F in res for G in res] == fast

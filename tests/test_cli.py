@@ -76,6 +76,16 @@ def test_unknown_vertex_is_input_error(capsys):
     assert json.loads(err)["error"]["code"] == "input"
 
 
+@pytest.mark.parametrize("spec, vertex", [("S:", ""), ("S:9", "9")])
+def test_unknown_vertex_error_names_the_vertex(capsys, spec, vertex):
+    code, out, err = run(capsys, "hom", "cb3", "--from", spec, "--to", "S:1")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "input"
+    assert repr(vertex) in error["message"]
+
+
 def test_d_zero_is_computation_error(capsys):
     code, _, err = run(capsys, "asphericality", "cb2",
                        "--object", "interval:2,3")

@@ -80,6 +80,17 @@ def test_tack_checks_its_multiplicities(mult, error):
         tack(kronecker(2), T, "t1", mult)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: insert_An(cb(2), "9", 1),
+    lambda: tack(kronecker(2), Quiver(["t1"], []), "9", {}),
+    lambda: tack(kronecker(2), Quiver(["t1"], []), "t1", {"9": 1}),
+    lambda: cb(2).quiver.trivial_path("9"),
+], ids=["insert", "tack-sink", "tack-mult", "trivial-path"])
+def test_unknown_vertex_error_names_the_vertex(build):
+    with pytest.raises(UnknownVertex, match="unknown vertex '9'"):
+        build()
+
+
 def test_circular_corner_embedding():
     big, emb = circular(7, [5], with_embedding=True)
     assert emb.small.total_dim == cb(2).total_dim

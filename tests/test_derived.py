@@ -22,7 +22,7 @@ from sphq.derived import (chain_map_space, complex_direct_sum,
                           is_minimal, iso_up_to_shift,
                           minimal_projective_resolution, nakayama, perfectify,
                           resolve, stalk_complex, tau, tau_inverse)
-from sphq.errors import GlobalDimensionExceeded, SchemaError
+from sphq.errors import GlobalDimensionExceeded, NotChainMap, SchemaError
 from sphq.linalg import QQ, PrimeField
 from sphq.reps import (hom_basis, identity_morphism, injective_module,
                        projective_module, simple_module, standard_module,
@@ -306,6 +306,25 @@ def test_cover_complex_maps_quasi_isomorphically(name):
         f = derived.ChainMap(P.to_rep(), C, q, check=True)
         assert f.comps
         assert cone(f).is_acyclic()
+
+
+def test_chain_map_check_rejects_every_failing_square():
+    """The identity of res S(1) over cb(3), as chain_map_space returns it,
+    passes the check.  Dropping one component leaves squares with one side
+    zero and one not, and doubling one leaves squares with two different
+    sides; both are rejected."""
+    alg = cb(3)
+    R = minimal_projective_resolution(simple_module(alg, "1"))
+    dim, (f,) = chain_map_space(R, R.to_rep(), 0)
+    X, Y = f.source, f.target
+    assert sorted(f.comps) == [-3, -2, -1, 0]
+    derived.ChainMap(X, Y, f.comps, check=True)
+    dropped = {n: g for n, g in f.comps.items() if n != -1}
+    doubled = dict(f.comps)
+    doubled[0] = f.comps[0].scale(alg.field.from_int(2))
+    for comps in (dropped, doubled):
+        with pytest.raises(NotChainMap):
+            derived.ChainMap(X, Y, comps, check=True)
 
 
 @pytest.mark.parametrize("kind", ["projective", "simple"])

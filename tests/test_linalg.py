@@ -252,3 +252,40 @@ def test_block_diag_places_blocks_at_running_offsets(blocks):
             assert not any(band[:c0]) and not any(band[c0 + m.cols:])
         r0 += m.rows
         c0 += m.cols
+
+
+def dense_block_diag(mats, field):
+    """The zero matrix with each block slice-assigned at its running
+    offset: the reference for ``block_diag``."""
+    out = Matrix.zero(sum(m.rows for m in mats), sum(m.cols for m in mats), field)
+    r0 = c0 = 0
+    for m in mats:
+        for i, row in enumerate(m.entries):
+            out.entries[r0 + i][c0:c0 + m.cols] = row
+        r0 += m.rows
+        c0 += m.cols
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(2), PrimeField(3)]).flatmap(
+    lambda field: st.tuples(st.just(field),
+                            st.lists(st.one_of(sparse_matrices(field),
+                                               st.builds(Matrix.zero,
+                                                         st.integers(0, 3),
+                                                         st.just(0),
+                                                         st.just(field)),
+                                               st.builds(Matrix.zero,
+                                                         st.just(0),
+                                                         st.integers(0, 3),
+                                                         st.just(field))),
+                                     max_size=5))))
+def test_block_diag_matches_the_dense_reference(case):
+    """Entry for entry, with 0-row and 0-column blocks mixed in; every
+    output row is a list of its own."""
+    field, mats = case
+    D = block_diag(mats, field)
+    want = dense_block_diag(mats, field)
+    assert (D.rows, D.cols, D.entries) == (want.rows, want.cols, want.entries)
+    assert len({id(row) for row in D.entries}) == D.rows
+    assert not any(row is b for m in mats for b in m.entries for row in D.entries)

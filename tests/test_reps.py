@@ -293,6 +293,26 @@ def test_standard_modules_are_built_once_per_algebra():
         assert load_fixture(name) is load_fixture(name)
 
 
+@pytest.mark.parametrize("name", ["cb3", "auslander_x3", "tensor_kronecker"])
+def test_standard_basis_is_built_once_per_label_sequence(name):
+    """A second call returns the same order and index objects, for a list
+    or a tuple of the same labels, and the layout is the one built from
+    the slice bases: summand j, then its normal paths."""
+    alg = load_fixture(name)
+    verts = alg.quiver.vertices
+    for kind in ("proj", "inj"):
+        for labels in ([verts[0]], list(reversed(verts)), verts + verts[:1]):
+            order, index = standard_basis(alg, kind, labels)
+            again = standard_basis(alg, kind, tuple(labels))
+            assert again[0] is order and again[1] is index
+            for v in verts:
+                want = [(j, p) for j, x in enumerate(labels)
+                        for p in (alg.slice_basis(v, x) if kind == "proj"
+                                  else alg.slice_basis(x, v))]
+                assert order[v] == want
+                assert index[v] == {key: i for i, key in enumerate(want)}
+
+
 def test_to_rep_over_a_warm_algebra_builds_no_standard_module(monkeypatch):
     alg = load_fixture("auslander_x3")
     R = minimal_projective_resolution(simple_module(alg, "1"))

@@ -230,6 +230,9 @@ class LabeledComplex:
         self.diffs = {n: d for n, d in diffs.items()
                       if n in self.pieces and (n + 1) in self.pieces}
         self._rep = None
+        # nu(self) of a projective-labeled complex, filled on first use by
+        # nakayama.
+        self._nu = None
         if check:
             self._validate()
 
@@ -332,10 +335,16 @@ def _relabelled(F, kind):
 
 def nakayama(F):
     """nu(F): relabel P(x) -> I(x); differential entries transport as duals
-    of left multiplication."""
+    of left multiplication.
+
+    Built once per perfect complex and kept on it as ``F._nu``, so the
+    result and its ``to_rep()`` are shared: callers must not mutate them.
+    """
     if F.kind != "proj":
         raise NotElementValued("nakayama needs a projective-labeled complex")
-    return _relabelled(F, "inj")
+    if F._nu is None:
+        F._nu = _relabelled(F, "inj")
+    return F._nu
 
 
 def inverse_nakayama(G):

@@ -9,7 +9,7 @@ the kernel off the same elimination) and one per arrow of a sub-module
 (``_subrep_from_inclusions``).
 
 This module alone builds the standard modules P(x) and I(x), memoises
-them per algebra and indexes their sums (``standard_basis``,
+them and their sums per algebra and indexes the sums (``standard_basis``,
 ``standard_sum``); maps out of a sum of projectives are given by the
 images of its generators (``from_generators``).
 """
@@ -410,10 +410,20 @@ def direct_sum(reps):
 
 def standard_sum(alg, kind, labels):
     """(module, order, index): the sum of the standard modules of ``kind``
-    over ``labels`` with its ``standard_basis``."""
-    M = (direct_sum([_standard(alg, kind, x) for x in labels]) if labels
-         else zero_rep(alg))
-    return (M,) + standard_basis(alg, kind, labels)
+    over ``labels`` with its ``standard_basis``.
+
+    Built once per algebra, kind and label sequence and shared by every
+    caller (``LabeledComplex.to_rep``, the cover loop and ``perfectify``),
+    so callers must not mutate the result.
+    """
+    labels = tuple(labels)
+
+    def build():
+        M = (direct_sum([_standard(alg, kind, x) for x in labels]) if labels
+             else zero_rep(alg))
+        return (M,) + standard_basis(alg, kind, labels)
+
+    return _memo(alg, ("sum", kind, labels), build)
 
 
 def from_generators(M, order, images):

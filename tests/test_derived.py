@@ -1,10 +1,12 @@
 """Derived-category layer: resolutions, Hom profiles, Serre functor, cones."""
 
+import ast
 import hashlib
 import importlib
 import inspect
 import json
 import os
+import pathlib
 import pkgutil
 
 import pytest
@@ -404,9 +406,10 @@ def test_resolutions_are_byte_stable(name):
 
 @pytest.mark.parametrize("name", sorted(RESOLUTION_DIGESTS))
 def test_shared_resolutions_stay_unmutated(name):
-    """A resolution is memoised on its module and shared by every caller,
-    so nu, tau, tau^-1, classification and Hom(R, R) must leave its
-    pieces, differential and cohomology as they were."""
+    """A resolution is memoised on its module and nu(R) on the resolution,
+    both shared by every caller, so tau, tau^-1, classification, Hom(R, R)
+    and Hom(R', nu R) must leave the pieces, differentials and cohomology
+    of R and of nu(R) as they were."""
     alg = load_fixture(name)
     for kind in ("simple", "projective", "injective"):
         for v in alg.quiver.vertices:
@@ -414,16 +417,35 @@ def test_shared_resolutions_stay_unmutated(name):
             R = minimal_projective_resolution(M)
             if R.total_rank() > 5:
                 continue
+            N = nakayama(R)
+            assert nakayama(R) is N
             before = (json.dumps(complex_to_json(R)),
-                      R.to_rep().cohomology_dims())
-            nakayama(R)
+                      R.to_rep().cohomology_dims(),
+                      json.dumps(complex_to_json(N)),
+                      N.to_rep().cohomology_dims())
             tau(R)
             tau_inverse(R)
             classify_spherelike(R, "%s:%s" % (kind, v))
             hom_profile(R, R)
+            hom_profile(minimal_projective_resolution(simple_module(alg, v)),
+                        N.to_rep())
             assert minimal_projective_resolution(M) is R
+            assert nakayama(R) is N
             assert (json.dumps(complex_to_json(R)),
-                    R.to_rep().cohomology_dims()) == before
+                    R.to_rep().cohomology_dims(),
+                    json.dumps(complex_to_json(N)),
+                    N.to_rep().cohomology_dims()) == before
+
+
+def test_only_derived_touches_the_nakayama_memo():
+    """F._nu is declared in LabeledComplex.__init__ and filled only by
+    nakayama, both in derived.py."""
+    found = []
+    for path in sorted(pathlib.Path(derived.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "_nu":
+                found.append(path.name)
+    assert set(found) == {"derived.py"}
 
 
 @st.composite

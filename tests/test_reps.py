@@ -21,7 +21,8 @@ from sphq.reps import (ModuleMorphism, Representation, _quotient_data,
                        generator_column, hom_basis, injective_module,
                        kernel_cokernel, projective_module, rep_from_json,
                        rep_to_json, simple_module, standard_basis,
-                       standard_module, standard_sum, top_and_radical)
+                       standard_module, standard_sum, top_and_radical,
+                       zero_rep)
 
 
 def test_projective_dims_cb3():
@@ -311,6 +312,29 @@ def test_standard_basis_is_built_once_per_label_sequence(name):
                                   else alg.slice_basis(x, v))]
                 assert order[v] == want
                 assert index[v] == {key: i for i, key in enumerate(want)}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_standard_sum_is_built_once_per_label_sequence(name):
+    """A second call returns the same (module, order, index), for a list
+    or a tuple of the same labels; the module is the direct sum of the
+    standard modules, arrow map for arrow map, and no labels give the
+    zero module."""
+    alg = load_fixture(name)
+    verts = alg.quiver.vertices
+    for kind in ("proj", "inj"):
+        for labels in ([verts[0]], list(reversed(verts)), verts + verts[:1],
+                       [verts[-1]] * 3):
+            first = standard_sum(alg, kind, labels)
+            again = standard_sum(alg, kind, tuple(labels))
+            assert again is first
+            assert first[1:] == standard_basis(alg, kind, labels)
+            D = direct_sum([standard_module(alg, STANDARD[kind], x)
+                            for x in labels])
+            assert first[0].dims == D.dims and first[0].maps == D.maps
+        M, order, _ = standard_sum(alg, kind, [])
+        assert M is zero_rep(alg)
+        assert all(keys == [] for keys in order.values())
 
 
 def test_to_rep_over_a_warm_algebra_builds_no_standard_module(monkeypatch):

@@ -21,11 +21,42 @@ Consequently e_x * p != 0 iff target(p) = x, and p * e_y != 0 iff
 source(p) = y; the slice e_x A e_y is spanned by paths y -> x.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (CapInsufficient, NotAdmissible, UnknownArrow,
                      UnknownVertex, SchemaError)
 from .linalg import QQ, PrimeField, scalar_to_str, sparse_rref
+
+_MISSING = object()
+
+
+def memoised(fn):
+    """Keep ``fn(owner, *args)`` in ``owner._memo`` under ``(fn, *args)``.
+
+    The owners are ``BoundQuiverAlgebra``, ``Representation``,
+    ``LabeledComplex`` and ``SpherelikePoset``; each declares
+    ``self._memo = {}`` in ``__init__``, and nothing else reads it.  Rules:
+
+    * A hit costs one dict lookup.  The lookup is a sentinel ``get``, so an
+      exception raised by the build is not chained to a ``KeyError``.
+    * Nothing is stored when the build raises: the next call builds again.
+    * The result is shared by every caller, who must not mutate it.
+
+    Two caches live outside it: ``corpus.load_fixture`` keeps
+    ``functools.cache``, since it has no owner object, and
+    ``derived.HomComplexData`` keeps its slot layouts in a plain dict: a
+    table local to one Hom-complex pass, looked up 10-13 k times per pass,
+    where the extra call of a decorator shows in the wall time.
+    """
+    @functools.wraps(fn)
+    def wrapper(owner, *args):
+        key = (fn,) + args
+        out = owner._memo.get(key, _MISSING)
+        if out is _MISSING:
+            out = owner._memo[key] = fn(owner, *args)
+        return out
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -170,17 +201,9 @@ class BoundQuiverAlgebra:
         self.length_cap = length_cap
         self.field = field
         self.name = name
+        self._memo = {}
         self._check_admissible()
         self._build_basis()
-        # Per-algebra memos, filled on first use: path products
-        # (mult_paths); P(x), I(x) and S(x) keyed ("proj" | "inj" |
-        # "simple", x) and the zero module keyed "zero" (all owned by
-        # reps); the global dimension (spherelike.certify_finite_gldim)
-        # and the opposite algebra (opposite).
-        self._mult_cache = {}
-        self._std_cache = {}
-        self._gldim = None
-        self._opposite = None
 
     # -- construction ---------------------------------------------------
 
@@ -300,18 +323,12 @@ class BoundQuiverAlgebra:
             out = out + self.reduce_path(p).scale(c)
         return out
 
+    @memoised
     def mult_paths(self, p, q):
         """Normal form of p*q = "first q, then p" for basis paths."""
-        key = (p, q)
-        cached = self._mult_cache.get(key)
-        if cached is not None:
-            return cached
         if q.target != p.source:
-            out = self.zero_element()
-        else:
-            out = self.reduce_path(Path(q.source, p.target, q.arrows + p.arrows))
-        self._mult_cache[key] = out
-        return out
+            return self.zero_element()
+        return self.reduce_path(Path(q.source, p.target, q.arrows + p.arrows))
 
     def multiply(self, a, b):
         """Product of normal-form elements; multiply(a, b) = first b, then a."""
@@ -341,10 +358,9 @@ class BoundQuiverAlgebra:
                 terms[p] = terms.get(p, self.field.zero()) + self.field.from_int(c)
         return self.reduce_element(Element(terms, self.field))
 
+    @memoised
     def opposite(self):
         """The opposite algebra (all arrows reversed), built once."""
-        if self._opposite is not None:
-            return self._opposite
         q = self.quiver
         oq = Quiver(list(q.vertices), [Arrow(a.name, a.target, a.source) for a in q.arrows])
         rels = []
@@ -353,10 +369,9 @@ class BoundQuiverAlgebra:
             for p, c in rel.terms.items():
                 terms[oq.path(list(reversed(p.arrows)))] = c
             rels.append(Element(terms, self.field))
-        self._opposite = BoundQuiverAlgebra(
+        return BoundQuiverAlgebra(
             oq, rels, self.length_cap, self.field,
             name=self.name + "^op" if self.name else "")
-        return self._opposite
 
 
 def default_cap(quiver, relations):

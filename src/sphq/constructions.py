@@ -240,15 +240,9 @@ def circular(n, rs, field=None, with_embedding=False):
     small = cb(len(rs) + 1, field=field)
     vm = {str(i): str(rs[i - 1]) for i in range(1, len(rs) + 1)}
     vm[str(len(rs) + 1)] = str(n)
-    ap = {}
-    for i in range(1, len(rs) + 2):
-        lo = rs[i - 1] if i <= len(rs) else n
-        hi = rs[i] if i < len(rs) else (n if i == len(rs) else rs[0] + n)
-        if i <= len(rs):
-            hi = stops[i]
-            ap["a%d" % i] = ["a%d" % k for k in range(lo, hi)]
-        else:
-            ap["a%d" % i] = ["a%d" % n] + ["a%d" % k for k in range(1, rs[0])]
+    ap = {"a%d" % i: ["a%d" % k for k in range(rs[i - 1], stops[i])]
+          for i in range(1, len(rs) + 1)}
+    ap["a%d" % (len(rs) + 1)] = ["a%d" % n] + ["a%d" % k for k in range(1, rs[0])]
     emb = Embedding(small, alg, vm, ap)
     return alg, emb
 

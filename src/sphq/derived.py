@@ -26,7 +26,7 @@ import functools
 import operator
 import random
 
-from .algebra import Element
+from .algebra import Element, memoised
 from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
                      EngineInvariantViolation, SchemaError, UnknownVertex)
 from .linalg import (Matrix, block_diag, hstack, kernel_basis, rank, rref,
@@ -229,10 +229,7 @@ class LabeledComplex:
         self.pieces = {n: list(lab) for n, lab in pieces.items() if lab}
         self.diffs = {n: d for n, d in diffs.items()
                       if n in self.pieces and (n + 1) in self.pieces}
-        self._rep = None
-        # nu(self) of a projective-labeled complex, filled on first use by
-        # nakayama.
-        self._nu = None
+        self._memo = {}
         if check:
             self._validate()
 
@@ -286,9 +283,8 @@ class LabeledComplex:
                  for n, d in self.diffs.items()}
         return LabeledComplex(self.alg, pieces, diffs, self.kind, check=False)
 
+    @memoised
     def to_rep(self):
-        if self._rep is not None:
-            return self._rep
         alg = self.alg
         field = alg.field
         pieces, orders, indexes = {}, {}, {}
@@ -319,8 +315,7 @@ class LabeledComplex:
                                     m.entries[r][col] = c
                 mats[v] = m
             diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
-        self._rep = BoundedComplex(alg, pieces, diffs, check=False)
-        return self._rep
+        return BoundedComplex(alg, pieces, diffs, check=False)
 
     def total_rank(self):
         return sum(len(lab) for lab in self.pieces.values())
@@ -333,18 +328,17 @@ def _relabelled(F, kind):
                           kind, check=False)
 
 
+@memoised
 def nakayama(F):
     """nu(F): relabel P(x) -> I(x); differential entries transport as duals
     of left multiplication.
 
-    Built once per perfect complex and kept on it as ``F._nu``, so the
-    result and its ``to_rep()`` are shared: callers must not mutate them.
+    Built once per perfect complex, so the result and its ``to_rep()`` are
+    shared: callers must not mutate them.
     """
     if F.kind != "proj":
         raise NotElementValued("nakayama needs a projective-labeled complex")
-    if F._nu is None:
-        F._nu = _relabelled(F, "inj")
-    return F._nu
+    return _relabelled(F, "inj")
 
 
 def inverse_nakayama(G):
@@ -362,17 +356,16 @@ def tau(F):
 # minimal projective resolutions
 
 
+@memoised
 def minimal_projective_resolution(M):
     """Iterated projective covers; perfect complex in degrees -len..0.
 
-    Computed once per module object and kept on it as ``M._resolution``,
-    so the result is shared: callers must not mutate its pieces or diffs.
-    Raises GlobalDimensionExceeded if the syzygies do not vanish within
-    ``RESOLUTION_BOUND`` steps; nothing is stored then.
+    Computed once per module object, so the result is shared: callers must
+    not mutate its pieces or diffs.  Raises GlobalDimensionExceeded if the
+    syzygies do not vanish within ``RESOLUTION_BOUND`` steps; nothing is
+    stored then.
     """
-    if M._resolution is None:
-        M._resolution = _cover_complex(stalk_complex(M))[0]
-    return M._resolution
+    return _cover_complex(stalk_complex(M))[0]
 
 
 def _cover_complex(C):

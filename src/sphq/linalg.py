@@ -14,6 +14,7 @@ Pivoting is deterministic (leftmost column, first nonzero row) so all
 outputs are reproducible bit-for-bit.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -97,11 +98,12 @@ class Rationals:
 
 
 class PrimeField:
-    """Field object for GF(p), p prime."""
+    """Field object for GF(p), p a prime below 2^31."""
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-            raise ValueError("p must be prime, got %r" % (p,))
+        if not 2 <= p < 2 ** 31 or any(
+                p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            raise ValueError("p must be a prime below 2^31, got %r" % (p,))
         self.p = p
         self.characteristic = p
 

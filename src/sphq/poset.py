@@ -2,12 +2,11 @@
 classification-backed poset construction for supported families, witness
 verification, statistics and Hasse-diagram output."""
 
-import functools
 import itertools
 
 import networkx as nx
 
-from .algebra import Element
+from .algebra import Element, memoised
 from .constructions import (canonical, dda, dda_small_corner, induce,
                             synthesize_poset_algebra)
 from .derived import (LabeledComplex, minimal_projective_resolution, resolve,
@@ -110,7 +109,7 @@ class SpherelikePoset:
         self.order = []
         self.relation = set()
         self.witnesses = []
-        self._members = {}
+        self._memo = {}
 
     def add_node(self, node):
         self.nodes[node.name] = node
@@ -137,20 +136,17 @@ class SpherelikePoset:
     def covers(self):
         return sorted(nx.transitive_reduction(self.graph()).edges())
 
-    @functools.cached_property
+    @memoised
     def simples(self):
         """[(desc, minimal resolution)] of the simples, in vertex order."""
         return [("S:%s" % v, minimal_projective_resolution(
             simple_module(self.alg, v))) for v in self.alg.quiver.vertices]
 
+    @memoised
     def contains(self, W, Q):
         """W in D_F = perp(Q_F), memoised per (W, Q) for this poset; Q is
         None for the whole category."""
-        if Q is None:
-            return True
-        if (W, Q) not in self._members:
-            self._members[W, Q] = in_spherical_subcat(W, Q)
-        return self._members[W, Q]
+        return Q is None or in_spherical_subcat(W, Q)
 
     def to_json(self):
         return {
@@ -178,9 +174,10 @@ def _attach_witnesses(poset):
     """Edges try the simples; incomparabilities try the simples, then the
     node objects (a's own object is always a member of D_a)."""
     for (a, b) in poset.covers():
-        poset.witnesses.append(_witness(poset, a, b, poset.simples))
-    tests = poset.simples + [(poset.nodes[name].desc, poset.nodes[name].obj)
-                             for name in poset.order]
+        poset.witnesses.append(_witness(poset, a, b, poset.simples()))
+    tests = poset.simples() + [(poset.nodes[name].desc,
+                                poset.nodes[name].obj)
+                               for name in poset.order]
     for a, b in itertools.combinations(poset.order, 2):
         if poset.less(a, b) or poset.less(b, a):
             continue
@@ -393,7 +390,7 @@ def _build_synthesized_poset(elements, less):
     for (desc, M, expected_sig) in designated:
         node = _classified_node(desc.split(":", 1)[1], desc, resolve(M), None)
         if not node.is_whole():
-            got = {v for v, (_, S) in zip(alg.quiver.vertices, poset.simples)
+            got = {v for v, (_, S) in zip(alg.quiver.vertices, poset.simples())
                    if poset.contains(S, node.Q)}
             if got != expected_sig:
                 raise EngineInvariantViolation(

@@ -16,7 +16,7 @@ images of its generators (``from_generators``).
 
 from collections import namedtuple
 
-from .algebra import Path, json_int
+from .algebra import Path, json_int, memoised
 from .errors import AlgebraMismatch, SchemaError, UnknownVertex
 from .linalg import (Matrix, block_diag, hstack, kernel_basis,
                      kernel_from_rref, rref, scalar_to_str)
@@ -25,9 +25,7 @@ from .linalg import (Matrix, block_diag, hstack, kernel_basis,
 class Representation:
     def __init__(self, alg, dims, maps, check=True):
         self.alg = alg
-        # Minimal projective resolution, owned and filled on first use by
-        # derived.minimal_projective_resolution.
-        self._resolution = None
+        self._memo = {}
         self.dims = {v: int(dims.get(v, 0)) for v in alg.quiver.vertices}
         self.maps = {}
         for a in alg.quiver.arrows:
@@ -289,12 +287,12 @@ def top_and_radical(M):
 _KIND = {"projective": "proj", "injective": "inj"}
 
 
+@memoised
 def simple_module(alg, x):
     """S(x), built once per algebra."""
     if x not in alg.quiver.arrows_out:
         raise UnknownVertex("unknown vertex %r" % (x,))
-    return _memo(alg, ("simple", x),
-                 lambda: Representation(alg, {x: 1}, {}, check=False))
+    return Representation(alg, {x: 1}, {}, check=False)
 
 
 def standard_basis(alg, kind, labels):
@@ -309,20 +307,20 @@ def standard_basis(alg, kind, labels):
     Built once per algebra, kind and label sequence and shared by every
     caller, so callers must not mutate the result.
     """
-    labels = tuple(labels)
+    return _standard_basis(alg, kind, tuple(labels))
 
-    def build():
-        def paths(x, v):
-            return (alg.slice_basis(v, x) if kind == "proj"
-                    else alg.slice_basis(x, v))
 
-        order = {v: [(j, p) for j, x in enumerate(labels) for p in paths(x, v)]
-                 for v in alg.quiver.vertices}
-        index = {v: {key: i for i, key in enumerate(keys)}
-                 for v, keys in order.items()}
-        return order, index
+@memoised
+def _standard_basis(alg, kind, labels):
+    def paths(x, v):
+        return (alg.slice_basis(v, x) if kind == "proj"
+                else alg.slice_basis(x, v))
 
-    return _memo(alg, ("basis", kind, labels), build)
+    order = {v: [(j, p) for j, x in enumerate(labels) for p in paths(x, v)]
+             for v in alg.quiver.vertices}
+    index = {v: {key: i for i, key in enumerate(keys)}
+             for v, keys in order.items()}
+    return order, index
 
 
 def generator_column(index, j, x):
@@ -331,17 +329,10 @@ def generator_column(index, j, x):
     return index[x][(j, Path(x, x, ()))]
 
 
-def _memo(alg, key, build):
-    """alg._std_cache[key], set to build() on first use."""
-    cache = alg._std_cache
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
-
-
+@memoised
 def _standard(alg, kind, x):
     """P(x) ("proj") or I(x) ("inj"), built once per algebra."""
-    return _memo(alg, (kind, x), lambda: _build_standard(alg, kind, x))
+    return _build_standard(alg, kind, x)
 
 
 def _build_standard(alg, kind, x):
@@ -373,9 +364,10 @@ def _build_standard(alg, kind, x):
                           maps, check=False)
 
 
+@memoised
 def zero_rep(alg):
     """The zero module, shared per algebra."""
-    return _memo(alg, "zero", lambda: Representation(alg, {}, {}, check=False))
+    return Representation(alg, {}, {}, check=False)
 
 
 def projective_module(alg, x):
@@ -416,14 +408,14 @@ def standard_sum(alg, kind, labels):
     caller (``LabeledComplex.to_rep``, the cover loop and ``perfectify``),
     so callers must not mutate the result.
     """
-    labels = tuple(labels)
+    return _standard_sum(alg, kind, tuple(labels))
 
-    def build():
-        M = (direct_sum([_standard(alg, kind, x) for x in labels]) if labels
-             else zero_rep(alg))
-        return (M,) + standard_basis(alg, kind, labels)
 
-    return _memo(alg, ("sum", kind, labels), build)
+@memoised
+def _standard_sum(alg, kind, labels):
+    M = (direct_sum([_standard(alg, kind, x) for x in labels]) if labels
+         else zero_rep(alg))
+    return (M,) + _standard_basis(alg, kind, labels)
 
 
 def from_generators(M, order, images):
@@ -460,7 +452,7 @@ def rep_from_json(alg, d):
             if len(ent) != r or any(len(row) != c for row in ent):
                 raise SchemaError("arrow %s matrix is not %d x %d" % (a, r, c))
             maps[str(a)] = Matrix(r, c, ent, alg.field)
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise SchemaError("malformed representation file: %s" % e)
     return Representation(alg, dims, maps)
 

@@ -14,6 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from .algebra import memoised
 from .errors import (DZeroUnsupported, EngineInvariantViolation,
                      GlobalDimensionExceeded, NonUniqueMap, SchemaError,
                      UnsupportedCandidateSet)
@@ -28,18 +29,17 @@ from .derived import (RESOLUTION_BOUND, ChainMap, HomComplexData,
                       resolve)
 
 
+@memoised
 def certify_finite_gldim(alg):
     """Global dimension via resolutions of all simples (memoised per
     algebra); raises GlobalDimensionExceeded when it is above
     ``RESOLUTION_BOUND``, before anything is memoised."""
-    if alg._gldim is None:
-        g = 0
-        for v in alg.quiver.vertices:
-            res = minimal_projective_resolution(simple_module(alg, v))
-            if not res.is_zero():
-                g = max(g, -min(res.degrees()))
-        alg._gldim = g
-    return alg._gldim
+    g = 0
+    for v in alg.quiver.vertices:
+        res = minimal_projective_resolution(simple_module(alg, v))
+        if not res.is_zero():
+            g = max(g, -min(res.degrees()))
+    return g
 
 
 class SpherelikeReport:

@@ -10,16 +10,19 @@ dense row per ideal-slice product, as wide as all enumerated paths, reduced
 by the dense ``rref``.  The two must agree exactly, dict order included.
 """
 
+import ast
 import json
 import os
+import pathlib
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import sphq
 from sphq.algebra import (Arrow, Element, Path, Quiver, algebra_from_json,
-                          algebra_to_json, build_algebra)
+                          algebra_to_json, build_algebra, memoised)
 from sphq.constructions import (canonical, cb, ci, circular, insert_An,
                                 kronecker, tensor_algebra)
 from sphq.corpus import FIXTURE_DIR, write_fixtures
@@ -144,6 +147,63 @@ def test_opposite_reverses():
     a = op.quiver.arrow_by_name["a1"]
     assert (a.source, a.target) == ("2", "1")
     assert alg.opposite() is op
+
+
+def test_only_memoised_reads_the_memo():
+    """``_memo`` is read only inside ``algebra.memoised`` and assigned only
+    as ``self._memo = {}`` in the ``__init__`` of the four owner classes;
+    no other name, function or attribute of a sphq module is ``_memo``."""
+    allowed, owners, stray = set(), set(), []
+    for path in sorted(pathlib.Path(sphq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if path.name == "algebra.py" and isinstance(node, ast.FunctionDef) \
+                    and node.name == "memoised":
+                allowed.update(id(n) for n in ast.walk(node))
+            if isinstance(node, ast.ClassDef):
+                for init in node.body:
+                    if not (isinstance(init, ast.FunctionDef)
+                            and init.name == "__init__"):
+                        continue
+                    for stmt in init.body:
+                        if isinstance(stmt, ast.Assign) \
+                                and ast.unparse(stmt) == "self._memo = {}":
+                            allowed.add(id(stmt.targets[0]))
+                            owners.add(node.name)
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    getattr(node, "name", None))
+            if name == "_memo" and id(node) not in allowed:
+                stray.append("%s:%d" % (path.name, node.lineno))
+    assert stray == []
+    assert owners == {"BoundQuiverAlgebra", "Representation",
+                      "LabeledComplex", "SpherelikePoset"}
+
+
+class _Owner:
+    def __init__(self):
+        self._memo = {}
+        self.builds = 0
+
+    @memoised
+    def square(self, x):
+        self.builds += 1
+        if x < 0:
+            raise ValueError("negative")
+        return [x * x]
+
+
+def test_memoised_shares_results_and_stores_no_failure():
+    owner = _Owner()
+    assert owner.square(3) is owner.square(3) == [9]
+    assert owner.builds == 1
+    for builds in (2, 3):
+        with pytest.raises(ValueError) as info:
+            owner.square(-1)
+        assert info.value.__context__ is None
+        assert owner.builds == builds
+    assert _Owner().square(3) is not owner.square(3)
 
 
 def test_relation_of_length_one_rejected():

@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, JSON shape, determinism."""
 
+import contextlib
 import json
 import os
+import signal
 
 import pytest
 
@@ -9,6 +11,21 @@ from sphq.algebra import algebra_from_json
 from sphq.cli import main
 from sphq.corpus import FIXTURE_DIR
 from sphq.derived import complex_from_json, is_minimal
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the test, rather than hang, when the body runs too long."""
+    def expire(signum, frame):
+        pytest.fail("still running after %d s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run(capsys, *argv):
@@ -311,11 +328,14 @@ CB2_OBJECT = ("spherelike", "cb2", "--object", "file:{}")
     (CB2_OBJECT, {"dims": {"1": 1.5}}),
     (CB2_OBJECT, {"dims": {"1": "1"}}),
     (CB2_OBJECT, {"dims": {"1": True}}),
+    (CB2_OBJECT, {"dims": [1]}),
+    (CB2_OBJECT, {"dims": {"1": 1}, "maps": []}),
     (("build", "{}"), dict(CB2, length_cap=8.5)),
     (("build", "{}"), dict(CB2, length_cap="8")),
     (("build", "{}"), dict(CB2, field={"kind": "prime", "p": 7.9})),
     (("build", "{}"), dict(CB2, field={"kind": "prime", "p": "7"})),
     (("build", "{}"), dict(CB2, field=5)),
+    (("build", "{}"), dict(CB2, field={"kind": "prime", "p": 2 ** 61 - 1})),
 ], ids=["algebra-number", "algebra-list", "file-number", "embedding-list",
         "vertex-map-list", "arrow-paths-number", "arrow-path-number",
         "pieces-list", "diffs-number", "labels-string", "term-string",
@@ -323,13 +343,14 @@ CB2_OBJECT = ("spherelike", "cb2", "--object", "file:{}")
         "proj-label-not-a-vertex", "inj-label-not-a-vertex",
         "dims-key-not-a-vertex", "negative-dim",
         "synth-less-number", "synth-less-short-pair", "synth-elements-number",
-        "dim-float", "dim-string", "dim-bool", "length-cap-float",
-        "length-cap-string", "field-p-float", "field-p-string",
-        "field-number"])
+        "dim-float", "dim-string", "dim-bool", "dims-list", "maps-list",
+        "length-cap-float", "length-cap-string", "field-p-float",
+        "field-p-string", "field-number", "field-p-too-large"])
 def test_misshapen_json_file_is_input_error(tmp_path, capsys, argv, content):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(content))
-    code, out, err = run(capsys, *(a.format(path) for a in argv))
+    with time_limit(10):
+        code, out, err = run(capsys, *(a.format(path) for a in argv))
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["code"] == "input"

@@ -223,6 +223,13 @@ def test_prime_field_rejects_composite():
         pass
 
 
+def test_prime_field_range_ends_below_2_to_the_31():
+    assert PrimeField(2 ** 31 - 1).p == 2 ** 31 - 1
+    for p in (2 ** 31, 2 ** 61 - 1):
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            PrimeField(p)
+
+
 def test_hstack_vstack_shapes():
     A = Matrix.identity(2, QQ)
     B = Matrix.zero(2, 3, QQ)

@@ -1,14 +1,11 @@
 """Module-category layer: Hom spaces, kernels, radicals, standard modules."""
 
-import ast
 import os
-import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import sphq
 from sphq import reps
 from sphq.algebra import Path
 from sphq.constructions import cb, kronecker, kronecker_quasi_simple
@@ -355,23 +352,3 @@ def test_to_rep_over_a_warm_algebra_builds_no_standard_module(monkeypatch):
     projective_module(kronecker(2), "1")
     assert builds == [("proj", "1")]
 
-
-def test_only_reps_touches_the_standard_module_cache():
-    """alg._std_cache is declared in algebra.py and read only by reps.py."""
-    found = []
-    for path in sorted(pathlib.Path(sphq.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr == "_std_cache":
-                found.append(path.name)
-    assert set(found) == {"algebra.py", "reps.py"}
-
-
-def test_only_derived_fills_the_resolution_memo():
-    """M._resolution is declared in reps.py and filled only by derived.py
-    (minimal_projective_resolution)."""
-    found = []
-    for path in sorted(pathlib.Path(sphq.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr == "_resolution":
-                found.append(path.name)
-    assert set(found) == {"reps.py", "derived.py"}

@@ -1,16 +1,19 @@
 """Derived-category layer: resolutions, Hom profiles, Serre functor, cones."""
 
+import ast
 import hashlib
 import importlib
 import inspect
 import json
 import os
+import pathlib
 import pkgutil
 
 import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
+import sphq
 from sphq import derived
 from sphq.algebra import (Arrow, Element, Path, Quiver, algebra_from_json,
                           build_algebra)
@@ -441,6 +444,21 @@ def test_shared_resolutions_stay_unmutated(name):
                     R.to_rep().cohomology_dims()) == before_R
             assert (json.dumps(complex_to_json(N)),
                     N.to_rep().cohomology_dims()) == before_N
+
+
+def test_only_derived_touches_the_nakayama_memo():
+    """nu is memoised in derived.py alone, per perfect complex; its inverse
+    is not memoised."""
+    found = set()
+    for path in sorted(pathlib.Path(sphq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and "nakayama" in node.name \
+                    and "memoised" in map(ast.unparse, node.decorator_list):
+                found.add((path.name, node.name))
+    assert found == {("derived.py", "nakayama")}
+    F = minimal_projective_resolution(simple_module(cb(3), "1"))
+    assert nakayama(F) is nakayama(F)
+    assert inverse_nakayama(nakayama(F)) is not inverse_nakayama(nakayama(F))
 
 
 @st.composite

@@ -1,11 +1,14 @@
 """Module-category layer: Hom spaces, kernels, radicals, standard modules."""
 
+import ast
 import os
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sphq
 from sphq import reps
 from sphq.algebra import Path
 from sphq.constructions import cb, kronecker, kronecker_quasi_simple
@@ -352,3 +355,42 @@ def test_to_rep_over_a_warm_algebra_builds_no_standard_module(monkeypatch):
     projective_module(kronecker(2), "1")
     assert builds == [("proj", "1")]
 
+
+def _memoised_defs(word):
+    """(module, function) of every ``@memoised`` function in sphq whose
+    name contains ``word``."""
+    found = set()
+    for path in sorted(pathlib.Path(sphq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and word in node.name and \
+                    "memoised" in map(ast.unparse, node.decorator_list):
+                found.add((path.name, node.name))
+    return found
+
+
+def test_only_reps_touches_the_standard_module_cache():
+    """The standard modules and their sums are memoised in reps.py alone,
+    per algebra, and shared by every caller with the same labels."""
+    assert _memoised_defs("standard") == {
+        ("reps.py", "_standard"), ("reps.py", "_standard_basis"),
+        ("reps.py", "_standard_sum")}
+    alg = cb(3)
+    assert standard_module(alg, "injective", "2") is \
+        standard_module(alg, "injective", "2")
+    assert standard_sum(alg, "proj", ["1", "2"]) is \
+        standard_sum(alg, "proj", ("1", "2"))
+    assert standard_sum(cb(3), "proj", ["1", "2"]) is not \
+        standard_sum(alg, "proj", ["1", "2"])
+
+
+def test_only_derived_fills_the_resolution_memo():
+    """minimal_projective_resolution is memoised in derived.py alone, per
+    module object: an equal module built anew is resolved anew."""
+    assert _memoised_defs("resolution") == {
+        ("derived.py", "minimal_projective_resolution")}
+    S = simple_module(cb(3), "1")
+    R = minimal_projective_resolution(S)
+    assert minimal_projective_resolution(S) is R
+    copy = Representation(S.alg, dict(S.dims), dict(S.maps), check=False)
+    again = minimal_projective_resolution(copy)
+    assert again is not R and again.pieces == R.pieces

@@ -25,7 +25,7 @@ from .spherelike import (asphericality, certify_finite_gldim,
 INPUT_ERRORS = (SchemaError, CapInsufficient, NotAdmissible, UnknownVertex,
                 UnknownArrow, FamilyParameterError, UnsupportedFamily,
                 UnsupportedCandidateSet, NotASink, NotAcyclic,
-                FileNotFoundError, json.JSONDecodeError, ValueError, KeyError)
+                OSError, json.JSONDecodeError, ValueError, KeyError)
 
 
 def _read_json(path):

@@ -369,7 +369,7 @@ def kronecker(k=2, field=None):
 def kronecker_quasi_simple(alg, lam, vertices=("1", "2"), arrows=("a1", "a2")):
     """M_lambda = (k => k; 1, lambda) supported on a Kronecker pair."""
     field = alg.field
-    lam = field.parse(str(lam)) if not hasattr(lam, "denominator") else field.from_int(0) + lam
+    lam = field.parse(str(lam))
     dims = {vertices[0]: 1, vertices[1]: 1}
     maps = {arrows[0]: Matrix(1, 1, [[field.one()]], field),
             arrows[1]: Matrix(1, 1, [[lam]], field)}

@@ -369,11 +369,7 @@ def _crit_synthesis():
         "%s=%s" % kv for kv in sorted(checks.items()))
 
 
-_PROPERTY_ALGS = ["cb2", "cb3", "cb4", "cb5", "auslander_x3",
-                  "preprojective_a3_cluster", "circular_7_5", "canonical_222",
-                  "ncc", "tensor_kronecker", "poset_cycle",
-                  "dda_1_2_0", "dda_2_3_0", "dda_2_3_1", "dda_1_3_0",
-                  "dda_2_4_1"]
+_PROPERTY_ALGS = list(fixture_builders())
 
 
 def _random_standard_pairs(alg, count, seed):

@@ -22,18 +22,15 @@ of chain maps compute derived Homs; ``chain_map_space`` returns H^s of
 the total Hom complex together with representative chain maps.
 """
 
-import functools
-import operator
 import random
 
 from .algebra import Element, memoised
 from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
                      EngineInvariantViolation, SchemaError, UnknownVertex)
-from .linalg import (Matrix, block_diag, hstack, kernel_basis, rank, rref,
-                     scalar_to_str, vstack)
+from .linalg import (Matrix, from_blocks, hstack, kernel_basis, rank, rref,
+                     scalar_to_str)
 from .reps import (ModuleMorphism, Representation, direct_sum,
-                   from_generators, standard_basis, standard_sum, zero_morphism,
-                   zero_rep)
+                   from_generators, standard_basis, standard_sum, zero_rep)
 
 # Largest resolution length tried before GlobalDimensionExceeded.
 RESOLUTION_BOUND = 40
@@ -72,12 +69,6 @@ class BoundedComplex:
 
     def piece(self, n):
         return self.pieces.get(n) or zero_rep(self.alg)
-
-    def diff(self, n):
-        d = self.diffs.get(n)
-        if d is not None:
-            return d
-        return zero_morphism(self.piece(n), self.piece(n + 1))
 
     def shift(self, s):
         """X[s]^n = X^{n+s}, differential scaled by (-1)^s."""
@@ -120,6 +111,8 @@ def stalk_complex(M):
 
 
 def complex_direct_sum(complexes):
+    """Degreewise direct sum; each differential is block diagonal, and the
+    block of a summand without a differential in that degree is zero."""
     assert complexes
     alg = complexes[0].alg
     degs = sorted({n for c in complexes for n in c.pieces})
@@ -131,7 +124,14 @@ def complex_direct_sum(complexes):
             continue
         mats = {}
         for v in alg.quiver.vertices:
-            mats[v] = block_diag([c.diff(n).mats[v] for c in complexes], alg.field)
+            blocks, r0, c0 = [], 0, 0
+            for c in complexes:
+                d = c.diffs.get(n)
+                if d is not None:
+                    blocks.append((r0, c0, d.mats[v], None))
+                r0 += c.piece(n + 1).dims[v]
+                c0 += c.piece(n).dims[v]
+            mats[v] = from_blocks(r0, c0, blocks, alg.field)
         diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
     return BoundedComplex(alg, pieces, diffs, check=False)
 
@@ -145,12 +145,6 @@ class ChainMap:
         self.comps = {n: f for n, f in comps.items() if not f.is_zero()}
         if check:
             self._validate()
-
-    def comp(self, n):
-        f = self.comps.get(n)
-        if f is not None:
-            return f
-        return zero_morphism(self.source.piece(n), self.target.piece(n))
 
     def _validate(self):
         """d_Y f^n = f^{n+1} d_X in every degree.  A side with an absent
@@ -182,12 +176,11 @@ def cone(f):
     """Mapping cone of a chain map: C^n = X^{n+1} + Y^n, with differential
     [[-d_X^{n+1}, 0], [f^{n+1}, d_Y^n]].
 
-    Each row of each per-vertex matrix is built once from the blocks that
-    exist; a block absent from ``X.diffs``, ``f.comps`` or ``Y.diffs`` is
-    zero and is never built."""
+    A block absent from ``X.diffs``, ``f.comps`` or ``Y.diffs`` is zero and
+    is never built."""
     X, Y = f.source, f.target
     alg = X.alg
-    z = alg.field.zero()
+    minus_one = alg.field.from_int(-1)
     degs = sorted({n - 1 for n in X.pieces} | set(Y.pieces))
     pieces = {n: direct_sum([X.piece(n + 1), Y.piece(n)]) for n in degs}
     diffs = {}
@@ -199,19 +192,12 @@ def cone(f):
         yr, yc = Y.piece(n + 1).dims, Y.piece(n).dims
         mats = {}
         for v in alg.quiver.vertices:
-            cols = xc[v] + yc[v]
-            if dx is None:
-                rows = [[z] * cols for _ in range(xr[v])]
-            else:
-                pad = [z] * yc[v]
-                rows = [[-a for a in row] + pad for row in dx.mats[v].entries]
-            if fn is None and dy is None:
-                rows.extend([z] * cols for _ in range(yr[v]))
-            else:
-                left = fn.mats[v].entries if fn is not None else [[z] * xc[v]] * yr[v]
-                right = dy.mats[v].entries if dy is not None else [[z] * yc[v]] * yr[v]
-                rows.extend(a + b for a, b in zip(left, right))
-            mats[v] = Matrix(len(rows), cols, rows, alg.field)
+            blocks = ((0, 0, dx, minus_one), (xr[v], 0, fn, None),
+                      (xr[v], xc[v], dy, None))
+            mats[v] = from_blocks(
+                xr[v] + yr[v], xc[v] + yc[v],
+                [(r0, c0, g.mats[v], c) for r0, c0, g, c in blocks if g is not None],
+                alg.field)
         diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
     return BoundedComplex(alg, pieces, diffs, check=False)
 
@@ -393,7 +379,8 @@ def _cover_complex(C):
     n < min deg C - ``RESOLUTION_BOUND``.
 
     Per vertex, E^{n+1} = [d_P ; q] is the matrix of P^{n+1} into
-    P^{n+2} + C^{n+1}, so Phi^n = [E^{n+1} | 0 ; -d_C^n].  Column (j, p)
+    P^{n+2} + C^{n+1}, so Phi^n = [E^{n+1} | 0 ; -d_C^n], where d_C^n is
+    zero when C has no differential in degree n.  Column (j, p)
     of E^n is the path p applied, one arrow at a time, to the vector of
     generator j in P^{n+1} + C^n (``reps.from_generators``).  For a stalk
     complex, Phi^n is the previous cover map followed by the inclusion of
@@ -415,6 +402,7 @@ def _cover_complex(C):
     """
     alg = C.alg
     field = alg.field
+    minus_one = field.from_int(-1)
     verts = alg.quiver.vertices
     pieces, diffs, q = {}, {}, {}
     if C.is_zero():
@@ -429,14 +417,16 @@ def _cover_complex(C):
         else:
             Prev, above, E = prev
             A = Prev if Cn.is_zero() else direct_sum([Prev, Cn])
-            dC = C.diff(n)
+            dC = C.diffs.get(n)
             kins = {}
             for v in verts:
                 phi = E[v]
-                if not Cn.is_zero():
-                    m = dC.mats[v]
-                    low = vstack([Matrix.zero(phi.rows - m.rows, m.cols, field), -m])
-                    phi = hstack([phi, low])
+                if Cn.dims[v]:
+                    blocks = [(0, 0, phi, None)]
+                    if dC is not None:
+                        m = dC.mats[v]
+                        blocks.append((phi.rows - m.rows, phi.cols, m, minus_one))
+                    phi = from_blocks(phi.rows, phi.cols + Cn.dims[v], blocks, field)
                 kins[v] = kernel_basis(phi)
         if n < lo and all(K.cols == 0 for K in kins.values()):
             break
@@ -545,22 +535,20 @@ class HomComplexData:
 
         Slot (p, j) of C^n sends phi to d_G phi in slot (p, j) of C^{n+1}
         and to -(-1)^n phi d_F in the slots (p - 1, j2).  These are
-        distinct slots, so every cell receives at most one term, and only
-        the nonzero entries of d_G and of the element actions are
-        written."""
+        distinct slots, so the blocks do not overlap, and a block of an
+        absent d_G or a zero entry of d_F is never built."""
         field = self.alg.field
         src, src_off, cols = self._layout(n)
         _, tgt_off, rows = self._layout(n + 1)
-        M = Matrix.zero(rows, cols, field)
         if not (rows and cols):
-            return M
-        ent = M.entries
-        one, minus_sign = field.one(), field.from_int((-1) ** (n % 2 + 1))
+            return from_blocks(rows, cols, [], field)
+        blocks = []
+        minus_sign = field.from_int((-1) ** (n % 2 + 1))
         for (p, j, x, _) in src:
             off = src_off[p, j]
             dg = self.G.diffs.get(p + n)
             if dg is not None:
-                _write_block(ent, tgt_off[p, j], off, dg.mats[x], one)
+                blocks.append((tgt_off[p, j], off, dg.mats[x], None))
             dprev = self.F.diffs.get(p - 1)
             if dprev is None:
                 continue
@@ -570,18 +558,8 @@ class HomComplexData:
                 if r0 is None or e.is_zero():
                     continue
                 act = Gp.element_action(e)  # G_{x} -> G_{x2}
-                _write_block(ent, r0, off, act, minus_sign)
-        return M
-
-
-def _write_block(ent, r0, c0, block, coeff):
-    """Write coeff times the nonzero entries of the matrix ``block`` into
-    the rows ``ent`` at (r0, c0)."""
-    for r, row in enumerate(block.entries):
-        out = ent[r0 + r]
-        for c, a in enumerate(row):
-            if a:
-                out[c0 + c] = coeff * a
+                blocks.append((r0, off, act, minus_sign))
+        return from_blocks(rows, cols, blocks, field)
 
 
 def hom_profile(F, G):
@@ -681,12 +659,14 @@ def iso_up_to_shift(F, Y, s):
 
 
 def _combine_chain_maps(maps, coeffs):
-    """The chain map sum of c * f over the pairs (c, f)."""
-    degs = set().union(*(f.comps for f in maps))
-    return ChainMap(maps[0].source, maps[0].target, {
-        n: functools.reduce(operator.add, (f.comp(n).scale(c)
-                                           for c, f in zip(coeffs, maps)))
-        for n in degs}, check=False)
+    """The chain map sum of c * f over the pairs (c, f); a component absent
+    from f is zero and adds nothing."""
+    comps = {}
+    for c, f in zip(coeffs, maps):
+        for n, g in f.comps.items():
+            g = g.scale(c)
+            comps[n] = comps[n] + g if n in comps else g
+    return ChainMap(maps[0].source, maps[0].target, comps, check=False)
 
 
 # ----------------------------------------------------------------------
@@ -810,8 +790,7 @@ def dual_rep_complex(X, op):
     """D(X): dual complex over the opposite algebra, degrees negated."""
     pieces = {-n: dual_rep(X.piece(n), op) for n in X.degrees()}
     diffs = {}
-    for n in list(X.diffs):
-        d = X.diff(n)
+    for n, d in X.diffs.items():
         src, tgt = pieces[-n - 1], pieces[-n]
         mats = {v: d.mats[v].transpose() for v in src.dims}
         diffs[-n - 1] = ModuleMorphism(src, tgt, mats, check=False)

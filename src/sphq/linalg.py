@@ -275,23 +275,32 @@ def vstack(mats):
     return Matrix(len(entries), cols, entries, mats[0].field)
 
 
-def block_diag(mats, field=QQ):
-    """Block-diagonal matrix with the given blocks in order.
+def from_blocks(rows, cols, blocks, field=QQ):
+    """rows x cols matrix holding each (r0, c0, block, coeff) of ``blocks``
+    with its top-left cell at (r0, c0): coeff times the matrix ``block``,
+    or the block as it is when coeff is None.  Blocks must not overlap;
+    every cell outside them is zero, so a zero block is best left out.
 
-    Each output row is built once, from the row of its block; a block
-    with no rows only widens the rows of the others."""
+    Each block row is slice-assigned into its output row, so no entry is
+    tested and no output row shares a list with a block."""
     z = field.zero()
-    cols = sum(m.cols for m in mats)
-    entries = []
-    c0 = 0
+    entries = [[z] * cols for _ in range(rows)]
+    for r0, c0, block, coeff in blocks:
+        c1 = c0 + block.cols
+        for r, row in enumerate(block.entries, r0):
+            entries[r][c0:c1] = row if coeff is None else [coeff * a for a in row]
+    return Matrix(rows, cols, entries, field)
+
+
+def block_diag(mats, field=QQ):
+    """Block-diagonal matrix with the given blocks in order; a block with
+    no rows only widens the rows of the others."""
+    blocks, r0, c0 = [], 0, 0
     for m in mats:
-        c1 = c0 + m.cols
-        for row in m.entries:
-            out = [z] * cols
-            out[c0:c1] = row
-            entries.append(out)
-        c0 = c1
-    return Matrix(len(entries), cols, entries, field)
+        blocks.append((r0, c0, m, None))
+        r0 += m.rows
+        c0 += m.cols
+    return from_blocks(r0, c0, blocks, field)
 
 
 def rref(M):

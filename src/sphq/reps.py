@@ -125,10 +125,6 @@ class ModuleMorphism:
                               check=False)
 
 
-def zero_morphism(M, N):
-    return ModuleMorphism(M, N, {}, check=False)
-
-
 def identity_morphism(M):
     return ModuleMorphism(M, M, {v: Matrix.identity(M.dims[v], M.alg.field)
                                  for v in M.dims}, check=False)

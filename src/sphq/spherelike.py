@@ -86,13 +86,17 @@ class SpherelikeReport:
 
 
 def _hom_coords(data, cm, s):
-    """Hom-complex degree-s coordinates of a chain map F_rep -> G[s]."""
+    """Hom-complex degree-s coordinates of a chain map F_rep -> G[s]; a
+    component absent from the chain map has zero coordinates."""
     F = data.F
+    z = F.alg.field.zero()
     index = {p: standard_basis(F.alg, "proj", F.labels(p))[1]
              for p in F.degrees()}
     vec = []
     for (p, j, x, d) in data.slots(s):
-        vec.extend(cm.comp(p).mats[x].col(generator_column(index[p], j, x)))
+        f = cm.comps.get(p)
+        vec.extend([z] * d if f is None else
+                   f.mats[x].col(generator_column(index[p], j, x)))
     return vec
 
 
@@ -128,7 +132,7 @@ def _degree0_end_structure(F):
     assert phi is not None
     # phi o phi
     sq = ChainMap(Frep, Frep,
-                  {n: phi.comp(n).compose(phi.comp(n)) for n in Frep.pieces},
+                  {n: f.compose(f) for n, f in phi.comps.items()},
                   check=False)
     coords = solve(basis, _hom_coords(data, sq, 0))
     assert coords is not None
@@ -253,6 +257,10 @@ def _indecomposables_up_to(alg, dim_bound):
         raise UnsupportedCandidateSet(
             "all_indecomposables_up_to_dimvector requires a prime field "
             "(finite enumeration)")
+    if dim_bound is None or dim_bound < 0:
+        raise UnsupportedCandidateSet(
+            "all_indecomposables_up_to_dimvector needs a bound >= 0, got %r"
+            % (dim_bound,))
     p = alg.field.characteristic
     verts = alg.quiver.vertices
     out = []

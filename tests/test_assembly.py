@@ -1,6 +1,9 @@
-"""Cones, Hom-complex differentials and element actions, which are
-assembled from their nonzero blocks only, checked entry for entry against
-dense references: the formulas that build every zero block, kept here."""
+"""Cones, Hom-complex differentials, direct sums of complexes and element
+actions, which ``sphq`` assembles through ``linalg.from_blocks`` from their
+present blocks only, checked entry for entry against dense references.
+``sphq`` builds no zero morphism, so the references build every zero
+block themselves: a ``Matrix.zero`` for each absent differential or
+chain-map component, zero corners, hstacks and vstacks."""
 
 import os
 
@@ -8,8 +11,9 @@ import pytest
 
 from sphq import derived, spherelike
 from sphq.corpus import FIXTURE_DIR, load_fixture
-from sphq.derived import (HomComplexData, chain_map_space, cone, hom_profile,
-                          minimal_projective_resolution, nakayama)
+from sphq.derived import (HomComplexData, chain_map_space, complex_direct_sum,
+                          cone, hom_profile, minimal_projective_resolution,
+                          nakayama, stalk_complex)
 from sphq.linalg import Matrix, hstack, vstack
 from sphq.reps import standard_module
 from sphq.spherelike import classify_spherelike, interval_modules
@@ -41,21 +45,36 @@ def dense_element_action(M, e):
     return acc
 
 
+def dense_block(morphisms, n, v, source, target):
+    """The matrix at v of morphisms[n], or the zero matrix of its shape,
+    source^n_v -> target_v, when morphisms has no entry n."""
+    d = morphisms.get(n)
+    if d is not None:
+        return d.mats[v]
+    return Matrix.zero(target.dims[v], source.piece(n).dims[v],
+                       source.alg.field)
+
+
+def dense_diff(X, n, v):
+    """d_X^n at v, zero-filled when X has no differential in degree n."""
+    return dense_block(X.diffs, n, v, X, X.piece(n + 1))
+
+
 def dense_cone_matrix(f, n, v):
-    """[[-d_X^{n+1}, 0], [f^{n+1}, d_Y^n]] at v, from zero morphisms for the
-    absent blocks, a zero corner, two hstacks and a vstack."""
+    """[[-d_X^{n+1}, 0], [f^{n+1}, d_Y^n]] at v, from zero-filled absent
+    blocks, a zero corner, two hstacks and a vstack."""
     X, Y = f.source, f.target
     field = X.alg.field
-    dx = X.diff(n + 1).mats[v].scale(field.from_int(-1))
-    fy = f.comp(n + 1).mats[v]
-    dy = Y.diff(n).mats[v]
+    dx = dense_diff(X, n + 1, v).scale(field.from_int(-1))
+    fy = dense_block(f.comps, n + 1, v, X, Y.piece(n + 1))
+    dy = dense_diff(Y, n, v)
     top = hstack([dx, Matrix.zero(dx.rows, dy.cols, field)])
     return vstack([top, hstack([fy, dy])])
 
 
 def dense_delta(data, n):
     """The Hom-complex differential C^n -> C^{n+1} on a zero matrix,
-    every term added to its cell, d_G read through ``G.diff``."""
+    every term added to its cell, an absent d_G zero-filled."""
     field = data.alg.field
     src, tgt = data.slots(n), data.slots(n + 1)
     src_off, tgt_off = {}, {}
@@ -70,7 +89,7 @@ def dense_delta(data, n):
     for (p, j, x, d) in src:
         off = src_off[p, j]
         if (p, j) in tgt_off:
-            dg = data.G.diff(p + n).mats[x]
+            dg = dense_diff(data.G, p + n, x)
             for r in range(dg.rows):
                 for c in range(dg.cols):
                     ent[tgt_off[p, j] + r][off + c] += dg.entries[r][c]
@@ -138,6 +157,54 @@ def test_cone_matches_the_dense_construction(name):
                             else:
                                 assert want.is_zero()
     assert maps
+
+
+def dense_direct_sum_matrix(complexes, n, v):
+    """The block-diagonal differential of the direct sum in degree n at v:
+    per summand a row band, the hstack of its zero-filled d^n and of zero
+    blocks for the others, then a vstack of the bands."""
+    field = complexes[0].alg.field
+    diag = [dense_diff(X, n, v) for X in complexes]
+    return vstack([hstack([b if k == i else Matrix.zero(b.rows, o.cols, field)
+                           for k, o in enumerate(diag)])
+                   for i, b in enumerate(diag)])
+
+
+@pytest.mark.parametrize("name", ["cb3", "ncc", "auslander_x3",
+                                  "circular_7_5"])
+def test_complex_direct_sum_matches_the_dense_block_diagonal(name):
+    """Direct sums of three complexes drawn from the standard-module
+    resolutions, their nu images and shifted stalk complexes, so that
+    summands lack differentials or pieces in degrees where others have
+    them."""
+    alg = load_fixture(name)
+    res = [F.to_rep() for F in standard_resolutions(alg)]
+    stalks = [stalk_complex(standard_module(alg, kind, v)).shift(s)
+              for s, kind in enumerate(KINDS) for v in alg.quiver.vertices]
+    nus = [nakayama(F).to_rep().shift(1) for F in standard_resolutions(alg)]
+    pool = res + stalks + nus
+    sums = 0
+    for i in range(len(pool)):
+        complexes = [pool[i], pool[(3 * i + 1) % len(pool)],
+                     pool[(5 * i + 2) % len(pool)]]
+        D = complex_direct_sum(complexes)
+        degs = sorted({n for X in complexes for n in X.pieces})
+        assert sorted(D.pieces) == degs
+        for n in degs:
+            assert D.piece(n).dims == {
+                v: sum(X.piece(n).dims[v] for X in complexes)
+                for v in alg.quiver.vertices}
+            if n + 1 not in degs:
+                assert n not in D.diffs
+                continue
+            for v in alg.quiver.vertices:
+                want = dense_direct_sum_matrix(complexes, n, v)
+                if n in D.diffs:
+                    assert same_matrix(D.diffs[n].mats[v], want)
+                else:
+                    assert want.is_zero()
+            sums += n in D.diffs
+    assert sums
 
 
 def q_f_complexes(alg):

@@ -356,6 +356,33 @@ def test_misshapen_json_file_is_input_error(tmp_path, capsys, argv, content):
     assert json.loads(err)["error"]["code"] == "input"
 
 
+@pytest.mark.parametrize("argv", [
+    ("build", "DIR"),
+    ("spherelike", "cb3", "--object", "file:DIR"),
+    ("asphericality", "cb3", "--object", "S:1", "--out", "DIR"),
+], ids=["algebra-path", "object-file", "out-path"])
+def test_directory_path_is_input_error(tmp_path, capsys, argv):
+    """A directory where a file is read or written; the tests run as
+    root, so an unreadable or unwritable file cannot stand in for it."""
+    code, out, err = run(capsys, *(a.replace("DIR", str(tmp_path))
+                                   for a in argv))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "input"
+
+
+def test_negative_dimbound_is_input_error(tmp_path, capsys):
+    path = tmp_path / "cb2_gf3.json"
+    path.write_text(json.dumps(dict(CB2, field={"kind": "prime", "p": 3})))
+    code, out, err = run(capsys, "scan", str(path), "--set", "dimbound:-1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "input"
+    code, out, _ = run(capsys, "scan", str(path), "--set", "dimbound:0")
+    assert code == 0
+    assert json.loads(out)["reports"] == []
+
+
 def test_complex_file_with_nonzero_d_squared_is_input_error(tmp_path, capsys):
     # P(2) -> P(1) -> P(3) on cb3 with entries a1, a3: a3 * a1 != 0
     path = tmp_path / "cx.json"

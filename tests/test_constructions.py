@@ -1,5 +1,7 @@
 """Algebra factories: insertion, tacking, families, embeddings, synthesis."""
 
+from fractions import Fraction
+
 import pytest
 
 from sphq.algebra import Arrow, Quiver, build_algebra
@@ -11,7 +13,7 @@ from sphq.constructions import (cb, canonical, ci, circular, dda,
 from sphq.derived import hom_profile, minimal_projective_resolution, resolve
 from sphq.errors import (FamilyParameterError, NotAcyclic, NotASink,
                          UnknownVertex)
-from sphq.linalg import QQ
+from sphq.linalg import QQ, PrimeField
 from sphq.reps import simple_module
 from sphq.spherelike import classify_spherelike
 
@@ -154,6 +156,17 @@ def test_kronecker_quasi_simple_spherical():
     alg = kronecker(2)
     rep = classify_spherelike(kronecker_quasi_simple(alg, 1), "quasi")
     assert rep.verdict == "d_spherical" and rep.d == 1
+
+
+@pytest.mark.parametrize("field, lam, value", [
+    (PrimeField(5), 1, 1), (PrimeField(5), "2", 2), (PrimeField(5), "1/2", 3),
+    (QQ, 1, 1), (QQ, "2", 2), (QQ, Fraction(1, 2), Fraction(1, 2)),
+])
+def test_kronecker_quasi_simple_parses_lambda_in_the_field(field, lam, value):
+    """An int, a str or a Fraction lambda, read as a scalar of the field:
+    1/2 is 3 in GF(5)."""
+    M = kronecker_quasi_simple(kronecker(2, field=field), lam)
+    assert M.maps["a2"].entries[0][0] == value
 
 
 def test_tensor_of_kroneckers():

@@ -9,8 +9,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import sphq
-from sphq.linalg import (Matrix, PrimeField, QQ, block_diag, hstack,
-                         kernel_basis, kernel_from_rref, rank, rref,
+from sphq.linalg import (Matrix, PrimeField, QQ, block_diag, from_blocks,
+                         hstack, kernel_basis, kernel_from_rref, rank, rref,
                          scalar_to_str, solve, sparse_rref, vstack)
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -296,3 +296,63 @@ def test_block_diag_matches_the_dense_reference(case):
     assert (D.rows, D.cols, D.entries) == (want.rows, want.cols, want.entries)
     assert len({id(row) for row in D.entries}) == D.rows
     assert not any(row is b for m in mats for b in m.entries for row in D.entries)
+
+
+@st.composite
+def block_grids(draw):
+    """(field, heights, widths, cells): row and column bands of 0 to 3 each,
+    and per grid cell (i, j) either nothing (an absent block) or
+    (block, coeff), coeff None for an unscaled block."""
+    field = draw(st.sampled_from([QQ, PrimeField(3), PrimeField(7)]))
+    if field == QQ:
+        entry = st.one_of(st.just(0), fractions)
+    else:
+        entry = st.integers(-4, 4).map(field.from_int)
+    heights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    cells = {}
+    for i, h in enumerate(heights):
+        for j, w in enumerate(widths):
+            kind = draw(st.sampled_from(["absent", "unscaled", "scaled"]))
+            if kind == "absent":
+                continue
+            ent = draw(st.lists(st.lists(entry, min_size=w, max_size=w),
+                                min_size=h, max_size=h))
+            coeff = draw(entry) if kind == "scaled" else None
+            cells[i, j] = (Matrix(h, w, ent, field), coeff)
+    return field, heights, widths, cells
+
+
+def dense_grid(field, heights, widths, cells):
+    """One hstack per row band of the scaled blocks and of a
+    ``Matrix.zero`` for each absent one, then a vstack of the bands: the
+    reference for ``from_blocks``."""
+    bands = []
+    for i, h in enumerate(heights):
+        row = []
+        for j, w in enumerate(widths):
+            if (i, j) not in cells:
+                row.append(Matrix.zero(h, w, field))
+                continue
+            block, coeff = cells[i, j]
+            row.append(block if coeff is None else block.scale(coeff))
+        bands.append(hstack(row))
+    return vstack(bands)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_grids())
+def test_from_blocks_matches_the_dense_reference(grid):
+    """Entry for entry over QQ, GF(3) and GF(7), with scaled, unscaled and
+    absent blocks and zero-size bands; no output row is a block's row."""
+    field, heights, widths, cells = grid
+    r0 = [sum(heights[:i]) for i in range(len(heights))]
+    c0 = [sum(widths[:j]) for j in range(len(widths))]
+    blocks = [(r0[i], c0[j], block, coeff)
+              for (i, j), (block, coeff) in cells.items()]
+    M = from_blocks(sum(heights), sum(widths), blocks, field)
+    want = dense_grid(field, heights, widths, cells)
+    assert (M.rows, M.cols, M.entries) == (want.rows, want.cols, want.entries)
+    assert M.field == field
+    assert not any(row is b for block, _ in cells.values()
+                   for b in block.entries for row in M.entries)

@@ -183,6 +183,9 @@ def test_scan_dimvector_needs_prime_field():
     alg2 = cb(2, field=PrimeField(2))
     reports = scan(alg2, "all_indecomposables_up_to_dimvector", dim_bound=1)
     assert any(r.verdict == "d_spherical" for r in reports)
+    for bound in (None, -1):
+        with pytest.raises(UnsupportedCandidateSet, match="bound >= 0"):
+            scan(alg2, "all_indecomposables_up_to_dimvector", dim_bound=bound)
 
 
 def test_quasi_simple_family_spherical():

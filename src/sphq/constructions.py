@@ -3,13 +3,12 @@ circular/canonical/cycle-with-tail families, tensor algebras, and the
 poset-synthesis construction.
 """
 
-import networkx as nx
-
+from . import graphs
 from .algebra import Arrow, Element, Quiver, build_algebra, default_cap
 from .errors import (NotAcyclic, NotASink, NotElementValued, SchemaError,
                      FamilyParameterError, UnknownVertex)
 from .derived import LabeledComplex
-from .linalg import QQ, Matrix, rref
+from .linalg import QQ, Matrix, rref, scalar_to_str
 from .reps import Representation
 
 
@@ -369,7 +368,7 @@ def kronecker(k=2, field=None):
 def kronecker_quasi_simple(alg, lam, vertices=("1", "2"), arrows=("a1", "a2")):
     """M_lambda = (k => k; 1, lambda) supported on a Kronecker pair."""
     field = alg.field
-    lam = field.parse(str(lam))
+    lam = field.parse(scalar_to_str(lam))
     dims = {vertices[0]: 1, vertices[1]: 1}
     maps = {arrows[0]: Matrix(1, 1, [[field.one()]], field),
             arrows[1]: Matrix(1, 1, [[lam]], field)}
@@ -409,11 +408,12 @@ def tensor_algebra(Q1, Q2, field=None):
 
 
 def downset(elements, less, i):
-    """iota(i) = {q <= i} including i (transitive closure of the input)."""
-    g = nx.DiGraph()
-    g.add_nodes_from(elements)
-    g.add_edges_from(less)
-    return {i} | set(nx.ancestors(g, i))
+    """iota(i) = {q <= i} including i (transitive closure of the input).
+    Raises FamilyParameterError when the input relation has a cycle."""
+    below = graphs.descendants(elements, [(b, a) for a, b in less])
+    if below is None:
+        raise FamilyParameterError("input relation is not a partial order")
+    return {i} | below[i]
 
 
 def synthesize_poset_algebra(elements, less):
@@ -427,11 +427,10 @@ def synthesize_poset_algebra(elements, less):
     vertices together with the tack vertices of elements below-or-equal i.
     """
     elements = list(elements)
-    g = nx.DiGraph()
-    g.add_nodes_from(elements)
-    g.add_edges_from(less)
-    if not nx.is_directed_acyclic_graph(g):
-        raise FamilyParameterError("input relation is not a partial order")
+    outside = {x for pair in less for x in pair} - set(elements)
+    if outside:
+        raise FamilyParameterError("less names non-elements %s"
+                                   % sorted(outside))
     iotas = {i: downset(elements, less, i) for i in elements}
     vertices = []
     arrows = []
@@ -460,11 +459,6 @@ def synthesize_poset_algebra(elements, less):
 
 def quiver_isomorphic(q1, q2):
     """Structural equality of quivers (directed multigraph isomorphism)."""
-    g1, g2 = nx.MultiDiGraph(), nx.MultiDiGraph()
-    g1.add_nodes_from(q1.vertices)
-    g2.add_nodes_from(q2.vertices)
-    for a in q1.arrows:
-        g1.add_edge(a.source, a.target)
-    for a in q2.arrows:
-        g2.add_edge(a.source, a.target)
-    return nx.is_isomorphic(g1, g2)
+    return graphs.isomorphic(
+        q1.vertices, [(a.source, a.target) for a in q1.arrows],
+        q2.vertices, [(a.source, a.target) for a in q2.arrows])

@@ -563,13 +563,15 @@ class HomComplexData:
 
 
 def hom_profile(F, G):
-    """HomProfile: degree i -> dim Hom_D(F, G[i]); F perfect."""
+    """HomProfile: degree i -> dim Hom_D(F, G[i]); F perfect.  A
+    differential into or out of a zero space has rank 0 and is not built."""
     data = HomComplexData(F, G)
     rng = data.degree_range()
     dims, ranks = {}, {}
     for n in rng:
-        dn = data.delta(n)
-        dims[n], ranks[n] = dn.cols, rank(dn)
+        dims[n] = cols = data._layout(n)[2]
+        rows = data._layout(n + 1)[2]
+        ranks[n] = rank(data.delta(n)) if rows and cols else 0
     out = {}
     for n in rng:
         h = dims[n] - ranks[n] - ranks.get(n - 1, 0)

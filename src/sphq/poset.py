@@ -4,8 +4,7 @@ verification, statistics and Hasse-diagram output."""
 
 import itertools
 
-import networkx as nx
-
+from . import graphs
 from .algebra import Element, memoised
 from .constructions import (canonical, dda, dda_small_corner, induce,
                             synthesize_poset_algebra)
@@ -118,23 +117,22 @@ class SpherelikePoset:
     def add_less(self, a, b):
         self.relation.add((a, b))
 
-    def graph(self):
-        g = nx.DiGraph()
-        g.add_nodes_from(self.order)
-        g.add_edges_from(self.relation)
-        return g
+    def descendants(self):
+        """{a: {b : a < b}} in the transitive closure of the relation."""
+        desc = graphs.descendants(self.order, self.relation)
+        if desc is None:
+            raise EngineInvariantViolation("relation is not irreflexive")
+        return desc
 
     def close_transitively(self):
-        g = self.graph()
-        if not nx.is_directed_acyclic_graph(g):
-            raise EngineInvariantViolation("relation is not irreflexive")
-        self.relation = set(nx.transitive_closure_dag(g).edges())
+        self.relation = {(a, b) for a, above in self.descendants().items()
+                         for b in above}
 
     def less(self, a, b):
         return (a, b) in self.relation
 
     def covers(self):
-        return sorted(nx.transitive_reduction(self.graph()).edges())
+        return sorted(graphs.covers(self.descendants()))
 
     @memoised
     def simples(self):
@@ -438,17 +436,10 @@ def stats(poset):
     """Cardinality; height, the longest chain; width, the largest antichain,
     which by Dilworth's theorem is n minus a maximum matching of the
     bipartite graph {(a, b) : a < b}."""
-    g = poset.graph()
-    n = len(g)
-    height = nx.dag_longest_path_length(g) + 1 if n else 0
-    lower = [("<", a) for a in g]
-    b = nx.Graph()
-    b.add_nodes_from(lower)
-    b.add_nodes_from((">", a) for a in g)
-    b.add_edges_from((("<", x), (">", y)) for x, y in poset.relation)
-    matching = nx.bipartite.hopcroft_karp_matching(b, top_nodes=lower)
-    return {"cardinality": n, "height": height,
-            "width": n - len(matching) // 2}
+    desc = poset.descendants()
+    n = len(desc)
+    return {"cardinality": n, "height": graphs.longest_chain(desc),
+            "width": n - graphs.matching_size(desc)}
 
 
 def hasse_dot(poset):

@@ -4,9 +4,12 @@ import contextlib
 import json
 import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
+import sphq
 from sphq.algebra import algebra_from_json
 from sphq.cli import main
 from sphq.corpus import FIXTURE_DIR
@@ -325,6 +328,7 @@ CB2_OBJECT = ("spherelike", "cb2", "--object", "file:{}")
     (("poset", "synth:{}"), {"elements": ["1", "2"], "less": 5}),
     (("poset", "synth:{}"), {"elements": ["1", "2"], "less": [["1"]]}),
     (("poset", "synth:{}"), {"elements": 5, "less": []}),
+    (("poset", "synth:{}"), {"elements": ["1", "2"], "less": [["1", "3"]]}),
     (CB2_OBJECT, {"dims": {"1": 1.5}}),
     (CB2_OBJECT, {"dims": {"1": "1"}}),
     (CB2_OBJECT, {"dims": {"1": True}}),
@@ -343,6 +347,7 @@ CB2_OBJECT = ("spherelike", "cb2", "--object", "file:{}")
         "proj-label-not-a-vertex", "inj-label-not-a-vertex",
         "dims-key-not-a-vertex", "negative-dim",
         "synth-less-number", "synth-less-short-pair", "synth-elements-number",
+        "synth-less-non-element",
         "dim-float", "dim-string", "dim-bool", "dims-list", "maps-list",
         "length-cap-float", "length-cap-string", "field-p-float",
         "field-p-string", "field-number", "field-p-too-large"])
@@ -415,3 +420,22 @@ def test_injective_labeled_file_acts_as_its_module(tmp_path, capsys, argv,
         assert data.pop(echoed) == desc
         results.append(data)
     assert results[0] == results[1]
+
+
+def test_cli_imports_only_the_standard_library():
+    """A fresh interpreter without site packages: every top-level module
+    that importing sphq.cli loads is sphq or in the standard library."""
+    script = ("import json, sys\n"
+              "before = set(sys.modules)\n"
+              "import sphq.cli\n"
+              "print(json.dumps(sorted({m.split('.')[0] for m in "
+              "set(sys.modules) - before})))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphq.__file__)))
+    out = subprocess.run([sys.executable, "-I", "-S", "-c",
+                          "import sys; sys.path.insert(0, %r)\n%s"
+                          % (src, script)],
+                         capture_output=True, text=True, check=True).stdout
+    loaded = json.loads(out)
+    assert "sphq" in loaded
+    assert [m for m in loaded
+            if m != "sphq" and m not in sys.stdlib_module_names] == []

@@ -169,6 +169,17 @@ def test_kronecker_quasi_simple_parses_lambda_in_the_field(field, lam, value):
     assert M.maps["a2"].entries[0][0] == value
 
 
+def test_kronecker_quasi_simple_takes_a_scalar_of_the_field():
+    """lambda given as the int 2 and as the GF(5) scalar 2 build equal
+    maps."""
+    field = PrimeField(5)
+    alg = kronecker(2, field=field)
+    from_int = kronecker_quasi_simple(alg, 2)
+    from_scalar = kronecker_quasi_simple(alg, field.from_int(2))
+    assert {a: m.entries for a, m in from_scalar.maps.items()} == \
+        {a: m.entries for a, m in from_int.maps.items()}
+
+
 def test_tensor_of_kroneckers():
     alg = tensor_algebra(kronecker(2).quiver, kronecker(2).quiver)
     assert len(alg.quiver.vertices) == 4

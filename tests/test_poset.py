@@ -9,7 +9,8 @@ import pytest
 from sphq import derived, spherelike
 from sphq import poset as poset_module
 from sphq.constructions import cb
-from sphq.errors import IncompatibleKinds, WitnessFailed
+from sphq.errors import (EngineInvariantViolation, IncompatibleKinds,
+                         WitnessFailed)
 from sphq.poset import (PosetNode, SpherelikePoset, SubcatSignature,
                         build_poset, compare, hasse_dot, stats, verify_edges)
 
@@ -183,6 +184,20 @@ def test_order_algorithms_match_brute_force():
         assert poset.relation == closed, seed
         assert poset.covers() == covers, seed
         assert stats(poset) == expected, seed
+
+
+@pytest.mark.parametrize("less", [[(0, 0)], [(0, 1), (1, 0)]],
+                         ids=["loop", "2-cycle"])
+def test_cyclic_relation_is_an_engine_fault(less):
+    poset = SpherelikePoset(None, "cyclic")
+    for i in range(3):
+        poset.add_node(PosetNode(i, str(i), None, None, None))
+    for a, b in less:
+        poset.add_less(a, b)
+    with pytest.raises(EngineInvariantViolation):
+        poset.covers()
+    with pytest.raises(EngineInvariantViolation):
+        poset.close_transitively()
 
 
 def test_canonical_poset():

@@ -20,7 +20,7 @@ from .poset import build_poset, hasse_dot, verify_edges
 from .reps import rep_from_json, standard_module
 from .spherelike import (asphericality, certify_finite_gldim,
                          classify_spherelike, in_spherical_subcat,
-                         interval_modules, scan)
+                         interval_module, scan)
 
 INPUT_ERRORS = (SchemaError, CapInsufficient, NotAdmissible, UnknownVertex,
                 UnknownArrow, FamilyParameterError, UnsupportedFamily,
@@ -57,10 +57,14 @@ def parse_object(alg, desc):
     if desc.startswith("I:"):
         return standard_module(alg, "injective", desc[2:])
     if desc.startswith("interval:"):
-        for d, M in interval_modules(alg):
-            if d == desc:
-                return M
-        raise SchemaError("no interval module %r" % (desc,))
+        v, _, ell = desc[len("interval:"):].rpartition(",")
+        M = None
+        if v in alg.quiver.arrows_out and ell.isdecimal() \
+                and "interval:%s,%d" % (v, int(ell)) == desc:
+            M = interval_module(alg, v, int(ell))
+        if M is None:
+            raise SchemaError("no interval module %r" % (desc,))
+        return M
     if desc.startswith("file:"):
         data = _read_json(desc[5:])
         if "pieces" in data:

@@ -1,8 +1,13 @@
 """Grothendieck-group utilities: Cartan and Euler matrices, classes of
 complexes, and orthogonal sublattices of the Euler form."""
 
-from .derived import LabeledComplex, minimal_projective_resolution, hom_profile
-from .reps import Representation, hom_basis, projective_module, simple_module
+from fractions import Fraction
+
+from .algebra import memoised
+from .derived import LabeledComplex
+from .errors import EngineInvariantViolation
+from .linalg import Matrix, rref
+from .reps import Representation, standard_basis
 from .spherelike import certify_finite_gldim
 
 
@@ -15,46 +20,62 @@ def dim_vector(M):
 
 
 def k_class(X):
-    """Class in K_0 in the basis of simples (alternating sum of dimension
-    vectors for complexes)."""
+    """Class in K_0 in the basis of simples: the dimension vector of a
+    module, the alternating sum of its pieces' for a complex.  The pieces
+    of a labeled complex are read off the path basis, so no representation
+    is built."""
     if isinstance(X, Representation):
         return dim_vector(X)
-    if isinstance(X, LabeledComplex):
-        X = X.to_rep()
     order = vertex_order(X.alg)
     out = [0] * len(order)
     for n in X.degrees():
         sign = (-1) ** (n % 2)
-        dv = dim_vector(X.piece(n))
+        if isinstance(X, LabeledComplex):
+            basis = standard_basis(X.alg, X.kind, X.labels(n))[0]
+            dv = [len(basis[v]) for v in order]
+        else:
+            dv = dim_vector(X.piece(n))
         out = [a + sign * b for a, b in zip(out, dv)]
     return out
 
 
 def cartan_matrix(alg):
-    """C[x][y] = dim Hom(P(x), P(y)), vertices in quiver order."""
+    """C[x][y] = dim Hom(P(x), P(y)) = dim P(y)_x, the number of basis
+    paths y -> x; vertices in quiver order."""
     order = vertex_order(alg)
-    projs = {v: projective_module(alg, v) for v in order}
-    return [[len(hom_basis(projs[x], projs[y])) for y in order] for x in order]
+    return [[len(alg.slice_basis(x, y)) for y in order] for x in order]
 
 
+@memoised
 def euler_matrix(alg):
     """E[x][y] = sum_i (-1)^i dim Ext^i(S(x), S(y)); needs finite global
-    dimension."""
+    dimension, which is certified first.
+
+    Hom(P(x), M) = M_x gives [P(x)]^T E = e_x, and [P(x)] is column x of
+    the Cartan matrix C, so E is the inverse of C^T.  It is inverted over
+    the rationals whatever the field; the result is an integer matrix.
+    Memoised per algebra and shared, so callers must not mutate it.
+    """
     certify_finite_gldim(alg)
-    order = vertex_order(alg)
-    E = []
-    for x in order:
-        R = minimal_projective_resolution(simple_module(alg, x))
-        row = []
-        for y in order:
-            prof = hom_profile(R, simple_module(alg, y))
-            row.append(sum(((-1) ** (i % 2)) * d for i, d in prof.items()))
-        E.append(row)
-    return E
+    C = cartan_matrix(alg)
+    n = len(C)
+    R, pivots = rref(Matrix(n, 2 * n,
+                            [[C[y][x] for y in range(n)] +
+                             [int(x == j) for j in range(n)]
+                             for x in range(n)]))
+    E = [[Fraction(e) for e in row[n:]] for row in R.entries]
+    if pivots != list(range(n)) or any(e.denominator != 1
+                                       for row in E for e in row):
+        raise EngineInvariantViolation(
+            "Cartan matrix not invertible over the integers at finite "
+            "global dimension")
+    return [[int(e) for e in row] for row in E]
 
 
 def euler_pairing(E, x, y):
-    return sum(x[i] * E[i][j] * y[j] for i in range(len(E)) for j in range(len(E)))
+    """x^T E y, summed over the nonzero coordinates of x and y only."""
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    return sum(a * sum(row[j] * b for j, b in ys) for a, row in zip(x, E) if a)
 
 
 def integer_kernel(rows, n):

@@ -10,8 +10,10 @@ from .constructions import (canonical, dda, dda_small_corner, induce,
                             synthesize_poset_algebra)
 from .derived import (LabeledComplex, minimal_projective_resolution, resolve,
                       tau)
-from .errors import (EngineInvariantViolation, IncompatibleKinds, SphqError,
-                     UnsupportedFamily, WitnessFailed)
+from .errors import (EngineInvariantViolation, GlobalDimensionExceeded,
+                     IncompatibleKinds, SphqError, UnsupportedFamily,
+                     WitnessFailed)
+from .ktheory import euler_matrix, euler_pairing, k_class
 from .linalg import Matrix
 from .reps import Representation, simple_module
 from .spherelike import (asphericality, candidate_list, classify_spherelike,
@@ -228,20 +230,40 @@ def _two_term_candidates(alg):
                                       "proj", check=False))
 
 
-def _find_spherelike(alg, d_target=None):
-    """Deterministic scan for the first spherelike object of degree
-    d_target: simples, then interval modules, then two-term path
-    complexes.  The length-1 intervals P(v)/rad P(v) are the simples again
-    and are skipped.  With d_target None it looks for a spherical simple
-    (the Y corner of a full-relation-run cycle algebra).  Returns the
-    description and the perfect complex classification resolved."""
+def _search_candidates(alg, d_target):
+    """The candidates of ``_find_spherelike`` in order: simples, then, when
+    a degree is sought, interval modules of length at least 2 (the
+    length-1 intervals P(v)/rad P(v) are the simples again), then two-term
+    path complexes."""
     candidates = candidate_list(alg, "all_simples")
-    if d_target is not None:
-        intervals = [c for c in interval_modules(alg)
-                     if not c[0].endswith(",1")]
-        candidates = itertools.chain(candidates, intervals,
-                                     _two_term_candidates(alg))
+    if d_target is None:
+        return candidates
+    intervals = [c for c in interval_modules(alg) if not c[0].endswith(",1")]
+    return itertools.chain(candidates, intervals, _two_term_candidates(alg))
+
+
+def _find_spherelike(alg, d_target=None):
+    """Deterministic scan of ``_search_candidates`` for the first
+    spherelike object of degree d_target.  With d_target None it looks for
+    a spherical simple (the Y corner of a full-relation-run cycle algebra).
+    A candidate F is skipped without being resolved when its
+    chi(F, F) = [F]^T E [F] rules it out: Hom^*(F, F) = k + k[-d] gives
+    chi(F, F) = 1 + (-1)^d, so 0 or 2 for a spherical object of any
+    degree.  Returns the description and the perfect complex
+    classification resolved."""
+    try:
+        E = euler_matrix(alg)
+    except GlobalDimensionExceeded:
+        # classify_spherelike certifies the same bound, so it would
+        # refuse every candidate.
+        candidates = ()
+    else:
+        candidates = _search_candidates(alg, d_target)
+    values = {0, 2} if d_target is None else {1 + (-1) ** d_target}
     for desc, obj in candidates:
+        c = k_class(obj)
+        if euler_pairing(E, c, c) not in values:
+            continue
         try:
             rep = classify_spherelike(obj, desc)
         except SphqError:

@@ -18,10 +18,9 @@ from .algebra import memoised
 from .errors import (DZeroUnsupported, EngineInvariantViolation,
                      GlobalDimensionExceeded, NonUniqueMap, SchemaError,
                      UnsupportedCandidateSet)
-from .linalg import Matrix, hstack, rank, solve
+from .linalg import Matrix, hstack, rank, rref, solve
 from .reps import (Representation, generator_column, hom_basis,
-                   kernel_cokernel, simple_module, standard_basis,
-                   top_and_radical)
+                   simple_module, standard_basis)
 from . import reps as _reps
 from .derived import (RESOLUTION_BOUND, ChainMap, HomComplexData,
                       chain_map_space, cone, hom_profile, iso_up_to_shift,
@@ -214,30 +213,84 @@ def in_spherical_subcat(A, Q):
     return hom_profile(Aperf, Q) == {}
 
 
+def _radical_spans(alg, v):
+    """(P(v), spans): spans[l - 1][w] is a matrix whose columns are a basis
+    of rad^l P(v)_w in the path basis of P(v)_w, for l = 1 .. L - 1, where
+    L is the Loewy length of P(v) (rad^L P(v) = 0).
+
+    rad^{l+1} P(v)_w is the span of P(v)_a rad^l P(v)_u over the arrows
+    a: u -> w in quiver order, and its basis is the pivot columns of those
+    images: one ``rref`` per vertex and layer, none where rad^l P(v) is
+    already 0, since rad^{l+1} P(v) lies in it.  These are the columns that
+    iterating ``top_and_radical`` and composing the radical inclusions
+    yields.
+    """
+    P = _reps.projective_module(alg, v)
+    field = alg.field
+    cur = {w: Matrix.identity(n, field) for w, n in P.dims.items()}
+    spans = []
+    while True:
+        nxt = {}
+        for w, prev in cur.items():
+            ins = [P.maps[a.name] * cur[a.source]
+                   for a in alg.quiver.arrows_in[w]
+                   if prev.cols and cur[a.source].cols]
+            if ins:
+                A = hstack(ins)
+                pivots = rref(A)[1]
+                prev = Matrix(A.rows, len(pivots),
+                              [[row[p] for p in pivots] for row in A.entries],
+                              field)
+            elif prev.cols:
+                prev = Matrix.zero(prev.rows, 0, field)
+            nxt[w] = prev
+        if not any(m.cols for m in nxt.values()):
+            return P, spans
+        spans.append(nxt)
+        cur = nxt
+
+
+def _interval(P, span):
+    """P(v)/rad^l P(v), the quotient of P = P(v) by ``span`` (an entry of
+    ``_radical_spans``).  Where the span is 0 or all of P_w, the section
+    and projection that ``_quotient_data`` would return are written down:
+    the identity twice, or the empty maps."""
+    field = P.alg.field
+    sects, projs = {}, {}
+    for w, A in span.items():
+        if not A.cols:
+            sects[w] = projs[w] = Matrix.identity(A.rows, field)
+        elif A.cols == A.rows:
+            sects[w] = Matrix.zero(A.rows, 0, field)
+            projs[w] = Matrix.zero(0, A.rows, field)
+        else:
+            sects[w], projs[w], _ = _reps._quotient_data(A)
+    return _reps._quotient_rep(P, sects, projs)[0]
+
+
+def interval_module(alg, v, ell):
+    """P(v)/rad^ell P(v) for 1 <= ell <= L, the Loewy length of P(v); the
+    length-L interval is the shared ``projective_module`` object.  None
+    when ell is out of range.  Builds only vertex v's spans."""
+    P, spans = _radical_spans(alg, v)
+    if not 1 <= ell <= len(spans) + 1:
+        return None
+    return P if ell == len(spans) + 1 else _interval(P, spans[ell - 1])
+
+
 def interval_modules(alg):
-    """Quotients P(v)/rad^l, one per vertex and Loewy layer.
+    """[("interval:v,l", P(v)/rad^l P(v))], vertices in quiver order and
+    l = 1 .. L for each.
 
     For Nakayama algebras these are exactly the interval modules (one
     module per vertex-interval of paths).
     """
     out = []
     for v in alg.quiver.vertices:
-        P = _reps.projective_module(alg, v)
-        layers = []
-        cur = P
-        incl = None
-        while cur.total_dim() > 0:
-            tr = top_and_radical(cur)
-            nxt_incl = tr.rad_inclusion if incl is None else incl.compose(tr.rad_inclusion)
-            layers.append(nxt_incl)
-            cur = tr.rad
-            incl = nxt_incl
-        for ell in range(1, len(layers) + 1):
-            if ell == len(layers):
-                M = P
-            else:
-                _, M, _, _ = kernel_cokernel(layers[ell - 1])
-            out.append(("interval:%s,%d" % (v, ell), M))
+        P, spans = _radical_spans(alg, v)
+        for ell, span in enumerate(spans, start=1):
+            out.append(("interval:%s,%d" % (v, ell), _interval(P, span)))
+        out.append(("interval:%s,%d" % (v, len(spans) + 1), P))
     return out
 
 

@@ -10,10 +10,13 @@ import sys
 import pytest
 
 import sphq
+from sphq import spherelike
 from sphq.algebra import algebra_from_json
-from sphq.cli import main
+from sphq.cli import load_algebra, main, parse_object
 from sphq.corpus import FIXTURE_DIR
 from sphq.derived import complex_from_json, is_minimal
+from sphq.reps import projective_module, rep_to_json
+from sphq.spherelike import interval_modules
 
 
 @contextlib.contextmanager
@@ -439,3 +442,42 @@ def test_cli_imports_only_the_standard_library():
     assert "sphq" in loaded
     assert [m for m in loaded
             if m != "sphq" and m not in sys.stdlib_module_names] == []
+
+
+def test_interval_object_builds_only_its_vertex(monkeypatch):
+    """interval:v,len builds vertex v's radical spans and at most the one
+    quotient asked for, and gives the module interval_modules lists."""
+    alg = load_algebra("cb3")
+    listed = dict(interval_modules(alg))
+    built, quotients = [], []
+    real_spans, real_interval = spherelike._radical_spans, spherelike._interval
+
+    def spans(alg, v):
+        built.append(v)
+        return real_spans(alg, v)
+
+    def interval(P, span):
+        quotients.append(P)
+        return real_interval(P, span)
+
+    monkeypatch.setattr(spherelike, "_radical_spans", spans)
+    monkeypatch.setattr(spherelike, "_interval", interval)
+    for desc, M in listed.items():
+        built.clear()
+        quotients.clear()
+        got = parse_object(alg, desc)
+        assert rep_to_json(got) == rep_to_json(M)
+        v = desc[len("interval:"):].split(",")[0]
+        assert built == [v]
+        assert len(quotients) == (0 if got is projective_module(alg, v) else 1)
+
+
+@pytest.mark.parametrize("desc", ["interval:9,1", "interval:3,4", "interval:3,0",
+                                  "interval:3,03", "interval:3,", "interval:",
+                                  "interval:3,-1", "interval:3,1,1"])
+def test_unknown_interval_is_input_error(capsys, desc):
+    code, out, err = run(capsys, "spherelike", "cb3", "--object", desc)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "code": "input", "message": "no interval module %r" % (desc,)}

@@ -10,9 +10,11 @@ from sphq import derived, spherelike
 from sphq import poset as poset_module
 from sphq.constructions import cb
 from sphq.errors import (EngineInvariantViolation, IncompatibleKinds,
-                         WitnessFailed)
+                         SphqError, WitnessFailed)
+from sphq.ktheory import euler_matrix, euler_pairing, k_class
 from sphq.poset import (PosetNode, SpherelikePoset, SubcatSignature,
                         build_poset, compare, hasse_dot, stats, verify_edges)
+from sphq.spherelike import classify_spherelike
 
 
 def vs(*verts):
@@ -260,3 +262,63 @@ def test_engine_fault_is_not_swallowed(monkeypatch):
     monkeypatch.setattr(poset_module, "classify_spherelike", broken)
     with pytest.raises(AssertionError, match="engine fault"):
         poset_module._find_spherelike(cb(2))
+
+
+# criterion 10's five families, then two longer ones
+PREFILTER_FAMILIES = [(1, 2, 0), (2, 3, 0), (2, 3, 1), (1, 3, 0), (2, 4, 1),
+                      (2, 5, 2), (2, 8, 6)]
+
+
+def test_euler_prefilter_drops_no_spherelike_candidate(monkeypatch):
+    """Every search of the family builds classifies exactly the candidates
+    up to its hit whose chi(F, F) is 1 + (-1)^d (0 or 2 when a spherical
+    simple is sought); each candidate it drops, classified here, is not
+    what the search looks for; and chi(F, F) = [F]^T E [F] is the
+    alternating sum of Hom^*(F, F) on every candidate."""
+    searches, inside = [], []
+    real_find = poset_module._find_spherelike
+    real_classify = poset_module.classify_spherelike
+
+    def find(alg, d_target=None):
+        inside.append([])
+        found = real_find(alg, d_target)
+        searches.append((alg, d_target, inside.pop(), found[0]))
+        return found
+
+    def classify(obj, desc):
+        if inside:
+            inside[-1].append(desc)
+        return real_classify(obj, desc)
+
+    monkeypatch.setattr(poset_module, "_find_spherelike", find)
+    monkeypatch.setattr(poset_module, "classify_spherelike", classify)
+    for family in PREFILTER_FAMILIES:
+        build_poset(("dda",) + family)
+    monkeypatch.undo()
+    assert len(searches) >= len(PREFILTER_FAMILIES)
+    dropped = 0
+    for alg, d_target, classified, hit in searches:
+        E = euler_matrix(alg)
+        values = {0, 2} if d_target is None else {1 + (-1) ** d_target}
+        passed = []
+        for desc, obj in poset_module._search_candidates(alg, d_target):
+            c = k_class(obj)
+            chi = euler_pairing(E, c, c)
+            try:
+                rep = classify_spherelike(obj, desc)
+            except SphqError:
+                rep = None
+            if rep is not None:
+                assert chi == sum((-1) ** (i % 2) * d
+                                  for i, d in rep.profile.items()), desc
+            if chi in values:
+                passed.append(desc)
+            else:
+                dropped += 1
+                assert rep is None or not (
+                    rep.is_spherical() if d_target is None
+                    else rep.is_spherelike() and rep.d == d_target), desc
+            if desc == hit:
+                break
+        assert classified == passed
+    assert dropped > 0

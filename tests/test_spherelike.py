@@ -208,9 +208,10 @@ def test_report_json_fields():
 SWEEP_FIELDS = {"QQ": {"kind": "rational"},
                 "GF101": {"kind": "prime", "p": 101},
                 "GF3": {"kind": "prime", "p": 3}}
-# Fixtures whose simples answer differently over some field of the sweep,
-# with the fields whose answers differ from those over QQ.  None is known:
-# a case found here is recorded, never dropped from the sweep.
+# Fixtures whose simples or interval modules answer differently over some
+# field of the sweep, with the fields whose answers differ from those over
+# QQ.  None is known: a case found here is recorded, never dropped from the
+# sweep.
 FIELD_SENSITIVE_FIXTURES = {}
 
 
@@ -236,6 +237,33 @@ def test_characteristic_sweep_of_the_simples(name):
     with open(os.path.join(FIXTURE_DIR, name + ".json")) as fh:
         data = json.load(fh)
     answers = {fid: simples_answers(data, field)
+               for fid, field in SWEEP_FIELDS.items()}
+    differ = sorted(fid for fid in SWEEP_FIELDS if answers[fid] != answers["QQ"])
+    assert differ == FIELD_SENSITIVE_FIXTURES.get(name, [])
+
+
+def intervals_answers(data, field):
+    """Per interval module M: the Hom profiles of its minimal resolution
+    against every simple, its verdict and d, with the fixture read over
+    ``field``."""
+    alg = algebra_from_json(dict(data, field=field))
+    out = {}
+    for desc, M in interval_modules(alg):
+        R = minimal_projective_resolution(M)
+        rep = classify_spherelike(R, desc)
+        out[desc] = ({w: hom_profile(R, simple_module(alg, w))
+                      for w in alg.quiver.vertices}, rep.verdict, rep.d)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(FIXTURE_DIR)))
+def test_characteristic_sweep_of_the_interval_modules(name):
+    """Each shipped fixture read over QQ, GF(101) and GF(3) gives its
+    interval modules the same Hom profiles against every simple, the same
+    verdict and the same d, except where recorded as field-sensitive."""
+    with open(os.path.join(FIXTURE_DIR, name + ".json")) as fh:
+        data = json.load(fh)
+    answers = {fid: intervals_answers(data, field)
                for fid, field in SWEEP_FIELDS.items()}
     differ = sorted(fid for fid in SWEEP_FIELDS if answers[fid] != answers["QQ"])
     assert differ == FIELD_SENSITIVE_FIXTURES.get(name, [])

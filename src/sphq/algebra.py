@@ -21,6 +21,7 @@ Consequently e_x * p != 0 iff target(p) = x, and p * e_y != 0 iff
 source(p) = y; the slice e_x A e_y is spanned by paths y -> x.
 """
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -66,13 +67,43 @@ class Arrow:
     target: str
 
 
-@dataclass(frozen=True)
 class Path:
-    """A path in a quiver; arrows listed in traversal order."""
+    """A path in a quiver; arrows listed in traversal order.
 
-    source: str
-    target: str
-    arrows: tuple
+    Immutable.  Its hash, ``hash((source, target, arrows))``, is computed
+    once here: paths are dict and memo keys on every hot path, and a tuple
+    does not cache its own hash."""
+
+    __slots__ = ("source", "target", "arrows", "_hash")
+
+    def __init__(self, source, target, arrows):
+        init = object.__setattr__
+        init(self, "source", source)
+        init(self, "target", target)
+        init(self, "arrows", arrows)
+        init(self, "_hash", hash((source, target, arrows)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Path is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Path is immutable")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, o):
+        if o.__class__ is not Path:
+            return NotImplemented
+        return (self._hash == o._hash and self.arrows == o.arrows
+                and self.source == o.source and self.target == o.target)
+
+    def __reduce__(self):
+        return Path, (self.source, self.target, self.arrows)
+
+    def __repr__(self):
+        return "Path(source=%r, target=%r, arrows=%r)" % (
+            self.source, self.target, self.arrows)
 
     def __len__(self):
         return len(self.arrows)
@@ -192,6 +223,12 @@ class Element:
         return None
 
 
+def _up_to(paths, budget):
+    """The paths of length <= budget in a list sorted longest first: a
+    suffix of it."""
+    return paths[bisect.bisect_left(paths, -budget, key=lambda p: -len(p)):]
+
+
 class BoundQuiverAlgebra:
     """Finite-dimensional algebra kQ/I with a certified path basis."""
 
@@ -251,13 +288,9 @@ class BoundQuiverAlgebra:
         blocks = {}
         for rel in self.relations:
             s, t = rel.endpoints()
-            rel_len = max(len(p) for p in rel.terms)
-            for right in by_target.get(s, []):
-                if len(right) + rel_len > self.length_cap:
-                    continue
-                for left in by_source.get(t, []):
-                    if len(right) + rel_len + len(left) > self.length_cap:
-                        continue
+            budget = self.length_cap - max(len(p) for p in rel.terms)
+            for right in _up_to(by_target.get(s, []), budget):
+                for left in _up_to(by_source.get(t, []), budget - len(right)):
                     row = {col_of[Path(right.source, left.target,
                                        right.arrows + p.arrows + left.arrows)]: c
                            for p, c in rel.terms.items()}
@@ -331,16 +364,30 @@ class BoundQuiverAlgebra:
         return self.reduce_path(Path(q.source, p.target, q.arrows + p.arrows))
 
     def multiply(self, a, b):
-        """Product of normal-form elements; multiply(a, b) = first b, then a."""
+        """Product of normal-form elements; multiply(a, b) = first b, then a.
+
+        The term products are summed into one dict; a coefficient that
+        cancels to zero is dropped at once, so the terms keep the order of
+        adding the products one at a time."""
+        field = self.field
         if isinstance(a, Path):
-            a = Element({a: self.field.one()}, self.field)
+            a = Element({a: field.one()}, field)
         if isinstance(b, Path):
-            b = Element({b: self.field.one()}, self.field)
-        out = self.zero_element()
+            b = Element({b: field.one()}, field)
+        out = {}
         for p, cp in a.terms.items():
             for q, cq in b.terms.items():
-                out = out + self.mult_paths(p, q).scale(cp * cq)
-        return out
+                c = cp * cq
+                for r, cr in self.mult_paths(p, q).terms.items():
+                    if r in out:
+                        v = out[r] + c * cr
+                        if v:
+                            out[r] = v
+                        else:
+                            del out[r]
+                    else:
+                        out[r] = c * cr
+        return Element(out, field)
 
     def slice_basis(self, x, y):
         """Basis of e_x A e_y: normal paths y -> x."""

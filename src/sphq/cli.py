@@ -263,14 +263,33 @@ def _family_bits(spec):
     return bits
 
 
+# What each family spec takes after "kind:", named in error messages.
+_FAMILY_PARAMS = {"dda": "r,n,m", "canonical": "p_1,...,p_t", "cb": "n",
+                  "ci": "d", "kronecker": "k", "circular": "n,r_1,...,r_t",
+                  "tensor": "file1,file2"}
+
+
+def _family_params(bits, count=None, convert=int):
+    """The comma-separated parameters of bits[1] through ``convert``,
+    ``count`` of them when given; a FamilyParameterError naming the
+    parameters the family takes otherwise."""
+    try:
+        vals = [convert(x) for x in bits[1].split(",")]
+    except ValueError:
+        vals = None
+    if vals is None or (count is not None and len(vals) != count):
+        raise FamilyParameterError("%s needs %s, got %r"
+                                   % (bits[0], _FAMILY_PARAMS[bits[0]], bits[1]))
+    return vals
+
+
 def _poset_family(bits):
     """("dda", r, n, m) or ("canonical", ps, lambdas) from the split bits
     of a family spec."""
     if bits[0] == "dda":
-        r, n, m = (int(x) for x in bits[1].split(","))
-        return ("dda", r, n, m)
+        return ("dda",) + tuple(_family_params(bits, 3))
     if bits[0] == "canonical":
-        ps = tuple(int(x) for x in bits[1].split(","))
+        ps = tuple(_family_params(bits))
         lambdas = tuple(bits[2].split(",")) if len(bits) > 2 else ()
         return ("canonical", ps, lambdas)
     raise UnsupportedFamily(bits[0])
@@ -284,17 +303,17 @@ def _parse_family(spec):
     if kind == "canonical":
         return canonical(*_poset_family(bits)[1:]), None
     if kind == "cb":
-        return cb(int(bits[1])), None
+        return cb(_family_params(bits, 1)[0]), None
     if kind == "ci":
-        return ci(int(bits[1])), None
+        return ci(_family_params(bits, 1)[0]), None
     if kind == "kronecker":
-        return kronecker(int(bits[1]) if len(bits) > 1 else 2), None
+        return kronecker(_family_params(bits, 1)[0] if len(bits) > 1 else 2), None
     if kind == "circular":
-        params = [int(x) for x in bits[1].split(",")]
+        params = _family_params(bits)
         alg, emb = circular(params[0], params[1:], with_embedding=True)
         return alg, emb
     if kind == "tensor":
-        p1, p2 = bits[1].split(",")
+        p1, p2 = _family_params(bits, 2, str)
         a1, a2 = load_algebra(p1), load_algebra(p2)
         if a1.relations or a2.relations:
             raise SchemaError("tensor factors must be relation-free")

@@ -88,22 +88,30 @@ class BoundedComplex:
         return out
 
     def is_acyclic(self):
-        """True when every cohomology group vanishes.  Ranks each
-        differential on first need, in ascending degree order, and stops at
-        the first degree with nonzero cohomology."""
-        ranks = {}
-
-        def rank_of(n):
-            if n not in ranks:
-                d = self.diffs.get(n)
-                ranks[n] = 0 if d is None else sum(rank(m) for m in d.mats.values())
-            return ranks[n]
-
-        return all(self.pieces[n].total_dim() == rank_of(n) + rank_of(n - 1)
-                   for n in self.degrees())
+        """True when every cohomology group vanishes (``_no_cohomology``)."""
+        return _no_cohomology(
+            {n: p.total_dim() for n, p in self.pieces.items()},
+            lambda n: self.diffs[n].mats if n in self.diffs else None)
 
     def total_dim(self):
         return sum(p.total_dim() for p in self.pieces.values())
+
+
+def _no_cohomology(dims, mats_of):
+    """True when a complex with pieces of total dimension dims[n] > 0 and
+    per-vertex differential matrices ``mats_of(n)`` (None where the
+    differential is absent, so zero) has no cohomology.  Ranks each
+    differential on first need, in ascending degree order, and stops at
+    the first degree with nonzero cohomology."""
+    ranks = {}
+
+    def rank_of(n):
+        if n not in ranks:
+            mats = mats_of(n)
+            ranks[n] = 0 if mats is None else sum(rank(m) for m in mats.values())
+        return ranks[n]
+
+    return all(dims[n] == rank_of(n) + rank_of(n - 1) for n in sorted(dims))
 
 
 def stalk_complex(M):
@@ -172,34 +180,58 @@ def _compose_present(g, h):
     return None if g is None or h is None else g.compose(h)
 
 
-def cone(f):
-    """Mapping cone of a chain map: C^n = X^{n+1} + Y^n, with differential
-    [[-d_X^{n+1}, 0], [f^{n+1}, d_Y^n]].
-
-    A block absent from ``X.diffs``, ``f.comps`` or ``Y.diffs`` is zero and
-    is never built."""
+def _cone_mats(f, n):
+    """Per-vertex matrices of the cone differential C^n -> C^{n+1},
+    C^n = X^{n+1} + Y^n, with blocks [[-d_X^{n+1}, 0], [f^{n+1}, d_Y^n]];
+    None when all three blocks are absent.  A present block is a nonzero
+    morphism, so the differential is then nonzero."""
     X, Y = f.source, f.target
+    dx, fn, dy = X.diffs.get(n + 1), f.comps.get(n + 1), Y.diffs.get(n)
+    if dx is None and fn is None and dy is None:
+        return None
     alg = X.alg
     minus_one = alg.field.from_int(-1)
-    degs = sorted({n - 1 for n in X.pieces} | set(Y.pieces))
+    xr, xc = X.piece(n + 2).dims, X.piece(n + 1).dims
+    yr, yc = Y.piece(n + 1).dims, Y.piece(n).dims
+    mats = {}
+    for v in alg.quiver.vertices:
+        blocks = ((0, 0, dx, minus_one), (xr[v], 0, fn, None),
+                  (xr[v], xc[v], dy, None))
+        mats[v] = from_blocks(
+            xr[v] + yr[v], xc[v] + yc[v],
+            [(r0, c0, g.mats[v], c) for r0, c0, g, c in blocks if g is not None],
+            alg.field)
+    return mats
+
+
+def _cone_degrees(f):
+    return sorted({n - 1 for n in f.source.pieces} | set(f.target.pieces))
+
+
+def cone(f):
+    """Mapping cone of a chain map: C^n = X^{n+1} + Y^n, with the
+    differential of ``_cone_mats``.  A block absent from ``X.diffs``,
+    ``f.comps`` or ``Y.diffs`` is zero and is never built."""
+    X, Y = f.source, f.target
+    degs = _cone_degrees(f)
     pieces = {n: direct_sum([X.piece(n + 1), Y.piece(n)]) for n in degs}
     diffs = {}
     for n in degs:
-        if n + 1 not in pieces:
-            continue
-        dx, fn, dy = X.diffs.get(n + 1), f.comps.get(n + 1), Y.diffs.get(n)
-        xr, xc = X.piece(n + 2).dims, X.piece(n + 1).dims
-        yr, yc = Y.piece(n + 1).dims, Y.piece(n).dims
-        mats = {}
-        for v in alg.quiver.vertices:
-            blocks = ((0, 0, dx, minus_one), (xr[v], 0, fn, None),
-                      (xr[v], xc[v], dy, None))
-            mats[v] = from_blocks(
-                xr[v] + yr[v], xc[v] + yc[v],
-                [(r0, c0, g.mats[v], c) for r0, c0, g, c in blocks if g is not None],
-                alg.field)
-        diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
-    return BoundedComplex(alg, pieces, diffs, check=False)
+        mats = _cone_mats(f, n)
+        if mats is not None:
+            diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
+    return BoundedComplex(X.alg, pieces, diffs, check=False)
+
+
+def is_quasi_iso(f):
+    """True when the chain map f is a quasi-isomorphism, that is, when
+    ``cone(f)`` is acyclic.  Ranks the cone's differentials
+    (``_cone_mats``) as ``BoundedComplex.is_acyclic`` would, without
+    building the cone's modules, whose arrow maps acyclicity never reads."""
+    X, Y = f.source, f.target
+    dims = {n: X.piece(n + 1).total_dim() + Y.piece(n).total_dim()
+            for n in _cone_degrees(f)}
+    return _no_cohomology(dims, lambda n: _cone_mats(f, n))
 
 
 # ----------------------------------------------------------------------
@@ -284,21 +316,24 @@ class LabeledComplex:
             mats = {}
             for v in alg.quiver.vertices:
                 m = Matrix.zero(len(tgt_order[v]), len(src_order[v]), field)
-                for col, (j, p) in enumerate(src_order[v]):
-                    if self.kind == "proj":
-                        # basis path p: x_j -> v maps to p * e in P(y_i)
+                if self.kind == "proj":
+                    # basis path p: x_j -> v maps to p * e in P(y_i)
+                    for col, (j, p) in enumerate(src_order[v]):
                         for i, row in enumerate(d):
                             if row[j].terms:
                                 for q, c in alg.multiply(p, row[j]).terms.items():
                                     m.entries[tgt_index[v][i, q]][col] = c
-                    else:
-                        # dual of left multiplication: the coefficient of
-                        # the I(x_j)-basis path p in e * q, q: v -> y_i
-                        for r, (i, q) in enumerate(tgt_order[v]):
-                            if d[i][j].terms:
-                                c = alg.multiply(d[i][j], q).terms.get(p)
-                                if c is not None:
-                                    m.entries[r][col] = c
+                else:
+                    # dual of left multiplication: entry (q, p) is the
+                    # coefficient of the I(x_j)-basis path p in e * q,
+                    # q: v -> y_i, so each product e * q fills its row
+                    src_index = indexes[n][v]
+                    for r, (i, q) in enumerate(tgt_order[v]):
+                        out = m.entries[r]
+                        for j, e in enumerate(d[i]):
+                            if e.terms:
+                                for p, c in alg.multiply(e, q).terms.items():
+                                    out[src_index[j, p]] = c
                 mats[v] = m
             diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
         return BoundedComplex(alg, pieces, diffs, check=False)
@@ -644,7 +679,7 @@ def iso_up_to_shift(F, Y, s):
         return True
     dim, cands = chain_map_space(F, Yrep, -s)
     for cm in cands:
-        if cone(cm).is_acyclic():
+        if is_quasi_iso(cm):
             return True
     if dim > 1:
         rng = random.Random(_ISO_SEED)
@@ -654,7 +689,7 @@ def iso_up_to_shift(F, Y, s):
                 coeffs[0] = 1
             comb = _combine_chain_maps(
                 cands, [F.alg.field.from_int(c) for c in coeffs])
-            if cone(comb).is_acyclic():
+            if is_quasi_iso(comb):
                 return True
         return "not_witnessed"
     return False
@@ -773,7 +808,7 @@ def perfectify(C):
         final = ChainMap(P.to_rep(), C, q, check=True)
     except NotChainMap as e:
         raise EngineInvariantViolation("perfectify map is not a chain map: %s" % e) from e
-    if not cone(final).is_acyclic():
+    if not is_quasi_iso(final):
         raise EngineInvariantViolation("perfectify result is not quasi-isomorphic")
     return _minimise(P)
 

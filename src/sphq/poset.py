@@ -13,11 +13,11 @@ from .derived import (LabeledComplex, minimal_projective_resolution, resolve,
 from .errors import (EngineInvariantViolation, GlobalDimensionExceeded,
                      IncompatibleKinds, SphqError, UnsupportedFamily,
                      WitnessFailed)
-from .ktheory import euler_matrix, euler_pairing, k_class
+from .ktheory import euler_matrix, euler_pairing, k_class, vertex_order
 from .linalg import Matrix
 from .reps import Representation, simple_module
 from .spherelike import (asphericality, candidate_list, classify_spherelike,
-                         in_spherical_subcat, interval_modules)
+                         in_spherical_subcat, lazy_interval_modules)
 
 
 class SubcatSignature:
@@ -231,22 +231,32 @@ def _two_term_candidates(alg):
 
 
 def _search_candidates(alg, d_target):
-    """The candidates of ``_find_spherelike`` in order: simples, then, when
-    a degree is sought, interval modules of length at least 2 (the
-    length-1 intervals P(v)/rad P(v) are the simples again), then two-term
-    path complexes."""
-    candidates = candidate_list(alg, "all_simples")
+    """The candidates of ``_find_spherelike`` in order, as (desc, K_0
+    class, build): simples, then, when a degree is sought, interval
+    modules of length at least 2 (the length-1 intervals P(v)/rad P(v) are
+    the simples again), then two-term path complexes.  build() returns the
+    candidate; an interval's class is its dimension vector read off the
+    radical spans, so its quotient is built only when build() is called."""
+    def built(pairs):
+        for desc, obj in pairs:
+            yield desc, k_class(obj), lambda obj=obj: obj
+
+    candidates = built(candidate_list(alg, "all_simples"))
     if d_target is None:
         return candidates
-    intervals = [c for c in interval_modules(alg) if not c[0].endswith(",1")]
-    return itertools.chain(candidates, intervals, _two_term_candidates(alg))
+    order = vertex_order(alg)
+    intervals = ((desc, [dims[w] for w in order], build)
+                 for desc, dims, build in lazy_interval_modules(alg)
+                 if not desc.endswith(",1"))
+    return itertools.chain(candidates, intervals,
+                           built(_two_term_candidates(alg)))
 
 
 def _find_spherelike(alg, d_target=None):
     """Deterministic scan of ``_search_candidates`` for the first
     spherelike object of degree d_target.  With d_target None it looks for
     a spherical simple (the Y corner of a full-relation-run cycle algebra).
-    A candidate F is skipped without being resolved when its
+    A candidate F is skipped without being built or resolved when its
     chi(F, F) = [F]^T E [F] rules it out: Hom^*(F, F) = k + k[-d] gives
     chi(F, F) = 1 + (-1)^d, so 0 or 2 for a spherical object of any
     degree.  Returns the description and the perfect complex
@@ -260,10 +270,10 @@ def _find_spherelike(alg, d_target=None):
     else:
         candidates = _search_candidates(alg, d_target)
     values = {0, 2} if d_target is None else {1 + (-1) ** d_target}
-    for desc, obj in candidates:
-        c = k_class(obj)
+    for desc, c, build in candidates:
         if euler_pairing(E, c, c) not in values:
             continue
+        obj = build()
         try:
             rep = classify_spherelike(obj, desc)
         except SphqError:

@@ -10,6 +10,7 @@ spherical subcategory of F consists of the objects A with
 Hom^*(A, Q_F) = 0.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -285,13 +286,24 @@ def interval_modules(alg):
     For Nakayama algebras these are exactly the interval modules (one
     module per vertex-interval of paths).
     """
-    out = []
+    return [(desc, build()) for desc, _, build in lazy_interval_modules(alg)]
+
+
+def lazy_interval_modules(alg):
+    """Yield ("interval:v,l", dims, build) in ``interval_modules`` order:
+    dims[w] = dim P(v)_w - dim rad^l P(v)_w, the dimension vector of
+    P(v)/rad^l P(v) read off the radical spans, and build() makes the
+    module.  A caller can so look at the dimension vector before the
+    quotient is built, and vertex v's spans are built when its first
+    interval is asked for."""
     for v in alg.quiver.vertices:
         P, spans = _radical_spans(alg, v)
         for ell, span in enumerate(spans, start=1):
-            out.append(("interval:%s,%d" % (v, ell), _interval(P, span)))
-        out.append(("interval:%s,%d" % (v, len(spans) + 1), P))
-    return out
+            yield ("interval:%s,%d" % (v, ell),
+                   {w: A.rows - A.cols for w, A in span.items()},
+                   functools.partial(_interval, P, span))
+        yield ("interval:%s,%d" % (v, len(spans) + 1), dict(P.dims),
+               lambda P=P: P)
 
 
 def candidate_list(alg, descriptor, dim_bound=None):

@@ -14,6 +14,9 @@ import ast
 import json
 import os
 import pathlib
+import pickle
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -321,6 +324,101 @@ def test_fixture_basis_matches_dense(name):
         alg = algebra_from_json(data)
         assert_matches_dense(alg)
         assert_matches_dense(alg.opposite())
+
+
+FIXTURE_NAMES = sorted(f[:-5] for f in os.listdir(FIXTURE_DIR))
+FIELDS = {"QQ": {"kind": "rational"}, "GF3": {"kind": "prime", "p": 3},
+          "GF101": {"kind": "prime", "p": 101}}
+
+
+def fixture_algebra(name, field):
+    with open(os.path.join(FIXTURE_DIR, name + ".json")) as fh:
+        data = json.load(fh)
+    return algebra_from_json(dict(data, field=FIELDS[field]))
+
+
+@dataclass(frozen=True)
+class DataclassPath:
+    """``Path`` as a frozen dataclass, hashing its field tuple on every
+    lookup: the reference for the slots class."""
+
+    source: str
+    target: str
+    arrows: tuple
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_path_hashes_compares_and_prints_as_the_dataclass(name):
+    """On every basis path: the hash is hash((source, target, arrows)),
+    equality, repr and set order are the dataclass's, and the path can
+    be neither changed nor broken by pickling."""
+    basis = fixture_algebra(name, "QQ").basis
+    ref = {p: DataclassPath(p.source, p.target, p.arrows) for p in basis}
+    for p, r in ref.items():
+        assert hash(p) == hash((p.source, p.target, p.arrows)) == hash(r)
+        assert repr(p) == repr(r).replace("DataclassPath", "Path", 1)
+        twin = Path(p.source, p.target, p.arrows)
+        assert twin is not p and twin == p and not twin != p
+        assert pickle.loads(pickle.dumps(p)) == p
+        assert p != (p.source, p.target, p.arrows) and p != r
+        with pytest.raises(AttributeError):
+            p.arrows = ()
+    for p in basis:
+        for q in basis:
+            assert (p == q) == (ref[p] == ref[q])
+    assert [ref[p] for p in set(basis)] == list(set(ref.values()))
+
+
+def termwise_multiply(alg, a, b):
+    """``multiply`` as it was: one scaled Element per term pair, added to
+    the running sum one at a time.  Also returns how many terms cancelled
+    to zero on the way."""
+    out, cancelled = alg.zero_element(), 0
+    for p, cp in a.terms.items():
+        for q, cq in b.terms.items():
+            step = alg.mult_paths(p, q).scale(cp * cq)
+            nxt = out + step
+            cancelled += sum(1 for r in step.terms
+                             if r in out.terms and r not in nxt.terms)
+            out = nxt
+    return out, cancelled
+
+
+def random_parallel_element(alg, rng, ends):
+    paths = alg.basis_by_st[ends]
+    return Element({p: alg.field.from_int(rng.choice([-2, -1, 1, 2]))
+                    for p in rng.sample(paths, rng.randint(1, len(paths)))},
+                   alg.field)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_multiply_matches_the_termwise_product(field):
+    """multiply sums every term product into one dict: the same terms, in
+    the same order, as adding the products one at a time, and no zero
+    coefficient kept, on random composable and non-parallel elements of
+    every fixture, with products that cancel."""
+    rng = random.Random(22)
+    cancelled = 0
+    for name in FIXTURE_NAMES:
+        alg = fixture_algebra(name, field)
+        slices = sorted(alg.basis_by_st)
+        for _ in range(30):
+            u, v = rng.choice(slices)
+            right = random_parallel_element(alg, rng, (u, v))
+            left = random_parallel_element(alg, rng, rng.choice(
+                [ends for ends in slices if ends[0] == v]))
+            other = random_parallel_element(alg, rng, rng.choice(slices))
+            pairs = [(left, right), (left + other, right + other),
+                     (next(iter(left.terms)), right)]
+            for a, b in pairs:
+                got = alg.multiply(a, b)
+                if isinstance(a, Path):
+                    a = Element({a: alg.field.one()}, alg.field)
+                want, c = termwise_multiply(alg, a, b)
+                cancelled += c
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert all(got.terms.values())
+    assert cancelled
 
 
 def build_outcome(quiver, relations, cap, field):

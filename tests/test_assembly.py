@@ -12,8 +12,9 @@ import pytest
 from sphq import derived, spherelike
 from sphq.corpus import FIXTURE_DIR, load_fixture
 from sphq.derived import (HomComplexData, chain_map_space, complex_direct_sum,
-                          cone, hom_profile, minimal_projective_resolution,
-                          nakayama, stalk_complex)
+                          cone, hom_profile, is_quasi_iso,
+                          minimal_projective_resolution, nakayama,
+                          stalk_complex)
 from sphq.linalg import Matrix, hstack, vstack
 from sphq.reps import standard_module
 from sphq.spherelike import classify_spherelike, interval_modules
@@ -246,38 +247,45 @@ def test_delta_matches_the_dense_build(name):
     assert deltas
 
 
-def recorded_cones(name, monkeypatch):
-    """Every cone that iso_up_to_shift and classify_spherelike build while
-    classifying the standard and interval modules of a fixture."""
-    built = []
+def recorded_maps(name, monkeypatch):
+    """Every chain map whose cone classify_spherelike asks about while
+    classifying the standard and interval modules of a fixture: the maps
+    that iso_up_to_shift and perfectify certify through is_quasi_iso, and
+    the maps whose cone is Q_F."""
+    recorded = []
 
-    def recording_cone(f):
-        C = cone(f)
-        built.append(C)
-        return C
+    def recording(fn):
+        def wrapper(f):
+            recorded.append(f)
+            return fn(f)
+        return wrapper
 
-    monkeypatch.setattr(derived, "cone", recording_cone)
-    monkeypatch.setattr(spherelike, "cone", recording_cone)
+    monkeypatch.setattr(derived, "is_quasi_iso", recording(is_quasi_iso))
+    monkeypatch.setattr(spherelike, "cone", recording(cone))
     alg = load_fixture(name)
     objects = [("%s:%s" % (kind, v), standard_module(alg, kind, v))
                for kind in KINDS for v in alg.quiver.vertices]
     for desc, M in objects + interval_modules(alg):
         classify_spherelike(M, desc)
-    return built
+    monkeypatch.undo()
+    return recorded
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_is_acyclic_agrees_with_cohomology(name, monkeypatch):
-    """The early-stopping is_acyclic agrees with the full cohomology."""
-    for C in recorded_cones(name, monkeypatch):
-        assert C.is_acyclic() == (C.cohomology_dims() == {})
+    """On every recorded chain map f, the cone-free is_quasi_iso, the
+    early-stopping is_acyclic of the built cone and its full cohomology
+    give one answer."""
+    for f in recorded_maps(name, monkeypatch):
+        C = cone(f)
+        assert is_quasi_iso(f) == C.is_acyclic() == (C.cohomology_dims() == {})
 
 
 def test_recorded_cones_have_both_answers(monkeypatch):
-    """On auslander_x3, 5 of the 55 recorded cones are acyclic, so both
-    answers of is_acyclic are exercised."""
-    built = recorded_cones("auslander_x3", monkeypatch)
-    assert {C.is_acyclic() for C in built} == {True, False}
+    """On auslander_x3, 5 of the 55 recorded chain maps are
+    quasi-isomorphisms, so both answers are exercised."""
+    recorded = recorded_maps("auslander_x3", monkeypatch)
+    assert {is_quasi_iso(f) for f in recorded} == {True, False}
 
 
 def test_hom_profile_unchanged_on_the_dense_delta(monkeypatch):

@@ -250,16 +250,37 @@ def test_tack_command(tmp_path, capsys):
     assert len([a for a in arrows if a["from"] == "t"]) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ("poset", "family:dda:1,2"), ("poset", "family:dda:1,x,0"),
-    ("poset", "family:canonical:2,x"), ("poset", "family:cb:2"),
-    ("family", "dda:1,2"), ("family", "canonical:2,x"),
-], ids=lambda argv: " ".join(argv))
-def test_bad_family_parameters_are_input_errors(capsys, argv):
+BAD_FAMILY_PARAMETERS = [
+    (("poset", "family:dda:1,2"), "dda needs r,n,m, got '1,2'"),
+    (("poset", "family:dda:1,x,0"), "dda needs r,n,m, got '1,x,0'"),
+    (("poset", "family:dda:2,3"), "dda needs r,n,m, got '2,3'"),
+    (("poset", "family:canonical:2,x"),
+     "canonical needs p_1,...,p_t, got '2,x'"),
+    (("poset", "family:cb:2"), "cb"),
+    (("family", "dda:1,2"), "dda needs r,n,m, got '1,2'"),
+    (("family", "dda:2,3"), "dda needs r,n,m, got '2,3'"),
+    (("family", "dda:1,2,0,4"), "dda needs r,n,m, got '1,2,0,4'"),
+    (("family", "canonical:2,x"), "canonical needs p_1,...,p_t, got '2,x'"),
+    (("family", "circular:"), "circular needs n,r_1,...,r_t, got ''"),
+    (("family", "circular:7,x"), "circular needs n,r_1,...,r_t, got '7,x'"),
+    (("family", "cb:x"), "cb needs n, got 'x'"),
+    (("family", "ci:3,4"), "ci needs d, got '3,4'"),
+    (("family", "kronecker:"), "kronecker needs k, got ''"),
+    (("family", "tensor:cb3"), "tensor needs file1,file2, got 'cb3'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, message, id=" ".join(argv))
+    for argv, message in BAD_FAMILY_PARAMETERS])
+def test_bad_family_parameters_are_input_errors(capsys, argv, message):
+    """Malformed parameters are input errors whose message names the
+    parameters the family takes."""
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error"]["code"] == "input"
+    error = json.loads(err)["error"]
+    assert error == {"code": "input", "message": message}
 
 
 def test_bad_family_is_input_error(capsys):

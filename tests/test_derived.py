@@ -26,10 +26,10 @@ from sphq.derived import (chain_map_space, complex_direct_sum,
                           minimal_projective_resolution, nakayama, perfectify,
                           resolve, stalk_complex, tau, tau_inverse)
 from sphq.errors import GlobalDimensionExceeded, NotChainMap, SchemaError
-from sphq.linalg import QQ, PrimeField
+from sphq.linalg import QQ, Matrix, PrimeField
 from sphq.reps import (hom_basis, identity_morphism, injective_module,
-                       projective_module, simple_module, standard_module,
-                       top_and_radical)
+                       projective_module, simple_module, standard_basis,
+                       standard_module, top_and_radical)
 from sphq.spherelike import (asphericality, classify_spherelike,
                              fractional_cy_check)
 
@@ -403,6 +403,49 @@ def test_resolutions_are_byte_stable(name):
             outs.append(complex_to_json(R))
     digest = hashlib.sha256(json.dumps(outs).encode()).hexdigest()
     assert digest == RESOLUTION_DIGESTS[name]
+
+
+def scatter_injective_to_rep(F):
+    """Per-vertex differential matrices of an injective-labeled complex,
+    as ``LabeledComplex.to_rep`` built them before: for every row (i, q)
+    and column (j, p) at v, the product d[i][j] * q is formed again and
+    read at p."""
+    alg = F.alg
+    out = {}
+    for n, d in F.diffs.items():
+        src_order = standard_basis(alg, "inj", F.labels(n))[0]
+        tgt_order = standard_basis(alg, "inj", F.labels(n + 1))[0]
+        mats = {}
+        for v in alg.quiver.vertices:
+            m = Matrix.zero(len(tgt_order[v]), len(src_order[v]), alg.field)
+            for col, (j, p) in enumerate(src_order[v]):
+                for r, (i, q) in enumerate(tgt_order[v]):
+                    if d[i][j].terms:
+                        c = alg.multiply(d[i][j], q).terms.get(p)
+                        if c is not None:
+                            m.entries[r][col] = c
+            mats[v] = m
+        out[n] = mats
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(RESOLUTION_DIGESTS))
+def test_injective_to_rep_matches_the_scatter_per_entry(name):
+    """On nu of every standard resolution, to_rep (one product d[i][j] * q
+    per row, scattered through the source index) writes the matrices of
+    the per-(row, column) reference; a differential that is zero at
+    every vertex is absent from the result."""
+    alg = load_fixture(name)
+    for kind in ("simple", "projective", "injective"):
+        for v in alg.quiver.vertices:
+            N = nakayama(minimal_projective_resolution(
+                standard_module(alg, kind, v)))
+            got = N.to_rep().diffs
+            for n, mats in scatter_injective_to_rep(N).items():
+                if all(m.is_zero() for m in mats.values()):
+                    assert n not in got
+                else:
+                    assert got[n].mats == mats, (kind, v, n)
 
 
 @pytest.mark.parametrize("name", sorted(RESOLUTION_DIGESTS))

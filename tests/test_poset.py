@@ -272,12 +272,15 @@ PREFILTER_FAMILIES = [(1, 2, 0), (2, 3, 0), (2, 3, 1), (1, 3, 0), (2, 4, 1),
 def test_euler_prefilter_drops_no_spherelike_candidate(monkeypatch):
     """Every search of the family builds classifies exactly the candidates
     up to its hit whose chi(F, F) is 1 + (-1)^d (0 or 2 when a spherical
-    simple is sought); each candidate it drops, classified here, is not
-    what the search looks for; and chi(F, F) = [F]^T E [F] is the
-    alternating sum of Hom^*(F, F) on every candidate."""
-    searches, inside = [], []
+    simple is sought), and builds an interval quotient only for a
+    candidate it classifies; each candidate it drops, classified here, is
+    not what the search looks for; the class the search reads off the
+    radical spans is the candidate's k_class; and chi(F, F) = [F]^T E [F]
+    is the alternating sum of Hom^*(F, F) on every candidate."""
+    searches, inside, quotients = [], [], []
     real_find = poset_module._find_spherelike
     real_classify = poset_module.classify_spherelike
+    real_interval = spherelike._interval
 
     def find(alg, d_target=None):
         inside.append([])
@@ -287,22 +290,33 @@ def test_euler_prefilter_drops_no_spherelike_candidate(monkeypatch):
 
     def classify(obj, desc):
         if inside:
-            inside[-1].append(desc)
+            inside[-1].append((desc, obj))
         return real_classify(obj, desc)
+
+    def interval(P, span):
+        quotients.append(real_interval(P, span))
+        return quotients[-1]
 
     monkeypatch.setattr(poset_module, "_find_spherelike", find)
     monkeypatch.setattr(poset_module, "classify_spherelike", classify)
+    monkeypatch.setattr(spherelike, "_interval", interval)
     for family in PREFILTER_FAMILIES:
         build_poset(("dda",) + family)
     monkeypatch.undo()
     assert len(searches) >= len(PREFILTER_FAMILIES)
+    classified_objects = [obj for _, _, classified, _ in searches
+                          for _, obj in classified]
+    assert quotients
+    for M in quotients:
+        assert any(M is obj for obj in classified_objects)
     dropped = 0
     for alg, d_target, classified, hit in searches:
         E = euler_matrix(alg)
         values = {0, 2} if d_target is None else {1 + (-1) ** d_target}
         passed = []
-        for desc, obj in poset_module._search_candidates(alg, d_target):
-            c = k_class(obj)
+        for desc, c, build in poset_module._search_candidates(alg, d_target):
+            obj = build()
+            assert c == k_class(obj), desc
             chi = euler_pairing(E, c, c)
             try:
                 rep = classify_spherelike(obj, desc)
@@ -320,5 +334,5 @@ def test_euler_prefilter_drops_no_spherelike_candidate(monkeypatch):
                     else rep.is_spherelike() and rep.d == d_target), desc
             if desc == hit:
                 break
-        assert classified == passed
+        assert [desc for desc, _ in classified] == passed
     assert dropped > 0

@@ -47,7 +47,7 @@ def memoised(fn):
     Two caches live outside it: ``corpus.load_fixture`` keeps
     ``functools.cache``, since it has no owner object, and
     ``derived.HomComplexData`` keeps its slot layouts in a plain dict: a
-    table local to one Hom-complex pass, looked up 10-13 k times per pass,
+    table local to one Hom-complex pass, looked up 7-9 k times per pass,
     where the extra call of a decorator shows in the wall time.
     """
     @functools.wraps(fn)

@@ -23,12 +23,13 @@ the total Hom complex together with representative chain maps.
 """
 
 import random
+from collections import defaultdict
 
 from .algebra import Element, memoised
 from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
                      EngineInvariantViolation, SchemaError, UnknownVertex)
 from .linalg import (Matrix, from_blocks, hstack, kernel_basis, rank, rref,
-                     scalar_to_str)
+                     scalar_to_str, sparse_rank)
 from .reps import (ModuleMorphism, Representation, direct_sum,
                    from_generators, standard_basis, standard_sum, zero_rep)
 
@@ -565,51 +566,79 @@ class HomComplexData:
         gdeg = self.G.degrees()
         return list(range(gdeg[0] - fdeg[-1], gdeg[-1] - fdeg[0] + 1))
 
-    def delta(self, n):
-        """Matrix of the differential C^n -> C^{n+1}.
+    def _entries(self, n, src, tgt_off):
+        """Yield (row, col, coeff) for each nonzero entry of the differential
+        C^n -> C^{n+1}, each once, given the slots ``src`` of C^n and the
+        slot offsets ``tgt_off`` of C^{n+1}.
 
         Slot (p, j) of C^n sends phi to d_G phi in slot (p, j) of C^{n+1}
         and to -(-1)^n phi d_F in the slots (p - 1, j2).  These are
-        distinct slots, so the blocks do not overlap, and a block of an
-        absent d_G or a zero entry of d_F is never built."""
-        field = self.alg.field
-        src, src_off, cols = self._layout(n)
-        _, tgt_off, rows = self._layout(n + 1)
-        if not (rows and cols):
-            return from_blocks(rows, cols, [], field)
-        blocks = []
-        minus_sign = field.from_int((-1) ** (n % 2 + 1))
-        for (p, j, x, _) in src:
-            off = src_off[p, j]
+        distinct slots, so no cell gets two blocks.  An entry c_1 q_1 + ...
+        of d_F adds the cells of each path action q_i times -(-1)^n c_i
+        into one table, so no scaled or summed action matrix is built."""
+        sign = self.alg.field.from_int((-1) ** (n % 2 + 1))
+        col0 = 0
+        for (p, j, x, dim) in src:
             dg = self.G.diffs.get(p + n)
             if dg is not None:
-                blocks.append((tgt_off[p, j], off, dg.mats[x], None))
+                for r, row in enumerate(dg.mats[x].entries, tgt_off[p, j]):
+                    for c, a in enumerate(row, col0):
+                        if a:
+                            yield r, c, a
             dprev = self.F.diffs.get(p - 1)
-            if dprev is None:
-                continue
-            Gp = self.G.pieces[p + n]
-            for j2, e in enumerate(dprev[j]):
-                r0 = tgt_off.get((p - 1, j2))
-                if r0 is None or e.is_zero():
-                    continue
-                act = Gp.element_action(e)  # G_{x} -> G_{x2}
-                blocks.append((r0, off, act, minus_sign))
-        return from_blocks(rows, cols, blocks, field)
+            if dprev is not None:
+                Gp = self.G.pieces[p + n]
+                for j2, e in enumerate(dprev[j]):
+                    r0 = tgt_off.get((p - 1, j2))
+                    if r0 is None or e.is_zero():
+                        continue
+                    cells = {}
+                    for path, coeff in e.terms.items():
+                        f = sign * coeff
+                        for r, row in enumerate(Gp.path_action(path).entries, r0):
+                            for c, a in enumerate(row, col0):
+                                if a:
+                                    v = cells.get((r, c))
+                                    cells[r, c] = f * a if v is None else v + f * a
+                    for (r, c), v in cells.items():
+                        if v:
+                            yield r, c, v
+            col0 += dim
+
+    def delta(self, n):
+        """Matrix of the differential C^n -> C^{n+1}, scattered from its
+        nonzero entries."""
+        src, _, cols = self._layout(n)
+        _, tgt_off, rows = self._layout(n + 1)
+        M = Matrix.zero(rows, cols, self.alg.field)
+        for r, c, v in self._entries(n, src, tgt_off):
+            M.entries[r][c] = v
+        return M
 
 
 def hom_profile(F, G):
-    """HomProfile: degree i -> dim Hom_D(F, G[i]); F perfect.  A
-    differential into or out of a zero space has rank 0 and is not built."""
+    """HomProfile: degree i -> dim Hom_D(F, G[i]); F perfect.
+
+    Each differential is ranked from the rows its nonzero entries fill
+    (``linalg.sparse_rank``); no dense differential is built, and one into
+    or out of a zero space has rank 0."""
     data = HomComplexData(F, G)
     rng = data.degree_range()
-    dims, ranks = {}, {}
+    if not rng:
+        return {}
+    layouts = {n: data._layout(n) for n in range(rng[0], rng[-1] + 2)}
+    ranks = {}
     for n in rng:
-        dims[n] = cols = data._layout(n)[2]
-        rows = data._layout(n + 1)[2]
-        ranks[n] = rank(data.delta(n)) if rows and cols else 0
+        src, _, cols = layouts[n]
+        _, tgt_off, rows = layouts[n + 1]
+        filled = defaultdict(dict)
+        if rows and cols:
+            for r, c, v in data._entries(n, src, tgt_off):
+                filled[r][c] = v
+        ranks[n] = sparse_rank(filled.values(), data.alg.field)
     out = {}
     for n in rng:
-        h = dims[n] - ranks[n] - ranks.get(n - 1, 0)
+        h = layouts[n][2] - ranks[n] - ranks.get(n - 1, 0)
         if h:
             out[n] = h
     return out

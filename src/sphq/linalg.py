@@ -3,7 +3,8 @@
 Everything upstream (path bases, Hom spaces, cohomology of Hom complexes)
 reduces to rref / kernel / solve over an exact field.  ``Matrix`` is a
 dense list of lists; ``sparse_rref`` reduces rows given as ``{column:
-coeff}`` dicts and yields the same reduced echelon form.  Scalars of ℚ
+coeff}`` dicts and yields the same reduced echelon form, and
+``sparse_rank`` ranks such rows by forward elimination alone.  Scalars of ℚ
 are ``int`` while integral and ``fractions.Fraction`` otherwise: the two
 mix exactly, and equal values compare and hash equal, so an integral
 ``Fraction`` left by a product is still a valid scalar.  Scalars of
@@ -387,6 +388,31 @@ def sparse_rref(rows, field=QQ):
         reduced[pc] = row
     pivots = sorted(reduced)
     return [dict(sorted(reduced[pc].items())) for pc in pivots], pivots
+
+
+def sparse_rank(rows, field=QQ):
+    """Rank of the rows given as {column: coeff} dicts of nonzero
+    coefficients, which it consumes.
+
+    Forward elimination only: each row is reduced, leftmost column first,
+    against the stored rows keyed by their leading column, each scaled in
+    place to a leading 1, until it is zero or leads in a new column.  Only
+    columns right of a pivot change, so no reduction is undone."""
+    one = field.one()
+    pivots = {}
+    for row in rows:
+        while row:
+            pc = min(row)
+            pivot = pivots.get(pc)
+            if pivot is None:
+                pv = row[pc]
+                if pv != one:
+                    for j, c in row.items():
+                        row[j] = field.div(c, pv)
+                pivots[pc] = row
+                break
+            _sub_multiple(row, row[pc], pivot)
+    return len(pivots)
 
 
 def rank(M):

@@ -1,6 +1,7 @@
-"""Cones, Hom-complex differentials, direct sums of complexes and element
-actions, which ``sphq`` assembles through ``linalg.from_blocks`` from their
-present blocks only, checked entry for entry against dense references.
+"""Cones, direct sums of complexes and element actions, which ``sphq``
+assembles through ``linalg.from_blocks`` from their present blocks only,
+and Hom-complex differentials and profiles, which it writes from their
+nonzero entries only, checked against dense references.
 ``sphq`` builds no zero morphism, so the references build every zero
 block themselves: a ``Matrix.zero`` for each absent differential or
 chain-map component, zero corners, hstacks and vstacks."""
@@ -10,12 +11,13 @@ import os
 import pytest
 
 from sphq import derived, spherelike
+from sphq.constructions import kronecker, kronecker_quasi_simple
 from sphq.corpus import FIXTURE_DIR, load_fixture
 from sphq.derived import (HomComplexData, chain_map_space, complex_direct_sum,
                           cone, hom_profile, is_quasi_iso,
                           minimal_projective_resolution, nakayama,
                           stalk_complex)
-from sphq.linalg import Matrix, hstack, vstack
+from sphq.linalg import PrimeField, QQ, Matrix, hstack, rank, vstack
 from sphq.reps import standard_module
 from sphq.spherelike import classify_spherelike, interval_modules
 
@@ -288,11 +290,77 @@ def test_recorded_cones_have_both_answers(monkeypatch):
     assert {is_quasi_iso(f) for f in recorded} == {True, False}
 
 
-def test_hom_profile_unchanged_on_the_dense_delta(monkeypatch):
-    """hom_profile read through the dense reference gives the same
-    profiles, on every pair of standard modules of ncc."""
-    alg = load_fixture("ncc")
+def dense_profile(F, G):
+    """The Hom profile read off the rank of each dense_delta: degree n ->
+    dim C^n - rank delta^n - rank delta^(n-1), where nonzero."""
+    data = HomComplexData(F, G)
+    rng = data.degree_range()
+    if not rng:
+        return {}
+    ranks = {n: rank(dense_delta(data, n))
+             for n in range(rng[0] - 1, rng[-1] + 1)}
+    dims = {n: sum(d for (_, _, _, d) in data.slots(n)) for n in rng}
+    return {n: dims[n] - ranks[n] - ranks[n - 1] for n in rng
+            if dims[n] - ranks[n] - ranks[n - 1]}
+
+
+def test_hom_profile_unchanged_on_the_dense_delta():
+    """hom_profile equals the dense reference profile from every standard
+    resolution of ncc to each standard module, to nu of each resolution and
+    to each Q_F; ncc has no Q_F, so dda_2_4_1 is checked too."""
+    qfs = 0
+    for name in ("ncc", "dda_2_4_1"):
+        alg = load_fixture(name)
+        res = standard_resolutions(alg)
+        q = q_f_complexes(alg)
+        qfs += sum(not Q.is_acyclic() for Q in q)
+        targets = ([standard_module(alg, kind, v)
+                    for kind in KINDS for v in alg.quiver.vertices]
+                   + [nakayama(F) for F in res] + q)
+        for F in res:
+            for G in targets:
+                assert hom_profile(F, G) == dense_profile(F, G)
+    assert qfs
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)],
+                         ids=["QQ", "GF2", "GF5"])
+def test_multi_term_entries_match_the_dense_reference(field, k):
+    """Resolutions of the modules M_lambda of the k-Kronecker algebra,
+    lambda = 0..3, have entries like -2 a1 + a2, whose path actions add
+    into shared cells (on M_lambda itself they cancel).  Against every
+    standard module, every nu(R) and every M_mu, hom_profile equals the
+    dense reference profile and delta equals dense_delta."""
+    alg = kronecker(k, field)
+    quasi = [kronecker_quasi_simple(alg, lam) for lam in range(4)]
+    res = [minimal_projective_resolution(M) for M in quasi]
+    assert any(len(e.terms) > 1 for R in res for d in R.diffs.values()
+               for row in d for e in row)
+    targets = ([standard_module(alg, kind, v)
+                for kind in KINDS for v in alg.quiver.vertices]
+               + [nakayama(R) for R in res] + quasi)
+    for F in res:
+        for G in targets:
+            assert hom_profile(F, G) == dense_profile(F, G)
+            data = HomComplexData(F, G)
+            rng = data.degree_range()
+            for n in range(rng[0] - 1, rng[-1] + 1):
+                assert same_matrix(data.delta(n), dense_delta(data, n))
+
+
+def test_hom_profile_builds_no_dense_differential(monkeypatch):
+    """hom_profile answers with HomComplexData.delta and derived.rank
+    made to raise, on every pair of standard resolutions of cb3 and on
+    each standard resolution against nu of each."""
+    alg = load_fixture("cb3")
     res = standard_resolutions(alg)
-    fast = [hom_profile(F, G) for F in res for G in res]
-    monkeypatch.setattr(HomComplexData, "delta", dense_delta)
-    assert [hom_profile(F, G) for F in res for G in res] == fast
+    pairs = [(F, G) for F in res for G in res + [nakayama(R) for R in res]]
+    want = [dense_profile(F, G) for F, G in pairs]
+
+    def refuse(*args):
+        raise AssertionError("hom_profile built or ranked a dense matrix")
+
+    monkeypatch.setattr(HomComplexData, "delta", refuse)
+    monkeypatch.setattr(derived, "rank", refuse)
+    assert [hom_profile(F, G) for F, G in pairs] == want

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import sphq
 from sphq.linalg import (Matrix, PrimeField, QQ, block_diag, from_blocks,
                          hstack, kernel_basis, kernel_from_rref, rank, rref,
-                         scalar_to_str, solve, sparse_rref, vstack)
+                         scalar_to_str, solve, sparse_rank, sparse_rref,
+                         vstack)
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -193,6 +194,54 @@ def test_sparse_rref_matches_rref(M):
     assert sparse_pivots == pivots
     assert rows == sparse_rows(R.entries[:len(pivots)])
     assert all(list(row) == sorted(row) for row in rows)
+
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7)]
+
+
+@st.composite
+def rank_cases(draw):
+    """A sparse matrix with up to three more rows, each c1 row_i + c2 row_k
+    of the rows so far (c2 = 0 is a duplicate, c1 = c2 = 0 an all-zero
+    row), put at a drawn place, so some rows reduce to zero."""
+    field = draw(st.sampled_from(FIELDS))
+    M = draw(sparse_matrices(field))
+    rows = [row[:] for row in M.entries]
+    scalars = st.integers(-2, 2).map(field.from_int)
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        k = draw(st.integers(0, len(rows) - 1))
+        c1, c2 = draw(scalars), draw(scalars)
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [c1 * a + c2 * b for a, b in zip(rows[i], rows[k])])
+    return Matrix(len(rows), M.cols, rows, field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_cases())
+def test_sparse_rank_matches_rank(M):
+    assert sparse_rank(sparse_rows(M.entries), M.field) == rank(M)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF2", "GF3", "GF7"])
+@pytest.mark.parametrize("entries", [
+    [],                                         # no rows
+    [[0, 0, 0], [0, 0, 0]],                     # all-zero rows
+    [[1, 2, 0], [1, 2, 0], [1, 2, 0]],          # duplicate rows
+    [[1, 1, 0], [0, 1, 1], [1, 2, 1]],          # third = first + second
+    [[0, 3, 0, 0, 0, 0, 1, 0, 2]],              # wide
+    [[2], [0], [5], [1], [0], [3], [4]],        # tall
+    [[Fraction(1, 5), Fraction(-2, 5), 0], [Fraction(3, 5), Fraction(-6, 5), 0],
+     [0, Fraction(11, 5), 1]],                  # second = 3 * first
+], ids=["empty", "zero-rows", "duplicates", "cancel", "wide", "tall",
+        "fractions"])
+def test_sparse_rank_edge_cases(field, entries):
+    """The fixed shapes above over each field; the fractions have
+    denominator 5, a unit in each GF(p), and go through the field's
+    parser."""
+    ent = [[field.parse(str(a)) for a in row] for row in entries]
+    M = Matrix(len(ent), len(ent[0]) if ent else 0, ent, field)
+    assert sparse_rank(sparse_rows(M.entries), field) == rank(M)
 
 
 @settings(max_examples=120, deadline=None)

@@ -84,7 +84,13 @@ class Rationals:
         return f.numerator if f.denominator == 1 else f
 
     def div(self, a, b):
-        """Exact quotient a / b: an ``int`` when it is integral."""
+        """Exact quotient a / b: an ``int`` when it is integral.  Two
+        ``int``s that divide exactly give their quotient without a
+        ``Fraction``."""
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            if not r:
+                return q
         q = Fraction(a, b)
         return q.numerator if q.denominator == 1 else q
 

@@ -233,10 +233,12 @@ def _two_term_candidates(alg):
 def _search_candidates(alg, d_target):
     """The candidates of ``_find_spherelike`` in order, as (desc, K_0
     class, build): simples, then, when a degree is sought, interval
-    modules of length at least 2 (the length-1 intervals P(v)/rad P(v) are
-    the simples again), then two-term path complexes.  build() returns the
-    candidate; an interval's class is its dimension vector read off the
-    radical spans, so its quotient is built only when build() is called."""
+    modules of length at least 2, then two-term path complexes.  The
+    length-1 interval P(v)/rad P(v) is S(v), already a candidate: it is the
+    shared ``simple_module`` object, or P(v) when P(v) is simple.  build()
+    returns the candidate; an interval's class is its dimension vector read
+    off the radical spans, so its quotient is built only when build() is
+    called."""
     def built(pairs):
         for desc, obj in pairs:
             yield desc, k_class(obj), lambda obj=obj: obj

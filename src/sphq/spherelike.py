@@ -24,9 +24,9 @@ from .reps import (Representation, generator_column, hom_basis,
                    simple_module, standard_basis)
 from . import reps as _reps
 from .derived import (RESOLUTION_BOUND, ChainMap, HomComplexData,
-                      chain_map_space, cone, hom_profile, iso_up_to_shift,
-                      minimal_projective_resolution, nakayama, perfectify,
-                      resolve)
+                      LabeledComplex, chain_map_space, cone, hom_profile,
+                      iso_up_to_shift, minimal_projective_resolution,
+                      nakayama, perfectify, resolve)
 
 
 @memoised
@@ -148,11 +148,23 @@ def _is_rational_square(x):
 
 
 def classify_spherelike(obj, desc="object"):
-    """SpherelikeReport for a module, bounded complex or perfect complex."""
+    """SpherelikeReport for a module, bounded complex or perfect complex.
+
+    The profile is H^* Hom(F, X), where F = ``resolve(obj)`` and X is the
+    object F resolves: the module, the bounded complex, or the
+    representation of an injective-labeled complex.  F is a bounded
+    complex of projectives and F -> X a quasi-isomorphism, so
+    H^i Hom(F, F) = H^i Hom(F, X) (Weibel, An Introduction to Homological
+    Algebra, 10.4), and the Hom complex has size |F| dim X and needs no
+    representation of F.  Only a projective-labeled input, which is F
+    itself, is profiled as Hom(F, F).  ``F.to_rep()`` is built by the
+    branches that need chain maps.
+    """
     F = resolve(obj)
     alg = F.alg
     certify_finite_gldim(alg)
-    prof = hom_profile(F, F)
+    X = obj.to_rep() if isinstance(obj, LabeledComplex) and obj is not F else obj
+    prof = hom_profile(F, X)
     total = sum(prof.values())
     rep = SpherelikeReport(desc, prof, "not_spherelike", complex=F)
     if total == 1 and prof.get(0) == 1:
@@ -271,12 +283,16 @@ def _interval(P, span):
 
 def interval_module(alg, v, ell):
     """P(v)/rad^ell P(v) for 1 <= ell <= L, the Loewy length of P(v); the
-    length-L interval is the shared ``projective_module`` object.  None
-    when ell is out of range.  Builds only vertex v's spans."""
+    length-L interval is the shared ``projective_module`` object and, when
+    1 < L, the length-1 interval P(v)/rad P(v) is the shared
+    ``simple_module`` object S(v).  None when ell is out of range.  Builds
+    only vertex v's spans."""
     P, spans = _radical_spans(alg, v)
     if not 1 <= ell <= len(spans) + 1:
         return None
-    return P if ell == len(spans) + 1 else _interval(P, spans[ell - 1])
+    if ell == len(spans) + 1:
+        return P
+    return simple_module(alg, v) if ell == 1 else _interval(P, spans[ell - 1])
 
 
 def interval_modules(alg):
@@ -295,13 +311,15 @@ def lazy_interval_modules(alg):
     P(v)/rad^l P(v) read off the radical spans, and build() makes the
     module.  A caller can so look at the dimension vector before the
     quotient is built, and vertex v's spans are built when its first
-    interval is asked for."""
+    interval is asked for.  The length-L interval is P(v) and, when
+    1 < L, the length-1 interval is S(v), as in ``interval_module``."""
     for v in alg.quiver.vertices:
         P, spans = _radical_spans(alg, v)
         for ell, span in enumerate(spans, start=1):
             yield ("interval:%s,%d" % (v, ell),
                    {w: A.rows - A.cols for w, A in span.items()},
-                   functools.partial(_interval, P, span))
+                   functools.partial(simple_module, alg, v) if ell == 1
+                   else functools.partial(_interval, P, span))
         yield ("interval:%s,%d" % (v, len(spans) + 1), dict(P.dims),
                lambda P=P: P)
 

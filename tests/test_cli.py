@@ -15,7 +15,7 @@ from sphq.algebra import algebra_from_json
 from sphq.cli import load_algebra, main, parse_object
 from sphq.corpus import FIXTURE_DIR
 from sphq.derived import complex_from_json, is_minimal
-from sphq.reps import projective_module, rep_to_json
+from sphq.reps import projective_module, rep_to_json, simple_module
 from sphq.spherelike import interval_modules
 
 
@@ -467,7 +467,9 @@ def test_cli_imports_only_the_standard_library():
 
 def test_interval_object_builds_only_its_vertex(monkeypatch):
     """interval:v,len builds vertex v's radical spans and at most the one
-    quotient asked for, and gives the module interval_modules lists."""
+    quotient asked for, and gives the module interval_modules lists; the
+    length-1 interval is the shared S(v) and the longest the shared P(v),
+    neither built as a quotient."""
     alg = load_algebra("cb3")
     listed = dict(interval_modules(alg))
     built, quotients = [], []
@@ -488,9 +490,15 @@ def test_interval_object_builds_only_its_vertex(monkeypatch):
         quotients.clear()
         got = parse_object(alg, desc)
         assert rep_to_json(got) == rep_to_json(M)
-        v = desc[len("interval:"):].split(",")[0]
+        v, ell = desc[len("interval:"):].split(",")
         assert built == [v]
-        assert len(quotients) == (0 if got is projective_module(alg, v) else 1)
+        if got is projective_module(alg, v):
+            assert quotients == []
+        elif ell == "1":
+            assert got is M is simple_module(alg, v)
+            assert quotients == []
+        else:
+            assert len(quotients) == 1
 
 
 @pytest.mark.parametrize("desc", ["interval:9,1", "interval:3,4", "interval:3,0",

@@ -100,8 +100,20 @@ def test_rational_scalars_are_ints_while_integral():
     assert QQ.div(6, 3) == 2 and type(QQ.div(6, 3)) is int
     assert type(QQ.div(Fraction(3, 2), Fraction(1, 2))) is int
     assert QQ.div(1, Fraction(-2, 3)) == Fraction(-3, 2)
-    with pytest.raises(ZeroDivisionError):
-        QQ.div(1, 0)
+    for a in (1, 0, -3, Fraction(1, 2)):
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(a, 0)
+
+
+@pytest.mark.parametrize("b", [-7, -2, -1, 1, 2, 3, 6])
+def test_rational_int_division_agrees_with_fraction(b):
+    """The int-by-int path of QQ.div gives Fraction(a, b), as an int
+    exactly when b divides a: negative divisors, zero numerators and
+    non-divisible pairs included."""
+    for a in range(-13, 14):
+        q = QQ.div(a, b)
+        assert q == Fraction(a, b)
+        assert type(q) is (int if a % b == 0 else Fraction)
 
 
 # Integral entries as ints (the fast path) and, for comparison, the same

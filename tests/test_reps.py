@@ -23,6 +23,7 @@ from sphq.reps import (ModuleMorphism, Representation, _quotient_data,
                        rep_to_json, simple_module, standard_basis,
                        standard_module, standard_sum, top_and_radical,
                        zero_rep)
+from sphq.spherelike import interval_module
 
 
 def test_projective_dims_cb3():
@@ -286,6 +287,7 @@ def test_standard_modules_are_built_once_per_algebra():
         assert injective_module(alg, v) is standard_module(alg, "injective", v)
         assert simple_module(alg, v) is simple_module(alg, v)
         assert simple_module(alg, v) is standard_module(alg, "simple", v)
+        assert interval_module(alg, v, 1) is simple_module(alg, v)
         for kind in ("simple", "projective", "injective"):
             M = standard_module(alg, kind, v)
             assert minimal_projective_resolution(M) is \

@@ -9,12 +9,14 @@ from sphq.algebra import Quiver, algebra_from_json, build_algebra
 from sphq.constructions import (cb, ci, circular, induce, kronecker,
                                 kronecker_quasi_simple)
 from sphq.corpus import FIXTURE_DIR, load_fixture
-from sphq.derived import (hom_profile, iso_up_to_shift,
-                          minimal_projective_resolution, nakayama, resolve)
+from sphq.derived import (LabeledComplex, hom_profile, iso_up_to_shift,
+                          minimal_projective_resolution, nakayama, perfectify,
+                          resolve)
 from sphq.errors import (DZeroUnsupported, GlobalDimensionExceeded,
                          UnsupportedCandidateSet)
 from sphq.linalg import QQ, PrimeField
-from sphq.reps import direct_sum, projective_module, simple_module
+from sphq.reps import (direct_sum, projective_module, simple_module,
+                       standard_module)
 from sphq.spherelike import (_is_rational_square, asphericality,
                              certify_finite_gldim, classify_spherelike,
                              fractional_cy_check, in_spherical_subcat,
@@ -196,6 +198,32 @@ def test_quasi_simple_family_spherical():
         assert rep.verdict == "d_spherical" and rep.d == 1
 
 
+def test_non_spherelike_verdict_needs_no_rep_of_the_resolution(monkeypatch):
+    """A module is profiled as Hom(F, M) on its resolution F, so a
+    standard module of cb3 that is not spherelike is classified without
+    building any LabeledComplex.to_rep.  The algebra is read afresh so
+    that no representation is cached."""
+    def want(alg):
+        return {(kind, v): classify_spherelike(
+                    standard_module(alg, kind, v), "%s:%s" % (kind, v))
+                for kind in ("simple", "projective", "injective")
+                for v in alg.quiver.vertices}
+
+    reports = {k: r.to_json() for k, r in want(load_fixture("cb3")).items()
+               if not r.is_spherelike()}
+    assert len(reports) == 8
+
+    def refuse(self):
+        raise AssertionError("to_rep built")
+
+    monkeypatch.setattr(LabeledComplex, "to_rep", refuse)
+    with open(os.path.join(FIXTURE_DIR, "cb3.json")) as fh:
+        alg = algebra_from_json(json.load(fh))
+    got = {k: classify_spherelike(standard_module(alg, *k), "%s:%s" % k)
+           for k in reports}
+    assert {k: r.to_json() for k, r in got.items()} == reports
+
+
 def test_report_json_fields():
     alg = cb(2)
     rep = classify_spherelike(simple_module(alg, "1"), "S:1")
@@ -215,14 +243,30 @@ SWEEP_FIELDS = {"QQ": {"kind": "rational"},
 FIELD_SENSITIVE_FIXTURES = {}
 
 
+def same_report_as_resolved(M, R, desc):
+    """classify_spherelike gives the same report for the module M, profiled
+    as Hom(R, M), as for its minimal resolution R, profiled as Hom(R, R);
+    and the same for the translate C = nu(R)[-1] and the injective-labeled
+    nu(R), each against its perfectified form.  Returns R's report."""
+    rep = classify_spherelike(R, desc)
+    assert classify_spherelike(M, desc).to_json() == rep.to_json()
+    N = nakayama(R)
+    C = N.to_rep().shift(-1)
+    for obj, G in ((C, perfectify(C)), (N, perfectify(N.to_rep()))):
+        assert classify_spherelike(obj, desc).to_json() == \
+            classify_spherelike(G, desc).to_json()
+    return rep
+
+
 def simples_answers(data, field):
     """Per simple S: its Hom profile against every simple, its verdict, d
     and field-sensitivity flag, with the fixture read over ``field``."""
     alg = algebra_from_json(dict(data, field=field))
     out = {}
     for v in alg.quiver.vertices:
-        R = minimal_projective_resolution(simple_module(alg, v))
-        rep = classify_spherelike(R, "S:%s" % v)
+        S = simple_module(alg, v)
+        R = minimal_projective_resolution(S)
+        rep = same_report_as_resolved(S, R, "S:%s" % v)
         out[v] = ({w: hom_profile(R, simple_module(alg, w))
                    for w in alg.quiver.vertices},
                   rep.verdict, rep.d, rep.field_sensitive)
@@ -250,7 +294,7 @@ def intervals_answers(data, field):
     out = {}
     for desc, M in interval_modules(alg):
         R = minimal_projective_resolution(M)
-        rep = classify_spherelike(R, desc)
+        rep = same_report_as_resolved(M, R, desc)
         out[desc] = ({w: hom_profile(R, simple_module(alg, w))
                       for w in alg.quiver.vertices}, rep.verdict, rep.d)
     return out

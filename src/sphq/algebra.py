@@ -44,11 +44,8 @@ def memoised(fn):
     * Nothing is stored when the build raises: the next call builds again.
     * The result is shared by every caller, who must not mutate it.
 
-    Two caches live outside it: ``corpus.load_fixture`` keeps
-    ``functools.cache``, since it has no owner object, and
-    ``derived.HomComplexData`` keeps its slot layouts in a plain dict: a
-    table local to one Hom-complex pass, looked up 7-9 k times per pass,
-    where the extra call of a decorator shows in the wall time.
+    One cache lives outside it: ``corpus.load_fixture`` keeps
+    ``functools.cache``, since it has no owner object.
     """
     @functools.wraps(fn)
     def wrapper(owner, *args):

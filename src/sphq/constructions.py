@@ -8,7 +8,7 @@ from .algebra import Arrow, Element, Quiver, build_algebra, default_cap
 from .errors import (NotAcyclic, NotASink, NotElementValued, SchemaError,
                      FamilyParameterError, UnknownVertex)
 from .derived import LabeledComplex
-from .linalg import QQ, Matrix, rref, scalar_to_str
+from .linalg import QQ, Matrix, scalar_to_str, sparse_rank
 from .reps import Representation
 
 
@@ -63,17 +63,11 @@ class Embedding:
             raise SchemaError("corner dimension %d != small algebra dimension %d"
                               % (corner, self.small.total_dim))
         # injectivity: images of the small basis are linearly independent
-        field = self.big.field
         bidx = self.big.basis_index
-        rows = []
-        for p in self.small.basis:
-            img = self.big.reduce_path(self.map_path(p))
-            row = [field.zero()] * len(self.big.basis)
-            for q, c in img.terms.items():
-                row[bidx[q]] = c
-            rows.append(row)
-        _, piv = rref(Matrix(len(rows), len(self.big.basis), rows, field))
-        if len(piv) != self.small.total_dim:
+        rows = [{bidx[q]: c for q, c in
+                 self.big.reduce_path(self.map_path(p)).terms.items()}
+                for p in self.small.basis]
+        if sparse_rank(rows, self.big.field) != self.small.total_dim:
             raise SchemaError("embedding is not injective")
 
     def to_json(self):

@@ -79,40 +79,43 @@ class BoundedComplex:
         return BoundedComplex(self.alg, pieces, diffs, check=False)
 
     def cohomology_dims(self):
-        ranks = {n: sum(rank(m) for m in d.mats.values())
-                 for n, d in self.diffs.items()}
-        out = {}
-        for n in self.degrees():
-            dim = self.pieces[n].total_dim() - ranks.get(n, 0) - ranks.get(n - 1, 0)
-            if dim:
-                out[n] = dim
-        return out
+        return {n: h for n, h in self._h() if h}
 
     def is_acyclic(self):
-        """True when every cohomology group vanishes (``_no_cohomology``)."""
-        return _no_cohomology(
+        """True when every cohomology group vanishes; stops at the first
+        degree with cohomology."""
+        return not any(h for _, h in self._h())
+
+    def _h(self):
+        """``_cohomology`` of this complex."""
+        return _cohomology(
             {n: p.total_dim() for n, p in self.pieces.items()},
-            lambda n: self.diffs[n].mats if n in self.diffs else None)
+            lambda n: _rank_sum(self.diffs[n].mats if n in self.diffs else None))
 
     def total_dim(self):
         return sum(p.total_dim() for p in self.pieces.values())
 
 
-def _no_cohomology(dims, mats_of):
-    """True when a complex with pieces of total dimension dims[n] > 0 and
-    per-vertex differential matrices ``mats_of(n)`` (None where the
-    differential is absent, so zero) has no cohomology.  Ranks each
-    differential on first need, in ascending degree order, and stops at
-    the first degree with nonzero cohomology."""
-    ranks = {}
+def _cohomology(dims, rank_of):
+    """Yield (n, dim H^n) in ascending degree for a complex whose pieces
+    have dimension dims[n]: dim H^n = dims[n] - rank d^n - rank d^{n-1}.
+    ``rank_of(n)``, the rank of d^n, is called once per degree, when that
+    degree is reached, so a caller that stops early ranks no differential
+    above it.  ``dims`` lists every degree with a nonzero piece, so rank
+    d^{n-1} is the rank found at the listed degree m before n: when m is
+    below n - 1, d^{n-1} leaves and d^m enters a zero piece, and both
+    ranks are 0."""
+    below = 0
+    for n, dim in sorted(dims.items()):
+        r = rank_of(n)
+        yield n, dim - r - below
+        below = r
 
-    def rank_of(n):
-        if n not in ranks:
-            mats = mats_of(n)
-            ranks[n] = 0 if mats is None else sum(rank(m) for m in mats.values())
-        return ranks[n]
 
-    return all(dims[n] == rank_of(n) + rank_of(n - 1) for n in sorted(dims))
+def _rank_sum(mats):
+    """Rank of a differential given by its per-vertex matrices, or 0 when
+    ``mats`` is None (the differential is absent, so zero)."""
+    return 0 if mats is None else sum(rank(m) for m in mats.values())
 
 
 def stalk_complex(M):
@@ -232,7 +235,8 @@ def is_quasi_iso(f):
     X, Y = f.source, f.target
     dims = {n: X.piece(n + 1).total_dim() + Y.piece(n).total_dim()
             for n in _cone_degrees(f)}
-    return _no_cohomology(dims, lambda n: _cone_mats(f, n))
+    return not any(h for _, h in _cohomology(
+        dims, lambda n: _rank_sum(_cone_mats(f, n))))
 
 
 # ----------------------------------------------------------------------
@@ -260,12 +264,6 @@ class LabeledComplex:
 
     def is_zero(self):
         return not self.pieces
-
-    def entry(self, n, i, j):
-        d = self.diffs.get(n)
-        if d is None:
-            return self.alg.zero_element()
-        return d[i][j]
 
     def _validate(self):
         alg = self.alg
@@ -536,24 +534,19 @@ class HomComplexData:
         self.F = F
         self.G = as_rep_complex(G)
         self.alg = F.alg
-        self._layouts = {}
 
     def _layout(self, n):
-        """(slots(n), offset of each slot (p, j), dim C^n), computed once
-        per degree."""
-        layout = self._layouts.get(n)
-        if layout is None:
-            slots, offsets, size = [], {}, 0
-            for p in self.F.degrees():
-                Gp = self.G.pieces.get(p + n)
-                if Gp is None:
-                    continue
-                for j, x in enumerate(self.F.labels(p)):
-                    slots.append((p, j, x, Gp.dims[x]))
-                    offsets[p, j] = size
-                    size += Gp.dims[x]
-            layout = self._layouts[n] = (slots, offsets, size)
-        return layout
+        """(slots(n), offset of each slot (p, j), dim C^n)."""
+        slots, offsets, size = [], {}, 0
+        for p in self.F.degrees():
+            Gp = self.G.pieces.get(p + n)
+            if Gp is None:
+                continue
+            for j, x in enumerate(self.F.labels(p)):
+                slots.append((p, j, x, Gp.dims[x]))
+                offsets[p, j] = size
+                size += Gp.dims[x]
+        return slots, offsets, size
 
     def slots(self, n):
         """[(p, j, label, dim)] for C^n = sum_p sum_j G^{p+n}_{x_j}."""
@@ -627,21 +620,20 @@ def hom_profile(F, G):
     if not rng:
         return {}
     layouts = {n: data._layout(n) for n in range(rng[0], rng[-1] + 2)}
-    ranks = {}
-    for n in rng:
+    field = data.alg.field
+
+    def rank_of(n):
         src, _, cols = layouts[n]
         _, tgt_off, rows = layouts[n + 1]
+        if not (rows and cols):
+            return 0
         filled = defaultdict(dict)
-        if rows and cols:
-            for r, c, v in data._entries(n, src, tgt_off):
-                filled[r][c] = v
-        ranks[n] = sparse_rank(filled.values(), data.alg.field)
-    out = {}
-    for n in rng:
-        h = layouts[n][2] - ranks[n] - ranks.get(n - 1, 0)
-        if h:
-            out[n] = h
-    return out
+        for r, c, v in data._entries(n, src, tgt_off):
+            filled[r][c] = v
+        return sparse_rank(filled.values(), field)
+
+    return {n: h for n, h in _cohomology(
+        {n: layouts[n][2] for n in rng}, rank_of) if h}
 
 
 def chain_map_space(F, G, s):

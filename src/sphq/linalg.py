@@ -2,9 +2,10 @@
 
 Everything upstream (path bases, Hom spaces, cohomology of Hom complexes)
 reduces to rref / kernel / solve over an exact field.  ``Matrix`` is a
-dense list of lists; ``sparse_rref`` reduces rows given as ``{column:
-coeff}`` dicts and yields the same reduced echelon form, and
-``sparse_rank`` ranks such rows by forward elimination alone.  Scalars of ℚ
+dense list of lists.  Rows given as ``{column: coeff}`` dicts have one
+elimination, the forward pass ``_forward``: ``sparse_rank`` counts its
+pivots, and ``sparse_rref`` back-substitutes from the last pivot up to the
+same reduced echelon form as ``rref``.  Scalars of ℚ
 are ``int`` while integral and ``fractions.Fraction`` otherwise: the two
 mix exactly, and equal values compare and hash equal, so an integral
 ``Fraction`` left by a product is still a valid scalar.  Scalars of
@@ -366,44 +367,14 @@ def _sub_multiple(dst, f, src):
             dst.pop(j, None)
 
 
-def sparse_rref(rows, field=QQ):
-    """Reduced row echelon form of rows given as {column: coeff} dicts.
+def _forward(rows, field):
+    """Forward elimination on rows given as {column: coeff} dicts of
+    nonzero coefficients, which it consumes.  Returns {pivot column: row}.
 
-    Returns (rows, pivots) like ``rref``: the nonzero rows of the reduced
-    form in increasing pivot order, each a dict in increasing column order,
-    and the sorted pivot columns.  Gauss-Jordan, one row at a time: every
-    stored row has a leading 1 at its pivot and is kept free of every other
-    pivot column, so the result is the unique reduced form of the row space.
-    """
-    one = field.one()
-    reduced = {}
-    for row in rows:
-        row = {j: c for j, c in row.items() if c}
-        for pc in [j for j in row if j in reduced]:
-            _sub_multiple(row, row[pc], reduced[pc])
-        if not row:
-            continue
-        pc = min(row)
-        pv = row[pc]
-        if pv != one:
-            row = {j: field.div(c, pv) for j, c in row.items()}
-        for other in reduced.values():
-            f = other.get(pc)
-            if f:
-                _sub_multiple(other, f, row)
-        reduced[pc] = row
-    pivots = sorted(reduced)
-    return [dict(sorted(reduced[pc].items())) for pc in pivots], pivots
-
-
-def sparse_rank(rows, field=QQ):
-    """Rank of the rows given as {column: coeff} dicts of nonzero
-    coefficients, which it consumes.
-
-    Forward elimination only: each row is reduced, leftmost column first,
-    against the stored rows keyed by their leading column, each scaled in
-    place to a leading 1, until it is zero or leads in a new column.  Only
-    columns right of a pivot change, so no reduction is undone."""
+    Each row is reduced, leftmost column first, against the stored rows
+    keyed by their leading column, each scaled in place to a leading 1,
+    until it is zero or leads in a new column.  Only columns right of a
+    pivot change, so no reduction is undone."""
     one = field.one()
     pivots = {}
     for row in rows:
@@ -418,7 +389,33 @@ def sparse_rank(rows, field=QQ):
                 pivots[pc] = row
                 break
             _sub_multiple(row, row[pc], pivot)
-    return len(pivots)
+    return pivots
+
+
+def sparse_rank(rows, field=QQ):
+    """Rank of the rows given as {column: coeff} dicts of nonzero
+    coefficients, which it consumes (``_forward``)."""
+    return len(_forward(rows, field))
+
+
+def sparse_rref(rows, field=QQ):
+    """Reduced row echelon form of rows given as {column: coeff} dicts,
+    which it leaves unchanged; zero coefficients are dropped.
+
+    Returns (rows, pivots) like ``rref``: the nonzero rows of the reduced
+    form in increasing pivot order, each a dict in increasing column order,
+    and the sorted pivot columns.  ``_forward`` on copies of the rows, then
+    back-substitution from the last pivot up: each row is cleared of the
+    later pivot columns, whose rows are already reduced, so the result is
+    the unique reduced form of the row space."""
+    pivots = _forward([{j: c for j, c in row.items() if c} for row in rows],
+                      field)
+    order = sorted(pivots)
+    for pc in reversed(order):
+        row = pivots[pc]
+        for j in [j for j in row if j != pc and j in pivots]:
+            _sub_multiple(row, row[j], pivots[j])
+    return [dict(sorted(pivots[pc].items())) for pc in order], order
 
 
 def rank(M):

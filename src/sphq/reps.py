@@ -8,6 +8,11 @@ are all reduced to the linalg kernels, with one elimination per quotient
 the kernel off the same elimination) and one per arrow of a sub-module
 (``_subrep_from_inclusions``).
 
+Nothing in sphq calls ``kernel_cokernel`` or ``top_and_radical`` any more:
+interval modules are quotients by radical spans (``spherelike``).  Both
+stay as the reference the interval tests compare against, and as span
+boundaries of ``perfbench/tracer.py``.
+
 This module alone builds the standard modules P(x) and I(x), memoises
 them and their sums per algebra and indexes the sums (``standard_basis``,
 ``standard_sum``); maps out of a sum of projectives are given by the
@@ -47,9 +52,6 @@ class Representation:
 
     def total_dim(self):
         return sum(self.dims.values())
-
-    def support(self):
-        return {v for v, d in self.dims.items() if d > 0}
 
     def is_zero(self):
         return self.total_dim() == 0

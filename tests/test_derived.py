@@ -19,10 +19,11 @@ from sphq.algebra import (Arrow, Element, Path, Quiver, algebra_from_json,
                           build_algebra)
 from sphq.constructions import cb
 from sphq.corpus import FIXTURE_DIR, load_fixture, _ncc_E
-from sphq.derived import (chain_map_space, complex_direct_sum,
-                          complex_from_json, complex_to_json, cone,
+from sphq.derived import (BoundedComplex, ChainMap, chain_map_space,
+                          complex_direct_sum, complex_from_json,
+                          complex_to_json, cone,
                           hom_profile, injective_model, inverse_nakayama,
-                          is_minimal, iso_up_to_shift,
+                          is_minimal, is_quasi_iso, iso_up_to_shift,
                           minimal_projective_resolution, nakayama, perfectify,
                           resolve, stalk_complex, tau, tau_inverse)
 from sphq.errors import GlobalDimensionExceeded, NotChainMap, SchemaError
@@ -78,6 +79,57 @@ def test_cone_of_self_map_acyclic():
     dim, cands = chain_map_space(R, R.to_rep(), 0)
     assert dim == 1
     assert cone(cands[0]).is_acyclic()
+
+
+def record_ranks(monkeypatch):
+    """Wrap ``derived.rank`` so that it records each matrix it ranks."""
+    ranked, rank = [], derived.rank
+
+    def recording(m):
+        ranked.append((m.rows, m.cols, m.entries))
+        return rank(m)
+
+    monkeypatch.setattr(derived, "rank", recording)
+    return ranked
+
+
+def cohomology_in_lowest_degree():
+    """S + S -> S + T -> T over A2 in degrees 0..2, S = S(1), T = P(1): the
+    cones of id_S and id_T, moved to degrees 0..1 and 1..2, plus S alone in
+    degree 0, so H^0 = 1 is the only cohomology."""
+    alg = a2_algebra()
+    S, T = simple_module(alg, "1"), projective_module(alg, "1")
+
+    def id_cone(M):
+        stalk = stalk_complex(M)
+        return cone(ChainMap(stalk, stalk, {0: identity_morphism(M)}))
+
+    return complex_direct_sum([id_cone(S).shift(-1), id_cone(T).shift(-2),
+                               stalk_complex(S)])
+
+
+def per_vertex(d):
+    return [(m.rows, m.cols, m.entries) for m in d.mats.values()]
+
+
+def test_acyclicity_tests_stop_at_the_first_degree_with_cohomology(monkeypatch):
+    X = cohomology_in_lowest_degree()
+    assert X.degrees() == [0, 1, 2] and sorted(X.diffs) == [0, 1]
+    ranked = record_ranks(monkeypatch)
+    assert not X.is_acyclic()
+    assert ranked == per_vertex(X.diffs[0])
+    # the cone of 0 -> X has X's differentials
+    ranked.clear()
+    zero = BoundedComplex(X.alg, {}, {})
+    assert not is_quasi_iso(ChainMap(zero, X, {}))
+    assert ranked == per_vertex(X.diffs[0])
+
+
+def test_cohomology_dims_ranks_each_differential_once(monkeypatch):
+    X = cohomology_in_lowest_degree()
+    ranked = record_ranks(monkeypatch)
+    assert X.cohomology_dims() == {0: 1}
+    assert ranked == per_vertex(X.diffs[0]) + per_vertex(X.diffs[1])
 
 
 def test_nakayama_swaps_proj_and_inj():

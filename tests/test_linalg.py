@@ -257,6 +257,23 @@ def test_sparse_rank_edge_cases(field, entries):
 
 
 @settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(sparse_matrices))
+def test_sparse_rref_keeps_its_rows_and_drops_zero_coefficients(M):
+    """The forward pass consumes the rows it is given, so ``sparse_rref``
+    runs it on copies: rows written with every coefficient, zeros
+    included, come back unchanged, and their reduced form is ``rref``'s
+    with no zero coefficient."""
+    given_rows = [dict(enumerate(row)) for row in M.entries]
+    before = [list(row.items()) for row in given_rows]
+    R, pivots = rref(M)
+    rows, sparse_pivots = sparse_rref(given_rows, M.field)
+    assert [list(row.items()) for row in given_rows] == before
+    assert sparse_pivots == pivots
+    assert rows == sparse_rows(R.entries[:len(pivots)])
+    assert all(c for row in rows for c in row.values())
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(7)])
        .flatmap(sparse_matrices))
 def test_kernel_read_off_the_rref_of_a_with_identity(M):

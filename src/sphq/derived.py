@@ -19,17 +19,20 @@ Two complex flavours:
 Derived Hom is always computed with a perfect left argument.  A
 bounded-above complex of projectives is K-projective, so homotopy classes
 of chain maps compute derived Homs; ``chain_map_space`` returns H^s of
-the total Hom complex together with representative chain maps.
+the total Hom complex together with representative chain maps.  It and
+``hom_profile`` read the differentials of the Hom complex only as their
+nonzero entries (``HomComplexData._rows``) and build no dense matrix.
 """
 
 import random
 from collections import defaultdict
+from itertools import chain
 
 from .algebra import Element, memoised
 from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
                      EngineInvariantViolation, SchemaError, UnknownVertex)
-from .linalg import (Matrix, from_blocks, hstack, kernel_basis, rank, rref,
-                     scalar_to_str, sparse_rank)
+from .linalg import (Matrix, _forward, from_blocks, hstack, kernel_basis,
+                     rank, rref, scalar_to_str, sparse_rank, sparse_rref)
 from .reps import (ModuleMorphism, Representation, direct_sum,
                    from_generators, standard_basis, standard_sum, zero_rep)
 
@@ -526,7 +529,9 @@ def as_rep_complex(G):
 
 
 class HomComplexData:
-    """Coordinates of the total complex Hom(F, G) for F perfect."""
+    """Coordinates of the total complex Hom(F, G) for F perfect.  The
+    degrees of F and G are sorted once, here; a caller builds each
+    ``_layout`` it needs once and reads the differentials by ``_rows``."""
 
     def __init__(self, F, G):
         if F.kind != "proj":
@@ -534,11 +539,14 @@ class HomComplexData:
         self.F = F
         self.G = as_rep_complex(G)
         self.alg = F.alg
+        self.fdeg = F.degrees()
+        self.gdeg = self.G.degrees()
 
     def _layout(self, n):
-        """(slots(n), offset of each slot (p, j), dim C^n)."""
+        """(slots, offset of each slot (p, j), dim C^n), where the slots
+        [(p, j, label, dim)] list C^n = sum_p sum_j G^{p+n}_{x_j}."""
         slots, offsets, size = [], {}, 0
-        for p in self.F.degrees():
+        for p in self.fdeg:
             Gp = self.G.pieces.get(p + n)
             if Gp is None:
                 continue
@@ -548,16 +556,11 @@ class HomComplexData:
                 size += Gp.dims[x]
         return slots, offsets, size
 
-    def slots(self, n):
-        """[(p, j, label, dim)] for C^n = sum_p sum_j G^{p+n}_{x_j}."""
-        return self._layout(n)[0]
-
     def degree_range(self):
-        if self.F.is_zero() or self.G.is_zero():
+        if not (self.fdeg and self.gdeg):
             return []
-        fdeg = self.F.degrees()
-        gdeg = self.G.degrees()
-        return list(range(gdeg[0] - fdeg[-1], gdeg[-1] - fdeg[0] + 1))
+        return list(range(self.gdeg[0] - self.fdeg[-1],
+                          self.gdeg[-1] - self.fdeg[0] + 1))
 
     def _entries(self, n, src, tgt_off):
         """Yield (row, col, coeff) for each nonzero entry of the differential
@@ -598,9 +601,22 @@ class HomComplexData:
                             yield r, c, v
             col0 += dim
 
+    def _rows(self, n, layouts, by_column=False):
+        """{row: {column: coeff}} of the nonzero entries of C^n -> C^{n+1},
+        or {column: {row: coeff}} ``by_column``; ``layouts`` maps n and
+        n + 1 to their ``_layout``."""
+        out = defaultdict(dict)
+        for r, c, v in self._entries(n, layouts[n][0], layouts[n + 1][1]):
+            if by_column:
+                r, c = c, r
+            out[r][c] = v
+        return out
+
     def delta(self, n):
         """Matrix of the differential C^n -> C^{n+1}, scattered from its
-        nonzero entries."""
+        nonzero entries.  ``sphq`` never builds it: it stays as a test
+        reference and because perfbench/tracer.py looks it up in this
+        class body as a boundary, and goes together with that boundary."""
         src, _, cols = self._layout(n)
         _, tgt_off, rows = self._layout(n + 1)
         M = Matrix.zero(rows, cols, self.alg.field)
@@ -620,17 +636,11 @@ def hom_profile(F, G):
     if not rng:
         return {}
     layouts = {n: data._layout(n) for n in range(rng[0], rng[-1] + 2)}
-    field = data.alg.field
 
     def rank_of(n):
-        src, _, cols = layouts[n]
-        _, tgt_off, rows = layouts[n + 1]
-        if not (rows and cols):
+        if not (layouts[n][2] and layouts[n + 1][2]):
             return 0
-        filled = defaultdict(dict)
-        for r, c, v in data._entries(n, src, tgt_off):
-            filled[r][c] = v
-        return sparse_rank(filled.values(), field)
+        return sparse_rank(data._rows(n, layouts).values(), data.alg.field)
 
     return {n: h for n, h in _cohomology(
         {n: layouts[n][2] for n in rng}, rank_of) if h}
@@ -642,45 +652,49 @@ def chain_map_space(F, G, s):
     Returns (dim, [ChainMap]) with ChainMaps from F.to_rep() to
     as_rep_complex(G).shift(s) (so each representative is an honest
     degree-0 chain map).
+
+    A kernel basis of d^s is read off its reduced rows
+    (``linalg.sparse_rref``) as ``kernel_from_rref`` does.  One forward
+    pass (``linalg._forward``) over the columns of d^{s-1}, then this
+    basis, keeps each basis vector whose row becomes a pivot row; the
+    reduced form is unique, so these are the pivot columns of the rref of
+    [d^{s-1} | kernel basis].
     """
     data = HomComplexData(F, G)
-    Grep = data.G
-    alg = data.alg
-    dn = data.delta(s)
-    K = kernel_basis(dn)
-    dprev = data.delta(s - 1)
-    # image columns of dprev, then pick kernel columns independent mod image
-    stacked = hstack([dprev, K]) if dprev.cols else K
-    _, pivots = rref(stacked)
-    imcols = dprev.cols
-    reps_idx = [p - imcols for p in pivots if p >= imcols]
-    hdim = len(reps_idx)
+    Grep, alg, field = data.G, data.alg, data.alg.field
+    layouts = {n: data._layout(n) for n in (s - 1, s, s + 1)}
+    _, offsets, size = layouts[s]
+    reduced, pivots = sparse_rref(data._rows(s, layouts).values(), field)
+    kernel = []
+    for f in sorted(set(range(size)).difference(pivots)):
+        vec = {pc: -row[f] for row, pc in zip(reduced, pivots) if f in row}
+        vec[f] = field.one()
+        kernel.append(vec)
+    rows = [dict(vec) for vec in kernel]
+    image = data._rows(s - 1, layouts, by_column=True).values()
+    kept = {id(row) for row in _forward(chain(image, rows), field).values()}
+    reps = [vec for vec, row in zip(kernel, rows) if id(row) in kept]
 
-    Fs = F.to_rep()
-    Gs = Grep.shift(s)
-    slots = data.slots(s)
+    Fs, Gs = F.to_rep(), Grep.shift(s)
     orders = {p: standard_basis(alg, "proj", F.labels(p))[0]
-              for p in F.degrees()}
+              for p in data.fdeg}
     chain_maps = []
-    for ci in reps_idx:
-        vec = K.col(ci)
-        # the value of slot (p, j) is the image of generator j of F^p
-        off = 0
-        vals = {}
-        for (p, j, x, d) in slots:
-            vals[(p, j)] = vec[off:off + d]
-            off += d
+    z = field.zero()
+    for vec in reps:
+        vec = [vec.get(k, z) for k in range(size)]
         comps = {}
-        for p in F.degrees():
+        for p in data.fdeg:
             Gp = Grep.piece(p + s)
             if Gp.is_zero():
                 continue
-            images = [vals[p, j] for j in range(len(F.labels(p)))]
+            # generator j of F^p goes to the value of slot (p, j)
+            images = [vec[offsets[p, j]:offsets[p, j] + Gp.dims[x]]
+                      for j, x in enumerate(F.labels(p))]
             comps[p] = ModuleMorphism(Fs.piece(p), Gs.piece(p),
                                       from_generators(Gp, orders[p], images),
                                       check=False)
         chain_maps.append(ChainMap(Fs, Gs, comps, check=False))
-    return hdim, chain_maps
+    return len(reps), chain_maps
 
 
 ISO_TRIALS = 8

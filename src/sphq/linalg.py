@@ -183,10 +183,6 @@ class Matrix:
         z, o = field.zero(), field.one()
         return cls(n, n, [[o if i == j else z for j in range(n)] for i in range(n)], field)
 
-    @classmethod
-    def column(cls, vec, field=QQ):
-        return cls(len(vec), 1, [[x] for x in vec], field)
-
     def copy(self):
         return Matrix(self.rows, self.cols, [row[:] for row in self.entries], self.field)
 
@@ -269,18 +265,6 @@ def hstack(mats):
     assert all(m.rows == rows for m in mats)
     entries = [sum((m.entries[i] for m in mats), []) for i in range(rows)]
     return Matrix(rows, sum(m.cols for m in mats), entries, mats[0].field)
-
-
-def vstack(mats):
-    mats = list(mats)
-    if not mats:
-        return Matrix.zero(0, 0, QQ)
-    cols = mats[0].cols
-    assert all(m.cols == cols for m in mats)
-    entries = []
-    for m in mats:
-        entries.extend(row[:] for row in m.entries)
-    return Matrix(len(entries), cols, entries, mats[0].field)
 
 
 def from_blocks(rows, cols, blocks, field=QQ):

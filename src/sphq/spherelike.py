@@ -19,7 +19,7 @@ from .algebra import memoised
 from .errors import (DZeroUnsupported, EngineInvariantViolation,
                      GlobalDimensionExceeded, NonUniqueMap, SchemaError,
                      UnsupportedCandidateSet)
-from .linalg import Matrix, hstack, rank, rref, solve
+from .linalg import Matrix, _forward, _sub_multiple, hstack, rank, rref
 from .reps import (Representation, generator_column, hom_basis,
                    simple_module, standard_basis)
 from . import reps as _reps
@@ -85,26 +85,29 @@ class SpherelikeReport:
         return "SpherelikeReport(%s, %s, d=%r)" % (self.desc, self.verdict, self.d)
 
 
-def _hom_coords(data, cm, s):
-    """Hom-complex degree-s coordinates of a chain map F_rep -> G[s]; a
-    component absent from the chain map has zero coordinates."""
-    F = data.F
-    z = F.alg.field.zero()
-    index = {p: standard_basis(F.alg, "proj", F.labels(p))[1]
-             for p in F.degrees()}
-    vec = []
-    for (p, j, x, d) in data.slots(s):
+def _hom_coords(F, slots, cm):
+    """{column: coeff} of the nonzero Hom-complex coordinates, in the
+    degree s whose layout has ``slots``, of a chain map F_rep -> G[s]."""
+    row, off = {}, 0
+    for (p, j, x, d) in slots:
         f = cm.comps.get(p)
-        vec.extend([z] * d if f is None else
-                   f.mats[x].col(generator_column(index[p], j, x)))
-    return vec
+        if f is not None:
+            index = standard_basis(F.alg, "proj", F.labels(p))[1]
+            col = f.mats[x].col(generator_column(index, j, x))
+            row.update((off + i, c) for i, c in enumerate(col) if c)
+        off += d
+    return row
 
 
 def _degree0_end_structure(F):
     """(alpha, beta) with phi^2 = alpha*id + beta*phi in H^0 End(F).
 
-    Assumes dim H^0 End(F) = 2; phi is a basis element independent of the
-    identity class.
+    Assumes dim H^0 End(F) = 2.  One ``linalg._forward`` pass takes the
+    columns of d^{-1}, then id and the candidates with a 1 in the extra
+    column n = dim C^0 (id) or n + 1 (candidates).  phi is the first
+    candidate independent of id modulo the image: its row is a pivot row
+    left of n.  Reducing phi o phi left of n leaves -alpha and -beta in
+    columns n and n + 1, unique as id and phi are independent mod image.
     """
     field = F.alg.field
     Frep = F.to_rep()
@@ -114,29 +117,24 @@ def _degree0_end_structure(F):
     idm = ChainMap(Frep, Frep,
                    {n: _reps.identity_morphism(Frep.piece(n)) for n in Frep.pieces},
                    check=False)
-    dprev = data.delta(-1)
-    idvec = _hom_coords(data, idm, 0)
-
-    def with_boundaries(vecs):
-        """[boundaries | vecs] as columns."""
-        return hstack([dprev] + [Matrix.column(v, field) for v in vecs])
-
-    # pick phi = candidate independent of id modulo boundaries
-    id_rank = rank(with_boundaries([idvec]))
-    phi = basis = None
-    for cand in cands:
-        cols = with_boundaries([idvec, _hom_coords(data, cand, 0)])
-        if rank(cols) == id_rank + 1:
-            phi, basis = cand, cols
-            break
+    layouts = {k: data._layout(k) for k in (-1, 0)}
+    slots, _, n = layouts[0]
+    rows = [{**_hom_coords(F, slots, cm), tag: field.one()}
+            for tag, cm in [(n, idm)] + [(n + 1, c) for c in cands]]
+    image = data._rows(-1, layouts, by_column=True).values()
+    pivots = _forward(itertools.chain(image, rows), field)
+    led = {id(row) for pc, row in pivots.items() if pc < n}
+    phi = next((c for c, row in zip(cands, rows[1:]) if id(row) in led), None)
     assert phi is not None
-    # phi o phi
     sq = ChainMap(Frep, Frep,
-                  {n: f.compose(f) for n, f in phi.comps.items()},
+                  {k: f.compose(f) for k, f in phi.comps.items()},
                   check=False)
-    coords = solve(basis, _hom_coords(data, sq, 0))
-    assert coords is not None
-    return coords[dprev.cols], coords[dprev.cols + 1]
+    row = _hom_coords(F, slots, sq)
+    while row and min(row) < n:
+        pc = min(row)
+        assert pc in pivots
+        _sub_multiple(row, row[pc], pivots[pc])
+    return -row.get(n, field.zero()), -row.get(n + 1, field.zero())
 
 
 def _is_rational_square(x):

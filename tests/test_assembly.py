@@ -1,25 +1,32 @@
 """Cones, direct sums of complexes and element actions, which ``sphq``
 assembles through ``linalg.from_blocks`` from their present blocks only,
-and Hom-complex differentials and profiles, which it writes from their
-nonzero entries only, checked against dense references.
+and Hom-complex differentials, profiles, chain maps and degree-0 End
+structures, which it reads from the nonzero entries of the differentials
+only, checked against dense references.
 ``sphq`` builds no zero morphism, so the references build every zero
 block themselves: a ``Matrix.zero`` for each absent differential or
 chain-map component, zero corners, hstacks and vstacks."""
 
+import json
 import os
 
 import pytest
 
 from sphq import derived, spherelike
+from sphq.algebra import algebra_from_json
 from sphq.constructions import kronecker, kronecker_quasi_simple
 from sphq.corpus import FIXTURE_DIR, load_fixture
-from sphq.derived import (HomComplexData, chain_map_space, complex_direct_sum,
-                          cone, hom_profile, is_quasi_iso,
-                          minimal_projective_resolution, nakayama,
+from sphq.derived import (ChainMap, HomComplexData, chain_map_space,
+                          complex_direct_sum, cone, hom_profile, is_quasi_iso,
+                          minimal_projective_resolution, nakayama, resolve,
                           stalk_complex)
-from sphq.linalg import PrimeField, QQ, Matrix, hstack, rank, vstack
-from sphq.reps import standard_module
+from sphq.linalg import (PrimeField, QQ, Matrix, hstack, kernel_basis, rank,
+                         rref, solve)
+from sphq.reps import (ModuleMorphism, from_generators, generator_column,
+                       identity_morphism, standard_basis, standard_module)
 from sphq.spherelike import classify_spherelike, interval_modules
+
+from reference import vstack
 
 FIXTURES = sorted(f[:-5] for f in os.listdir(FIXTURE_DIR))
 KINDS = ("simple", "projective", "injective")
@@ -79,7 +86,7 @@ def dense_delta(data, n):
     """The Hom-complex differential C^n -> C^{n+1} on a zero matrix,
     every term added to its cell, an absent d_G zero-filled."""
     field = data.alg.field
-    src, tgt = data.slots(n), data.slots(n + 1)
+    src, tgt = data._layout(n)[0], data._layout(n + 1)[0]
     src_off, tgt_off = {}, {}
     for slots, off in ((src, src_off), (tgt, tgt_off)):
         t = 0
@@ -299,7 +306,7 @@ def dense_profile(F, G):
         return {}
     ranks = {n: rank(dense_delta(data, n))
              for n in range(rng[0] - 1, rng[-1] + 1)}
-    dims = {n: sum(d for (_, _, _, d) in data.slots(n)) for n in rng}
+    dims = {n: data._layout(n)[2] for n in rng}
     return {n: dims[n] - ranks[n] - ranks[n - 1] for n in rng
             if dims[n] - ranks[n] - ranks[n - 1]}
 
@@ -349,6 +356,10 @@ def test_multi_term_entries_match_the_dense_reference(field, k):
                 assert same_matrix(data.delta(n), dense_delta(data, n))
 
 
+def refuse(*args):
+    raise AssertionError("built, reduced or solved a dense matrix")
+
+
 def test_hom_profile_builds_no_dense_differential(monkeypatch):
     """hom_profile answers with HomComplexData.delta and derived.rank
     made to raise, on every pair of standard resolutions of cb3 and on
@@ -357,10 +368,197 @@ def test_hom_profile_builds_no_dense_differential(monkeypatch):
     res = standard_resolutions(alg)
     pairs = [(F, G) for F in res for G in res + [nakayama(R) for R in res]]
     want = [dense_profile(F, G) for F, G in pairs]
-
-    def refuse(*args):
-        raise AssertionError("hom_profile built or ranked a dense matrix")
-
     monkeypatch.setattr(HomComplexData, "delta", refuse)
     monkeypatch.setattr(derived, "rank", refuse)
     assert [hom_profile(F, G) for F, G in pairs] == want
+
+
+def typed(M):
+    """The entries of M with their scalar types."""
+    return [[(type(a), a) for a in row] for row in M.entries]
+
+
+def typed_map(f):
+    return {p: {v: typed(m) for v, m in g.mats.items()}
+            for p, g in f.comps.items()}
+
+
+def dense_chain_map_space(F, G, s):
+    """chain_map_space on dense differentials: a kernel basis of
+    dense_delta(s), the kernel columns that are pivot columns of the rref
+    of [dense_delta(s - 1) | kernel basis], each turned into the chain map
+    that sends generator j of F^p to the value of slot (p, j)."""
+    data = HomComplexData(F, G)
+    dprev = dense_delta(data, s - 1)
+    K = kernel_basis(dense_delta(data, s))
+    offsets = data._layout(s)[1]
+    Fs, Gs = F.to_rep(), data.G.shift(s)
+    maps = []
+    for k in rref(hstack([dprev, K]))[1]:
+        if k < dprev.cols:
+            continue
+        vec = K.col(k - dprev.cols)
+        comps = {}
+        for p in F.degrees():
+            Gp = data.G.piece(p + s)
+            if Gp.is_zero():
+                continue
+            images = [vec[offsets[p, j]:offsets[p, j] + Gp.dims[x]]
+                      for j, x in enumerate(F.labels(p))]
+            order = standard_basis(F.alg, "proj", F.labels(p))[0]
+            comps[p] = ModuleMorphism(Fs.piece(p), Gs.piece(p),
+                                      from_generators(Gp, order, images),
+                                      check=False)
+        maps.append(ChainMap(Fs, Gs, comps, check=False))
+    return len(maps), maps
+
+
+def dense_end_structure(F):
+    """(alpha, beta) of phi^2 = alpha id + beta phi in H^0 End(F) from
+    dense matrices: phi is the first candidate of dense_chain_map_space
+    that raises the rank of [dense_delta(-1) | id] by one, and (alpha,
+    beta) are the id and phi coordinates of a solve of
+    [dense_delta(-1) | id | phi] x = phi o phi."""
+    field = F.alg.field
+    Frep = F.to_rep()
+    data = HomComplexData(F, Frep)
+    dprev = dense_delta(data, -1)
+    slots = data._layout(0)[0]
+
+    def column(cm):
+        vec = []
+        for (p, j, x, d) in slots:
+            f = cm.comps.get(p)
+            index = standard_basis(F.alg, "proj", F.labels(p))[1]
+            vec += ([field.zero()] * d if f is None else
+                    f.mats[x].col(generator_column(index, j, x)))
+        return Matrix(len(vec), 1, [[a] for a in vec], field)
+
+    ident = column(ChainMap(Frep, Frep, {n: identity_morphism(Frep.piece(n))
+                                         for n in Frep.pieces}, check=False))
+    cands = dense_chain_map_space(F, Frep, 0)[1]
+    base = rank(hstack([dprev, ident]))
+    phi = next(c for c in cands
+               if rank(hstack([dprev, ident, column(c)])) == base + 1)
+    sq = ChainMap(Frep, Frep, {n: f.compose(f) for n, f in phi.comps.items()},
+                  check=False)
+    x = solve(hstack([dprev, ident, column(phi)]), column(sq).col(0))
+    return x[dprev.cols], x[dprev.cols + 1]
+
+
+SWEEP_FIELDS = {"QQ": {"kind": "rational"},
+                "GF101": {"kind": "prime", "p": 101},
+                "GF3": {"kind": "prime", "p": 3}}
+
+
+@pytest.mark.parametrize("field", sorted(SWEEP_FIELDS))
+@pytest.mark.parametrize("name", ["cb3", "auslander_x3", "circular_7_5",
+                                  "dda_2_4_1"])
+def test_chain_map_space_matches_the_dense_reference(name, field):
+    """From every standard resolution to nu of every standard resolution,
+    in every degree of the Hom complex, with the fixture read over QQ,
+    GF(101) and GF(3): the same dimension and the same chain maps,
+    component by component, scalar types included."""
+    with open(os.path.join(FIXTURE_DIR, name + ".json")) as fh:
+        alg = algebra_from_json(dict(json.load(fh), field=SWEEP_FIELDS[field]))
+    res = standard_resolutions(alg)
+    maps = 0
+    for F in res:
+        for G in [nakayama(R) for R in res]:
+            for s in HomComplexData(F, G).degree_range():
+                dim, got = chain_map_space(F, G, s)
+                want = dense_chain_map_space(F, G, s)
+                assert dim == want[0]
+                assert [typed_map(f) for f in got] == \
+                    [typed_map(f) for f in want[1]]
+                maps += dim
+    assert maps
+
+
+# The d = 0 spherelike objects that query_mix classifies.
+D0_OBJECTS = {"auslander_x3": ["I:2", "P:2", "interval:2,4", "interval:3,3",
+                               "interval:3,4"],
+              "circular_7_5": ["I:6", "I:7", "P:6", "P:7", "interval:6,8",
+                               "interval:6,9", "interval:7,8"]}
+STANDARD_KINDS = {"S": "simple", "P": "projective", "I": "injective"}
+
+
+def typed_report(rep):
+    """The report's JSON and its Q_F, each differential with types."""
+    Q = rep.Q
+    return rep.to_json(), None if Q is None else (
+        {n: Q.piece(n).dims for n in Q.pieces},
+        {n: {v: typed(m) for v, m in d.mats.items()}
+         for n, d in Q.diffs.items()})
+
+
+def test_chain_maps_and_end_structure_build_no_dense_matrix(monkeypatch):
+    """classify_spherelike, and so chain_map_space and the degree-0 End
+    structure, answer with HomComplexData.delta, derived.kernel_basis,
+    rref and hstack and spherelike.rank and solve made to raise, on the
+    d = 0 objects of query_mix and on the simples of cb3.  The reports,
+    Q_F included, are those classify_spherelike gives on the dense
+    references, and so is (alpha, beta) of each d = 0 object.  The dense
+    run resolves every object first, so the cover loop, which reduces
+    dense matrices, is not reached."""
+    objects = []
+    for name, descs in sorted(D0_OBJECTS.items()) + [("cb3", ["S:1", "S:2",
+                                                               "S:3"])]:
+        alg = load_fixture(name)
+        intervals = dict(interval_modules(alg))
+        for desc in descs:
+            kind, v = desc.split(":")
+            objects.append((desc, intervals[desc] if kind == "interval"
+                            else standard_module(alg, STANDARD_KINDS[kind], v)))
+    with monkeypatch.context() as m:
+        for module in (derived, spherelike):
+            m.setattr(module, "chain_map_space", dense_chain_map_space)
+        m.setattr(spherelike, "_degree0_end_structure", dense_end_structure)
+        want = [typed_report(classify_spherelike(M, desc))
+                for desc, M in objects]
+    d0 = [resolve(M) for desc, M in objects if not desc.startswith("S")]
+    want_ends = [dense_end_structure(F) for F in d0]
+    assert sum(r[0].get("d") == 0 for r in want) == len(d0) == 12
+    assert any(r[0].get("d") and r[1] for r in want)
+    monkeypatch.setattr(HomComplexData, "delta", refuse)
+    for name in ("kernel_basis", "rref", "hstack"):
+        monkeypatch.setattr(derived, name, refuse)
+    for name in ("rank", "solve"):
+        monkeypatch.setattr(spherelike, name, refuse, raising=False)
+    assert [typed_report(classify_spherelike(M, desc))
+            for desc, M in objects] == want
+    assert [spherelike._degree0_end_structure(F) for F in d0] == want_ends
+
+
+def test_each_degree_sort_and_layout_happens_once(monkeypatch):
+    """hom_profile sorts the degrees of F and of G once each, and
+    chain_map_space builds the layouts of degrees s - 1, s and s + 1 once
+    each, from every standard resolution F of auslander_x3 to F and to
+    nu F as rep complexes."""
+    sorts, layouts = [], []
+    real_layout = HomComplexData._layout
+
+    def counted_sorted(xs, **kw):
+        sorts.append(xs)
+        return sorted(xs, **kw)
+
+    def counted_layout(data, n):
+        layouts.append(n)
+        return real_layout(data, n)
+
+    alg = load_fixture("auslander_x3")
+    for F in standard_resolutions(alg):
+        for G in (F.to_rep(), nakayama(F).to_rep()):
+            rng = HomComplexData(F, G).degree_range()
+            with monkeypatch.context() as m:
+                m.setattr(derived, "sorted", counted_sorted, raising=False)
+                del sorts[:]
+                hom_profile(F, G)
+            assert sum(xs is F.pieces for xs in sorts) == 1
+            assert sum(xs is G.pieces for xs in sorts) == 1
+            with monkeypatch.context() as m:
+                m.setattr(HomComplexData, "_layout", counted_layout)
+                for s in rng:
+                    del layouts[:]
+                    chain_map_space(F, G, s)
+                    assert sorted(layouts) == [s - 1, s, s + 1]

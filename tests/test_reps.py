@@ -138,8 +138,8 @@ def _matrices(field):
 
 
 def _unit(n, i, field):
-    return Matrix.column([field.one() if k == i else field.zero()
-                          for k in range(n)], field)
+    return Matrix(n, 1, [[field.one() if k == i else field.zero()]
+                         for k in range(n)], field)
 
 
 @settings(max_examples=150, deadline=None)

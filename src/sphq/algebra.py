@@ -333,7 +333,23 @@ class BoundQuiverAlgebra:
         return dict(red)
 
     def reduce_path(self, p):
-        """Normal form of an arbitrary path as an Element (stepwise)."""
+        """Normal form of an arbitrary path as an Element.
+
+        A path of length <= cap is a basis path or a key of ``_reduction``,
+        whose normal form ``_build_basis`` already tabulated; any other path
+        is reduced stepwise (``_reduce_stepwise``).  Normal forms are
+        unique, so both give the same terms and coefficients."""
+        if p in self.basis_index:
+            return Element({p: self.field.one()}, self.field)
+        red = self._reduction.get(p)
+        if red is not None:
+            return Element(red, self.field)
+        return self._reduce_stepwise(p)
+
+    def _reduce_stepwise(self, p):
+        """Normal form of p built from its source one arrow at a time, each
+        prefix reduced through ``_reduce_known``; a path whose arrows do not
+        compose is a SchemaError."""
         vec = {self.quiver.trivial_path(p.source): self.field.one()}
         for name in p.arrows:
             a = self.quiver.arrow_by_name[name]
@@ -355,7 +371,9 @@ class BoundQuiverAlgebra:
 
     @memoised
     def mult_paths(self, p, q):
-        """Normal form of p*q = "first q, then p" for basis paths."""
+        """Normal form of p*q = "first q, then p" for basis paths, built once
+        per pair: the cover loop of ``derived`` reads every path product
+        through it."""
         if q.target != p.source:
             return self.zero_element()
         return self.reduce_path(Path(q.source, p.target, q.arrows + p.arrows))

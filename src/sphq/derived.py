@@ -21,18 +21,20 @@ bounded-above complex of projectives is K-projective, so homotopy classes
 of chain maps compute derived Homs; ``chain_map_space`` returns H^s of
 the total Hom complex together with representative chain maps.  It and
 ``hom_profile`` read the differentials of the Hom complex only as their
-nonzero entries (``HomComplexData._rows``) and build no dense matrix.
+nonzero entries (``HomComplexData._rows``), and the cover loop of
+resolutions and ``perfectify`` (``_cover_complex``) reads its maps only as
+sparse columns; none of them builds a dense matrix to reduce.
 """
 
 import random
 from collections import defaultdict
 from itertools import chain
 
-from .algebra import Element, memoised
+from .algebra import Element, Path, memoised
 from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
                      EngineInvariantViolation, SchemaError, UnknownVertex)
-from .linalg import (Matrix, _forward, from_blocks, hstack, kernel_basis,
-                     rank, rref, scalar_to_str, sparse_rank, sparse_rref)
+from .linalg import (Matrix, _forward, from_blocks, rank, scalar_to_str,
+                     sparse_rank, sparse_rref)
 from .reps import (ModuleMorphism, Representation, direct_sum,
                    from_generators, standard_basis, standard_sum, zero_rep)
 
@@ -391,11 +393,43 @@ def minimal_projective_resolution(M):
     return _cover_complex(stalk_complex(M))[0]
 
 
+def _null_space(rows, ncols, field):
+    """Basis of the null space of the matrix with ``ncols`` columns whose
+    nonzero entries are the {column: coeff} rows ``rows``, as
+    {coordinate: coeff} vectors read off ``sparse_rref`` as
+    ``kernel_from_rref`` does: one per free column f, in increasing f, with
+    1 at f and minus column f of the reduced rows at their pivots.  A
+    reduced row is zero left of its pivot, so each vector's keys ascend."""
+    reduced, pivots = sparse_rref(rows, field)
+    one = field.one()
+    kernel = []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        vec = {pc: -row[f] for row, pc in zip(reduced, pivots) if f in row}
+        vec[f] = one
+        kernel.append(vec)
+    return kernel
+
+
+def _complement(image, vecs, field):
+    """(kept, rank): the vectors of ``vecs`` that are pivot columns of
+    [image | vecs], in order, and the rank of [image | vecs].
+
+    One ``_forward`` pass over the image vectors ({coordinate: coeff} dicts
+    of nonzero coefficients, which it consumes), then copies of ``vecs``,
+    keeps each vector whose copy becomes a pivot row: it is independent of
+    the image and of the vectors before it, which is what a pivot column
+    of the reduced form of [image | vecs] is."""
+    rows = [dict(vec) for vec in vecs]
+    pivots = _forward(chain(image, rows), field)
+    kept = {id(row) for row in pivots.values()}
+    return [vec for vec, row in zip(vecs, rows) if id(row) in kept], len(pivots)
+
+
 def _cover_complex(C):
     """(P, q): a projective-labeled complex P and a chain map q from P to
-    the BoundedComplex C (degree -> ModuleMorphism from the direct sum of
-    the projectives of P^n, which is P.to_rep().piece(n), to C^n) whose
-    cone is acyclic.
+    the BoundedComplex C whose cone is acyclic.  q[n] is given, for each
+    degree n of C, by its per-vertex matrices from P^n, in the coordinates
+    of ``standard_basis`` (those of P.to_rep().piece(n)), to C^n.
 
     One projective cover per degree, descending from the top degree of C
     (Weibel, *An Introduction to Homological Algebra*, the projective
@@ -413,92 +447,139 @@ def _cover_complex(C):
     P^n; then (b, c) is the cone differential of (-y, 0).  So the cone is
     acyclic.  F^n = 0 means P^n = 0, and the loop stops at the first such
     n below C; it raises GlobalDimensionExceeded when F^n != 0 for some
-    n < min deg C - ``RESOLUTION_BOUND``.
+    n < min deg C - ``RESOLUTION_BOUND``.  For a stalk complex, Phi^n is
+    the previous cover map followed by the inclusion of its syzygy, which
+    has full column rank, so Phi^n has the reduced form of the cover map
+    and this is the classical loop of covers and syzygies.
 
-    Per vertex, E^{n+1} = [d_P ; q] is the matrix of P^{n+1} into
-    P^{n+2} + C^{n+1}, so Phi^n = [E^{n+1} | 0 ; -d_C^n], where d_C^n is
-    zero when C has no differential in degree n.  Column (j, p)
-    of E^n is the path p applied, one arrow at a time, to the vector of
-    generator j in P^{n+1} + C^n (``reps.from_generators``).  For a stalk
-    complex, Phi^n is the previous cover map followed by the inclusion of
-    its syzygy, which has full column rank, so Phi^n has the reduced form
-    of the cover map and this is the classical loop of covers and
-    syzygies.
+    No module P^{n+1} + C^n and no dense Phi^n is built.  At vertex v a
+    vector of P^{n+1}_v + C^n_v is a {coordinate: coeff} dict: first the
+    coordinates (i, p) of P^{n+1}_v, in ``standard_basis`` order, then
+    those of C^n_v.  A path p out of x acts on the P part coordinate by
+    coordinate, (i, p') going to the normal form of p' followed by p
+    (``alg.mult_paths``), and on the C part by ``C^n.path_apply``.  Column
+    (j, p) of E^n = [d_P ; q] is p applied to generator j, so each column
+    of E^{n+1}_v is a sparse {row: coeff} column, and the rows of
+    Phi^n_v = [E^{n+1}_v | 0 ; -d_C^n] are gathered from those columns and
+    the nonzero entries of d_C^n.
 
     The generators of P^n are picked from the top of F^n (Green, Solberg
     and Zacharia, *Minimal projective resolutions*, Trans. AMS 2001)
-    without building F^n as a module.  At vertex v, K = ker Phi^n_v
-    (the identity at the top degree) spans F^n_v, and the arrows into v
-    map F^n onto the span of R = [A_a K_{source a}], A = P^{n+1} + C^n.
-    The columns of K that are pivots of [R | K] are the generators with
-    label v.  Since K is injective and R = K R' for the arrow maps R' of
-    F^n, column i of K is independent of R and the earlier columns of K
-    exactly when e_i is independent of R' and the earlier e_j: these
-    are the basis vectors of a complement of rad F^n_v in F^n_v.  More
-    than K.cols pivots would mean F^n is not arrow-stable.
+    without building F^n as a module.  At vertex v, the kernel vectors K
+    of Phi^n_v (``_null_space``, read off ``sparse_rref``; every unit
+    vector at the top degree, where Phi^n has no rows) span F^n_v, and
+    the arrows a into v map F^n onto the span of the images R of the
+    kernel vectors at the source of a.  One ``_forward`` pass over R, then
+    K (``_complement``), keeps the vectors of K that are pivot columns of
+    [R | K].  Since the vectors of K are independent and R = K R' for the
+    arrow maps R' of F^n, a vector of K is independent of R and the
+    earlier vectors exactly when its basis vector is independent of R'
+    and the earlier ones: these are the basis vectors of a complement of
+    rad F^n_v in F^n_v.  A rank of [R | K] above the number of vectors of
+    K, also when K is empty, would mean F^n is not arrow-stable.
+
+    These choices are the dense loop's (``kernel_basis`` of Phi^n_v,
+    then the pivot columns of ``rref`` [R | K] beyond R): the reduced
+    echelon form is unique, so ``sparse_rref`` gives the same kernel
+    vectors, ``_forward`` finds the same independent columns, and normal
+    forms are unique, so path products give the same columns of E.
     """
     alg = C.alg
     field = alg.field
-    minus_one = field.from_int(-1)
+    zero, minus_one = field.zero(), field.from_int(-1)
     verts = alg.quiver.vertices
+    arrow_path = {a.name: Path(a.source, a.target, (a.name,))
+                  for a in alg.quiver.arrows}
     pieces, diffs, q = {}, {}, {}
     if C.is_zero():
         return LabeledComplex(alg, pieces, diffs, "proj", check=False), q
     lo, n = C.degrees()[0], C.degrees()[-1]
-    prev = None  # (P^{n+1} as a module, its summand order, E^{n+1})
+    # the standard basis of P^{n+1}, the columns of E^{n+1} per vertex and
+    # dim P^{n+2} per vertex, the row of E^{n+1} where its q part starts
+    above = standard_basis(alg, "proj", [])
+    E = {v: [] for v in verts}
+    qrow = {v: 0 for v in verts}
     while True:
-        Cn = C.piece(n)
-        if prev is None:  # the top degree: Phi^n has no rows, F^n = C^n
-            A = Cn
-            kins = {v: Matrix.identity(Cn.dims[v], field) for v in verts}
-        else:
-            Prev, above, E = prev
-            A = Prev if Cn.is_zero() else direct_sum([Prev, Cn])
-            dC = C.diffs.get(n)
-            kins = {}
-            for v in verts:
-                phi = E[v]
-                if Cn.dims[v]:
-                    blocks = [(0, 0, phi, None)]
-                    if dC is not None:
-                        m = dC.mats[v]
-                        blocks.append((phi.rows - m.rows, phi.cols, m, minus_one))
-                    phi = from_blocks(phi.rows, phi.cols + Cn.dims[v], blocks, field)
-                kins[v] = kernel_basis(phi)
-        if n < lo and all(K.cols == 0 for K in kins.values()):
+        Cn, dC = C.piece(n), C.diffs.get(n)
+        order, index = above
+        psize = {v: len(order[v]) for v in verts}
+        width = {v: psize[v] + Cn.dims[v] for v in verts}
+
+        def moved(p, vec):
+            """(column, c): the path p applied to the vector ``vec`` of
+            P^{n+1} + C^n at its source, as a vector at its target and the
+            list c of its C^n part."""
+            x, v = p.source, p.target
+            col, cvec = {}, [zero] * Cn.dims[x]
+            for k, c in vec.items():
+                if k >= psize[x]:
+                    cvec[k - psize[x]] = c
+                    continue
+                i, p0 = order[x][k]
+                for r, cr in alg.mult_paths(p, p0).terms.items():
+                    key = index[v][i, r]
+                    old = col.get(key)
+                    col[key] = c * cr if old is None else old + c * cr
+            col = {k: c for k, c in col.items() if c}
+            cimg = Cn.path_apply(p, cvec) if Cn.dims[x] or Cn.dims[v] else []
+            col.update((k, c) for k, c in enumerate(cimg, psize[v]) if c)
+            return col, cimg
+
+        kernels = {}
+        for v in verts:
+            if not width[v]:
+                kernels[v] = []
+                continue
+            rows = defaultdict(dict)
+            for k, col in enumerate(E[v]):
+                for r, c in col.items():
+                    rows[r][k] = c
+            if dC is not None:
+                for r, row in enumerate(dC.mats[v].entries, qrow[v]):
+                    for k, c in enumerate(row, psize[v]):
+                        if c:
+                            rows[r][k] = minus_one * c
+            kernels[v] = _null_space(rows.values(), width[v], field)
+        if n < lo and not any(kernels.values()):
             break
         if n < lo - RESOLUTION_BOUND:
             raise GlobalDimensionExceeded(RESOLUTION_BOUND,
                                           "resolving a module")
         labels, gens = [], []
         for v in verts:
-            K = kins[v]
-            R = [A.maps[a.name] * kins[a.source] for a in alg.quiver.arrows_in[v]]
-            r = sum(m.cols for m in R)
-            _, piv = rref(hstack(R + [K]))
-            if len(piv) != K.cols:
+            if not width[v]:  # no image and no kernel: stable
+                continue
+            image = [moved(arrow_path[a.name], vec)[0]
+                     for a in alg.quiver.arrows_in[v]
+                     for vec in kernels[a.source]]
+            kept, rk = _complement(image, kernels[v], field)
+            if rk != len(kernels[v]):
                 raise EngineInvariantViolation(
                     "F^%d is not arrow-stable at vertex %s" % (n, v))
-            for p in piv:
-                if p >= r:
-                    labels.append(v)
-                    gens.append(K.col(p - r))
-        pieces[n] = labels
-        if prev is not None:
-            # the first rows of generator j are its coordinates (i, p) in P^{n+1}
+            labels += [v] * len(kept)
+            gens += kept
+        if n + 1 in pieces:
+            # the P part of generator j is its coordinates (i, p) in P^{n+1}
             d = [[alg.zero_element() for _ in labels] for _ in pieces[n + 1]]
-            for j, x in enumerate(labels):
-                for (i, p), c in zip(above[x], gens[j]):
-                    if c:
-                        d[i][j] = d[i][j] + Element({p: c}, field)
+            for j, (x, vec) in enumerate(zip(labels, gens)):
+                terms = defaultdict(dict)
+                for k, c in vec.items():
+                    if k < psize[x]:
+                        i, p = order[x][k]
+                        terms[i][p] = c
+                for i, t in terms.items():
+                    d[i][j] = Element(t, field)
             diffs[n] = d
-        Pn, order, _ = standard_sum(alg, "proj", labels)
-        E = from_generators(A, order, gens)
-        q[n] = ModuleMorphism(Pn, Cn, {
-            v: Matrix(Cn.dims[v], E[v].cols,
-                      E[v].entries[A.dims[v] - Cn.dims[v]:], field)
-            for v in verts}, check=False)
-        prev = (Pn, order, E)
+        pieces[n] = labels
+        above = standard_basis(alg, "proj", labels)
+        cols = {v: [moved(p, gens[j]) for j, p in above[0][v]] for v in verts}
+        E = {v: [col for col, _ in vcols] for v, vcols in cols.items()}
+        if n in C.pieces:
+            q[n] = {v: Matrix(Cn.dims[v], len(vcols),
+                              [[c[i] for _, c in vcols]
+                               for i in range(Cn.dims[v])], field)
+                    for v, vcols in cols.items()}
+        qrow = psize
         n -= 1
     return LabeledComplex(alg, pieces, diffs, "proj"), q
 
@@ -653,27 +734,17 @@ def chain_map_space(F, G, s):
     as_rep_complex(G).shift(s) (so each representative is an honest
     degree-0 chain map).
 
-    A kernel basis of d^s is read off its reduced rows
-    (``linalg.sparse_rref``) as ``kernel_from_rref`` does.  One forward
-    pass (``linalg._forward``) over the columns of d^{s-1}, then this
-    basis, keeps each basis vector whose row becomes a pivot row; the
-    reduced form is unique, so these are the pivot columns of the rref of
-    [d^{s-1} | kernel basis].
+    A kernel basis of d^s (``_null_space``) is completed against the
+    columns of d^{s-1} (``_complement``): the kept basis vectors are the
+    pivot columns of the rref of [d^{s-1} | kernel basis].
     """
     data = HomComplexData(F, G)
     Grep, alg, field = data.G, data.alg, data.alg.field
     layouts = {n: data._layout(n) for n in (s - 1, s, s + 1)}
     _, offsets, size = layouts[s]
-    reduced, pivots = sparse_rref(data._rows(s, layouts).values(), field)
-    kernel = []
-    for f in sorted(set(range(size)).difference(pivots)):
-        vec = {pc: -row[f] for row, pc in zip(reduced, pivots) if f in row}
-        vec[f] = field.one()
-        kernel.append(vec)
-    rows = [dict(vec) for vec in kernel]
-    image = data._rows(s - 1, layouts, by_column=True).values()
-    kept = {id(row) for row in _forward(chain(image, rows), field).values()}
-    reps = [vec for vec, row in zip(kernel, rows) if id(row) in kept]
+    kernel = _null_space(data._rows(s, layouts).values(), size, field)
+    reps = _complement(data._rows(s - 1, layouts, by_column=True).values(),
+                       kernel, field)[0]
 
     Fs, Gs = F.to_rep(), Grep.shift(s)
     orders = {p: standard_basis(alg, "proj", F.labels(p))[0]
@@ -824,8 +895,9 @@ def perfectify(C):
     BoundedComplex.
 
     ``_cover_complex`` covers C one degree at a time, from the top down,
-    and returns the complex P with its map q to C.  The result is
-    certified: q must be a chain map and its cone must be acyclic.
+    and returns the complex P with the matrices of its map q to C.  The
+    result is certified against P.to_rep(), which is built from the
+    entries of P: q must be a chain map and its cone must be acyclic.
 
     The certified complex is then minimised (``_minimise``): every
     differential entry of the output lies in the radical, so the output
@@ -839,8 +911,11 @@ def perfectify(C):
     changing the homotopy type.
     """
     P, q = _cover_complex(C)
+    Prep = P.to_rep()
+    comps = {n: ModuleMorphism(Prep.piece(n), C.pieces[n], mats, check=False)
+             for n, mats in q.items()}
     try:
-        final = ChainMap(P.to_rep(), C, q, check=True)
+        final = ChainMap(Prep, C, comps, check=True)
     except NotChainMap as e:
         raise EngineInvariantViolation("perfectify map is not a chain map: %s" % e) from e
     if not is_quasi_iso(final):

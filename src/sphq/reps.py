@@ -403,8 +403,8 @@ def standard_sum(alg, kind, labels):
     over ``labels`` with its ``standard_basis``.
 
     Built once per algebra, kind and label sequence and shared by every
-    caller (``LabeledComplex.to_rep``, the cover loop and ``perfectify``),
-    so callers must not mutate the result.
+    caller (``LabeledComplex.to_rep``, and through it ``perfectify``), so
+    callers must not mutate the result.
     """
     return _standard_sum(alg, kind, tuple(labels))
 

@@ -25,7 +25,8 @@ from hypothesis import given, settings, strategies as st
 
 import sphq
 from sphq.algebra import (Arrow, Element, Path, Quiver, algebra_from_json,
-                          algebra_to_json, build_algebra, memoised)
+                          algebra_to_json, build_algebra, field_from_json,
+                          memoised)
 from sphq.constructions import (canonical, cb, ci, circular, insert_An,
                                 kronecker, tensor_algebra)
 from sphq.corpus import FIXTURE_DIR, write_fixtures
@@ -420,6 +421,43 @@ def test_multiply_matches_the_termwise_product(field):
                 assert all(got.terms.values())
     assert cancelled
 
+
+
+def typed_terms(e):
+    """The terms of e with their coefficients' scalar types."""
+    return {p: (type(c), c) for p, c in e.terms.items()}
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_reduce_path_lookup_equals_the_stepwise_walk(field):
+    """reduce_path answers a path of length <= cap from ``basis_index`` and
+    ``_reduction``: on every enumerated path of every fixture it gives the
+    terms and coefficients, scalar types included, of the stepwise walk.
+    A product of two basis paths beyond the cap misses the tables and is
+    walked: over a 3-cycle whose paths of length 4 vanish, built with cap
+    5, the products of two paths of length 3.  Arrows that do not compose
+    are still a SchemaError."""
+    for name in FIXTURE_NAMES:
+        alg = fixture_algebra(name, field)
+        for p in alg._enumerate_paths():
+            assert typed_terms(alg.reduce_path(p)) == \
+                typed_terms(alg._reduce_stepwise(p))
+    k = field_from_json(FIELDS[field])
+    q = Quiver(["1", "2", "3"], [Arrow("a1", "1", "2"), Arrow("a2", "2", "3"),
+                                 Arrow("a3", "3", "1")])
+    run = ["a1", "a2", "a3", "a1", "a2", "a3"]
+    alg = build_algebra(q, [Element({q.path(run[i:i + 4]): k.one()}, k)
+                            for i in range(3)], cap=5, field=k)
+    beyond = [(p, r) for p in alg.basis for r in alg.basis
+              if r.target == p.source and len(p) + len(r) > alg.length_cap]
+    assert len(beyond) == 3
+    for p, r in beyond:
+        pr = Path(r.source, p.target, r.arrows + p.arrows)
+        assert pr not in alg.basis_index and pr not in alg._reduction
+        assert typed_terms(alg.mult_paths(p, r)) == \
+            typed_terms(alg._reduce_stepwise(pr)) == {}
+    with pytest.raises(SchemaError):
+        alg.reduce_path(Path("1", "1", ("a1", "a3")))
 
 def build_outcome(quiver, relations, cap, field):
     """The error type the build raises, or None; the dense reference agrees."""

@@ -2,7 +2,8 @@
 assembles through ``linalg.from_blocks`` from their present blocks only,
 and Hom-complex differentials, profiles, chain maps and degree-0 End
 structures, which it reads from the nonzero entries of the differentials
-only, checked against dense references.
+only, and the cover loop of resolutions and ``perfectify``, which keeps
+its maps as sparse columns, checked against dense references.
 ``sphq`` builds no zero morphism, so the references build every zero
 block themselves: a ``Matrix.zero`` for each absent differential or
 chain-map component, zero corners, hstacks and vstacks."""
@@ -17,7 +18,8 @@ from sphq.algebra import algebra_from_json
 from sphq.constructions import kronecker, kronecker_quasi_simple
 from sphq.corpus import FIXTURE_DIR, load_fixture
 from sphq.derived import (ChainMap, HomComplexData, chain_map_space,
-                          complex_direct_sum, cone, hom_profile, is_quasi_iso,
+                          complex_direct_sum, cone, dual_rep_complex,
+                          hom_profile, is_quasi_iso,
                           minimal_projective_resolution, nakayama, resolve,
                           stalk_complex)
 from sphq.linalg import (PrimeField, QQ, Matrix, hstack, kernel_basis, rank,
@@ -26,7 +28,7 @@ from sphq.reps import (ModuleMorphism, from_generators, generator_column,
                        identity_morphism, standard_basis, standard_module)
 from sphq.spherelike import classify_spherelike, interval_modules
 
-from reference import vstack
+from reference import dense_cover_complex, vstack
 
 FIXTURES = sorted(f[:-5] for f in os.listdir(FIXTURE_DIR))
 KINDS = ("simple", "projective", "injective")
@@ -449,18 +451,25 @@ def dense_end_structure(F):
 SWEEP_FIELDS = {"QQ": {"kind": "rational"},
                 "GF101": {"kind": "prime", "p": 101},
                 "GF3": {"kind": "prime", "p": 3}}
+SWEEP_FIXTURES = ["cb3", "auslander_x3", "circular_7_5", "dda_2_4_1"]
+
+
+def fixture_over(name, field="QQ"):
+    """The fixture read over SWEEP_FIELDS[field] and built anew, so nothing
+    is memoised on it or its modules."""
+    with open(os.path.join(FIXTURE_DIR, name + ".json")) as fh:
+        return algebra_from_json(dict(json.load(fh),
+                                      field=SWEEP_FIELDS[field]))
 
 
 @pytest.mark.parametrize("field", sorted(SWEEP_FIELDS))
-@pytest.mark.parametrize("name", ["cb3", "auslander_x3", "circular_7_5",
-                                  "dda_2_4_1"])
+@pytest.mark.parametrize("name", SWEEP_FIXTURES)
 def test_chain_map_space_matches_the_dense_reference(name, field):
     """From every standard resolution to nu of every standard resolution,
     in every degree of the Hom complex, with the fixture read over QQ,
     GF(101) and GF(3): the same dimension and the same chain maps,
     component by component, scalar types included."""
-    with open(os.path.join(FIXTURE_DIR, name + ".json")) as fh:
-        alg = algebra_from_json(dict(json.load(fh), field=SWEEP_FIELDS[field]))
+    alg = fixture_over(name, field)
     res = standard_resolutions(alg)
     maps = 0
     for F in res:
@@ -473,6 +482,51 @@ def test_chain_map_space_matches_the_dense_reference(name, field):
                     [typed_map(f) for f in want[1]]
                 maps += dim
     assert maps
+
+
+def typed_cover(P, q):
+    """The labels of P, its differential entries term by term with scalar
+    types, and the shape and typed entries of each matrix of q."""
+    return ({n: P.labels(n) for n in P.degrees()},
+            {n: [[[(p, type(c), c) for p, c in e.terms.items()] for e in row]
+                 for row in d] for n, d in P.diffs.items()},
+            {n: {v: (m.rows, m.cols, typed(m)) for v, m in mats.items()}
+             for n, mats in q.items()})
+
+
+def cover_inputs(alg):
+    """The complexes the cover loop covers: the stalk complex of every
+    standard and interval module, then, for each standard resolution R,
+    the inputs of perfectify in nu(R) and tau(R), and of injective_model
+    in tau_inverse(R)."""
+    modules = [standard_module(alg, kind, v)
+               for kind in KINDS for v in alg.quiver.vertices]
+    modules += [M for _, M in interval_modules(alg)]
+    inputs = [stalk_complex(M) for M in modules]
+    for R in standard_resolutions(alg):
+        X = nakayama(R).to_rep()
+        inputs += [X, X.shift(-1), dual_rep_complex(R.to_rep(),
+                                                    alg.opposite())]
+    return inputs
+
+
+@pytest.mark.parametrize("name,field", [(name, "QQ") for name in FIXTURES] +
+                         [(name, field) for name in SWEEP_FIXTURES
+                          for field in ("GF101", "GF3")])
+def test_cover_loop_matches_the_dense_reference(name, field, monkeypatch):
+    """On every input of cover_inputs, the sparse cover loop returns the
+    dense loop's P, entries and scalar types included, and its q.  It runs
+    with derived.direct_sum, standard_sum and from_generators made to
+    raise, so it builds no direct-sum module and no map from generators,
+    and derived no longer imports the dense kernel_basis, rref or
+    hstack."""
+    alg = fixture_over(name, field)
+    inputs = cover_inputs(alg)
+    want = [typed_cover(*dense_cover_complex(C)) for C in inputs]
+    assert not {"kernel_basis", "rref", "hstack"} & set(vars(derived))
+    for fn in ("direct_sum", "standard_sum", "from_generators"):
+        monkeypatch.setattr(derived, fn, refuse)
+    assert [typed_cover(*derived._cover_complex(C)) for C in inputs] == want
 
 
 # The d = 0 spherelike objects that query_mix classifies.
@@ -492,42 +546,53 @@ def typed_report(rep):
          for n, d in Q.diffs.items()})
 
 
-def test_chain_maps_and_end_structure_build_no_dense_matrix(monkeypatch):
-    """classify_spherelike, and so chain_map_space and the degree-0 End
-    structure, answer with HomComplexData.delta, derived.kernel_basis,
-    rref and hstack and spherelike.rank and solve made to raise, on the
-    d = 0 objects of query_mix and on the simples of cb3.  The reports,
-    Q_F included, are those classify_spherelike gives on the dense
-    references, and so is (alpha, beta) of each d = 0 object.  The dense
-    run resolves every object first, so the cover loop, which reduces
-    dense matrices, is not reached."""
+def d0_objects(algebra_of):
+    """(desc, module) of the d = 0 objects of query_mix and the simples of
+    cb3, over the algebras ``algebra_of(name)``."""
     objects = []
     for name, descs in sorted(D0_OBJECTS.items()) + [("cb3", ["S:1", "S:2",
                                                                "S:3"])]:
-        alg = load_fixture(name)
+        alg = algebra_of(name)
         intervals = dict(interval_modules(alg))
         for desc in descs:
             kind, v = desc.split(":")
             objects.append((desc, intervals[desc] if kind == "interval"
                             else standard_module(alg, STANDARD_KINDS[kind], v)))
+    return objects
+
+
+def test_chain_maps_and_end_structure_build_no_dense_matrix(monkeypatch):
+    """classify_spherelike, and so the cover loop, chain_map_space and the
+    degree-0 End structure, answer with HomComplexData.delta,
+    derived.kernel_basis, rref and hstack and spherelike.rank and solve
+    made to raise, on the d = 0 objects of query_mix and on the simples of
+    cb3.  The reports, Q_F included, are those classify_spherelike gives on
+    the dense references, and so is (alpha, beta) of each d = 0 object.
+    Each run builds its modules over algebras built anew, so the dense
+    run's resolutions are not memoised on the shared fixtures, and the
+    guarded run resolves its modules under the guard."""
+    objects = d0_objects(fixture_over)
     with monkeypatch.context() as m:
+        m.setattr(derived, "_cover_complex", dense_cover_complex)
         for module in (derived, spherelike):
             m.setattr(module, "chain_map_space", dense_chain_map_space)
         m.setattr(spherelike, "_degree0_end_structure", dense_end_structure)
         want = [typed_report(classify_spherelike(M, desc))
                 for desc, M in objects]
-    d0 = [resolve(M) for desc, M in objects if not desc.startswith("S")]
-    want_ends = [dense_end_structure(F) for F in d0]
+        d0 = [resolve(M) for desc, M in objects if not desc.startswith("S")]
+        want_ends = [dense_end_structure(F) for F in d0]
     assert sum(r[0].get("d") == 0 for r in want) == len(d0) == 12
     assert any(r[0].get("d") and r[1] for r in want)
+    objects = d0_objects(fixture_over)
     monkeypatch.setattr(HomComplexData, "delta", refuse)
     for name in ("kernel_basis", "rref", "hstack"):
-        monkeypatch.setattr(derived, name, refuse)
+        monkeypatch.setattr(derived, name, refuse, raising=False)
     for name in ("rank", "solve"):
         monkeypatch.setattr(spherelike, name, refuse, raising=False)
     assert [typed_report(classify_spherelike(M, desc))
             for desc, M in objects] == want
-    assert [spherelike._degree0_end_structure(F) for F in d0] == want_ends
+    assert [spherelike._degree0_end_structure(resolve(M))
+            for desc, M in objects if not desc.startswith("S")] == want_ends
 
 
 def test_each_degree_sort_and_layout_happens_once(monkeypatch):

@@ -26,13 +26,16 @@ from sphq.derived import (BoundedComplex, ChainMap, chain_map_space,
                           is_minimal, is_quasi_iso, iso_up_to_shift,
                           minimal_projective_resolution, nakayama, perfectify,
                           resolve, stalk_complex, tau, tau_inverse)
-from sphq.errors import GlobalDimensionExceeded, NotChainMap, SchemaError
+from sphq.errors import (EngineInvariantViolation, GlobalDimensionExceeded,
+                         NotChainMap, SchemaError)
 from sphq.linalg import QQ, Matrix, PrimeField
-from sphq.reps import (hom_basis, identity_morphism, injective_module,
-                       projective_module, simple_module, standard_basis,
-                       standard_module, top_and_radical)
+from sphq.reps import (ModuleMorphism, hom_basis, identity_morphism,
+                       injective_module, projective_module, simple_module,
+                       standard_basis, standard_module, top_and_radical)
 from sphq.spherelike import (asphericality, classify_spherelike,
                              fractional_cy_check)
+
+from reference import dense_cover_complex
 
 
 def a2_algebra():
@@ -352,16 +355,44 @@ def test_tau_inverse_tau_is_the_minimal_model(name):
                                   "preprojective_a3_cluster"])
 def test_cover_complex_maps_quasi_isomorphically(name):
     """For the input of tau of every simple, the cover complex P comes with
-    a chain map q: P -> C whose cone is acyclic."""
+    a chain map q: P -> C whose cone is acyclic.  q's matrices are read as
+    maps from the pieces of P.to_rep(), as perfectify reads them."""
     alg = load_fixture(name)
     for v in alg.quiver.vertices:
         C = nakayama(minimal_projective_resolution(simple_module(alg, v))
                      ).to_rep().shift(-1)
         P, q = derived._cover_complex(C)
-        f = derived.ChainMap(P.to_rep(), C, q, check=True)
+        Prep = P.to_rep()
+        assert set(q) == set(C.pieces)
+        f = derived.ChainMap(Prep, C, {
+            n: ModuleMorphism(Prep.piece(n), C.pieces[n], mats, check=False)
+            for n, mats in q.items()}, check=True)
         assert f.comps
         assert cone(f).is_acyclic()
 
+
+
+@pytest.mark.parametrize("source,mats", [
+    ("projective", {"1": [[1]], "2": [[0]]}),
+    ("simple", {"1": [[1]], "2": [[]]}),
+])
+def test_cover_loop_rejects_a_kernel_that_is_not_arrow_stable(source, mats):
+    """Over 1 -a-> 2, C = (C^-1 -> P(1)) with a map d that does not commute
+    with a, so F^-1 = {(b, c) : q b = d c} in P(1) + C^-1 is not a
+    submodule: the arrow image of F^-1_1 = k(e_1, e_1) leaves F^-1_2,
+    which is k(0, e_2) when C^-1 = P(1) and 0 when C^-1 = S(1).  Both
+    loops raise, the sparse one with no assert to rely on."""
+    alg = a2_algebra()
+    Cm1 = standard_module(alg, source, "1")
+    P1 = projective_module(alg, "1")
+    d = ModuleMorphism(Cm1, P1, {v: Matrix(P1.dims[v], Cm1.dims[v], m)
+                                 for v, m in mats.items()}, check=False)
+    with pytest.raises(SchemaError):
+        d._validate()
+    C = BoundedComplex(alg, {-1: Cm1, 0: P1}, {-1: d})
+    for loop in (derived._cover_complex, dense_cover_complex):
+        with pytest.raises(EngineInvariantViolation, match="arrow-stable"):
+            loop(C)
 
 def test_chain_map_check_rejects_every_failing_square():
     """The identity of res S(1) over cb(3), as chain_map_space returns it,
@@ -456,6 +487,60 @@ def test_resolutions_are_byte_stable(name):
     digest = hashlib.sha256(json.dumps(outs).encode()).hexdigest()
     assert digest == RESOLUTION_DIGESTS[name]
 
+
+
+# sha256 of the JSON list of complex_to_json of perfectify(nu(R).to_rep()),
+# tau(R) and tau_inverse(R), in that order, over R = the minimal resolution
+# of each module in the order of RESOLUTION_DIGESTS.  The cohomology of
+# these outputs cannot see which generators the cover loop inside
+# perfectify picks; these bytes can.
+TRANSLATE_DIGESTS = {
+    "auslander_x3":
+        "cdfea79eece122844003cbaa449fbd25e17782a67ec91494453532d7e23c54d0",
+    "canonical_222":
+        "740e2d12d4b9948a9d6602f609ed7b34eb2e94163b1b64b4e87291c6dda7205a",
+    "cb2":
+        "8935222ca29dd8762c84b00417b4d6035902aac995ac14760562f2a5cc5bb2c2",
+    "cb3":
+        "1b750a3876cf5d6f890a30ef4e09537418dab8ce20c8747042e2adc89c46dd75",
+    "cb4":
+        "de85832354245b0e43d20ed8a8918c0bcb147be47471c4af7cd352bda5a89e75",
+    "cb5":
+        "593967480f0a22e6578bf4649705b12d5ac6e52848b957432ac5c3b041985ae7",
+    "circular_7_5":
+        "655a95ed790f6efd3dec21e887bc68a1ea97970dd0fe1ac0cac4b45f04cb3cd3",
+    "dda_1_2_0":
+        "8935222ca29dd8762c84b00417b4d6035902aac995ac14760562f2a5cc5bb2c2",
+    "dda_1_3_0":
+        "93dac2036141e6d47d7df720671922b03262e890faa9f8feb5cd3b710d2eb3fe",
+    "dda_2_3_0":
+        "1b750a3876cf5d6f890a30ef4e09537418dab8ce20c8747042e2adc89c46dd75",
+    "dda_2_3_1":
+        "af12d187b8e32493cdc5d61cf1ada33f3f332ad5c2bda7d9f964f75ce51ef043",
+    "dda_2_4_1":
+        "7b04817d92a808bc340e7e14b29da9845f054fae0214efecfed719792b8b047c",
+    "ncc":
+        "60e43083ccc6d854d522e662a818d61413a2a2003c5da42b661ead07f56d40fb",
+    "poset_cycle":
+        "a1c52596d7a7394ac2c096c112de8146fa59d1d257f2636fc49248d715ce5263",
+    "preprojective_a3_cluster":
+        "78d96f1cae650994e5cdc292cfeae81e9205b843181f36d6c5a7cb108dbb8a0f",
+    "tensor_kronecker":
+        "60946f7c8794482eaa31fe7d3907b8bb0c4bbe444a60e09487752a2f82060abf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSLATE_DIGESTS))
+def test_translates_are_byte_stable(name):
+    alg = load_fixture(name)
+    outs = []
+    for kind in ("simple", "projective", "injective"):
+        for v in alg.quiver.vertices:
+            R = minimal_projective_resolution(standard_module(alg, kind, v))
+            outs += [complex_to_json(X) for X in
+                     (perfectify(nakayama(R).to_rep()), tau(R), tau_inverse(R))]
+    digest = hashlib.sha256(json.dumps(outs).encode()).hexdigest()
+    assert digest == TRANSLATE_DIGESTS[name]
 
 def scatter_injective_to_rep(F):
     """Per-vertex differential matrices of an injective-labeled complex,

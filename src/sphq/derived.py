@@ -33,8 +33,8 @@ from itertools import chain
 from .algebra import Element, Path, memoised
 from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
                      EngineInvariantViolation, SchemaError, UnknownVertex)
-from .linalg import (Matrix, _forward, from_blocks, rank, scalar_to_str,
-                     sparse_rank, sparse_rref)
+from .linalg import (Matrix, _forward, from_blocks, null_space, rank,
+                     scalar_to_str, sparse_rank)
 from .reps import (ModuleMorphism, Representation, direct_sum,
                    from_generators, standard_basis, standard_sum, zero_rep)
 
@@ -393,23 +393,6 @@ def minimal_projective_resolution(M):
     return _cover_complex(stalk_complex(M))[0]
 
 
-def _null_space(rows, ncols, field):
-    """Basis of the null space of the matrix with ``ncols`` columns whose
-    nonzero entries are the {column: coeff} rows ``rows``, as
-    {coordinate: coeff} vectors read off ``sparse_rref`` as
-    ``kernel_from_rref`` does: one per free column f, in increasing f, with
-    1 at f and minus column f of the reduced rows at their pivots.  A
-    reduced row is zero left of its pivot, so each vector's keys ascend."""
-    reduced, pivots = sparse_rref(rows, field)
-    one = field.one()
-    kernel = []
-    for f in sorted(set(range(ncols)).difference(pivots)):
-        vec = {pc: -row[f] for row, pc in zip(reduced, pivots) if f in row}
-        vec[f] = one
-        kernel.append(vec)
-    return kernel
-
-
 def _complement(image, vecs, field):
     """(kept, rank): the vectors of ``vecs`` that are pivot columns of
     [image | vecs], in order, and the rank of [image | vecs].
@@ -466,23 +449,24 @@ def _cover_complex(C):
     The generators of P^n are picked from the top of F^n (Green, Solberg
     and Zacharia, *Minimal projective resolutions*, Trans. AMS 2001)
     without building F^n as a module.  At vertex v, the kernel vectors K
-    of Phi^n_v (``_null_space``, read off ``sparse_rref``; every unit
-    vector at the top degree, where Phi^n has no rows) span F^n_v, and
-    the arrows a into v map F^n onto the span of the images R of the
-    kernel vectors at the source of a.  One ``_forward`` pass over R, then
-    K (``_complement``), keeps the vectors of K that are pivot columns of
-    [R | K].  Since the vectors of K are independent and R = K R' for the
-    arrow maps R' of F^n, a vector of K is independent of R and the
+    of Phi^n_v (``linalg.null_space``; every unit vector at the top
+    degree, where Phi^n has no rows) span F^n_v, and the arrows a into v
+    map F^n onto the span of the images R of the kernel vectors at the
+    source of a.  One ``_forward`` pass over R, then K (``_complement``),
+    keeps the vectors of K that are pivot columns of [R | K].  Since the
+    vectors of K are independent and R = K R' for the arrow maps R' of
+    F^n, a vector of K is independent of R and the
     earlier vectors exactly when its basis vector is independent of R'
     and the earlier ones: these are the basis vectors of a complement of
     rad F^n_v in F^n_v.  A rank of [R | K] above the number of vectors of
     K, also when K is empty, would mean F^n is not arrow-stable.
 
-    These choices are the dense loop's (``kernel_basis`` of Phi^n_v,
-    then the pivot columns of ``rref`` [R | K] beyond R): the reduced
-    echelon form is unique, so ``sparse_rref`` gives the same kernel
-    vectors, ``_forward`` finds the same independent columns, and normal
-    forms are unique, so path products give the same columns of E.
+    These choices are those of a dense loop (the kernel basis read off
+    the reduced form of the dense Phi^n_v, then the pivot columns of the
+    reduced form of [R | K] beyond R): the reduced echelon form is unique,
+    so ``null_space`` gives the same kernel vectors, ``_forward`` finds
+    the same independent columns, and normal forms are unique, so path
+    products give the same columns of E.
     """
     alg = C.alg
     field = alg.field
@@ -539,7 +523,7 @@ def _cover_complex(C):
                     for k, c in enumerate(row, psize[v]):
                         if c:
                             rows[r][k] = minus_one * c
-            kernels[v] = _null_space(rows.values(), width[v], field)
+            kernels[v] = null_space(rows.values(), width[v], field)
         if n < lo and not any(kernels.values()):
             break
         if n < lo - RESOLUTION_BOUND:
@@ -732,40 +716,52 @@ def chain_map_space(F, G, s):
 
     Returns (dim, [ChainMap]) with ChainMaps from F.to_rep() to
     as_rep_complex(G).shift(s) (so each representative is an honest
-    degree-0 chain map).
-
-    A kernel basis of d^s (``_null_space``) is completed against the
-    columns of d^{s-1} (``_complement``): the kept basis vectors are the
-    pivot columns of the rref of [d^{s-1} | kernel basis].
+    degree-0 chain map): the ``_chain_map`` of each vector of
+    ``_cocycle_vectors``.
     """
     data = HomComplexData(F, G)
-    Grep, alg, field = data.G, data.alg, data.alg.field
     layouts = {n: data._layout(n) for n in (s - 1, s, s + 1)}
-    _, offsets, size = layouts[s]
-    kernel = _null_space(data._rows(s, layouts).values(), size, field)
-    reps = _complement(data._rows(s - 1, layouts, by_column=True).values(),
+    vecs = _cocycle_vectors(data, s, layouts)
+    Fs, Gs = F.to_rep(), data.G.shift(s)
+    return len(vecs), [_chain_map(data, s, layouts[s][1], vec, Fs, Gs)
+                       for vec in vecs]
+
+
+def _cocycle_vectors(data, s, layouts):
+    """The Hom-complex coordinate vectors, as {coordinate: coeff} dicts,
+    of representatives of a basis of H^s Hom(F, G); ``layouts`` maps
+    s - 1, s and s + 1 to their ``_layout``.
+
+    A kernel basis of d^s (``linalg.null_space``) is completed against
+    the columns of d^{s-1} (``_complement``): the kept basis vectors are
+    the pivot columns of the rref of [d^{s-1} | kernel basis].
+    """
+    field = data.alg.field
+    kernel = null_space(data._rows(s, layouts).values(), layouts[s][2], field)
+    return _complement(data._rows(s - 1, layouts, by_column=True).values(),
                        kernel, field)[0]
 
-    Fs, Gs = F.to_rep(), Grep.shift(s)
-    orders = {p: standard_basis(alg, "proj", F.labels(p))[0]
-              for p in data.fdeg}
-    chain_maps = []
-    z = field.zero()
-    for vec in reps:
-        vec = [vec.get(k, z) for k in range(size)]
-        comps = {}
-        for p in data.fdeg:
-            Gp = Grep.piece(p + s)
-            if Gp.is_zero():
-                continue
-            # generator j of F^p goes to the value of slot (p, j)
-            images = [vec[offsets[p, j]:offsets[p, j] + Gp.dims[x]]
-                      for j, x in enumerate(F.labels(p))]
-            comps[p] = ModuleMorphism(Fs.piece(p), Gs.piece(p),
-                                      from_generators(Gp, orders[p], images),
-                                      check=False)
-        chain_maps.append(ChainMap(Fs, Gs, comps, check=False))
-    return len(reps), chain_maps
+
+def _chain_map(data, s, offsets, vec, source, target):
+    """The chain map from source = F.to_rep() to target, G[s] as a rep
+    complex, whose coordinates in degree s of the Hom complex (slot
+    offsets ``offsets``) are the {coordinate: coeff} vector ``vec``:
+    generator j of F^p goes to the value of slot (p, j)."""
+    F, alg = data.F, data.alg
+    z = alg.field.zero()
+    comps = {}
+    for p in data.fdeg:
+        Gp = data.G.piece(p + s)
+        if Gp.is_zero():
+            continue
+        images = [[vec.get(k, z) for k in range(offsets[p, j],
+                                                 offsets[p, j] + Gp.dims[x])]
+                  for j, x in enumerate(F.labels(p))]
+        order = standard_basis(alg, "proj", F.labels(p))[0]
+        comps[p] = ModuleMorphism(source.piece(p), target.piece(p),
+                                  from_generators(Gp, order, images),
+                                  check=False)
+    return ChainMap(source, target, comps, check=False)
 
 
 ISO_TRIALS = 8

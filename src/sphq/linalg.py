@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals or a prime field.
 
 Everything upstream (path bases, Hom spaces, cohomology of Hom complexes)
-reduces to rref / kernel / solve over an exact field.  ``Matrix`` is a
-dense list of lists.  Rows given as ``{column: coeff}`` dicts have one
-elimination, the forward pass ``_forward``: ``sparse_rank`` counts its
-pivots, and ``sparse_rref`` back-substitutes from the last pivot up to the
-same reduced echelon form as ``rref``.  Scalars of ℚ
+reduces to rref / kernel / solve over an exact field, and all of it runs
+one elimination, the forward pass ``_forward`` on rows given as
+{column: coeff} dicts: ``sparse_rank`` counts its pivots, ``sparse_rref``
+back-substitutes from the last pivot up to the reduced echelon form, and
+``null_space`` reads the kernel off that form.  ``Matrix`` is dense
+storage only: ``rref``, ``rank``, ``kernel_basis`` and ``solve`` hand its
+nonzero entries to the same elimination.  Scalars of ℚ
 are ``int`` while integral and ``fractions.Fraction`` otherwise: the two
 mix exactly, and equal values compare and hash equal, so an integral
 ``Fraction`` left by a product is still a valid scalar.  Scalars of
@@ -183,9 +185,6 @@ class Matrix:
         z, o = field.zero(), field.one()
         return cls(n, n, [[o if i == j else z for j in range(n)] for i in range(n)], field)
 
-    def copy(self):
-        return Matrix(self.rows, self.cols, [row[:] for row in self.entries], self.field)
-
     def __eq__(self, o):
         return (isinstance(o, Matrix) and self.rows == o.rows and self.cols == o.cols
                 and self.entries == o.entries)
@@ -295,51 +294,6 @@ def block_diag(mats, field=QQ):
     return from_blocks(r0, c0, blocks, field)
 
 
-def rref(M):
-    """Reduced row echelon form.  Returns (R, pivot_columns).
-
-    Deterministic: scans columns left to right, uses the first nonzero
-    entry below the current row as pivot.
-    """
-    R = M.copy()
-    field = R.field
-    one = field.one()
-    ent = R.entries
-    pivots = []
-    pr = 0
-    for pc in range(R.cols):
-        pivot_row = None
-        for i in range(pr, R.rows):
-            if ent[i][pc]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        ent[pr], ent[pivot_row] = ent[pivot_row], ent[pr]
-        pv = ent[pr][pc]
-        if pv != one:
-            inv_row = ent[pr]
-            for j in range(pc, R.cols):
-                if inv_row[j]:
-                    inv_row[j] = field.div(inv_row[j], pv)
-        for i in range(R.rows):
-            if i == pr:
-                continue
-            f = ent[i][pc]
-            if not f:
-                continue
-            src = ent[pr]
-            dst = ent[i]
-            for j in range(pc, R.cols):
-                if src[j]:
-                    dst[j] = dst[j] - f * src[j]
-        pivots.append(pc)
-        pr += 1
-        if pr == R.rows:
-            break
-    return R, pivots
-
-
 def _sub_multiple(dst, f, src):
     """dst -= f * src on {column: coeff} dicts, dropping entries that vanish."""
     for j, c in src.items():
@@ -386,9 +340,9 @@ def sparse_rref(rows, field=QQ):
     """Reduced row echelon form of rows given as {column: coeff} dicts,
     which it leaves unchanged; zero coefficients are dropped.
 
-    Returns (rows, pivots) like ``rref``: the nonzero rows of the reduced
-    form in increasing pivot order, each a dict in increasing column order,
-    and the sorted pivot columns.  ``_forward`` on copies of the rows, then
+    Returns (rows, pivots): the nonzero rows of the reduced form in
+    increasing pivot order, each a dict in increasing column order, and
+    the sorted pivot columns.  ``_forward`` on copies of the rows, then
     back-substitution from the last pivot up: each row is cleared of the
     later pivot columns, whose rows are already reduced, so the result is
     the unique reduced form of the row space."""
@@ -402,34 +356,51 @@ def sparse_rref(rows, field=QQ):
     return [dict(sorted(pivots[pc].items())) for pc in order], order
 
 
+def _nonzero_rows(M):
+    """The rows of M as {column: coeff} dicts of its nonzero entries."""
+    return [{j: c for j, c in enumerate(row) if c} for row in M.entries]
+
+
+def rref(M):
+    """Reduced row echelon form.  Returns (R, pivot_columns): R has M's
+    shape, the rows of ``sparse_rref`` in pivot order and zero rows last."""
+    rows, pivots = sparse_rref(_nonzero_rows(M), M.field)
+    z = M.field.zero()
+    entries = [[z] * M.cols for _ in range(M.rows)]
+    for dense, row in zip(entries, rows):
+        for j, c in row.items():
+            dense[j] = c
+    return Matrix(M.rows, M.cols, entries, M.field), pivots
+
+
 def rank(M):
-    return len(rref(M)[1])
+    return sparse_rank(_nonzero_rows(M), M.field)
+
+
+def null_space(rows, ncols, field=QQ):
+    """Basis of the null space of the matrix with ``ncols`` columns whose
+    nonzero entries are the {column: coeff} rows ``rows``, which it leaves
+    unchanged: one {coordinate: coeff} vector per free column f of
+    ``sparse_rref``, in increasing f, with 1 at f and minus column f of the
+    reduced rows at their pivots.  A reduced row is zero left of its
+    pivot, so each vector's keys ascend."""
+    reduced, pivots = sparse_rref(rows, field)
+    one = field.one()
+    kernel = []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        vec = {pc: -row[f] for row, pc in zip(reduced, pivots) if f in row}
+        vec[f] = one
+        kernel.append(vec)
+    return kernel
 
 
 def kernel_basis(M):
-    """Matrix whose columns span the null space of M."""
-    R, pivots = rref(M)
-    return kernel_from_rref(R, pivots, M.cols)
-
-
-def kernel_from_rref(R, pivots, ncols):
-    """Null-space basis of a matrix with ``ncols`` columns, read off a
-    reduced row echelon form R whose first ``ncols`` columns are the
-    matrix's own reduced form with pivot columns ``pivots`` (R may carry
-    further columns, as the rref of [M | I] does)."""
-    z, o = R.field.zero(), R.field.one()
-    pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
-    cols = []
-    for f in free:
-        v = [z] * ncols
-        v[f] = o
-        for r, pc in enumerate(pivots):
-            v[pc] = -R.entries[r][f]
-        cols.append(v)
-    return Matrix(ncols, len(cols),
-                  [[cols[j][i] for j in range(len(cols))] for i in range(ncols)],
-                  R.field)
+    """Matrix whose columns are the ``null_space`` vectors of M."""
+    vecs = null_space(_nonzero_rows(M), M.cols, M.field)
+    z = M.field.zero()
+    return Matrix(M.cols, len(vecs),
+                  [[vec.get(i, z) for vec in vecs] for i in range(M.cols)],
+                  M.field)
 
 
 def solve(M, b):

@@ -3,10 +3,11 @@
 A representation assigns an exact vector space k^d to every vertex and a
 (target-dim x source-dim) matrix to every arrow, with all relations of the
 algebra evaluating to zero.  Hom spaces, kernels/cokernels and radicals
-are all reduced to the linalg kernels, with one elimination per quotient
-(``_quotient_data`` row-reduces [A | I] once; ``kernel_cokernel`` reads
-the kernel off the same elimination) and one per arrow of a sub-module
-(``_subrep_from_inclusions``).
+are all reduced to the one elimination of ``linalg``: one per quotient
+(``_quotient_data`` row-reduces [A | I] once), one per kernel
+(``kernel_basis``), one per arrow of a sub-module
+(``_subrep_from_inclusions``), and one per Hom space, whose equations
+``hom_basis`` hands to ``null_space`` as sparse rows.
 
 Nothing in sphq calls ``kernel_cokernel`` or ``top_and_radical`` any more:
 interval modules are quotients by radical spans (``spherelike``).  Both
@@ -22,9 +23,10 @@ images of its generators (``from_generators``).
 from collections import namedtuple
 
 from .algebra import Path, json_int, memoised
-from .errors import AlgebraMismatch, SchemaError, UnknownVertex
-from .linalg import (Matrix, block_diag, hstack, kernel_basis,
-                     kernel_from_rref, rref, scalar_to_str)
+from .errors import (AlgebraMismatch, EngineInvariantViolation, SchemaError,
+                     UnknownVertex)
+from .linalg import (Matrix, block_diag, hstack, kernel_basis, null_space,
+                     rref, scalar_to_str)
 
 
 class Representation:
@@ -147,28 +149,28 @@ def hom_basis(M, N):
     for v in verts:
         offs[v] = total
         total += N.dims[v] * M.dims[v]
+    z = field.zero()
     rows = []
     for a in alg.quiver.arrows:
         u, v = a.source, a.target
         Na, Ma = N.maps[a.name], M.maps[a.name]
-        # Equation N_a f_u - f_v M_a = 0, entries (i, j) i < N.dims[v], j < M.dims[u]
+        # Equation N_a f_u - f_v M_a = 0, entries (i, j) i < N.dims[v], j < M.dims[u],
+        # one {column: coeff} row each; on a loop both terms may hit one column
         for i in range(N.dims[v]):
             for j in range(M.dims[u]):
-                row = [field.zero()] * total
-                for k in range(N.dims[u]):
-                    row[offs[u] + k * M.dims[u] + j] = row[offs[u] + k * M.dims[u] + j] + Na.entries[i][k]
+                row = {offs[u] + k * M.dims[u] + j: c
+                       for k, c in enumerate(Na.entries[i]) if c}
                 for k in range(M.dims[v]):
-                    row[offs[v] + i * M.dims[v] + k] = row[offs[v] + i * M.dims[v] + k] - Ma.entries[k][j]
+                    c = Ma.entries[k][j]
+                    if c:
+                        col = offs[v] + i * M.dims[v] + k
+                        row[col] = row.get(col, z) - c
                 rows.append(row)
-    if rows:
-        K = kernel_basis(Matrix(len(rows), total, rows, field))
-    else:
-        K = Matrix.identity(total, field)
     out = []
-    for c in range(K.cols):
+    for vec in null_space(rows, total, field):
         mats = {}
         for v in verts:
-            ent = [[K.entries[offs[v] + i * M.dims[v] + j][c]
+            ent = [[vec.get(offs[v] + i * M.dims[v] + j, z)
                     for j in range(M.dims[v])] for i in range(N.dims[v])]
             mats[v] = Matrix(N.dims[v], M.dims[v], ent, field)
         out.append(ModuleMorphism(M, N, mats, check=False))
@@ -192,7 +194,8 @@ def _subrep_from_inclusions(M, incls):
         k = inc.cols
         img = M.maps[a.name] * incls[a.source]
         R, pivots = rref(hstack([inc, img]))
-        assert len(pivots) == k, "subspace not arrow-stable"
+        if len(pivots) != k:
+            raise EngineInvariantViolation("subspace not arrow-stable")
         maps[a.name] = Matrix(k, img.cols, [row[k:] for row in R.entries[:k]],
                               alg.field)
     sub = Representation(alg, dims, maps, check=False)
@@ -210,13 +213,6 @@ def _quotient_data(A):
     identity-part of the rows from rank A on; it is the unique matrix with
     proj * A = 0 and proj * section = identity.
     """
-    return _quotient_elimination(A)[:3]
-
-
-def _quotient_elimination(A):
-    """``_quotient_data(A)`` plus the reduced form R of [A | I] it came
-    from.  The left A.cols columns of R are rref(A): every row operation
-    after them only touches rows that are zero there."""
     field = A.field
     n, r = A.rows, A.cols
     R, pivots = rref(hstack([A, Matrix.identity(n, field)]))
@@ -227,7 +223,7 @@ def _quotient_elimination(A):
         sect.entries[i][j] = field.one()
     proj = Matrix(len(chosen), n, [row[r:] for row in R.entries[len(apiv):]],
                   field)
-    return sect, proj, apiv, R
+    return sect, proj, apiv
 
 
 def _quotient_rep(M, sects, projs):
@@ -246,8 +242,8 @@ def kernel_cokernel(f):
     M, N = f.source, f.target
     kins, sects, projs = {}, {}, {}
     for v in N.dims:
-        sects[v], projs[v], apiv, R = _quotient_elimination(f.mats[v])
-        kins[v] = kernel_from_rref(R, apiv, f.mats[v].cols)
+        sects[v], projs[v], _ = _quotient_data(f.mats[v])
+        kins[v] = kernel_basis(f.mats[v])
     ker, incl = _subrep_from_inclusions(M, kins)
     coker, proj = _quotient_rep(N, sects, projs)
     return ker, coker, incl, proj
@@ -273,7 +269,8 @@ def top_and_radical(M):
                          [[row[p] for p in pivots] for row in A.entries], field)
     rad, rad_incl = _subrep_from_inclusions(M, rins)
     top, tproj = _quotient_rep(M, sects, projs)
-    assert all(m.is_zero() for m in top.maps.values())  # top is semisimple
+    if not all(m.is_zero() for m in top.maps.values()):
+        raise EngineInvariantViolation("top is not semisimple")
     return TopRad(rad, rad_incl, top, tproj, sects)
 
 

@@ -23,10 +23,11 @@ from .linalg import Matrix, _forward, _sub_multiple, hstack, rank, rref
 from .reps import (Representation, generator_column, hom_basis,
                    simple_module, standard_basis)
 from . import reps as _reps
-from .derived import (RESOLUTION_BOUND, ChainMap, HomComplexData,
-                      LabeledComplex, chain_map_space, cone, hom_profile,
-                      iso_up_to_shift, minimal_projective_resolution,
-                      nakayama, perfectify, resolve)
+from .derived import (RESOLUTION_BOUND, HomComplexData, LabeledComplex,
+                      _chain_map, _cocycle_vectors, chain_map_space, cone,
+                      hom_profile, iso_up_to_shift,
+                      minimal_projective_resolution, nakayama, perfectify,
+                      resolve)
 
 
 @memoised
@@ -85,56 +86,60 @@ class SpherelikeReport:
         return "SpherelikeReport(%s, %s, d=%r)" % (self.desc, self.verdict, self.d)
 
 
-def _hom_coords(F, slots, cm):
-    """{column: coeff} of the nonzero Hom-complex coordinates, in the
-    degree s whose layout has ``slots``, of a chain map F_rep -> G[s]."""
-    row, off = {}, 0
-    for (p, j, x, d) in slots:
-        f = cm.comps.get(p)
-        if f is not None:
-            index = standard_basis(F.alg, "proj", F.labels(p))[1]
-            col = f.mats[x].col(generator_column(index, j, x))
-            row.update((off + i, c) for i, c in enumerate(col) if c)
-        off += d
-    return row
-
-
 def _degree0_end_structure(F):
     """(alpha, beta) with phi^2 = alpha*id + beta*phi in H^0 End(F).
 
-    Assumes dim H^0 End(F) = 2.  One ``linalg._forward`` pass takes the
-    columns of d^{-1}, then id and the candidates with a 1 in the extra
-    column n = dim C^0 (id) or n + 1 (candidates).  phi is the first
-    candidate independent of id modulo the image: its row is a pivot row
-    left of n.  Reducing phi o phi left of n leaves -alpha and -beta in
+    Needs dim H^0 End(F) = 2.  The Hom complex Hom(F, F_rep) is laid out
+    once, in degrees -1, 0 and 1: the candidates are the coordinate
+    vectors of its degree-0 cohomology (``derived._cocycle_vectors``), and
+    id has a 1 at the generator column of each slot.  One
+    ``linalg._forward`` pass takes the columns of d^{-1}, then id and the
+    candidates with a 1 in the extra column n = dim C^0 (id) or n + 1
+    (candidates).  phi is the first candidate independent of id modulo
+    the image: its row is a pivot row left of n.  Only phi becomes a chain
+    map; phi o phi sends generator j of F^p to phi^p of the value of phi
+    on it.  Reducing phi o phi left of n leaves -alpha and -beta in
     columns n and n + 1, unique as id and phi are independent mod image.
     """
-    field = F.alg.field
+    alg = F.alg
+    field = alg.field
+    one, z = field.one(), field.zero()
     Frep = F.to_rep()
     data = HomComplexData(F, Frep)
-    dim, cands = chain_map_space(F, Frep, 0)
-    assert dim == 2
-    idm = ChainMap(Frep, Frep,
-                   {n: _reps.identity_morphism(Frep.piece(n)) for n in Frep.pieces},
-                   check=False)
-    layouts = {k: data._layout(k) for k in (-1, 0)}
-    slots, _, n = layouts[0]
-    rows = [{**_hom_coords(F, slots, cm), tag: field.one()}
-            for tag, cm in [(n, idm)] + [(n + 1, c) for c in cands]]
+    layouts = {k: data._layout(k) for k in (-1, 0, 1)}
+    cands = _cocycle_vectors(data, 0, layouts)
+    if len(cands) != 2:
+        raise EngineInvariantViolation(
+            "H^0 End(F) has dim %d, not 2" % len(cands))
+    slots, offsets, n = layouts[0]
+    ident = {}
+    for p, j, x, _ in slots:
+        index = standard_basis(alg, "proj", F.labels(p))[1]
+        ident[offsets[p, j] + generator_column(index, j, x)] = one
+    rows = [{**ident, n: one}] + [{**vec, n + 1: one} for vec in cands]
     image = data._rows(-1, layouts, by_column=True).values()
     pivots = _forward(itertools.chain(image, rows), field)
     led = {id(row) for pc, row in pivots.items() if pc < n}
-    phi = next((c for c, row in zip(cands, rows[1:]) if id(row) in led), None)
-    assert phi is not None
-    sq = ChainMap(Frep, Frep,
-                  {k: f.compose(f) for k, f in phi.comps.items()},
-                  check=False)
-    row = _hom_coords(F, slots, sq)
+    phi = next((vec for vec, row in zip(cands, rows[1:]) if id(row) in led),
+               None)
+    if phi is None:
+        raise EngineInvariantViolation(
+            "no candidate of H^0 End(F) is independent of id")
+    comps = _chain_map(data, 0, offsets, phi, Frep, Frep).comps
+    row = {}
+    for p, j, x, d in slots:
+        if p in comps:  # else phi^p, and so its value, is zero
+            off = offsets[p, j]
+            value = [phi.get(k, z) for k in range(off, off + d)]
+            row.update((k, c) for k, c in
+                       enumerate(comps[p].mats[x].apply(value), off) if c)
     while row and min(row) < n:
         pc = min(row)
-        assert pc in pivots
+        if pc not in pivots:
+            raise EngineInvariantViolation(
+                "phi o phi is not in the span of id and phi")
         _sub_multiple(row, row[pc], pivots[pc])
-    return -row.get(n, field.zero()), -row.get(n + 1, field.zero())
+    return -row.get(n, z), -row.get(n + 1, z)
 
 
 def _is_rational_square(x):

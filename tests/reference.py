@@ -4,7 +4,7 @@ references."""
 from sphq.algebra import Element
 from sphq.derived import RESOLUTION_BOUND, LabeledComplex
 from sphq.errors import EngineInvariantViolation, GlobalDimensionExceeded
-from sphq.linalg import QQ, Matrix, from_blocks, hstack, kernel_basis, rref
+from sphq.linalg import QQ, Matrix, from_blocks, hstack
 from sphq.reps import (ModuleMorphism, direct_sum, from_generators,
                        standard_sum)
 
@@ -22,6 +22,90 @@ def vstack(mats):
     return Matrix(len(entries), cols, entries, mats[0].field)
 
 
+def dense_rref(M):
+    """Reduced row echelon form by Gauss-Jordan elimination on a copy of M.
+    Returns (R, pivot_columns).
+
+    Deterministic: scans columns left to right, uses the first nonzero
+    entry below the current row as pivot.
+    """
+    field = M.field
+    one = field.one()
+    ent = [row[:] for row in M.entries]
+    R = Matrix(M.rows, M.cols, ent, field)
+    pivots = []
+    pr = 0
+    for pc in range(R.cols):
+        pivot_row = None
+        for i in range(pr, R.rows):
+            if ent[i][pc]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        ent[pr], ent[pivot_row] = ent[pivot_row], ent[pr]
+        pv = ent[pr][pc]
+        if pv != one:
+            inv_row = ent[pr]
+            for j in range(pc, R.cols):
+                if inv_row[j]:
+                    inv_row[j] = field.div(inv_row[j], pv)
+        for i in range(R.rows):
+            if i == pr:
+                continue
+            f = ent[i][pc]
+            if not f:
+                continue
+            src = ent[pr]
+            dst = ent[i]
+            for j in range(pc, R.cols):
+                if src[j]:
+                    dst[j] = dst[j] - f * src[j]
+        pivots.append(pc)
+        pr += 1
+        if pr == R.rows:
+            break
+    return R, pivots
+
+
+def dense_rank(M):
+    return len(dense_rref(M)[1])
+
+
+def dense_kernel_basis(M):
+    """Matrix whose columns span the null space of M, read off
+    ``dense_rref``: one column per free column f, in increasing f, with 1
+    at f and minus column f of the reduced rows at their pivots."""
+    R, pivots = dense_rref(M)
+    z, o = M.field.zero(), M.field.one()
+    pivset = set(pivots)
+    cols = []
+    for f in range(M.cols):
+        if f in pivset:
+            continue
+        v = [z] * M.cols
+        v[f] = o
+        for r, pc in enumerate(pivots):
+            v[pc] = -R.entries[r][f]
+        cols.append(v)
+    return Matrix(M.cols, len(cols),
+                  [[v[i] for v in cols] for i in range(M.cols)], M.field)
+
+
+def dense_solve(M, b):
+    """Particular solution of M x = b with the free variables 0, read off
+    ``dense_rref`` of [M | b], or None if inconsistent."""
+    aug = Matrix(M.rows, M.cols + 1,
+                 [row[:] + [b[i]] for i, row in enumerate(M.entries)], M.field)
+    R, pivots = dense_rref(aug)
+    if M.cols in pivots:
+        return None
+    x = [M.field.zero()] * M.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = R.entries[r][M.cols]
+    return x
+
+
 def dense_cover_complex(C):
     """(P, q) of ``derived._cover_complex`` from dense matrices, in its
     output format: q[n] is the per-vertex matrices of q^n for each degree n
@@ -29,9 +113,9 @@ def dense_cover_complex(C):
 
     Per degree, A = P^{n+1} + C^n is built as a module with block-diagonal
     arrow maps; the kernel K of Phi^n_v = [E^{n+1}_v | 0 ; -d_C^n] is
-    ``kernel_basis`` of the dense matrix (the identity at the top degree),
+    ``dense_kernel_basis`` of the dense matrix (the identity at the top degree),
     the generators at v are the columns of K that are pivot columns of
-    rref [R | K], R = [A_a K_{source a}] over the arrows a into v, and
+    ``dense_rref`` [R | K], R = [A_a K_{source a}] over the arrows a into v, and
     E^n = ``from_generators`` into A, path by path and arrow by arrow."""
     alg = C.alg
     field = alg.field
@@ -60,7 +144,7 @@ def dense_cover_complex(C):
                         m = dC.mats[v]
                         blocks.append((phi.rows - m.rows, phi.cols, m, minus_one))
                     phi = from_blocks(phi.rows, phi.cols + Cn.dims[v], blocks, field)
-                kins[v] = kernel_basis(phi)
+                kins[v] = dense_kernel_basis(phi)
         if n < lo and all(K.cols == 0 for K in kins.values()):
             break
         if n < lo - RESOLUTION_BOUND:
@@ -71,7 +155,7 @@ def dense_cover_complex(C):
             K = kins[v]
             R = [A.maps[a.name] * kins[a.source] for a in alg.quiver.arrows_in[v]]
             r = sum(m.cols for m in R)
-            _, piv = rref(hstack(R + [K]))
+            _, piv = dense_rref(hstack(R + [K]))
             if len(piv) != K.cols:
                 raise EngineInvariantViolation(
                     "F^%d is not arrow-stable at vertex %s" % (n, v))

@@ -7,7 +7,8 @@ code with the engine.
 
 ``dense_basis`` is the reference for the engine's block-sparse build: one
 dense row per ideal-slice product, as wide as all enumerated paths, reduced
-by the dense ``rref``.  The two must agree exactly, dict order included.
+by the Gauss-Jordan ``dense_rref``.  The two must agree exactly, dict order
+included.
 """
 
 import ast
@@ -31,7 +32,9 @@ from sphq.constructions import (canonical, cb, ci, circular, insert_An,
                                 kronecker, tensor_algebra)
 from sphq.corpus import FIXTURE_DIR, write_fixtures
 from sphq.errors import CapInsufficient, NotAdmissible, SchemaError
-from sphq.linalg import QQ, Matrix, PrimeField, rref
+from sphq.linalg import QQ, Matrix, PrimeField
+
+from reference import dense_rref
 
 
 def oracle_dim(vertices, arrows, relations, maxlen):
@@ -286,7 +289,8 @@ def dense_basis(quiver, relations, cap, field):
                               right.arrows + p.arrows + left.arrows)
                     row[col_of[fp]] = row[col_of[fp]] + c
                 rows.append(row)
-    R, pivots = rref(Matrix(len(rows), len(paths), rows, field)) if rows else (None, [])
+    R, pivots = (dense_rref(Matrix(len(rows), len(paths), rows, field))
+                 if rows else (None, []))
     pivot_set = set(pivots)
     reduction = {}
     for r, pc in enumerate(pivots):

@@ -22,13 +22,13 @@ from sphq.derived import (ChainMap, HomComplexData, chain_map_space,
                           hom_profile, is_quasi_iso,
                           minimal_projective_resolution, nakayama, resolve,
                           stalk_complex)
-from sphq.linalg import (PrimeField, QQ, Matrix, hstack, kernel_basis, rank,
-                         rref, solve)
+from sphq.linalg import PrimeField, QQ, Matrix, hstack
 from sphq.reps import (ModuleMorphism, from_generators, generator_column,
                        identity_morphism, standard_basis, standard_module)
 from sphq.spherelike import classify_spherelike, interval_modules
 
-from reference import dense_cover_complex, vstack
+from reference import (dense_cover_complex, dense_kernel_basis, dense_rank,
+                       dense_rref, dense_solve, vstack)
 
 FIXTURES = sorted(f[:-5] for f in os.listdir(FIXTURE_DIR))
 KINDS = ("simple", "projective", "injective")
@@ -306,7 +306,7 @@ def dense_profile(F, G):
     rng = data.degree_range()
     if not rng:
         return {}
-    ranks = {n: rank(dense_delta(data, n))
+    ranks = {n: dense_rank(dense_delta(data, n))
              for n in range(rng[0] - 1, rng[-1] + 1)}
     dims = {n: data._layout(n)[2] for n in rng}
     return {n: dims[n] - ranks[n] - ranks[n - 1] for n in rng
@@ -392,11 +392,11 @@ def dense_chain_map_space(F, G, s):
     that sends generator j of F^p to the value of slot (p, j)."""
     data = HomComplexData(F, G)
     dprev = dense_delta(data, s - 1)
-    K = kernel_basis(dense_delta(data, s))
+    K = dense_kernel_basis(dense_delta(data, s))
     offsets = data._layout(s)[1]
     Fs, Gs = F.to_rep(), data.G.shift(s)
     maps = []
-    for k in rref(hstack([dprev, K]))[1]:
+    for k in dense_rref(hstack([dprev, K]))[1]:
         if k < dprev.cols:
             continue
         vec = K.col(k - dprev.cols)
@@ -439,12 +439,12 @@ def dense_end_structure(F):
     ident = column(ChainMap(Frep, Frep, {n: identity_morphism(Frep.piece(n))
                                          for n in Frep.pieces}, check=False))
     cands = dense_chain_map_space(F, Frep, 0)[1]
-    base = rank(hstack([dprev, ident]))
+    base = dense_rank(hstack([dprev, ident]))
     phi = next(c for c in cands
-               if rank(hstack([dprev, ident, column(c)])) == base + 1)
+               if dense_rank(hstack([dprev, ident, column(c)])) == base + 1)
     sq = ChainMap(Frep, Frep, {n: f.compose(f) for n, f in phi.comps.items()},
                   check=False)
-    x = solve(hstack([dprev, ident, column(phi)]), column(sq).col(0))
+    x = dense_solve(hstack([dprev, ident, column(phi)]), column(sq).col(0))
     return x[dprev.cols], x[dprev.cols + 1]
 
 
@@ -599,7 +599,8 @@ def test_each_degree_sort_and_layout_happens_once(monkeypatch):
     """hom_profile sorts the degrees of F and of G once each, and
     chain_map_space builds the layouts of degrees s - 1, s and s + 1 once
     each, from every standard resolution F of auslander_x3 to F and to
-    nu F as rep complexes."""
+    nu F as rep complexes.  The degree-0 End structure of each d = 0
+    object of auslander_x3 lays out degrees -1, 0 and 1 once each."""
     sorts, layouts = [], []
     real_layout = HomComplexData._layout
 
@@ -627,3 +628,12 @@ def test_each_degree_sort_and_layout_happens_once(monkeypatch):
                     del layouts[:]
                     chain_map_space(F, G, s)
                     assert sorted(layouts) == [s - 1, s, s + 1]
+    d0 = [resolve(M) for desc, M in d0_objects(fixture_over)
+          if desc in D0_OBJECTS["auslander_x3"] and M.alg.name == alg.name]
+    assert len(d0) == 5
+    with monkeypatch.context() as m:
+        m.setattr(HomComplexData, "_layout", counted_layout)
+        for F in d0:
+            del layouts[:]
+            spherelike._degree0_end_structure(F)
+            assert sorted(layouts) == [-1, 0, 1]

@@ -9,11 +9,13 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import sphq
+from sphq import linalg
 from sphq.linalg import (Matrix, PrimeField, QQ, block_diag, from_blocks,
-                         hstack, kernel_basis, kernel_from_rref, rank, rref,
-                         scalar_to_str, solve, sparse_rank, sparse_rref)
+                         hstack, kernel_basis, rank, rref, scalar_to_str,
+                         solve, sparse_rank, sparse_rref)
 
-from reference import vstack
+from reference import (dense_kernel_basis, dense_rank, dense_rref,
+                       dense_solve, vstack)
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -202,7 +204,7 @@ def sparse_rows(entries):
 @given(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(7)])
        .flatmap(sparse_matrices))
 def test_sparse_rref_matches_rref(M):
-    R, pivots = rref(M)
+    R, pivots = dense_rref(M)
     rows, sparse_pivots = sparse_rref(sparse_rows(M.entries), M.field)
     assert sparse_pivots == pivots
     assert rows == sparse_rows(R.entries[:len(pivots)])
@@ -233,7 +235,7 @@ def rank_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(rank_cases())
 def test_sparse_rank_matches_rank(M):
-    assert sparse_rank(sparse_rows(M.entries), M.field) == rank(M)
+    assert sparse_rank(sparse_rows(M.entries), M.field) == dense_rank(M)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF2", "GF3", "GF7"])
@@ -254,7 +256,7 @@ def test_sparse_rank_edge_cases(field, entries):
     parser."""
     ent = [[field.parse(str(a)) for a in row] for row in entries]
     M = Matrix(len(ent), len(ent[0]) if ent else 0, ent, field)
-    assert sparse_rank(sparse_rows(M.entries), field) == rank(M)
+    assert sparse_rank(sparse_rows(M.entries), field) == dense_rank(M)
 
 
 @settings(max_examples=120, deadline=None)
@@ -266,7 +268,7 @@ def test_sparse_rref_keeps_its_rows_and_drops_zero_coefficients(M):
     with no zero coefficient."""
     given_rows = [dict(enumerate(row)) for row in M.entries]
     before = [list(row.items()) for row in given_rows]
-    R, pivots = rref(M)
+    R, pivots = dense_rref(M)
     rows, sparse_pivots = sparse_rref(given_rows, M.field)
     assert [list(row.items()) for row in given_rows] == before
     assert sparse_pivots == pivots
@@ -274,15 +276,73 @@ def test_sparse_rref_keeps_its_rows_and_drops_zero_coefficients(M):
     assert all(c for row in rows for c in row.values())
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(7)])
-       .flatmap(sparse_matrices))
-def test_kernel_read_off_the_rref_of_a_with_identity(M):
-    """The elimination of [M | I] gives M's kernel basis entry for entry."""
-    R, pivots = rref(hstack([M, Matrix.identity(M.rows, M.field)]))
-    K = kernel_from_rref(R, [p for p in pivots if p < M.cols], M.cols)
-    want = kernel_basis(M)
-    assert (K.rows, K.cols, K.entries) == (want.rows, want.cols, want.entries)
+def typed(entries):
+    """The entries with their scalar types."""
+    return [[(type(a), a) for a in row] for row in entries]
+
+
+def scalars_of(field, entries):
+    """Each entry is a scalar of ``field``: a ``ModInt`` mod its p, or over
+    the rationals an ``int`` or a ``Fraction``, and the int 0 when it is
+    zero."""
+    for row in entries:
+        for a in row:
+            if field == QQ:
+                assert type(a) in (int, Fraction)
+                assert a or type(a) is int
+            else:
+                assert type(a) is linalg.ModInt and a.p == field.p
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(sparse_matrices),
+       st.lists(st.integers(-4, 4), min_size=6, max_size=6))
+def test_dense_api_matches_the_dense_reference(M, b):
+    """rref, rank, kernel_basis and solve, which run ``_forward``, give the
+    Gauss-Jordan reference's entries, pivots and shape (rref's zero rows
+    last).  Over GF(p) the scalar types match too.  Over the rationals an
+    integral value may be an ``int`` on one side and a ``Fraction`` on the
+    other, since which one arithmetic leaves depends on the order of the
+    row operations; there every zero written is the int 0."""
+    field = M.field
+    R, pivots = rref(M)
+    want_R, want_pivots = dense_rref(M)
+    assert pivots == want_pivots
+    assert (R.rows, R.cols, R.entries) == (M.rows, M.cols, want_R.entries)
+    assert not any(any(row) for row in R.entries[len(pivots):])
+    assert rank(M) == dense_rank(M) == len(pivots)
+    K, want_K = kernel_basis(M), dense_kernel_basis(M)
+    assert (K.rows, K.cols, K.entries) == (want_K.rows, want_K.cols,
+                                           want_K.entries)
+    b = [field.from_int(y) for y in b[:M.rows]]
+    x, want_x = solve(M, b), dense_solve(M, b)
+    assert x == want_x
+    if field != QQ:
+        assert typed(R.entries) == typed(want_R.entries)
+        assert typed(K.entries) == typed(want_K.entries)
+        assert x is None or typed([x]) == typed([want_x])
+    assert scalars_of(field, R.entries) and scalars_of(field, K.entries)
+    assert scalars_of(field, [x or []])
+
+
+def test_dense_api_runs_the_one_elimination(monkeypatch):
+    """rref, rank, kernel_basis and solve each reach ``linalg._forward``."""
+    calls = []
+    forward = linalg._forward
+
+    def counted(rows, field):
+        calls.append(field)
+        return forward(rows, field)
+
+    monkeypatch.setattr(linalg, "_forward", counted)
+    M = Matrix(2, 3, [[1, 2, 0], [0, 1, 1]], QQ)
+    for name, run in [("rref", lambda: rref(M)), ("rank", lambda: rank(M)),
+                      ("kernel_basis", lambda: kernel_basis(M)),
+                      ("solve", lambda: solve(M, [1, 1]))]:
+        del calls[:]
+        run()
+        assert calls, name
 
 
 def test_parse_rejects_zero_denominator():

@@ -28,13 +28,12 @@ sparse columns; none of them builds a dense matrix to reduce.
 
 import random
 from collections import defaultdict
-from itertools import chain
 
 from .algebra import Element, Path, memoised
 from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
                      EngineInvariantViolation, SchemaError, UnknownVertex)
-from .linalg import (Matrix, _forward, from_blocks, null_space, rank,
-                     scalar_to_str, sparse_rank)
+from .linalg import (_complement, from_blocks, from_entries, null_space,
+                     rank, scalar_to_str, sparse_rank)
 from .reps import (ModuleMorphism, Representation, direct_sum,
                    from_generators, standard_basis, standard_sum, zero_rep)
 
@@ -319,26 +318,23 @@ class LabeledComplex:
             tgt_index = indexes[n + 1]
             mats = {}
             for v in alg.quiver.vertices:
-                m = Matrix.zero(len(tgt_order[v]), len(src_order[v]), field)
                 if self.kind == "proj":
                     # basis path p: x_j -> v maps to p * e in P(y_i)
-                    for col, (j, p) in enumerate(src_order[v]):
-                        for i, row in enumerate(d):
-                            if row[j].terms:
-                                for q, c in alg.multiply(p, row[j]).terms.items():
-                                    m.entries[tgt_index[v][i, q]][col] = c
+                    cells = ((tgt_index[v][i, q], col, c)
+                             for col, (j, p) in enumerate(src_order[v])
+                             for i, row in enumerate(d) if row[j].terms
+                             for q, c in alg.multiply(p, row[j]).terms.items())
                 else:
                     # dual of left multiplication: entry (q, p) is the
                     # coefficient of the I(x_j)-basis path p in e * q,
                     # q: v -> y_i, so each product e * q fills its row
                     src_index = indexes[n][v]
-                    for r, (i, q) in enumerate(tgt_order[v]):
-                        out = m.entries[r]
-                        for j, e in enumerate(d[i]):
-                            if e.terms:
-                                for p, c in alg.multiply(e, q).terms.items():
-                                    out[src_index[j, p]] = c
-                mats[v] = m
+                    cells = ((r, src_index[j, p], c)
+                             for r, (i, q) in enumerate(tgt_order[v])
+                             for j, e in enumerate(d[i]) if e.terms
+                             for p, c in alg.multiply(e, q).terms.items())
+                mats[v] = from_entries(len(tgt_order[v]), len(src_order[v]),
+                                       cells, field)
             diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
         return BoundedComplex(alg, pieces, diffs, check=False)
 
@@ -393,21 +389,6 @@ def minimal_projective_resolution(M):
     return _cover_complex(stalk_complex(M))[0]
 
 
-def _complement(image, vecs, field):
-    """(kept, rank): the vectors of ``vecs`` that are pivot columns of
-    [image | vecs], in order, and the rank of [image | vecs].
-
-    One ``_forward`` pass over the image vectors ({coordinate: coeff} dicts
-    of nonzero coefficients, which it consumes), then copies of ``vecs``,
-    keeps each vector whose copy becomes a pivot row: it is independent of
-    the image and of the vectors before it, which is what a pivot column
-    of the reduced form of [image | vecs] is."""
-    rows = [dict(vec) for vec in vecs]
-    pivots = _forward(chain(image, rows), field)
-    kept = {id(row) for row in pivots.values()}
-    return [vec for vec, row in zip(vecs, rows) if id(row) in kept], len(pivots)
-
-
 def _cover_complex(C):
     """(P, q): a projective-labeled complex P and a chain map q from P to
     the BoundedComplex C whose cone is acyclic.  q[n] is given, for each
@@ -440,9 +421,9 @@ def _cover_complex(C):
     coordinates (i, p) of P^{n+1}_v, in ``standard_basis`` order, then
     those of C^n_v.  A path p out of x acts on the P part coordinate by
     coordinate, (i, p') going to the normal form of p' followed by p
-    (``alg.mult_paths``), and on the C part by ``C^n.path_apply``.  Column
-    (j, p) of E^n = [d_P ; q] is p applied to generator j, so each column
-    of E^{n+1}_v is a sparse {row: coeff} column, and the rows of
+    (``alg.mult_paths``), and on the sparse C part by ``C^n.path_apply``.
+    Column (j, p) of E^n = [d_P ; q] is p applied to generator j, so each
+    column of E^{n+1}_v is a sparse {row: coeff} column, and the rows of
     Phi^n_v = [E^{n+1}_v | 0 ; -d_C^n] are gathered from those columns and
     the nonzero entries of d_C^n.
 
@@ -452,8 +433,9 @@ def _cover_complex(C):
     of Phi^n_v (``linalg.null_space``; every unit vector at the top
     degree, where Phi^n has no rows) span F^n_v, and the arrows a into v
     map F^n onto the span of the images R of the kernel vectors at the
-    source of a.  One ``_forward`` pass over R, then K (``_complement``),
-    keeps the vectors of K that are pivot columns of [R | K].  Since the
+    source of a.  One ``_forward`` pass over R, then K
+    (``linalg._complement``), keeps the vectors of K that are pivot
+    columns of [R | K].  Since the
     vectors of K are independent and R = K R' for the arrow maps R' of
     F^n, a vector of K is independent of R and the
     earlier vectors exactly when its basis vector is independent of R'
@@ -470,7 +452,7 @@ def _cover_complex(C):
     """
     alg = C.alg
     field = alg.field
-    zero, minus_one = field.zero(), field.from_int(-1)
+    minus_one = field.from_int(-1)
     verts = alg.quiver.vertices
     arrow_path = {a.name: Path(a.source, a.target, (a.name,))
                   for a in alg.quiver.arrows}
@@ -491,10 +473,10 @@ def _cover_complex(C):
 
         def moved(p, vec):
             """(column, c): the path p applied to the vector ``vec`` of
-            P^{n+1} + C^n at its source, as a vector at its target and the
-            list c of its C^n part."""
+            P^{n+1} + C^n at its source, as a vector at its target and its
+            C^n part c, a {coordinate: coeff} vector of C^n at the target."""
             x, v = p.source, p.target
-            col, cvec = {}, [zero] * Cn.dims[x]
+            col, cvec = {}, {}
             for k, c in vec.items():
                 if k >= psize[x]:
                     cvec[k - psize[x]] = c
@@ -505,8 +487,8 @@ def _cover_complex(C):
                     old = col.get(key)
                     col[key] = c * cr if old is None else old + c * cr
             col = {k: c for k, c in col.items() if c}
-            cimg = Cn.path_apply(p, cvec) if Cn.dims[x] or Cn.dims[v] else []
-            col.update((k, c) for k, c in enumerate(cimg, psize[v]) if c)
+            cimg = Cn.path_apply(p, cvec)
+            col.update((k + psize[v], c) for k, c in cimg.items())
             return col, cimg
 
         kernels = {}
@@ -559,9 +541,10 @@ def _cover_complex(C):
         cols = {v: [moved(p, gens[j]) for j, p in above[0][v]] for v in verts}
         E = {v: [col for col, _ in vcols] for v, vcols in cols.items()}
         if n in C.pieces:
-            q[n] = {v: Matrix(Cn.dims[v], len(vcols),
-                              [[c[i] for _, c in vcols]
-                               for i in range(Cn.dims[v])], field)
+            q[n] = {v: from_entries(Cn.dims[v], len(vcols),
+                                    ((i, k, a) for k, (_, c) in
+                                     enumerate(vcols) for i, a in c.items()),
+                                    field)
                     for v, vcols in cols.items()}
         qrow = psize
         n -= 1
@@ -684,10 +667,8 @@ class HomComplexData:
         class body as a boundary, and goes together with that boundary."""
         src, _, cols = self._layout(n)
         _, tgt_off, rows = self._layout(n + 1)
-        M = Matrix.zero(rows, cols, self.alg.field)
-        for r, c, v in self._entries(n, src, tgt_off):
-            M.entries[r][c] = v
-        return M
+        return from_entries(rows, cols, self._entries(n, src, tgt_off),
+                            self.alg.field)
 
 
 def hom_profile(F, G):
@@ -748,14 +729,13 @@ def _chain_map(data, s, offsets, vec, source, target):
     offsets ``offsets``) are the {coordinate: coeff} vector ``vec``:
     generator j of F^p goes to the value of slot (p, j)."""
     F, alg = data.F, data.alg
-    z = alg.field.zero()
     comps = {}
     for p in data.fdeg:
         Gp = data.G.piece(p + s)
         if Gp.is_zero():
             continue
-        images = [[vec.get(k, z) for k in range(offsets[p, j],
-                                                 offsets[p, j] + Gp.dims[x])]
+        images = [{k - offsets[p, j]: c for k, c in vec.items()
+                   if 0 <= k - offsets[p, j] < Gp.dims[x]}
                   for j, x in enumerate(F.labels(p))]
         order = standard_basis(alg, "proj", F.labels(p))[0]
         comps[p] = ModuleMorphism(source.piece(p), target.piece(p),

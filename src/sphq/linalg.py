@@ -4,22 +4,26 @@ Everything upstream (path bases, Hom spaces, cohomology of Hom complexes)
 reduces to rref / kernel / solve over an exact field, and all of it runs
 one elimination, the forward pass ``_forward`` on rows given as
 {column: coeff} dicts: ``sparse_rank`` counts its pivots, ``sparse_rref``
-back-substitutes from the last pivot up to the reduced echelon form, and
-``null_space`` reads the kernel off that form.  ``Matrix`` is dense
-storage only: ``rref``, ``rank``, ``kernel_basis`` and ``solve`` hand its
-nonzero entries to the same elimination.  Scalars of ℚ
-are ``int`` while integral and ``fractions.Fraction`` otherwise: the two
-mix exactly, and equal values compare and hash equal, so an integral
-``Fraction`` left by a product is still a valid scalar.  Scalars of
-GF(p) are ``ModInt``.  Division goes only through ``field.div``, since
-``/`` between two ints gives a float.  Zero tests use truthiness (``if x``
-/ ``if not x``), never a comparison with a freshly built ``field.zero()``.
-Pivoting is deterministic (leftmost column, first nonzero row) so all
-outputs are reproducible bit-for-bit.
+back-substitutes from the last pivot up to the reduced echelon form,
+``null_space`` reads the kernel off that form, and ``_complement`` keeps
+the vectors independent of an image and of those before them.  Vectors,
+also of ``Matrix.apply``, are {coordinate: coeff} dicts.  ``Matrix`` is
+dense storage only: ``rref``, ``rank``, ``kernel_basis`` and ``solve``
+hand its nonzero entries to the same elimination, and only
+``from_entries`` (cells) and ``from_blocks`` (blocks) write its entries.
+Scalars of ℚ are ``int`` while integral and ``fractions.Fraction``
+otherwise: the two mix exactly, and equal values compare and hash equal,
+so an integral ``Fraction`` left by a product is still a valid scalar.
+Scalars of GF(p) are ``ModInt``.  Division goes only through
+``field.div``, since ``/`` between two ints gives a float.  Zero tests
+use truthiness (``if x`` / ``if not x``), never a comparison with a
+freshly built ``field.zero()``.  Pivoting is deterministic (leftmost
+column, first nonzero row) so all outputs are reproducible bit-for-bit.
 """
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 
 class ModInt:
@@ -238,21 +242,18 @@ class Matrix:
                       [[self.entries[i][j] for i in range(self.rows)]
                        for j in range(self.cols)], self.field)
 
-    def col(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
-
     def apply(self, vec):
-        """Matrix times a plain vector (list), returning a list."""
-        assert len(vec) == self.cols
-        z = self.field.zero()
-        out = []
-        for i in range(self.rows):
-            s = z
-            ri = self.entries[i]
-            for k in range(self.cols):
-                if ri[k]:
-                    s = s + ri[k] * vec[k]
-            out.append(s)
+        """Matrix times the {column: coeff} vector ``vec``: the
+        {row: coeff} dict of the nonzero results."""
+        out = {}
+        for i, row in enumerate(self.entries):
+            s = None
+            for k, c in vec.items():
+                a = row[k]
+                if a:
+                    s = a * c if s is None else s + a * c
+            if s:
+                out[i] = s
         return out
 
 
@@ -264,6 +265,17 @@ def hstack(mats):
     assert all(m.rows == rows for m in mats)
     entries = [sum((m.entries[i] for m in mats), []) for i in range(rows)]
     return Matrix(rows, sum(m.cols for m in mats), entries, mats[0].field)
+
+
+def from_entries(rows, cols, cells, field=QQ):
+    """rows x cols matrix with value a in cell (r, c) for each triple
+    (r, c, a) of ``cells``, each cell given at most once; every other cell
+    is zero."""
+    z = field.zero()
+    entries = [[z] * cols for _ in range(rows)]
+    for r, c, a in cells:
+        entries[r][c] = a
+    return Matrix(rows, cols, entries, field)
 
 
 def from_blocks(rows, cols, blocks, field=QQ):
@@ -365,12 +377,9 @@ def rref(M):
     """Reduced row echelon form.  Returns (R, pivot_columns): R has M's
     shape, the rows of ``sparse_rref`` in pivot order and zero rows last."""
     rows, pivots = sparse_rref(_nonzero_rows(M), M.field)
-    z = M.field.zero()
-    entries = [[z] * M.cols for _ in range(M.rows)]
-    for dense, row in zip(entries, rows):
-        for j, c in row.items():
-            dense[j] = c
-    return Matrix(M.rows, M.cols, entries, M.field), pivots
+    return from_entries(M.rows, M.cols,
+                        ((r, j, c) for r, row in enumerate(rows)
+                         for j, c in row.items()), M.field), pivots
 
 
 def rank(M):
@@ -397,10 +406,24 @@ def null_space(rows, ncols, field=QQ):
 def kernel_basis(M):
     """Matrix whose columns are the ``null_space`` vectors of M."""
     vecs = null_space(_nonzero_rows(M), M.cols, M.field)
-    z = M.field.zero()
-    return Matrix(M.cols, len(vecs),
-                  [[vec.get(i, z) for vec in vecs] for i in range(M.cols)],
-                  M.field)
+    return from_entries(M.cols, len(vecs),
+                        ((i, k, c) for k, vec in enumerate(vecs)
+                         for i, c in vec.items()), M.field)
+
+
+def _complement(image, vecs, field):
+    """(kept, rank): the vectors of ``vecs`` that are pivot columns of
+    [image | vecs], in order, and the rank of [image | vecs].
+
+    One ``_forward`` pass over the image vectors ({coordinate: coeff} dicts
+    of nonzero coefficients, which it consumes), then copies of ``vecs``,
+    keeps each vector whose copy becomes a pivot row: it is independent of
+    the image and of the vectors before it, which is what a pivot column
+    of the reduced form of [image | vecs] is."""
+    rows = [dict(vec) for vec in vecs]
+    pivots = _forward(chain(image, rows), field)
+    kept = {id(row) for row in pivots.values()}
+    return [vec for vec, row in zip(vecs, rows) if id(row) in kept], len(pivots)
 
 
 def solve(M, b):

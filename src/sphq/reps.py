@@ -25,8 +25,8 @@ from collections import namedtuple
 from .algebra import Path, json_int, memoised
 from .errors import (AlgebraMismatch, EngineInvariantViolation, SchemaError,
                      UnknownVertex)
-from .linalg import (Matrix, block_diag, hstack, kernel_basis, null_space,
-                     rref, scalar_to_str)
+from .linalg import (Matrix, block_diag, from_entries, hstack, kernel_basis,
+                     null_space, rref, scalar_to_str)
 
 
 class Representation:
@@ -71,9 +71,11 @@ class Representation:
         return m
 
     def path_apply(self, p, vec):
-        """The path action on the vector ``vec`` of M_source, one arrow at
-        a time."""
+        """The path action on the {coordinate: coeff} vector ``vec`` of
+        M_source, one arrow at a time, stopping at a zero vector ({})."""
         for name in p.arrows:
+            if not vec:
+                break
             vec = self.maps[name].apply(vec)
         return vec
 
@@ -129,11 +131,6 @@ class ModuleMorphism:
                               check=False)
 
 
-def identity_morphism(M):
-    return ModuleMorphism(M, M, {v: Matrix.identity(M.dims[v], M.alg.field)
-                                 for v in M.dims}, check=False)
-
-
 # -- Hom spaces ---------------------------------------------------------
 
 def hom_basis(M, N):
@@ -168,11 +165,10 @@ def hom_basis(M, N):
                 rows.append(row)
     out = []
     for vec in null_space(rows, total, field):
-        mats = {}
-        for v in verts:
-            ent = [[vec.get(offs[v] + i * M.dims[v] + j, z)
-                    for j in range(M.dims[v])] for i in range(N.dims[v])]
-            mats[v] = Matrix(N.dims[v], M.dims[v], ent, field)
+        mats = {v: from_entries(N.dims[v], M.dims[v], [
+            divmod(k - offs[v], M.dims[v]) + (c,) for k, c in vec.items()
+            if offs[v] <= k < offs[v] + N.dims[v] * M.dims[v]], field)
+            for v in verts}
         out.append(ModuleMorphism(M, N, mats, check=False))
     return out
 
@@ -218,9 +214,9 @@ def _quotient_data(A):
     R, pivots = rref(hstack([A, Matrix.identity(n, field)]))
     apiv = [p for p in pivots if p < r]
     chosen = [p - r for p in pivots if p >= r]
-    sect = Matrix.zero(n, len(chosen), field)
-    for j, i in enumerate(chosen):
-        sect.entries[i][j] = field.one()
+    sect = from_entries(n, len(chosen),
+                        ((i, j, field.one()) for j, i in enumerate(chosen)),
+                        field)
     proj = Matrix(len(chosen), n, [row[r:] for row in R.entries[len(apiv):]],
                   field)
     return sect, proj, apiv
@@ -343,18 +339,18 @@ def _build_standard(alg, kind, x):
     maps = {}
     for a in alg.quiver.arrows:
         u, v = a.source, a.target
-        m = Matrix.zero(len(order[v]), len(order[u]), alg.field)
         if kind == "proj":
-            for j, (_, p) in enumerate(order[u]):
-                ext = alg.reduce_path(Path(x, v, p.arrows + (a.name,)))
-                for r, c in ext.terms.items():
-                    m.entries[index[v][0, r]][j] = c
+            cells = ((index[v][0, r], j, c)
+                     for j, (_, p) in enumerate(order[u])
+                     for r, c in alg.reduce_path(
+                         Path(x, v, p.arrows + (a.name,))).terms.items())
         else:
-            for i, (_, q) in enumerate(order[v]):
-                ext = alg.reduce_path(Path(u, x, (a.name,) + q.arrows))
-                for r, c in ext.terms.items():
-                    m.entries[i][index[u][0, r]] = c
-        maps[a.name] = m
+            cells = ((i, index[u][0, r], c)
+                     for i, (_, q) in enumerate(order[v])
+                     for r, c in alg.reduce_path(
+                         Path(u, x, (a.name,) + q.arrows)).terms.items())
+        maps[a.name] = from_entries(len(order[v]), len(order[u]), cells,
+                                    alg.field)
     return Representation(alg, {v: len(keys) for v, keys in order.items()},
                           maps, check=False)
 
@@ -416,14 +412,13 @@ def _standard_sum(alg, kind, labels):
 def from_generators(M, order, images):
     """Per-vertex matrices of the map into M from the sum of projectives
     with coordinates ``order`` (its ``standard_basis``) that sends
-    generator j to the vector images[j] of M: column (j, p) is
-    ``M.path_apply(p, images[j])``."""
-    field = M.alg.field
-    mats = {}
-    for v, keys in order.items():
-        cols = [M.path_apply(p, images[j]) for j, p in keys]
-        mats[v] = Matrix(len(cols), M.dims[v], cols, field).transpose()
-    return mats
+    generator j to the {coordinate: coeff} vector images[j] of M: column
+    (j, p) is ``M.path_apply(p, images[j])``, written as it is computed."""
+    return {v: from_entries(M.dims[v], len(keys),
+                            ((r, k, c) for k, (j, p) in enumerate(keys)
+                             for r, c in M.path_apply(p, images[j]).items()),
+                            M.alg.field)
+            for v, keys in order.items()}
 
 
 # -- JSON ---------------------------------------------------------------

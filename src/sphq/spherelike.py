@@ -19,7 +19,8 @@ from .algebra import memoised
 from .errors import (DZeroUnsupported, EngineInvariantViolation,
                      GlobalDimensionExceeded, NonUniqueMap, SchemaError,
                      UnsupportedCandidateSet)
-from .linalg import Matrix, _forward, _sub_multiple, hstack, rank, rref
+from .linalg import (Matrix, _complement, _forward, _sub_multiple,
+                     from_entries, rank)
 from .reps import (Representation, generator_column, hom_basis,
                    simple_module, standard_basis)
 from . import reps as _reps
@@ -130,9 +131,10 @@ def _degree0_end_structure(F):
     for p, j, x, d in slots:
         if p in comps:  # else phi^p, and so its value, is zero
             off = offsets[p, j]
-            value = [phi.get(k, z) for k in range(off, off + d)]
-            row.update((k, c) for k, c in
-                       enumerate(comps[p].mats[x].apply(value), off) if c)
+            value = {k - off: c for k, c in phi.items() if off <= k < off + d}
+            if value:
+                row.update((k + off, c) for k, c in
+                           comps[p].mats[x].apply(value).items())
     while row and min(row) < n:
         pc = min(row)
         if pc not in pivots:
@@ -230,37 +232,29 @@ def in_spherical_subcat(A, Q):
 
 
 def _radical_spans(alg, v):
-    """(P(v), spans): spans[l - 1][w] is a matrix whose columns are a basis
-    of rad^l P(v)_w in the path basis of P(v)_w, for l = 1 .. L - 1, where
-    L is the Loewy length of P(v) (rad^L P(v) = 0).
+    """(P(v), spans): spans[l - 1][w] lists {coordinate: coeff} vectors
+    that are a basis of rad^l P(v)_w in the path basis of P(v)_w, for
+    l = 1 .. L - 1, where L is the Loewy length of P(v) (rad^L P(v) = 0).
 
     rad^{l+1} P(v)_w is the span of P(v)_a rad^l P(v)_u over the arrows
-    a: u -> w in quiver order, and its basis is the pivot columns of those
-    images: one ``rref`` per vertex and layer, none where rad^l P(v) is
-    already 0, since rad^{l+1} P(v) lies in it.  These are the columns that
-    iterating ``top_and_radical`` and composing the radical inclusions
-    yields.
+    a: u -> w in quiver order, starting from the unit vectors, and its
+    basis is the images independent of those before them (``_complement``),
+    none where rad^l P(v)_w is already 0, since rad^{l+1} P(v) lies in it.
+    These are the pivot columns of the images, which iterating
+    ``top_and_radical`` and composing the radical inclusions yields.
     """
     P = _reps.projective_module(alg, v)
     field = alg.field
-    cur = {w: Matrix.identity(n, field) for w, n in P.dims.items()}
+    cur = {w: [{i: field.one()} for i in range(n)] for w, n in P.dims.items()}
     spans = []
     while True:
         nxt = {}
         for w, prev in cur.items():
-            ins = [P.maps[a.name] * cur[a.source]
-                   for a in alg.quiver.arrows_in[w]
-                   if prev.cols and cur[a.source].cols]
-            if ins:
-                A = hstack(ins)
-                pivots = rref(A)[1]
-                prev = Matrix(A.rows, len(pivots),
-                              [[row[p] for p in pivots] for row in A.entries],
-                              field)
-            elif prev.cols:
-                prev = Matrix.zero(prev.rows, 0, field)
-            nxt[w] = prev
-        if not any(m.cols for m in nxt.values()):
+            images = [P.maps[a.name].apply(vec)
+                      for a in alg.quiver.arrows_in[w] if prev
+                      for vec in cur[a.source]]
+            nxt[w] = _complement((), images, field)[0]
+        if not any(nxt.values()):
             return P, spans
         spans.append(nxt)
         cur = nxt
@@ -273,13 +267,17 @@ def _interval(P, span):
     the identity twice, or the empty maps."""
     field = P.alg.field
     sects, projs = {}, {}
-    for w, A in span.items():
-        if not A.cols:
-            sects[w] = projs[w] = Matrix.identity(A.rows, field)
-        elif A.cols == A.rows:
-            sects[w] = Matrix.zero(A.rows, 0, field)
-            projs[w] = Matrix.zero(0, A.rows, field)
+    for w, vecs in span.items():
+        n = P.dims[w]
+        if not vecs:
+            sects[w] = projs[w] = Matrix.identity(n, field)
+        elif len(vecs) == n:
+            sects[w] = Matrix.zero(n, 0, field)
+            projs[w] = Matrix.zero(0, n, field)
         else:
+            A = from_entries(n, len(vecs),
+                             ((i, k, c) for k, vec in enumerate(vecs)
+                              for i, c in vec.items()), field)
             sects[w], projs[w], _ = _reps._quotient_data(A)
     return _reps._quotient_rep(P, sects, projs)[0]
 
@@ -320,7 +318,7 @@ def lazy_interval_modules(alg):
         P, spans = _radical_spans(alg, v)
         for ell, span in enumerate(spans, start=1):
             yield ("interval:%s,%d" % (v, ell),
-                   {w: A.rows - A.cols for w, A in span.items()},
+                   {w: P.dims[w] - len(vecs) for w, vecs in span.items()},
                    functools.partial(simple_module, alg, v) if ell == 1
                    else functools.partial(_interval, P, span))
         yield ("interval:%s,%d" % (v, len(spans) + 1), dict(P.dims),

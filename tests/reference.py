@@ -5,8 +5,7 @@ from sphq.algebra import Element
 from sphq.derived import RESOLUTION_BOUND, LabeledComplex
 from sphq.errors import EngineInvariantViolation, GlobalDimensionExceeded
 from sphq.linalg import QQ, Matrix, from_blocks, hstack
-from sphq.reps import (ModuleMorphism, direct_sum, from_generators,
-                       standard_sum)
+from sphq.reps import ModuleMorphism, direct_sum, standard_sum
 
 
 def vstack(mats):
@@ -20,6 +19,47 @@ def vstack(mats):
     for m in mats:
         entries.extend(row[:] for row in m.entries)
     return Matrix(len(entries), cols, entries, mats[0].field)
+
+
+def identity_morphism(M):
+    return ModuleMorphism(M, M, {v: Matrix.identity(M.dims[v], M.alg.field)
+                                 for v in M.dims}, check=False)
+
+
+def dense_col(M, j):
+    """Column j of M as a plain vector (list)."""
+    return [row[j] for row in M.entries]
+
+
+def dense_apply(M, vec):
+    """M times a plain vector (list), returning a list."""
+    assert len(vec) == M.cols
+    z = M.field.zero()
+    out = []
+    for i in range(M.rows):
+        s = z
+        ri = M.entries[i]
+        for k in range(M.cols):
+            if ri[k]:
+                s = s + ri[k] * vec[k]
+        out.append(s)
+    return out
+
+
+def dense_from_generators(M, order, images):
+    """``reps.from_generators`` on list vectors: column (j, p) is the list
+    images[j] taken along p by ``dense_apply``, arrow by arrow, and the
+    columns are transposed into each matrix."""
+    mats = {}
+    for v, keys in order.items():
+        cols = []
+        for j, p in keys:
+            vec = images[j]
+            for name in p.arrows:
+                vec = dense_apply(M.maps[name], vec)
+            cols.append(vec)
+        mats[v] = Matrix(len(cols), M.dims[v], cols, M.alg.field).transpose()
+    return mats
 
 
 def dense_rref(M):
@@ -116,7 +156,8 @@ def dense_cover_complex(C):
     ``dense_kernel_basis`` of the dense matrix (the identity at the top degree),
     the generators at v are the columns of K that are pivot columns of
     ``dense_rref`` [R | K], R = [A_a K_{source a}] over the arrows a into v, and
-    E^n = ``from_generators`` into A, path by path and arrow by arrow."""
+    E^n = ``dense_from_generators`` into A, path by path and arrow by
+    arrow."""
     alg = C.alg
     field = alg.field
     minus_one = field.from_int(-1)
@@ -162,7 +203,7 @@ def dense_cover_complex(C):
             for p in piv:
                 if p >= r:
                     labels.append(v)
-                    gens.append(K.col(p - r))
+                    gens.append(dense_col(K, p - r))
         pieces[n] = labels
         if prev is not None:
             # the first rows of generator j are its coordinates (i, p) in P^{n+1}
@@ -173,7 +214,7 @@ def dense_cover_complex(C):
                         d[i][j] = d[i][j] + Element({p: c}, field)
             diffs[n] = d
         Pn, order, _ = standard_sum(alg, "proj", labels)
-        E = from_generators(A, order, gens)
+        E = dense_from_generators(A, order, gens)
         q[n] = ModuleMorphism(Pn, Cn, {
             v: Matrix(Cn.dims[v], E[v].cols,
                       E[v].entries[A.dims[v] - Cn.dims[v]:], field)

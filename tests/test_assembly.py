@@ -20,15 +20,17 @@ from sphq.corpus import FIXTURE_DIR, load_fixture
 from sphq.derived import (ChainMap, HomComplexData, chain_map_space,
                           complex_direct_sum, cone, dual_rep_complex,
                           hom_profile, is_quasi_iso,
-                          minimal_projective_resolution, nakayama, resolve,
-                          stalk_complex)
+                          minimal_projective_resolution, nakayama,
+                          perfectify, resolve, stalk_complex, tau,
+                          tau_inverse)
 from sphq.linalg import PrimeField, QQ, Matrix, hstack
-from sphq.reps import (ModuleMorphism, from_generators, generator_column,
-                       identity_morphism, standard_basis, standard_module)
+from sphq.reps import (ModuleMorphism, generator_column, standard_basis,
+                       standard_module)
 from sphq.spherelike import classify_spherelike, interval_modules
 
-from reference import (dense_cover_complex, dense_kernel_basis, dense_rank,
-                       dense_rref, dense_solve, vstack)
+from reference import (dense_col, dense_cover_complex,
+                       dense_from_generators, dense_kernel_basis, dense_rank,
+                       dense_rref, dense_solve, identity_morphism, vstack)
 
 FIXTURES = sorted(f[:-5] for f in os.listdir(FIXTURE_DIR))
 KINDS = ("simple", "projective", "injective")
@@ -399,7 +401,7 @@ def dense_chain_map_space(F, G, s):
     for k in dense_rref(hstack([dprev, K]))[1]:
         if k < dprev.cols:
             continue
-        vec = K.col(k - dprev.cols)
+        vec = dense_col(K, k - dprev.cols)
         comps = {}
         for p in F.degrees():
             Gp = data.G.piece(p + s)
@@ -408,9 +410,9 @@ def dense_chain_map_space(F, G, s):
             images = [vec[offsets[p, j]:offsets[p, j] + Gp.dims[x]]
                       for j, x in enumerate(F.labels(p))]
             order = standard_basis(F.alg, "proj", F.labels(p))[0]
-            comps[p] = ModuleMorphism(Fs.piece(p), Gs.piece(p),
-                                      from_generators(Gp, order, images),
-                                      check=False)
+            comps[p] = ModuleMorphism(
+                Fs.piece(p), Gs.piece(p),
+                dense_from_generators(Gp, order, images), check=False)
         maps.append(ChainMap(Fs, Gs, comps, check=False))
     return len(maps), maps
 
@@ -433,7 +435,7 @@ def dense_end_structure(F):
             f = cm.comps.get(p)
             index = standard_basis(F.alg, "proj", F.labels(p))[1]
             vec += ([field.zero()] * d if f is None else
-                    f.mats[x].col(generator_column(index, j, x)))
+                    dense_col(f.mats[x], generator_column(index, j, x)))
         return Matrix(len(vec), 1, [[a] for a in vec], field)
 
     ident = column(ChainMap(Frep, Frep, {n: identity_morphism(Frep.piece(n))
@@ -444,7 +446,8 @@ def dense_end_structure(F):
                if dense_rank(hstack([dprev, ident, column(c)])) == base + 1)
     sq = ChainMap(Frep, Frep, {n: f.compose(f) for n, f in phi.comps.items()},
                   check=False)
-    x = dense_solve(hstack([dprev, ident, column(phi)]), column(sq).col(0))
+    x = dense_solve(hstack([dprev, ident, column(phi)]),
+                    dense_col(column(sq), 0))
     return x[dprev.cols], x[dprev.cols + 1]
 
 
@@ -637,3 +640,31 @@ def test_each_degree_sort_and_layout_happens_once(monkeypatch):
             del layouts[:]
             spherelike._degree0_end_structure(F)
             assert sorted(layouts) == [-1, 0, 1]
+
+
+def test_no_matrix_apply_receives_a_zero_vector(monkeypatch):
+    """Matrix.apply takes {column: coeff} vectors, and no caller hands it
+    a zero one: path_apply stops at a zero vector, the cover loop keeps
+    the C part of its vectors sparse, and the degree-0 End structure skips
+    a zero slot value.  Checked on the resolutions, nu, tau and tau^-1 of
+    every standard module of tensor_kronecker and on the classification
+    of the objects of d0_objects (radical spans, chain maps and End
+    structures included), over algebras built anew, so that none of it is
+    memoised."""
+    seen = []
+    real_apply = Matrix.apply
+
+    def checked(M, vec):
+        seen.append(any(vec.values()))
+        return real_apply(M, vec)
+
+    monkeypatch.setattr(Matrix, "apply", checked)
+    alg = fixture_over("tensor_kronecker")
+    for R in standard_resolutions(alg):
+        perfectify(nakayama(R).to_rep())
+        tau(R)
+        tau_inverse(R)
+    for desc, M in d0_objects(fixture_over):
+        classify_spherelike(M, desc)
+    assert seen and all(seen), "%d of %d calls on a zero vector" % (
+        seen.count(False), len(seen))

@@ -29,13 +29,13 @@ from sphq.derived import (BoundedComplex, ChainMap, chain_map_space,
 from sphq.errors import (EngineInvariantViolation, GlobalDimensionExceeded,
                          NotChainMap, SchemaError)
 from sphq.linalg import QQ, Matrix, PrimeField
-from sphq.reps import (ModuleMorphism, hom_basis, identity_morphism,
-                       injective_module, projective_module, simple_module,
-                       standard_basis, standard_module, top_and_radical)
+from sphq.reps import (ModuleMorphism, hom_basis, injective_module,
+                       projective_module, simple_module, standard_basis,
+                       standard_module, top_and_radical)
 from sphq.spherelike import (asphericality, classify_spherelike,
                              fractional_cy_check)
 
-from reference import dense_cover_complex
+from reference import dense_cover_complex, identity_morphism
 
 
 def a2_algebra():

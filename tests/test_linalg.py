@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 import sphq
 from sphq import linalg
 from sphq.linalg import (Matrix, PrimeField, QQ, block_diag, from_blocks,
-                         hstack, kernel_basis, rank, rref, scalar_to_str,
-                         solve, sparse_rank, sparse_rref)
+                         from_entries, hstack, kernel_basis, rank, rref,
+                         scalar_to_str, solve, sparse_rank, sparse_rref)
 
-from reference import (dense_kernel_basis, dense_rank, dense_rref,
-                       dense_solve, vstack)
+from reference import (dense_apply, dense_kernel_basis, dense_rank,
+                       dense_rref, dense_solve, vstack)
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -66,10 +66,10 @@ def test_kernel_is_annihilated(M):
 @given(matrices, st.lists(fractions, min_size=0, max_size=4))
 def test_solve_consistent_iff_in_column_space(M, v):
     x = v[:M.cols] + [Fraction(0)] * max(0, M.cols - len(v))
-    b = M.apply(x)
-    s = solve(M, b)
+    b = M.apply(sparse_rows([x])[0])
+    s = solve(M, [b.get(i, 0) for i in range(M.rows)])
     assert s is not None
-    assert M.apply(s) == b
+    assert M.apply(sparse_rows([s])[0]) == b
 
 
 @settings(max_examples=40, deadline=None)
@@ -178,6 +178,108 @@ def test_no_true_division_outside_the_field_objects():
             for child in ast.iter_child_nodes(node):
                 visit(child, scope)
         visit(ast.parse(path.read_text()), ())
+    assert found == []
+
+
+# List methods that change a row in place.
+ROW_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear",
+                "sort", "reverse"}
+
+
+def entries_stores(tree):
+    """Sorted (line, function) of each store into a Matrix's entries in
+    ``tree``: an assignment, augmented assignment or ``del`` whose target
+    is ``X.entries`` or a subscript of it, or a subscript of a row taken
+    from it, and a call of a list method that changes such a row.  A name
+    holds a row inside a function when it is assigned ``X.entries[i]`` or
+    is a loop target over an iterable that reads ``X.entries``."""
+    def base(node):
+        depth = 0
+        while isinstance(node, ast.Subscript):
+            node, depth = node.value, depth + 1
+        return node, depth
+
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(func))
+        rows = set()
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                src, depth = base(node.value)
+                if (isinstance(src, ast.Attribute) and src.attr == "entries"
+                        and depth == 1):
+                    rows.update(t.id for t in node.targets
+                                if isinstance(t, ast.Name))
+            if isinstance(node, ast.For) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "entries"
+                    for n in ast.walk(node.iter)):
+                rows.update(n.id for n in ast.walk(node.target)
+                            if isinstance(n, ast.Name))
+
+        def is_store(target, subscripted):
+            target, depth = base(target)
+            if isinstance(target, ast.Attribute) and target.attr == "entries":
+                return True
+            return (isinstance(target, ast.Name) and target.id in rows
+                    and depth + subscripted > 0)
+
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Delete):
+                targets = node.targets
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ROW_MUTATORS
+                  and is_store(node.func.value, 1)):
+                found.add((node.lineno, func.name))
+                continue
+            else:
+                continue
+            for t in targets:
+                parts = t.elts if isinstance(t, ast.Tuple) else [t]
+                if any(is_store(part, 0) for part in parts):
+                    found.add((node.lineno, func.name))
+    return sorted(found)
+
+
+def test_entries_stores_finds_each_kind_of_store():
+    """The scan below finds direct stores, stores through a row taken by
+    subscript or by a loop, augmented stores, row methods and ``del``,
+    and not a read or a store into another name."""
+    tree = ast.parse(
+        "def f(m, M, d):\n"
+        "    m.entries[0][1] = 1\n"
+        "    out = M.entries[2]\n"
+        "    out[0] = 1\n"
+        "    for r, row in enumerate(m.entries):\n"
+        "        row[r] += 1\n"
+        "        row.append(0)\n"
+        "    del M.entries[0]\n"
+        "    x = m.entries[0][0]\n"
+        "    y = [x]\n"
+        "    y[0] = m.entries[1][0]\n"
+        "    for other in d:\n"
+        "        other[0] = x\n"
+        "def g(row):\n"
+        "    row[0] = 1\n")
+    assert entries_stores(tree) == [(2, "f"), (4, "f"), (6, "f"), (7, "f"),
+                                    (8, "f")]
+
+
+def test_only_linalg_stores_into_matrix_entries():
+    """Every other module writes a matrix through ``from_entries``,
+    ``from_blocks``, ``Matrix.zero`` or ``Matrix.identity``, or wraps rows
+    it built itself, and never stores into a ``Matrix``'s entries."""
+    found = []
+    for path in sorted(pathlib.Path(sphq.__file__).parent.glob("*.py")):
+        if path.name != "linalg.py":
+            found += [(path.name,) + store
+                      for store in entries_stores(ast.parse(path.read_text()))]
     assert found == []
 
 
@@ -297,14 +399,19 @@ def scalars_of(field, entries):
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(FIELDS).flatmap(sparse_matrices),
-       st.lists(st.integers(-4, 4), min_size=6, max_size=6))
-def test_dense_api_matches_the_dense_reference(M, b):
+       st.lists(st.integers(-4, 4), min_size=6, max_size=6),
+       st.lists(st.integers(-2, 2), min_size=7, max_size=7))
+def test_dense_api_matches_the_dense_reference(M, b, y):
     """rref, rank, kernel_basis and solve, which run ``_forward``, give the
     Gauss-Jordan reference's entries, pivots and shape (rref's zero rows
-    last).  Over GF(p) the scalar types match too.  Over the rationals an
-    integral value may be an ``int`` on one side and a ``Fraction`` on the
-    other, since which one arithmetic leaves depends on the order of the
-    row operations; there every zero written is the int 0."""
+    last); ``Matrix.apply`` on the nonzero coefficients of a vector gives
+    the nonzero results of ``dense_apply``; and ``from_entries`` on M's
+    nonzero cells, in any order, writes M with the field's zero elsewhere,
+    also with no rows or no columns.  Over GF(p) the scalar types match
+    too.  Over the rationals an integral value may be an ``int`` on one
+    side and a ``Fraction`` on the other, since which one arithmetic
+    leaves depends on the order of the row operations; there every zero
+    written is the int 0."""
     field = M.field
     R, pivots = rref(M)
     want_R, want_pivots = dense_rref(M)
@@ -324,6 +431,23 @@ def test_dense_api_matches_the_dense_reference(M, b):
         assert x is None or typed([x]) == typed([want_x])
     assert scalars_of(field, R.entries) and scalars_of(field, K.entries)
     assert scalars_of(field, [x or []])
+    y = [field.from_int(c) for c in y[:M.cols]]
+    got, want = M.apply(sparse_rows([y])[0]), dense_apply(M, y)
+    assert got == sparse_rows([want])[0]
+    assert scalars_of(field, [got.values()])
+    if field != QQ:
+        assert typed([got.values()]) == typed([[a for a in want if a]])
+    cells = [(r, c, a) for r, row in enumerate(M.entries)
+             for c, a in enumerate(row) if a]
+    filled = [[a if a else field.zero() for a in row] for row in M.entries]
+    for order in (cells, cells[::-1]):
+        W = from_entries(M.rows, M.cols, order, field)
+        assert (W.rows, W.cols, W.field) == (M.rows, M.cols, field)
+        assert typed(W.entries) == typed(filled)
+    for shape in ((0, M.cols), (M.rows, 0)):
+        W = from_entries(*shape, [], field)
+        assert (W.rows, W.cols, W.entries) == shape + ([[]] * shape[0],)
+        assert W.apply({}) == {}
 
 
 def test_dense_api_runs_the_one_elimination(monkeypatch):

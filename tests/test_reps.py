@@ -25,7 +25,7 @@ from sphq.reps import (ModuleMorphism, Representation, _quotient_data,
                        zero_rep)
 from sphq.spherelike import interval_module
 
-from reference import dense_rank, dense_rref
+from reference import dense_apply, dense_rank, dense_rref
 
 
 def test_projective_dims_cb3():
@@ -254,7 +254,7 @@ def test_standard_sum_is_the_direct_sum_of_standard_modules(name):
             for j, x in enumerate(labels):
                 col = generator_column(index, j, x)
                 assert col == index[x][(j, Path(x, x, ()))]
-                gens.append(_unit(M.dims[x], col, alg.field).col(0))
+                gens.append({col: alg.field.one()})
             ident = from_generators(M, order, gens)
             assert all(ident[v] == Matrix.identity(M.dims[v], alg.field)
                        for v in verts)
@@ -272,9 +272,10 @@ def test_from_generators_applies_each_path_to_its_image(name):
         order, _ = standard_basis(alg, "proj", labels)
         images = [[alg.field.from_int(rng.randint(-3, 3))
                    for _ in range(M.dims[x])] for x in labels]
-        mats = from_generators(M, order, images)
+        mats = from_generators(M, order, [
+            {k: c for k, c in enumerate(img) if c} for img in images])
         for v in verts:
-            reference = [M.path_action(p).apply(images[j])
+            reference = [dense_apply(M.path_action(p), images[j])
                          for j, p in order[v]]
             assert mats[v] == Matrix(len(reference), M.dims[v], reference,
                                      alg.field).transpose()

@@ -24,6 +24,9 @@ the total Hom complex together with representative chain maps.  It and
 nonzero entries (``HomComplexData._rows``), and the cover loop of
 resolutions and ``perfectify`` (``_cover_complex``) reads its maps only as
 sparse columns; none of them builds a dense matrix to reduce.
+``perfectify``'s certificate (``_certify``) checks its cover map on the
+same sparse columns, and ranks the cone with ``is_quasi_iso``'s routine
+(``_cone_is_acyclic``).
 """
 
 import random
@@ -94,7 +97,8 @@ class BoundedComplex:
         """``_cohomology`` of this complex."""
         return _cohomology(
             {n: p.total_dim() for n, p in self.pieces.items()},
-            lambda n: _rank_sum(self.diffs[n].mats if n in self.diffs else None))
+            lambda n: sum(rank(m) for m in self.diffs[n].mats.values())
+            if n in self.diffs else 0)
 
     def total_dim(self):
         return sum(p.total_dim() for p in self.pieces.values())
@@ -114,12 +118,6 @@ def _cohomology(dims, rank_of):
         r = rank_of(n)
         yield n, dim - r - below
         below = r
-
-
-def _rank_sum(mats):
-    """Rank of a differential given by its per-vertex matrices, or 0 when
-    ``mats`` is None (the differential is absent, so zero)."""
-    return 0 if mats is None else sum(rank(m) for m in mats.values())
 
 
 def stalk_complex(M):
@@ -212,16 +210,12 @@ def _cone_mats(f, n):
     return mats
 
 
-def _cone_degrees(f):
-    return sorted({n - 1 for n in f.source.pieces} | set(f.target.pieces))
-
-
 def cone(f):
     """Mapping cone of a chain map: C^n = X^{n+1} + Y^n, with the
     differential of ``_cone_mats``.  A block absent from ``X.diffs``,
     ``f.comps`` or ``Y.diffs`` is zero and is never built."""
     X, Y = f.source, f.target
-    degs = _cone_degrees(f)
+    degs = sorted({n - 1 for n in X.pieces} | set(Y.pieces))
     pieces = {n: direct_sum([X.piece(n + 1), Y.piece(n)]) for n in degs}
     diffs = {}
     for n in degs:
@@ -233,14 +227,69 @@ def cone(f):
 
 def is_quasi_iso(f):
     """True when the chain map f is a quasi-isomorphism, that is, when
-    ``cone(f)`` is acyclic.  Ranks the cone's differentials
-    (``_cone_mats``) as ``BoundedComplex.is_acyclic`` would, without
-    building the cone's modules, whose arrow maps acyclicity never reads."""
+    ``cone(f)`` is acyclic.  The per-vertex matrices of d_X, f and d_Y are
+    read as sparse columns and the cone is ranked by ``_cone_is_acyclic``,
+    which ``perfectify``'s certificate shares; no cone module and no dense
+    cone block is built."""
     X, Y = f.source, f.target
-    dims = {n: X.piece(n + 1).total_dim() + Y.piece(n).total_dim()
-            for n in _cone_degrees(f)}
-    return not any(h for _, h in _cohomology(
-        dims, lambda n: _rank_sum(_cone_mats(f, n))))
+
+    def blocks(n):
+        maps = (X.diffs.get(n + 1), f.comps.get(n + 1), Y.diffs.get(n))
+        if all(g is None for g in maps):
+            return
+        dx, fn, dy = maps
+        yr = Y.piece(n + 1).dims
+        for v in X.alg.quiver.vertices:
+            yield (yr[v], None if dx is None else _columns(dx.mats[v]),
+                   None if fn is None else _columns(fn.mats[v]),
+                   None if dy is None else dy.mats[v])
+
+    return _cone_is_acyclic({n: p.total_dim() for n, p in X.pieces.items()},
+                            {n: p.total_dim() for n, p in Y.pieces.items()},
+                            blocks, X.alg.field)
+
+
+def _columns(M):
+    """The columns of the Matrix M as {row: coeff} dicts of its nonzero
+    entries."""
+    if not M.rows:
+        return [{} for _ in range(M.cols)]
+    return [{i: c for i, c in enumerate(col) if c} for col in zip(*M.entries)]
+
+
+def _cone_is_acyclic(xdims, ydims, blocks, field):
+    """True when the cone of a chain map f: X -> Y is acyclic, where
+    dim X^n = xdims[n] and dim Y^n = ydims[n] over the degrees of the
+    nonzero pieces.  ``blocks(n)`` yields, for each vertex v, the tuple
+    (dim Y^{n+1}_v, d_X^{n+1}, f^{n+1}, d_Y^n) of the cone differential
+    [[-d_X^{n+1}, 0], [f^{n+1}, d_Y^n]] at v: d_X^{n+1} and f^{n+1} as
+    lists of their columns, {row: coeff} dicts of nonzero entries, which
+    it only reads, d_Y^n as its Matrix, and each None when it is absent
+    (zero); it yields nothing when all three are absent.
+
+    Swapping the two block rows and negating one changes no rank, so
+    each vertex ranks [[f^{n+1}, d_Y^n], [d_X^{n+1}, 0]] by its columns
+    (``linalg.sparse_rank``, the rank of the transpose): those of d_Y^n as
+    ``_columns`` reads them, and for each column k of X^{n+1} a copy of
+    column k of f^{n+1} with column k of d_X^{n+1} below it, its rows
+    moved down by dim Y^{n+1}_v.  The ranks are taken in the
+    ``_cohomology`` walk, which stops at the first degree with
+    cohomology."""
+    def rank_of(n):
+        total = 0
+        for yr, dx, fn, dy in blocks(n):
+            cols = [] if dy is None else _columns(dy)
+            for k in range(len(dx or fn or ())):
+                col = {} if fn is None else dict(fn[k])
+                if dx is not None:
+                    col.update((r + yr, c) for r, c in dx[k].items())
+                cols.append(col)
+            total += sparse_rank(cols, field)
+        return total
+
+    dims = {n: xdims.get(n + 1, 0) + ydims.get(n, 0)
+            for n in {m - 1 for m in xdims} | set(ydims)}
+    return not any(h for _, h in _cohomology(dims, rank_of))
 
 
 # ----------------------------------------------------------------------
@@ -307,39 +356,47 @@ class LabeledComplex:
     @memoised
     def to_rep(self):
         alg = self.alg
-        field = alg.field
-        pieces, orders, indexes = {}, {}, {}
+        pieces, bases = {}, {}
         for n in self.degrees():
-            pieces[n], orders[n], indexes[n] = standard_sum(
-                alg, self.kind, self.labels(n))
+            pieces[n], order, index = standard_sum(alg, self.kind,
+                                                   self.labels(n))
+            bases[n] = order, index
         diffs = {}
         for n, d in self.diffs.items():
-            src_order, tgt_order = orders[n], orders[n + 1]
-            tgt_index = indexes[n + 1]
+            src, tgt = bases[n], bases[n + 1]
             mats = {}
             for v in alg.quiver.vertices:
-                if self.kind == "proj":
-                    # basis path p: x_j -> v maps to p * e in P(y_i)
-                    cells = ((tgt_index[v][i, q], col, c)
-                             for col, (j, p) in enumerate(src_order[v])
-                             for i, row in enumerate(d) if row[j].terms
-                             for q, c in alg.multiply(p, row[j]).terms.items())
-                else:
-                    # dual of left multiplication: entry (q, p) is the
-                    # coefficient of the I(x_j)-basis path p in e * q,
-                    # q: v -> y_i, so each product e * q fills its row
-                    src_index = indexes[n][v]
-                    cells = ((r, src_index[j, p], c)
-                             for r, (i, q) in enumerate(tgt_order[v])
-                             for j, e in enumerate(d[i]) if e.terms
-                             for p, c in alg.multiply(e, q).terms.items())
-                mats[v] = from_entries(len(tgt_order[v]), len(src_order[v]),
-                                       cells, field)
+                cells = _diff_cells(alg, self.kind, d, src, tgt, v)
+                mats[v] = from_entries(len(tgt[0][v]), len(src[0][v]), cells,
+                                       alg.field)
             diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
         return BoundedComplex(alg, pieces, diffs, check=False)
 
     def total_rank(self):
         return sum(len(lab) for lab in self.pieces.values())
+
+
+def _diff_cells(alg, kind, d, src, tgt, v):
+    """(row, col, coeff) once for each nonzero entry at vertex v of the
+    map given by the element matrix d between sums of standard modules of
+    ``kind``, in their ``standard_basis`` coordinates src and tgt (each an
+    (order, index) pair).  ``LabeledComplex.to_rep`` writes its matrices
+    and ``perfectify`` the sparse columns of d_P from these cells."""
+    if kind == "proj":
+        # basis path p: x_j -> v maps to p * e in P(y_i)
+        tgt_index = tgt[1][v]
+        return ((tgt_index[i, q], col, c)
+                for col, (j, p) in enumerate(src[0][v])
+                for i, row in enumerate(d) if row[j].terms
+                for q, c in alg.multiply(p, row[j]).terms.items())
+    # dual of left multiplication: entry (q, p) is the coefficient of the
+    # I(x_j)-basis path p in e * q, q: v -> y_i, so each product e * q
+    # fills its row
+    src_index = src[1][v]
+    return ((r, src_index[j, p], c)
+            for r, (i, q) in enumerate(tgt[0][v])
+            for j, e in enumerate(d[i]) if e.terms
+            for p, c in alg.multiply(e, q).terms.items())
 
 
 def _relabelled(F, kind):
@@ -392,8 +449,10 @@ def minimal_projective_resolution(M):
 def _cover_complex(C):
     """(P, q): a projective-labeled complex P and a chain map q from P to
     the BoundedComplex C whose cone is acyclic.  q[n] is given, for each
-    degree n of C, by its per-vertex matrices from P^n, in the coordinates
-    of ``standard_basis`` (those of P.to_rep().piece(n)), to C^n.
+    degree n of C, by its sparse columns at each vertex v: q[n][v] lists,
+    for each ``standard_basis`` coordinate of P^n_v in order, its image in
+    C^n_v as a {row: coeff} dict of nonzero coefficients.  These are the C
+    parts of the columns of E^n below, so no matrix of q is written.
 
     One projective cover per degree, descending from the top degree of C
     (Weibel, *An Introduction to Homological Algebra*, the projective
@@ -541,11 +600,7 @@ def _cover_complex(C):
         cols = {v: [moved(p, gens[j]) for j, p in above[0][v]] for v in verts}
         E = {v: [col for col, _ in vcols] for v, vcols in cols.items()}
         if n in C.pieces:
-            q[n] = {v: from_entries(Cn.dims[v], len(vcols),
-                                    ((i, k, a) for k, (_, c) in
-                                     enumerate(vcols) for i, a in c.items()),
-                                    field)
-                    for v, vcols in cols.items()}
+            q[n] = {v: [c for _, c in vcols] for v, vcols in cols.items()}
         qrow = psize
         n -= 1
     return LabeledComplex(alg, pieces, diffs, "proj"), q
@@ -871,9 +926,8 @@ def perfectify(C):
     BoundedComplex.
 
     ``_cover_complex`` covers C one degree at a time, from the top down,
-    and returns the complex P with the matrices of its map q to C.  The
-    result is certified against P.to_rep(), which is built from the
-    entries of P: q must be a chain map and its cone must be acyclic.
+    and returns the complex P with the sparse columns of its map q to C;
+    ``_certify`` checks that q is a chain map with an acyclic cone.
 
     The certified complex is then minimised (``_minimise``): every
     differential entry of the output lies in the radical, so the output
@@ -887,16 +941,72 @@ def perfectify(C):
     changing the homotopy type.
     """
     P, q = _cover_complex(C)
-    Prep = P.to_rep()
-    comps = {n: ModuleMorphism(Prep.piece(n), C.pieces[n], mats, check=False)
-             for n, mats in q.items()}
-    try:
-        final = ChainMap(Prep, C, comps, check=True)
-    except NotChainMap as e:
-        raise EngineInvariantViolation("perfectify map is not a chain map: %s" % e) from e
-    if not is_quasi_iso(final):
-        raise EngineInvariantViolation("perfectify result is not quasi-isomorphic")
+    _certify(P, C, q)
     return _minimise(P)
+
+
+def _certify(P, C, q):
+    """Raise EngineInvariantViolation unless q: P -> C, in the format of
+    ``_cover_complex``, is a chain map whose cone is acyclic.
+
+    Everything is read as sparse columns in the ``standard_basis``
+    coordinates of P: the columns of d_P^n at v are written from P's
+    entries by ``_diff_cells`` (as ``P.to_rep()`` would write its
+    matrices, but with no module built), q^n at v is the list q[n][v],
+    and d_C is read from its matrices.  Each square d_C^n q^n =
+    q^{n+1} d_P^n is compared column by column: column k of the left side
+    is d_C^n applied to column k of q^n, and of the right side the sum
+    of c times column r of q^{n+1} over the entries (r, c) of column k of
+    d_P^n.  A degree without P^n has nothing to compare.  The cone is
+    then ranked by ``_cone_is_acyclic``, as ``is_quasi_iso`` ranks it."""
+    alg = P.alg
+    field = alg.field
+    verts = alg.quiver.vertices
+    bases = {n: standard_basis(alg, "proj", P.labels(n)) for n in P.degrees()}
+    dP = {}
+    for n, d in P.diffs.items():
+        dP[n] = {}
+        for v in verts:
+            cols = dP[n][v] = [{} for _ in bases[n][0][v]]
+            for r, k, c in _diff_cells(alg, "proj", d, bases[n],
+                                       bases[n + 1], v):
+                cols[k][r] = c
+    for n in P.degrees():
+        dC, qn, dp, up = C.diffs.get(n), q.get(n), dP.get(n), q.get(n + 1)
+        left = dC is not None and qn is not None
+        right = dp is not None and up is not None
+        if not (left or right):
+            continue
+        for v in verts:
+            for k in range(len(bases[n][0][v])):
+                lhs = dC.mats[v].apply(qn[v][k]) if left and qn[v][k] else {}
+                rhs = {}
+                for r, c in dp[v][k].items() if right else ():
+                    for i, a in up[v][r].items():
+                        old = rhs.get(i)
+                        rhs[i] = c * a if old is None else old + c * a
+                if lhs != {i: a for i, a in rhs.items() if a}:
+                    raise EngineInvariantViolation(
+                        "perfectify map is not a chain map: square fails at "
+                        "degree %d vertex %s" % (n, v))
+
+    def blocks(n):
+        dp, up, dC = dP.get(n + 1), q.get(n + 1), C.diffs.get(n)
+        if dp is None and up is None and dC is None:
+            return
+        yr = C.piece(n + 1).dims
+        for v in verts:
+            yield (yr[v], None if dp is None else dp[v],
+                   None if up is None else up[v],
+                   None if dC is None else dC.mats[v])
+
+    pdims = {n: sum(len(keys) for keys in b[0].values())
+             for n, b in bases.items()}
+    if not _cone_is_acyclic(pdims, {n: M.total_dim()
+                                    for n, M in C.pieces.items()},
+                            blocks, field):
+        raise EngineInvariantViolation(
+            "perfectify result is not quasi-isomorphic")
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Everything upstream (path bases, Hom spaces, cohomology of Hom complexes)
 reduces to rref / kernel / solve over an exact field, and all of it runs
 one elimination, the forward pass ``_forward`` on rows given as
-{column: coeff} dicts: ``sparse_rank`` counts its pivots, ``sparse_rref``
-back-substitutes from the last pivot up to the reduced echelon form,
-``null_space`` reads the kernel off that form, and ``_complement`` keeps
+{column: coeff} dicts: ``sparse_rank`` counts its pivots, ``_reduce``
+back-substitutes from the last pivot up to the reduced echelon form
+(``sparse_rref`` on copies of its rows), ``null_space`` reads the kernel
+off that form (``_kernel_vectors``), and ``_complement`` keeps
 the vectors independent of an image and of those before them.  Vectors,
 also of ``Matrix.apply``, are {coordinate: coeff} dicts.  ``Matrix`` is
 dense storage only: ``rref``, ``rank``, ``kernel_basis`` and ``solve``
@@ -354,12 +355,17 @@ def sparse_rref(rows, field=QQ):
 
     Returns (rows, pivots): the nonzero rows of the reduced form in
     increasing pivot order, each a dict in increasing column order, and
-    the sorted pivot columns.  ``_forward`` on copies of the rows, then
-    back-substitution from the last pivot up: each row is cleared of the
-    later pivot columns, whose rows are already reduced, so the result is
-    the unique reduced form of the row space."""
-    pivots = _forward([{j: c for j, c in row.items() if c} for row in rows],
-                      field)
+    the sorted pivot columns.  ``_reduce`` on copies of the rows."""
+    return _reduce([{j: c for j, c in row.items() if c} for row in rows],
+                   field)
+
+
+def _reduce(rows, field):
+    """``sparse_rref`` of rows of nonzero coefficients, which it consumes:
+    ``_forward``, then back-substitution from the last pivot up.  Each row
+    is cleared of the later pivot columns, whose rows are already reduced,
+    so the result is the unique reduced form of the row space."""
+    pivots = _forward(rows, field)
     order = sorted(pivots)
     for pc in reversed(order):
         row = pivots[pc]
@@ -369,14 +375,16 @@ def sparse_rref(rows, field=QQ):
 
 
 def _nonzero_rows(M):
-    """The rows of M as {column: coeff} dicts of its nonzero entries."""
+    """The rows of M as fresh {column: coeff} dicts of its nonzero
+    entries, which ``rref``, ``rank`` and ``kernel_basis`` hand to the
+    elimination without a second copy."""
     return [{j: c for j, c in enumerate(row) if c} for row in M.entries]
 
 
 def rref(M):
     """Reduced row echelon form.  Returns (R, pivot_columns): R has M's
     shape, the rows of ``sparse_rref`` in pivot order and zero rows last."""
-    rows, pivots = sparse_rref(_nonzero_rows(M), M.field)
+    rows, pivots = _reduce(_nonzero_rows(M), M.field)
     return from_entries(M.rows, M.cols,
                         ((r, j, c) for r, row in enumerate(rows)
                          for j, c in row.items()), M.field), pivots
@@ -389,11 +397,15 @@ def rank(M):
 def null_space(rows, ncols, field=QQ):
     """Basis of the null space of the matrix with ``ncols`` columns whose
     nonzero entries are the {column: coeff} rows ``rows``, which it leaves
-    unchanged: one {coordinate: coeff} vector per free column f of
-    ``sparse_rref``, in increasing f, with 1 at f and minus column f of the
-    reduced rows at their pivots.  A reduced row is zero left of its
-    pivot, so each vector's keys ascend."""
-    reduced, pivots = sparse_rref(rows, field)
+    unchanged: the ``_kernel_vectors`` of their ``sparse_rref``."""
+    return _kernel_vectors(*sparse_rref(rows, field), ncols, field)
+
+
+def _kernel_vectors(reduced, pivots, ncols, field):
+    """One {coordinate: coeff} vector per free column f of the reduced
+    rows with their pivots, in increasing f, with 1 at f and minus column
+    f of the reduced rows at their pivots.  A reduced row is zero left of
+    its pivot, so each vector's keys ascend."""
     one = field.one()
     kernel = []
     for f in sorted(set(range(ncols)).difference(pivots)):
@@ -404,8 +416,10 @@ def null_space(rows, ncols, field=QQ):
 
 
 def kernel_basis(M):
-    """Matrix whose columns are the ``null_space`` vectors of M."""
-    vecs = null_space(_nonzero_rows(M), M.cols, M.field)
+    """Matrix whose columns are the ``null_space`` vectors of M, reduced
+    from its fresh ``_nonzero_rows``."""
+    vecs = _kernel_vectors(*_reduce(_nonzero_rows(M), M.field), M.cols,
+                           M.field)
     return from_entries(M.cols, len(vecs),
                         ((i, k, c) for k, vec in enumerate(vecs)
                          for i, c in vec.items()), M.field)

@@ -2,9 +2,10 @@
 references."""
 
 from sphq.algebra import Element
-from sphq.derived import RESOLUTION_BOUND, LabeledComplex
-from sphq.errors import EngineInvariantViolation, GlobalDimensionExceeded
-from sphq.linalg import QQ, Matrix, from_blocks, hstack
+from sphq.derived import RESOLUTION_BOUND, ChainMap, LabeledComplex, cone
+from sphq.errors import (EngineInvariantViolation, GlobalDimensionExceeded,
+                         NotChainMap)
+from sphq.linalg import QQ, Matrix, from_blocks, from_entries, hstack
 from sphq.reps import ModuleMorphism, direct_sum, standard_sum
 
 
@@ -147,9 +148,9 @@ def dense_solve(M, b):
 
 
 def dense_cover_complex(C):
-    """(P, q) of ``derived._cover_complex`` from dense matrices, in its
-    output format: q[n] is the per-vertex matrices of q^n for each degree n
-    of C.
+    """(P, q) of ``derived._cover_complex`` from dense matrices: q[n] is
+    the per-vertex matrices of q^n for each degree n of C, whose columns
+    are the sparse columns that ``derived._cover_complex`` lists.
 
     Per degree, A = P^{n+1} + C^n is built as a module with block-diagonal
     arrow maps; the kernel K of Phi^n_v = [E^{n+1}_v | 0 ; -d_C^n] is
@@ -223,3 +224,35 @@ def dense_cover_complex(C):
         n -= 1
     return (LabeledComplex(alg, pieces, diffs, "proj"),
             {n: f.mats for n, f in q.items() if n in C.pieces})
+
+
+def q_matrices(C, q):
+    """The q of ``derived._cover_complex``, per-vertex lists of sparse
+    {row: coeff} columns, read back into matrices: q^n at v has the
+    C^n_v rows and one column per listed column."""
+    field = C.alg.field
+    return {n: {v: from_entries(C.pieces[n].dims[v], len(cols),
+                                ((i, k, a) for k, col in enumerate(cols)
+                                 for i, a in col.items()), field)
+                for v, cols in qn.items()}
+            for n, qn in q.items()}
+
+
+def dense_certify(P, C, q):
+    """``perfectify``'s certificate from dense matrices: q, read back by
+    ``q_matrices`` as maps from the pieces of P.to_rep(), must pass the
+    dense chain-map check (``ChainMap(check=True)``, products of
+    per-vertex matrices), and the cone, built with its direct-sum modules
+    and dense blocks, must be acyclic (dense ranks).  Raises
+    EngineInvariantViolation otherwise."""
+    Prep = P.to_rep()
+    comps = {n: ModuleMorphism(Prep.piece(n), C.pieces[n], mats, check=False)
+             for n, mats in q_matrices(C, q).items()}
+    try:
+        f = ChainMap(Prep, C, comps, check=True)
+    except NotChainMap as e:
+        raise EngineInvariantViolation(
+            "perfectify map is not a chain map: %s" % e) from e
+    if not cone(f).is_acyclic():
+        raise EngineInvariantViolation(
+            "perfectify result is not quasi-isomorphic")

@@ -13,10 +13,11 @@ import os
 
 import pytest
 
-from sphq import derived, spherelike
+from sphq import derived, linalg, spherelike
 from sphq.algebra import algebra_from_json
 from sphq.constructions import kronecker, kronecker_quasi_simple
 from sphq.corpus import FIXTURE_DIR, load_fixture
+from sphq.errors import EngineInvariantViolation
 from sphq.derived import (ChainMap, HomComplexData, chain_map_space,
                           complex_direct_sum, cone, dual_rep_complex,
                           hom_profile, is_quasi_iso,
@@ -28,7 +29,7 @@ from sphq.reps import (ModuleMorphism, generator_column, standard_basis,
                        standard_module)
 from sphq.spherelike import classify_spherelike, interval_modules
 
-from reference import (dense_col, dense_cover_complex,
+from reference import (dense_certify, dense_col, dense_cover_complex,
                        dense_from_generators, dense_kernel_basis, dense_rank,
                        dense_rref, dense_solve, identity_morphism, vstack)
 
@@ -487,25 +488,38 @@ def test_chain_map_space_matches_the_dense_reference(name, field):
     assert maps
 
 
-def typed_cover(P, q):
+def typed_columns(cols):
+    """Each {row: coeff} column as its (row, scalar type, coeff) list in
+    increasing row."""
+    return [[(i, type(a), a) for i, a in sorted(col.items())] for col in cols]
+
+
+def typed_cover(P, q, C):
     """The labels of P, its differential entries term by term with scalar
-    types, and the shape and typed entries of each matrix of q."""
+    types, and for each matrix of q its row count and typed columns.  q is
+    the per-vertex sparse columns of derived._cover_complex, whose row
+    indices must lie below dim C^n_v, or the per-vertex matrices of
+    dense_cover_complex, whose columns are read with dense_col."""
+    def columns(n, v, m):
+        if isinstance(m, Matrix):
+            return m.rows, typed_columns(
+                {i: a for i, a in enumerate(dense_col(m, k)) if a}
+                for k in range(m.cols))
+        rows = C.pieces[n].dims[v]
+        assert all(0 <= i < rows for col in m for i in col)
+        return rows, typed_columns(m)
+
     return ({n: P.labels(n) for n in P.degrees()},
             {n: [[[(p, type(c), c) for p, c in e.terms.items()] for e in row]
                  for row in d] for n, d in P.diffs.items()},
-            {n: {v: (m.rows, m.cols, typed(m)) for v, m in mats.items()}
+            {n: {v: columns(n, v, m) for v, m in mats.items()}
              for n, mats in q.items()})
 
 
-def cover_inputs(alg):
-    """The complexes the cover loop covers: the stalk complex of every
-    standard and interval module, then, for each standard resolution R,
-    the inputs of perfectify in nu(R) and tau(R), and of injective_model
-    in tau_inverse(R)."""
-    modules = [standard_module(alg, kind, v)
-               for kind in KINDS for v in alg.quiver.vertices]
-    modules += [M for _, M in interval_modules(alg)]
-    inputs = [stalk_complex(M) for M in modules]
+def perfectify_inputs(alg):
+    """For each standard resolution R, the inputs of perfectify in nu(R)
+    and tau(R), and of injective_model in tau_inverse(R)."""
+    inputs = []
     for R in standard_resolutions(alg):
         X = nakayama(R).to_rep()
         inputs += [X, X.shift(-1), dual_rep_complex(R.to_rep(),
@@ -513,23 +527,125 @@ def cover_inputs(alg):
     return inputs
 
 
+def cover_inputs(alg):
+    """The complexes the cover loop covers: the stalk complex of every
+    standard and interval module, then the perfectify_inputs."""
+    modules = [standard_module(alg, kind, v)
+               for kind in KINDS for v in alg.quiver.vertices]
+    modules += [M for _, M in interval_modules(alg)]
+    return [stalk_complex(M) for M in modules] + perfectify_inputs(alg)
+
+
 @pytest.mark.parametrize("name,field", [(name, "QQ") for name in FIXTURES] +
                          [(name, field) for name in SWEEP_FIXTURES
                           for field in ("GF101", "GF3")])
 def test_cover_loop_matches_the_dense_reference(name, field, monkeypatch):
     """On every input of cover_inputs, the sparse cover loop returns the
-    dense loop's P, entries and scalar types included, and its q.  It runs
+    dense loop's P, entries and scalar types included, and its q: each
+    sparse column of q equals the dense matrix's column, scalar types
+    included, and has the same number of rows.  It runs
     with derived.direct_sum, standard_sum and from_generators made to
     raise, so it builds no direct-sum module and no map from generators,
     and derived no longer imports the dense kernel_basis, rref or
     hstack."""
     alg = fixture_over(name, field)
     inputs = cover_inputs(alg)
-    want = [typed_cover(*dense_cover_complex(C)) for C in inputs]
+    want = [typed_cover(*dense_cover_complex(C), C) for C in inputs]
     assert not {"kernel_basis", "rref", "hstack"} & set(vars(derived))
     for fn in ("direct_sum", "standard_sum", "from_generators"):
         monkeypatch.setattr(derived, fn, refuse)
-    assert [typed_cover(*derived._cover_complex(C)) for C in inputs] == want
+    assert [typed_cover(*derived._cover_complex(C), C)
+            for C in inputs] == want
+
+
+def rejects(certify, P, C, q):
+    """True when the certificate raises EngineInvariantViolation on q."""
+    try:
+        certify(P, C, q)
+    except EngineInvariantViolation:
+        return True
+    return False
+
+
+def mutants(q, one):
+    """q with one added to one nonzero entry, for each nonzero entry in
+    turn; an entry that becomes zero leaves its sparse column."""
+    for n, qn in q.items():
+        for v, cols in qn.items():
+            for k, col in enumerate(cols):
+                for i, a in col.items():
+                    new = dict(col)
+                    new[i] = a + one
+                    if not new[i]:
+                        del new[i]
+                    yield {**q, n: {**qn, v: cols[:k] + [new] + cols[k + 1:]}}
+
+
+# (rejected, mutants) per kind of perfectify input, summed over the
+# standard resolutions of MUTANT_FIXTURES, the same over QQ and GF(3)
+MUTANT_FIXTURES = ["cb3", "auslander_x3", "tensor_kronecker"]
+MUTANT_COUNTS = {"nu": (752, 857), "tau": (752, 857),
+                 "tau_inverse": (397, 499)}
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF3"])
+def test_sparse_and_dense_certificates_reject_the_same_mutants(field):
+    """On the nu, tau and tau^-1 inputs of perfectify (perfectify_inputs)
+    over MUTANT_FIXTURES, perfectify's sparse certificate
+    (derived._certify) and the dense one (dense_certify) both accept the
+    cover map q, and after one is added to each nonzero entry of q in
+    turn they reject exactly the same mutants, with
+    EngineInvariantViolation and not through an assert."""
+    counts = {kind: [0, 0] for kind in MUTANT_COUNTS}
+    for name in MUTANT_FIXTURES:
+        alg = fixture_over(name, field)
+        inputs = perfectify_inputs(alg)
+        for kind, C in zip(list(MUTANT_COUNTS) * len(inputs), inputs):
+            P, q = derived._cover_complex(C)
+            assert not rejects(derived._certify, P, C, q)
+            assert not rejects(dense_certify, P, C, q)
+            for m in mutants(q, alg.field.one()):
+                sparse = rejects(derived._certify, P, C, m)
+                assert sparse == rejects(dense_certify, P, C, m)
+                counts[kind][0] += sparse
+                counts[kind][1] += 1
+    assert {kind: tuple(c) for kind, c in counts.items()} == MUTANT_COUNTS
+
+
+def test_perfectify_certificate_is_sparse(monkeypatch):
+    """perfectify calls no LabeledComplex.to_rep, Matrix.__mul__,
+    from_blocks or ChainMap._validate on the perfectify_inputs of
+    auslander_x3 and tensor_kronecker: each is counted while perfectify
+    runs, and every count is 0.  Its cone is ranked by the routine
+    is_quasi_iso ranks with, _cone_is_acyclic, once per input, and
+    is_quasi_iso on the identity of a resolution calls it once."""
+    calls = {}
+
+    def counted(name, fn):
+        calls[name] = 0
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    inputs = [C for name in ("auslander_x3", "tensor_kronecker")
+              for C in perfectify_inputs(fixture_over(name))]
+    R = standard_resolutions(fixture_over("cb3"))[0]
+    (ident,) = chain_map_space(R, R.to_rep(), 0)[1]
+    for owner, name in ((derived.LabeledComplex, "to_rep"),
+                        (Matrix, "__mul__"), (derived.ChainMap, "_validate"),
+                        (linalg, "from_blocks"), (derived, "from_blocks"),
+                        (derived, "_cone_is_acyclic")):
+        monkeypatch.setattr(owner, name, counted(
+            "%s.%s" % (owner.__name__, name), getattr(owner, name)))
+    for C in inputs:
+        perfectify(C)
+    assert calls["sphq.derived._cone_is_acyclic"] == len(inputs)
+    assert is_quasi_iso(ident)
+    assert calls.pop("sphq.derived._cone_is_acyclic") == len(inputs) + 1
+    assert calls == dict.fromkeys(calls, 0)
+    assert len(calls) == 5
 
 
 # The d = 0 spherelike objects that query_mix classifies.

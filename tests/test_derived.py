@@ -35,7 +35,7 @@ from sphq.reps import (ModuleMorphism, hom_basis, injective_module,
 from sphq.spherelike import (asphericality, classify_spherelike,
                              fractional_cy_check)
 
-from reference import dense_cover_complex, identity_morphism
+from reference import dense_cover_complex, identity_morphism, q_matrices
 
 
 def a2_algebra():
@@ -96,6 +96,28 @@ def record_ranks(monkeypatch):
     return ranked
 
 
+def record_sparse_ranks(monkeypatch):
+    """Wrap ``derived.sparse_rank`` so that it records each list of
+    sparse vectors it ranks, as sorted (index, coeff) lists taken before
+    the elimination consumes them."""
+    ranked, sparse_rank = [], derived.sparse_rank
+
+    def recording(vecs, field):
+        vecs = list(vecs)
+        ranked.append([sorted(vec.items()) for vec in vecs])
+        return sparse_rank(vecs, field)
+
+    monkeypatch.setattr(derived, "sparse_rank", recording)
+    return ranked
+
+
+def per_vertex_columns(d):
+    """The columns of each per-vertex matrix of d as (row, coeff) lists of
+    the nonzero entries."""
+    return [[[(i, row[j]) for i, row in enumerate(m.entries) if row[j]]
+             for j in range(m.cols)] for m in d.mats.values()]
+
+
 def cohomology_in_lowest_degree():
     """S + S -> S + T -> T over A2 in degrees 0..2, S = S(1), T = P(1): the
     cones of id_S and id_T, moved to degrees 0..1 and 1..2, plus S alone in
@@ -121,11 +143,14 @@ def test_acyclicity_tests_stop_at_the_first_degree_with_cohomology(monkeypatch):
     ranked = record_ranks(monkeypatch)
     assert not X.is_acyclic()
     assert ranked == per_vertex(X.diffs[0])
-    # the cone of 0 -> X has X's differentials
+    # the cone of 0 -> X has X's differentials, which is_quasi_iso ranks
+    # as sparse columns
     ranked.clear()
+    columns = record_sparse_ranks(monkeypatch)
     zero = BoundedComplex(X.alg, {}, {})
     assert not is_quasi_iso(ChainMap(zero, X, {}))
-    assert ranked == per_vertex(X.diffs[0])
+    assert columns == per_vertex_columns(X.diffs[0])
+    assert ranked == []
 
 
 def test_cohomology_dims_ranks_each_differential_once(monkeypatch):
@@ -355,8 +380,9 @@ def test_tau_inverse_tau_is_the_minimal_model(name):
                                   "preprojective_a3_cluster"])
 def test_cover_complex_maps_quasi_isomorphically(name):
     """For the input of tau of every simple, the cover complex P comes with
-    a chain map q: P -> C whose cone is acyclic.  q's matrices are read as
-    maps from the pieces of P.to_rep(), as perfectify reads them."""
+    a chain map q: P -> C whose cone is acyclic.  q's sparse columns, one
+    per coordinate of P^n_v, are read back into matrices (q_matrices) as
+    maps from the pieces of P.to_rep()."""
     alg = load_fixture(name)
     for v in alg.quiver.vertices:
         C = nakayama(minimal_projective_resolution(simple_module(alg, v))
@@ -364,9 +390,11 @@ def test_cover_complex_maps_quasi_isomorphically(name):
         P, q = derived._cover_complex(C)
         Prep = P.to_rep()
         assert set(q) == set(C.pieces)
+        assert all(len(cols) == Prep.piece(n).dims[x]
+                   for n, qn in q.items() for x, cols in qn.items())
         f = derived.ChainMap(Prep, C, {
             n: ModuleMorphism(Prep.piece(n), C.pieces[n], mats, check=False)
-            for n, mats in q.items()}, check=True)
+            for n, mats in q_matrices(C, q).items()}, check=True)
         assert f.comps
         assert cone(f).is_acyclic()
 

@@ -451,7 +451,9 @@ def test_dense_api_matches_the_dense_reference(M, b, y):
 
 
 def test_dense_api_runs_the_one_elimination(monkeypatch):
-    """rref, rank, kernel_basis and solve each reach ``linalg._forward``."""
+    """rref, rank, kernel_basis and solve each reach ``linalg._forward``,
+    on the rows they build from M: none goes through ``sparse_rref``,
+    which would copy those rows a second time."""
     calls = []
     forward = linalg._forward
 
@@ -459,7 +461,11 @@ def test_dense_api_runs_the_one_elimination(monkeypatch):
         calls.append(field)
         return forward(rows, field)
 
+    def refuse(*args):
+        raise AssertionError("rows copied twice")
+
     monkeypatch.setattr(linalg, "_forward", counted)
+    monkeypatch.setattr(linalg, "sparse_rref", refuse)
     M = Matrix(2, 3, [[1, 2, 0], [0, 1, 1]], QQ)
     for name, run in [("rref", lambda: rref(M)), ("rank", lambda: rank(M)),
                       ("kernel_basis", lambda: kernel_basis(M)),

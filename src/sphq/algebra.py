@@ -383,15 +383,15 @@ class BoundQuiverAlgebra:
 
         The term products are summed into one dict; a coefficient that
         cancels to zero is dropped at once, so the terms keep the order of
-        adding the products one at a time."""
+        adding the products one at a time.  A factor given as a Path is
+        read as that path with coefficient one, and is not wrapped in an
+        Element."""
         field = self.field
-        if isinstance(a, Path):
-            a = Element({a: field.one()}, field)
-        if isinstance(b, Path):
-            b = Element({b: field.one()}, field)
+        aterms = {a: field.one()} if isinstance(a, Path) else a.terms
+        bterms = {b: field.one()} if isinstance(b, Path) else b.terms
         out = {}
-        for p, cp in a.terms.items():
-            for q, cq in b.terms.items():
+        for p, cp in aterms.items():
+            for q, cq in bterms.items():
                 c = cp * cq
                 for r, cr in self.mult_paths(p, q).terms.items():
                     if r in out:

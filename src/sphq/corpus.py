@@ -130,7 +130,7 @@ def _crit_cb_sphericality():
         R = minimal_projective_resolution(simple_module(alg, "1"))
         prof = hom_profile(R, simple_module(alg, "1"))
         good_prof = prof == {0: 1, t: 1}
-        good_iso = iso_up_to_shift(R, nakayama(R).to_rep(), t) is True
+        good_iso = iso_up_to_shift(R, nakayama(R), t) is True
         ok = ok and good_prof and good_iso
         details.append("t=%d profile=%s serre_iso=%s" % (t, prof, good_iso))
     return ok, "; ".join(details)
@@ -263,7 +263,7 @@ def _crit_tensor():
                             "a2|2": Matrix(1, 1, [[QQ.parse(y)]], QQ)})
         RG = minimal_projective_resolution(G)
         for x in lams:
-            table[(x, y)] = hom_profile(RG, jF[x].to_rep()) == {}
+            table[(x, y)] = hom_profile(RG, jF[x]) == {}
     ok = all(table[(x, y)] == (x != y) for x in lams for y in lams)
     return ok, "membership=%s" % {"%s,%s" % k: v for k, v in sorted(table.items())}
 
@@ -388,8 +388,7 @@ def _crit_properties():
             RX = minimal_projective_resolution(standard_module(alg, kx, vx))
             RY = minimal_projective_resolution(standard_module(alg, ky, vy))
             lhs = hom_profile(RX, standard_module(alg, ky, vy))
-            nuX = nakayama(RX).to_rep()
-            rhs = hom_profile(RY, nuX)
+            rhs = hom_profile(RY, nakayama(RX))
             if lhs != {-i: d for i, d in rhs.items()}:
                 serre_ok = False
                 break

@@ -18,15 +18,20 @@ Two complex flavours:
 
 Derived Hom is always computed with a perfect left argument.  A
 bounded-above complex of projectives is K-projective, so homotopy classes
-of chain maps compute derived Homs; ``chain_map_space`` returns H^s of
-the total Hom complex together with representative chain maps.  It and
-``hom_profile`` read the differentials of the Hom complex only as their
-nonzero entries (``HomComplexData._rows``), and the cover loop of
-resolutions and ``perfectify`` (``_cover_complex``) reads its maps only as
-sparse columns; none of them builds a dense matrix to reduce.
-``perfectify``'s certificate (``_certify``) checks its cover map on the
-same sparse columns, and ranks the cone with ``is_quasi_iso``'s routine
-(``_cone_is_acyclic``).
+of chain maps compute derived Homs.  ``hom_profile`` and
+``_cocycle_vectors`` read the differentials of the Hom complex only as
+their nonzero entries (``HomComplexData._rows``); neither builds a dense
+matrix to reduce.
+
+A map q from a projective-labeled complex P to a BoundedComplex C has one
+format: q[n][v] lists, for each ``standard_basis`` coordinate of P^n_v in
+order, its image in C^n_v as a {row: coeff} dict of nonzero coefficients.
+The cover loop of resolutions and ``perfectify`` (``_cover_complex``)
+writes its map in it, and so does ``_cocycle_columns`` for a vector of the
+Hom complex.  ``is_quasi_iso(P, C, q)`` is the one test of a map's cone,
+and checks the map's squares on the columns it ranks: ``perfectify``'s
+certificate (``_certify``) and ``iso_up_to_shift`` both call it.  Dense ``ChainMap``s are built only by ``chain_map_space``, whose
+maps ``cone`` turns into Q_F.
 """
 
 import random
@@ -38,7 +43,7 @@ from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
 from .linalg import (_complement, from_blocks, from_entries, null_space,
                      rank, scalar_to_str, sparse_rank)
 from .reps import (ModuleMorphism, Representation, direct_sum,
-                   from_generators, standard_basis, standard_sum, zero_rep)
+                   standard_basis, standard_sum, zero_rep)
 
 # Largest resolution length tried before GlobalDimensionExceeded.
 RESOLUTION_BOUND = 40
@@ -225,28 +230,63 @@ def cone(f):
     return BoundedComplex(X.alg, pieces, diffs, check=False)
 
 
-def is_quasi_iso(f):
-    """True when the chain map f is a quasi-isomorphism, that is, when
-    ``cone(f)`` is acyclic.  The per-vertex matrices of d_X, f and d_Y are
-    read as sparse columns and the cone is ranked by ``_cone_is_acyclic``,
-    which ``perfectify``'s certificate shares; no cone module and no dense
-    cone block is built."""
-    X, Y = f.source, f.target
+def is_quasi_iso(P, C, q):
+    """True when the chain map q from the projective-labeled complex P to
+    the BoundedComplex C, in the format of ``_cover_complex``, has an
+    acyclic cone, and False when it has not; raises
+    EngineInvariantViolation when a square of q that the walk below
+    reaches fails, so q is no chain map.  A degree absent from q, P.diffs
+    or C.diffs is a zero map.
 
-    def blocks(n):
-        maps = (X.diffs.get(n + 1), f.comps.get(n + 1), Y.diffs.get(n))
-        if all(g is None for g in maps):
-            return
-        dx, fn, dy = maps
-        yr = Y.piece(n + 1).dims
-        for v in X.alg.quiver.vertices:
-            yield (yr[v], None if dx is None else _columns(dx.mats[v]),
-                   None if fn is None else _columns(fn.mats[v]),
-                   None if dy is None else dy.mats[v])
+    The cone has pieces P^{n+1} + C^n and the differential
+    [[-d_P^{n+1}, 0], [q^{n+1}, d_C^n]].  Swapping the two block rows and
+    negating one changes no rank, so each vertex ranks
+    [[q^{n+1}, d_C^n], [d_P^{n+1}, 0]] by its columns
+    (``linalg.sparse_rank``, the rank of the transpose): those of d_C^n as
+    ``_columns`` reads them, and for each coordinate k of P^{n+1}_v a copy
+    of column k of q^{n+1} with column k of d_P^{n+1} below it, its rows
+    moved down by dim C^{n+1}_v.  d_P's columns are written from P's own
+    entries (``_diff_columns``).  The same two columns first give the
+    square d_C^{n+1} q^{n+1} = q^{n+2} d_P^{n+1} on coordinate k, both
+    sides summed from columns (``_sum_columns``): those of d_C^{n+1} over
+    the q column, and those of q^{n+2} over the d_P column.  The ranks are
+    taken in the ``_cohomology`` walk, which reaches every degree of P
+    unless it stops at the first degree with cohomology; no cone module
+    and no dense block is built."""
+    field = P.alg.field
+    bases = {n: standard_basis(P.alg, "proj", lab)
+             for n, lab in P.pieces.items()}
 
-    return _cone_is_acyclic({n: p.total_dim() for n, p in X.pieces.items()},
-                            {n: p.total_dim() for n, p in Y.pieces.items()},
-                            blocks, X.alg.field)
+    def rank_of(n):
+        up, dC = q.get(n + 1), C.diffs.get(n)
+        if n + 1 not in P.diffs and up is None and dC is None:
+            return 0
+        dC1, up2 = C.diffs.get(n + 1), q.get(n + 2)
+        below = C.piece(n + 1).dims
+        total = 0
+        for v in P.alg.quiver.vertices:
+            cols = [] if dC is None else _columns(dC.mats[v])
+            over = None if dC1 is None else _columns(dC1.mats[v])
+            for k, dcol in enumerate(_diff_columns(P, bases, n + 1, v)):
+                qcol = {} if up is None else up[v][k]
+                lhs = _sum_columns(qcol, over) if over else {}
+                rhs = _sum_columns(dcol, up2[v]) if up2 else {}
+                if lhs != rhs:
+                    raise EngineInvariantViolation(
+                        "map is not a chain map: square fails at degree %d "
+                        "vertex %s" % (n + 1, v))
+                col = dict(qcol)
+                col.update((r + below[v], c) for r, c in dcol.items())
+                cols.append(col)
+            total += sparse_rank(cols, field)
+        return total
+
+    dims = defaultdict(int)
+    for n, (order, _) in bases.items():
+        dims[n - 1] += sum(len(keys) for keys in order.values())
+    for n, M in C.pieces.items():
+        dims[n] += M.total_dim()
+    return not any(h for _, h in _cohomology(dims, rank_of))
 
 
 def _columns(M):
@@ -257,39 +297,17 @@ def _columns(M):
     return [{i: c for i, c in enumerate(col) if c} for col in zip(*M.entries)]
 
 
-def _cone_is_acyclic(xdims, ydims, blocks, field):
-    """True when the cone of a chain map f: X -> Y is acyclic, where
-    dim X^n = xdims[n] and dim Y^n = ydims[n] over the degrees of the
-    nonzero pieces.  ``blocks(n)`` yields, for each vertex v, the tuple
-    (dim Y^{n+1}_v, d_X^{n+1}, f^{n+1}, d_Y^n) of the cone differential
-    [[-d_X^{n+1}, 0], [f^{n+1}, d_Y^n]] at v: d_X^{n+1} and f^{n+1} as
-    lists of their columns, {row: coeff} dicts of nonzero entries, which
-    it only reads, d_Y^n as its Matrix, and each None when it is absent
-    (zero); it yields nothing when all three are absent.
-
-    Swapping the two block rows and negating one changes no rank, so
-    each vertex ranks [[f^{n+1}, d_Y^n], [d_X^{n+1}, 0]] by its columns
-    (``linalg.sparse_rank``, the rank of the transpose): those of d_Y^n as
-    ``_columns`` reads them, and for each column k of X^{n+1} a copy of
-    column k of f^{n+1} with column k of d_X^{n+1} below it, its rows
-    moved down by dim Y^{n+1}_v.  The ranks are taken in the
-    ``_cohomology`` walk, which stops at the first degree with
-    cohomology."""
-    def rank_of(n):
-        total = 0
-        for yr, dx, fn, dy in blocks(n):
-            cols = [] if dy is None else _columns(dy)
-            for k in range(len(dx or fn or ())):
-                col = {} if fn is None else dict(fn[k])
-                if dx is not None:
-                    col.update((r + yr, c) for r, c in dx[k].items())
-                cols.append(col)
-            total += sparse_rank(cols, field)
-        return total
-
-    dims = {n: xdims.get(n + 1, 0) + ydims.get(n, 0)
-            for n in {m - 1 for m in xdims} | set(ydims)}
-    return not any(h for _, h in _cohomology(dims, rank_of))
+def _sum_columns(vec, cols):
+    """The sum of c times cols[r] over the entries (r, c) of the
+    {coordinate: coeff} vector ``vec``, each column a {row: coeff} dict, as
+    a {row: coeff} dict of its nonzero coefficients: a map given by its
+    columns applied to ``vec``."""
+    out = {}
+    for r, c in vec.items():
+        for i, a in cols[r].items():
+            old = out.get(i)
+            out[i] = c * a if old is None else old + c * a
+    return {i: a for i, a in out.items() if a}
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +399,7 @@ def _diff_cells(alg, kind, d, src, tgt, v):
     map given by the element matrix d between sums of standard modules of
     ``kind``, in their ``standard_basis`` coordinates src and tgt (each an
     (order, index) pair).  ``LabeledComplex.to_rep`` writes its matrices
-    and ``perfectify`` the sparse columns of d_P from these cells."""
+    and ``_diff_columns`` the sparse columns of d_P from these cells."""
     if kind == "proj":
         # basis path p: x_j -> v maps to p * e in P(y_i)
         tgt_index = tgt[1][v]
@@ -397,6 +415,21 @@ def _diff_cells(alg, kind, d, src, tgt, v):
             for r, (i, q) in enumerate(tgt[0][v])
             for j, e in enumerate(d[i]) if e.terms
             for p, c in alg.multiply(e, q).terms.items())
+
+
+def _diff_columns(P, bases, n, v):
+    """The columns of d_P^n at vertex v, for a projective-labeled P whose
+    ``standard_basis`` in each degree m is bases[m], as {row: coeff}
+    dicts, one per coordinate of P^n_v, written from P's entries by
+    ``_diff_cells``; each is empty where P has no differential in degree
+    n."""
+    cols = [{} for _ in bases[n][0][v]] if n in bases else []
+    if n in P.diffs:
+        for r, k, c in _diff_cells(P.alg, "proj", P.diffs[n], bases[n],
+                                   bases[n + 1], v):
+            cols[k][r] = c
+    return cols
+
 
 
 def _relabelled(F, kind):
@@ -778,13 +811,15 @@ def _cocycle_vectors(data, s, layouts):
                        kernel, field)[0]
 
 
-def _chain_map(data, s, offsets, vec, source, target):
-    """The chain map from source = F.to_rep() to target, G[s] as a rep
-    complex, whose coordinates in degree s of the Hom complex (slot
-    offsets ``offsets``) are the {coordinate: coeff} vector ``vec``:
-    generator j of F^p goes to the value of slot (p, j)."""
-    F, alg = data.F, data.alg
-    comps = {}
+def _cocycle_columns(data, s, offsets, vec):
+    """The map F -> G[s] whose coordinates in degree s of the Hom complex
+    (slot offsets ``offsets``) are the {coordinate: coeff} vector ``vec``,
+    in the q format of ``_cover_complex``: generator j of F^p goes to the
+    value of slot (p, j), image_j, and column (j, p) of q^p at v is
+    G[s]^p.path_apply(p, image_j).  A degree p with G[s]^p = 0 has no
+    entry."""
+    F = data.F
+    q = {}
     for p in data.fdeg:
         Gp = data.G.piece(p + s)
         if Gp.is_zero():
@@ -792,10 +827,25 @@ def _chain_map(data, s, offsets, vec, source, target):
         images = [{k - offsets[p, j]: c for k, c in vec.items()
                    if 0 <= k - offsets[p, j] < Gp.dims[x]}
                   for j, x in enumerate(F.labels(p))]
-        order = standard_basis(alg, "proj", F.labels(p))[0]
-        comps[p] = ModuleMorphism(source.piece(p), target.piece(p),
-                                  from_generators(Gp, order, images),
-                                  check=False)
+        order = standard_basis(data.alg, "proj", F.labels(p))[0]
+        q[p] = {v: [Gp.path_apply(path, images[j]) for j, path in keys]
+                for v, keys in order.items()}
+    return q
+
+
+def _chain_map(data, s, offsets, vec, source, target):
+    """The chain map from source = F.to_rep() to target, G[s] as a rep
+    complex, of ``_cocycle_columns``: its matrices are written from the
+    columns."""
+    field = data.alg.field
+    comps = {}
+    for p, qp in _cocycle_columns(data, s, offsets, vec).items():
+        M = target.piece(p)
+        comps[p] = ModuleMorphism(source.piece(p), M, {
+            v: from_entries(M.dims[v], len(cols),
+                            ((r, k, c) for k, col in enumerate(cols)
+                             for r, c in col.items()), field)
+            for v, cols in qp.items()}, check=False)
     return ChainMap(source, target, comps, check=False)
 
 
@@ -807,40 +857,46 @@ def iso_up_to_shift(F, Y, s):
     """Semi-decision of F[s] being isomorphic to Y in the derived category.
 
     F must be projective-labeled.  F[s] and Y are isomorphic iff some map
-    F -> Y[-s] has an acyclic cone.  Returns True, False, or
+    F[s] -> Y has an acyclic cone.  Returns True, False, or
     "not_witnessed" (candidate space of dim > 1 where no tested
     combination produced an acyclic cone).
-    """
+
+    The candidates are the vectors of ``_cocycle_vectors`` in degree 0 of
+    Hom(F[s], Y), the same coordinates and differentials as degree -s of
+    Hom(F, Y).  Each basis vector is tried, then ``ISO_TRIALS`` seeded
+    combinations sum c_i vec_i, each taken as a vector: the map of
+    ``_cocycle_columns`` is linear in its vector.  ``is_quasi_iso`` ranks
+    each cone; no representation of F and no chain map is built."""
     Yrep = as_rep_complex(Y)
     if F.is_zero() and Yrep.is_zero():
         return True
-    dim, cands = chain_map_space(F, Yrep, -s)
-    for cm in cands:
-        if is_quasi_iso(cm):
-            return True
-    if dim > 1:
+    Fs = F.shift(s)
+    data = HomComplexData(Fs, Yrep)
+    layouts = {n: data._layout(n) for n in (-1, 0, 1)}
+    vecs = _cocycle_vectors(data, 0, layouts)
+
+    def witnessed(vec):
+        return is_quasi_iso(Fs, Yrep,
+                            _cocycle_columns(data, 0, layouts[0][1], vec))
+
+    if any(witnessed(vec) for vec in vecs):
+        return True
+    if len(vecs) > 1:
+        field = F.alg.field
         rng = random.Random(_ISO_SEED)
         for _ in range(ISO_TRIALS):
-            coeffs = [rng.randint(-5, 5) for _ in cands]
+            coeffs = [rng.randint(-5, 5) for _ in vecs]
             if all(c == 0 for c in coeffs):
                 coeffs[0] = 1
-            comb = _combine_chain_maps(
-                cands, [F.alg.field.from_int(c) for c in coeffs])
-            if is_quasi_iso(comb):
+            comb = {}
+            for c, vec in zip(coeffs, vecs):
+                c = field.from_int(c)
+                for k, a in vec.items():
+                    comb[k] = comb[k] + c * a if k in comb else c * a
+            if witnessed({k: a for k, a in comb.items() if a}):
                 return True
         return "not_witnessed"
     return False
-
-
-def _combine_chain_maps(maps, coeffs):
-    """The chain map sum of c * f over the pairs (c, f); a component absent
-    from f is zero and adds nothing."""
-    comps = {}
-    for c, f in zip(coeffs, maps):
-        for n, g in f.comps.items():
-            g = g.scale(c)
-            comps[n] = comps[n] + g if n in comps else g
-    return ChainMap(maps[0].source, maps[0].target, comps, check=False)
 
 
 # ----------------------------------------------------------------------
@@ -947,64 +1003,12 @@ def perfectify(C):
 
 def _certify(P, C, q):
     """Raise EngineInvariantViolation unless q: P -> C, in the format of
-    ``_cover_complex``, is a chain map whose cone is acyclic.
-
-    Everything is read as sparse columns in the ``standard_basis``
-    coordinates of P: the columns of d_P^n at v are written from P's
-    entries by ``_diff_cells`` (as ``P.to_rep()`` would write its
-    matrices, but with no module built), q^n at v is the list q[n][v],
-    and d_C is read from its matrices.  Each square d_C^n q^n =
-    q^{n+1} d_P^n is compared column by column: column k of the left side
-    is d_C^n applied to column k of q^n, and of the right side the sum
-    of c times column r of q^{n+1} over the entries (r, c) of column k of
-    d_P^n.  A degree without P^n has nothing to compare.  The cone is
-    then ranked by ``_cone_is_acyclic``, as ``is_quasi_iso`` ranks it."""
-    alg = P.alg
-    field = alg.field
-    verts = alg.quiver.vertices
-    bases = {n: standard_basis(alg, "proj", P.labels(n)) for n in P.degrees()}
-    dP = {}
-    for n, d in P.diffs.items():
-        dP[n] = {}
-        for v in verts:
-            cols = dP[n][v] = [{} for _ in bases[n][0][v]]
-            for r, k, c in _diff_cells(alg, "proj", d, bases[n],
-                                       bases[n + 1], v):
-                cols[k][r] = c
-    for n in P.degrees():
-        dC, qn, dp, up = C.diffs.get(n), q.get(n), dP.get(n), q.get(n + 1)
-        left = dC is not None and qn is not None
-        right = dp is not None and up is not None
-        if not (left or right):
-            continue
-        for v in verts:
-            for k in range(len(bases[n][0][v])):
-                lhs = dC.mats[v].apply(qn[v][k]) if left and qn[v][k] else {}
-                rhs = {}
-                for r, c in dp[v][k].items() if right else ():
-                    for i, a in up[v][r].items():
-                        old = rhs.get(i)
-                        rhs[i] = c * a if old is None else old + c * a
-                if lhs != {i: a for i, a in rhs.items() if a}:
-                    raise EngineInvariantViolation(
-                        "perfectify map is not a chain map: square fails at "
-                        "degree %d vertex %s" % (n, v))
-
-    def blocks(n):
-        dp, up, dC = dP.get(n + 1), q.get(n + 1), C.diffs.get(n)
-        if dp is None and up is None and dC is None:
-            return
-        yr = C.piece(n + 1).dims
-        for v in verts:
-            yield (yr[v], None if dp is None else dp[v],
-                   None if up is None else up[v],
-                   None if dC is None else dC.mats[v])
-
-    pdims = {n: sum(len(keys) for keys in b[0].values())
-             for n, b in bases.items()}
-    if not _cone_is_acyclic(pdims, {n: M.total_dim()
-                                    for n, M in C.pieces.items()},
-                            blocks, field):
+    ``_cover_complex``, is a chain map whose cone is acyclic: that is
+    ``is_quasi_iso``, which checks the squares of q on the columns it
+    ranks.  d_P's columns are written from P's own entries
+    (``_diff_columns``, as ``P.to_rep()`` would write its matrices, but
+    with no module built), never from the cover loop's columns."""
+    if not is_quasi_iso(P, C, q):
         raise EngineInvariantViolation(
             "perfectify result is not quasi-isomorphic")
 

@@ -16,8 +16,9 @@ boundaries of ``perfbench/tracer.py``.
 
 This module alone builds the standard modules P(x) and I(x), memoises
 them and their sums per algebra and indexes the sums (``standard_basis``,
-``standard_sum``); maps out of a sum of projectives are given by the
-images of its generators (``from_generators``).
+``standard_sum``).  A map out of a sum of projectives is written by
+``derived`` as sparse columns, one per ``standard_basis`` coordinate:
+column (j, p) is ``path_apply(p, ...)`` of the image of generator j.
 """
 
 from collections import namedtuple
@@ -59,16 +60,21 @@ class Representation:
         return self.total_dim() == 0
 
     def path_action(self, p):
-        """Matrix of the path action M_source -> M_target: the product of
-        the arrow maps along p, or the identity for a trivial path.  For a
-        one-arrow path this is the arrow map itself, so callers must not
-        mutate it."""
+        """Matrix of the path action M_source -> M_target, or the identity
+        for a trivial path.  For a one-arrow path this is the arrow map
+        itself, so callers must not mutate it; for a longer one, column k
+        is ``path_apply`` of the k-th unit vector, so no matrix product is
+        formed."""
+        field = self.alg.field
         if not p.arrows:
-            return Matrix.identity(self.dims[p.source], self.alg.field)
-        m = self.maps[p.arrows[0]]
-        for name in p.arrows[1:]:
-            m = self.maps[name] * m
-        return m
+            return Matrix.identity(self.dims[p.source], field)
+        if len(p.arrows) == 1:
+            return self.maps[p.arrows[0]]
+        one = field.one()
+        return from_entries(self.dims[p.target], self.dims[p.source],
+                            ((r, k, c) for k in range(self.dims[p.source])
+                             for r, c in self.path_apply(p, {k: one}).items()),
+                            field)
 
     def path_apply(self, p, vec):
         """The path action on the {coordinate: coeff} vector ``vec`` of
@@ -407,18 +413,6 @@ def _standard_sum(alg, kind, labels):
     M = (direct_sum([_standard(alg, kind, x) for x in labels]) if labels
          else zero_rep(alg))
     return (M,) + _standard_basis(alg, kind, labels)
-
-
-def from_generators(M, order, images):
-    """Per-vertex matrices of the map into M from the sum of projectives
-    with coordinates ``order`` (its ``standard_basis``) that sends
-    generator j to the {coordinate: coeff} vector images[j] of M: column
-    (j, p) is ``M.path_apply(p, images[j])``, written as it is computed."""
-    return {v: from_entries(M.dims[v], len(keys),
-                            ((r, k, c) for k, (j, p) in enumerate(keys)
-                             for r, c in M.path_apply(p, images[j]).items()),
-                            M.alg.field)
-            for v, keys in order.items()}
 
 
 # -- JSON ---------------------------------------------------------------

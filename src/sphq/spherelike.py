@@ -24,8 +24,8 @@ from .linalg import (Matrix, _complement, _forward, _sub_multiple,
 from .reps import (Representation, generator_column, hom_basis,
                    simple_module, standard_basis)
 from . import reps as _reps
-from .derived import (RESOLUTION_BOUND, HomComplexData, LabeledComplex,
-                      _chain_map, _cocycle_vectors, chain_map_space, cone,
+from .derived import (RESOLUTION_BOUND, HomComplexData, _cocycle_columns,
+                      _cocycle_vectors, _sum_columns, chain_map_space, cone,
                       hom_profile, iso_up_to_shift,
                       minimal_projective_resolution, nakayama, perfectify,
                       resolve)
@@ -97,16 +97,18 @@ def _degree0_end_structure(F):
     ``linalg._forward`` pass takes the columns of d^{-1}, then id and the
     candidates with a 1 in the extra column n = dim C^0 (id) or n + 1
     (candidates).  phi is the first candidate independent of id modulo
-    the image: its row is a pivot row left of n.  Only phi becomes a chain
-    map; phi o phi sends generator j of F^p to phi^p of the value of phi
-    on it.  Reducing phi o phi left of n leaves -alpha and -beta in
-    columns n and n + 1, unique as id and phi are independent mod image.
+    the image: its row is a pivot row left of n.  phi o phi sends
+    generator j of F^p to phi^p of the value of phi on it: the value is a
+    vector in the ``standard_basis`` coordinates of F^p_x, and phi^p of
+    it is summed from phi's columns (``derived._cocycle_columns``,
+    ``_sum_columns``), so no chain map is built.  Reducing
+    phi o phi left of n leaves -alpha and -beta in columns n and n + 1,
+    unique as id and phi are independent mod image.
     """
     alg = F.alg
     field = alg.field
     one, z = field.one(), field.zero()
-    Frep = F.to_rep()
-    data = HomComplexData(F, Frep)
+    data = HomComplexData(F, F.to_rep())
     layouts = {k: data._layout(k) for k in (-1, 0, 1)}
     cands = _cocycle_vectors(data, 0, layouts)
     if len(cands) != 2:
@@ -126,15 +128,14 @@ def _degree0_end_structure(F):
     if phi is None:
         raise EngineInvariantViolation(
             "no candidate of H^0 End(F) is independent of id")
-    comps = _chain_map(data, 0, offsets, phi, Frep, Frep).comps
+    q = _cocycle_columns(data, 0, offsets, phi)
     row = {}
     for p, j, x, d in slots:
-        if p in comps:  # else phi^p, and so its value, is zero
+        if p in q:  # else phi^p, and so its value, is zero
             off = offsets[p, j]
             value = {k - off: c for k, c in phi.items() if off <= k < off + d}
-            if value:
-                row.update((k + off, c) for k, c in
-                           comps[p].mats[x].apply(value).items())
+            row.update((i + off, a) for i, a in
+                       _sum_columns(value, q[p][x]).items())
     while row and min(row) < n:
         pc = min(row)
         if pc not in pivots:
@@ -162,14 +163,14 @@ def classify_spherelike(obj, desc="object"):
     H^i Hom(F, F) = H^i Hom(F, X) (Weibel, An Introduction to Homological
     Algebra, 10.4), and the Hom complex has size |F| dim X and needs no
     representation of F.  Only a projective-labeled input, which is F
-    itself, is profiled as Hom(F, F).  ``F.to_rep()`` is built by the
-    branches that need chain maps.
+    itself, is profiled as Hom(F, F).  ``F.to_rep()`` is built only where
+    it is a Hom argument or a chain map's source: by the degree-0 End
+    structure and by the chain map F -> nu F[-d] of Q_F.
     """
     F = resolve(obj)
     alg = F.alg
     certify_finite_gldim(alg)
-    X = obj.to_rep() if isinstance(obj, LabeledComplex) and obj is not F else obj
-    prof = hom_profile(F, X)
+    prof = hom_profile(F, obj)
     total = sum(prof.values())
     rep = SpherelikeReport(desc, prof, "not_spherelike", complex=F)
     if total == 1 and prof.get(0) == 1:
@@ -190,7 +191,7 @@ def classify_spherelike(obj, desc="object"):
         disc = beta * beta + alg.field.from_int(4) * alpha
         if not disc:
             rep.end_kind = "k[x]/x^2"
-            iso = iso_up_to_shift(F, nakayama(F).to_rep(), 0)
+            iso = iso_up_to_shift(F, nakayama(F), 0)
             rep.spherical_witnessed = iso
             rep.verdict = "d_spherical" if iso is True else "properly_d_spherelike"
         else:
@@ -199,7 +200,7 @@ def classify_spherelike(obj, desc="object"):
                 rep.field_sensitive = True
             rep.verdict = "decomposable_0_spherelike"
         return rep
-    dim, cands = chain_map_space(F, nakayama(F).to_rep(), -d)
+    dim, cands = chain_map_space(F, nakayama(F), -d)
     if dim != 1:
         raise EngineInvariantViolation(
             "Hom(F, nu F[-d]) has dim %d; Serre duality gives 1" % dim)
@@ -450,4 +451,4 @@ def fractional_cy_check(F, r, s):
     G = F
     for _ in range(r):
         G = perfectify(nakayama(G).to_rep())
-    return iso_up_to_shift(F, G.to_rep(), s) is True
+    return iso_up_to_shift(F, G, s) is True

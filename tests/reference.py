@@ -1,8 +1,12 @@
 """Dense helpers that ``sphq`` itself does not use, kept for the tests'
 references."""
 
+import random
+
 from sphq.algebra import Element
-from sphq.derived import RESOLUTION_BOUND, ChainMap, LabeledComplex, cone
+from sphq.derived import (ISO_TRIALS, RESOLUTION_BOUND, _ISO_SEED, ChainMap,
+                          LabeledComplex, as_rep_complex, chain_map_space,
+                          cone)
 from sphq.errors import (EngineInvariantViolation, GlobalDimensionExceeded,
                          NotChainMap)
 from sphq.linalg import QQ, Matrix, from_blocks, from_entries, hstack
@@ -32,6 +36,12 @@ def dense_col(M, j):
     return [row[j] for row in M.entries]
 
 
+def matrix_columns(M):
+    """The columns of M as {row: coeff} dicts of its nonzero entries."""
+    return [{i: a for i, a in enumerate(dense_col(M, j)) if a}
+            for j in range(M.cols)]
+
+
 def dense_apply(M, vec):
     """M times a plain vector (list), returning a list."""
     assert len(vec) == M.cols
@@ -48,7 +58,9 @@ def dense_apply(M, vec):
 
 
 def dense_from_generators(M, order, images):
-    """``reps.from_generators`` on list vectors: column (j, p) is the list
+    """The per-vertex matrices of the map into M from the sum of
+    projectives with coordinates ``order`` (its ``standard_basis``) that
+    sends generator j to the list vector images[j]: column (j, p) is
     images[j] taken along p by ``dense_apply``, arrow by arrow, and the
     columns are transposed into each matrix."""
     mats = {}
@@ -238,21 +250,58 @@ def q_matrices(C, q):
             for n, qn in q.items()}
 
 
-def dense_certify(P, C, q):
-    """``perfectify``'s certificate from dense matrices: q, read back by
-    ``q_matrices`` as maps from the pieces of P.to_rep(), must pass the
-    dense chain-map check (``ChainMap(check=True)``, products of
-    per-vertex matrices), and the cone, built with its direct-sum modules
-    and dense blocks, must be acyclic (dense ranks).  Raises
-    EngineInvariantViolation otherwise."""
+def dense_chain_map(P, C, q, check=False):
+    """q, read back by ``q_matrices``, as a ChainMap from P.to_rep() to C;
+    ``check`` runs the dense chain-map check."""
     Prep = P.to_rep()
     comps = {n: ModuleMorphism(Prep.piece(n), C.pieces[n], mats, check=False)
              for n, mats in q_matrices(C, q).items()}
+    return ChainMap(Prep, C, comps, check=check)
+
+
+def dense_certify(P, C, q):
+    """``perfectify``'s certificate from dense matrices: the
+    ``dense_chain_map`` of q must pass the dense chain-map check
+    (``ChainMap(check=True)``, products of per-vertex matrices), and the
+    cone, built with its direct-sum modules and dense blocks, must be
+    acyclic (dense ranks).  Raises EngineInvariantViolation otherwise."""
     try:
-        f = ChainMap(Prep, C, comps, check=True)
+        f = dense_chain_map(P, C, q, check=True)
     except NotChainMap as e:
         raise EngineInvariantViolation(
             "perfectify map is not a chain map: %s" % e) from e
     if not cone(f).is_acyclic():
         raise EngineInvariantViolation(
             "perfectify result is not quasi-isomorphic")
+
+
+def dense_iso_up_to_shift(F, Y, s):
+    """``derived.iso_up_to_shift`` on dense chain maps: the chain maps of
+    ``chain_map_space(F, Y, -s)`` from F.to_rep() to Y[-s], then the same
+    ``ISO_TRIALS`` seeded combinations, each summed from the scaled
+    per-vertex matrices of the basis maps, and each map is a
+    quasi-isomorphism when its built cone is acyclic."""
+    Yrep = as_rep_complex(Y)
+    if F.is_zero() and Yrep.is_zero():
+        return True
+    dim, cands = chain_map_space(F, Yrep, -s)
+    for f in cands:
+        if cone(f).is_acyclic():
+            return True
+    if dim > 1:
+        field = F.alg.field
+        rng = random.Random(_ISO_SEED)
+        for _ in range(ISO_TRIALS):
+            coeffs = [rng.randint(-5, 5) for _ in cands]
+            if all(c == 0 for c in coeffs):
+                coeffs[0] = 1
+            comps = {}
+            for c, f in zip(coeffs, cands):
+                for n, g in f.comps.items():
+                    g = g.scale(field.from_int(c))
+                    comps[n] = comps[n] + g if n in comps else g
+            if cone(ChainMap(cands[0].source, cands[0].target, comps,
+                             check=False)).is_acyclic():
+                return True
+        return "not_witnessed"
+    return False

@@ -13,7 +13,9 @@ import os
 
 import pytest
 
-from sphq import derived, linalg, spherelike
+from collections import Counter
+
+from sphq import corpus, derived, linalg, spherelike
 from sphq.algebra import algebra_from_json
 from sphq.constructions import kronecker, kronecker_quasi_simple
 from sphq.corpus import FIXTURE_DIR, load_fixture
@@ -29,9 +31,11 @@ from sphq.reps import (ModuleMorphism, generator_column, standard_basis,
                        standard_module)
 from sphq.spherelike import classify_spherelike, interval_modules
 
-from reference import (dense_certify, dense_col, dense_cover_complex,
-                       dense_from_generators, dense_kernel_basis, dense_rank,
-                       dense_rref, dense_solve, identity_morphism, vstack)
+from reference import (dense_certify, dense_chain_map, dense_col,
+                       dense_cover_complex, dense_from_generators,
+                       dense_iso_up_to_shift, dense_kernel_basis, dense_rank,
+                       dense_rref, dense_solve, identity_morphism,
+                       matrix_columns, vstack)
 
 FIXTURES = sorted(f[:-5] for f in os.listdir(FIXTURE_DIR))
 KINDS = ("simple", "projective", "injective")
@@ -261,21 +265,32 @@ def test_delta_matches_the_dense_build(name):
     assert deltas
 
 
+def map_columns(f):
+    """The components of the ChainMap f in the q format of
+    derived._cover_complex: per degree and vertex, the columns of its
+    matrix as {row: coeff} dicts of the nonzero entries."""
+    return {n: {v: matrix_columns(m) for v, m in g.mats.items()}
+            for n, g in f.comps.items()}
+
+
 def recorded_maps(name, monkeypatch):
-    """Every chain map whose cone classify_spherelike asks about while
-    classifying the standard and interval modules of a fixture: the maps
-    that iso_up_to_shift and perfectify certify through is_quasi_iso, and
-    the maps whose cone is Q_F."""
+    """(P, C, q) for every map whose cone classify_spherelike asks about
+    while classifying the standard and interval modules of a fixture: the
+    maps that iso_up_to_shift ranks through is_quasi_iso, and the maps of
+    chain_map_space whose cone is Q_F, read as columns by map_columns."""
     recorded = []
 
-    def recording(fn):
-        def wrapper(f):
-            recorded.append(f)
-            return fn(f)
-        return wrapper
+    def recording(P, C, q):
+        recorded.append((P, C, q))
+        return is_quasi_iso(P, C, q)
 
-    monkeypatch.setattr(derived, "is_quasi_iso", recording(is_quasi_iso))
-    monkeypatch.setattr(spherelike, "cone", recording(cone))
+    def space(F, G, s):
+        dim, maps = chain_map_space(F, G, s)
+        recorded.extend((F, f.target, map_columns(f)) for f in maps)
+        return dim, maps
+
+    monkeypatch.setattr(derived, "is_quasi_iso", recording)
+    monkeypatch.setattr(spherelike, "chain_map_space", space)
     alg = load_fixture(name)
     objects = [("%s:%s" % (kind, v), standard_module(alg, kind, v))
                for kind in KINDS for v in alg.quiver.vertices]
@@ -287,19 +302,22 @@ def recorded_maps(name, monkeypatch):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_is_acyclic_agrees_with_cohomology(name, monkeypatch):
-    """On every recorded chain map f, the cone-free is_quasi_iso, the
-    early-stopping is_acyclic of the built cone and its full cohomology
-    give one answer."""
-    for f in recorded_maps(name, monkeypatch):
-        C = cone(f)
-        assert is_quasi_iso(f) == C.is_acyclic() == (C.cohomology_dims() == {})
+    """On every recorded map q: P -> C, the cone-free is_quasi_iso, the
+    early-stopping is_acyclic of the cone built from the dense chain map
+    (dense_chain_map, matrices read back by q_matrices) and its full
+    cohomology give one answer."""
+    for P, C, q in recorded_maps(name, monkeypatch):
+        K = cone(dense_chain_map(P, C, q))
+        assert is_quasi_iso(P, C, q) == K.is_acyclic() == \
+            (K.cohomology_dims() == {})
 
 
 def test_recorded_cones_have_both_answers(monkeypatch):
-    """On auslander_x3, 5 of the 55 recorded chain maps are
-    quasi-isomorphisms, so both answers are exercised."""
+    """On auslander_x3, 5 of the 55 recorded maps are quasi-isomorphisms,
+    so both answers are exercised."""
     recorded = recorded_maps("auslander_x3", monkeypatch)
-    assert {is_quasi_iso(f) for f in recorded} == {True, False}
+    assert len(recorded) == 55
+    assert sum(is_quasi_iso(*r) for r in recorded) == 5
 
 
 def dense_profile(F, G):
@@ -499,12 +517,10 @@ def typed_cover(P, q, C):
     types, and for each matrix of q its row count and typed columns.  q is
     the per-vertex sparse columns of derived._cover_complex, whose row
     indices must lie below dim C^n_v, or the per-vertex matrices of
-    dense_cover_complex, whose columns are read with dense_col."""
+    dense_cover_complex, whose columns are read with matrix_columns."""
     def columns(n, v, m):
         if isinstance(m, Matrix):
-            return m.rows, typed_columns(
-                {i: a for i, a in enumerate(dense_col(m, k)) if a}
-                for k in range(m.cols))
+            return m.rows, typed_columns(matrix_columns(m))
         rows = C.pieces[n].dims[v]
         assert all(0 <= i < rows for col in m for i in col)
         return rows, typed_columns(m)
@@ -544,15 +560,16 @@ def test_cover_loop_matches_the_dense_reference(name, field, monkeypatch):
     dense loop's P, entries and scalar types included, and its q: each
     sparse column of q equals the dense matrix's column, scalar types
     included, and has the same number of rows.  It runs
-    with derived.direct_sum, standard_sum and from_generators made to
-    raise, so it builds no direct-sum module and no map from generators,
-    and derived no longer imports the dense kernel_basis, rref or
-    hstack."""
+    with derived.direct_sum and standard_sum made to raise, so it builds
+    no direct-sum module, and derived no longer imports the dense
+    kernel_basis, rref or hstack, nor a writer of maps from generators
+    (from_generators)."""
     alg = fixture_over(name, field)
     inputs = cover_inputs(alg)
     want = [typed_cover(*dense_cover_complex(C), C) for C in inputs]
-    assert not {"kernel_basis", "rref", "hstack"} & set(vars(derived))
-    for fn in ("direct_sum", "standard_sum", "from_generators"):
+    assert not {"kernel_basis", "rref", "hstack", "from_generators"} & \
+        set(vars(derived))
+    for fn in ("direct_sum", "standard_sum"):
         monkeypatch.setattr(derived, fn, refuse)
     assert [typed_cover(*derived._cover_complex(C), C)
             for C in inputs] == want
@@ -568,8 +585,9 @@ def rejects(certify, P, C, q):
 
 
 def mutants(q, one):
-    """q with one added to one nonzero entry, for each nonzero entry in
-    turn; an entry that becomes zero leaves its sparse column."""
+    """(n, v, mutant): q with one added to one nonzero entry of q^n at
+    vertex v, for each nonzero entry in turn; an entry that becomes zero
+    leaves its sparse column."""
     for n, qn in q.items():
         for v, cols in qn.items():
             for k, col in enumerate(cols):
@@ -578,7 +596,63 @@ def mutants(q, one):
                     new[i] = a + one
                     if not new[i]:
                         del new[i]
-                    yield {**q, n: {**qn, v: cols[:k] + [new] + cols[k + 1:]}}
+                    yield n, v, {**q, n: {**qn,
+                                          v: cols[:k] + [new] + cols[k + 1:]}}
+
+
+class DenseMutantVerdicts:
+    """dense_certify's verdict on the mutants of a cover map q that
+    dense_certify accepts, each from the part of the dense check that the
+    mutant can change.
+
+    A mutant of q^n at vertex v differs from q only in the matrix of q^n
+    at v.  The dense chain-map check compares per-vertex matrices, and
+    q^n enters only the squares at degrees n - 1 and n, so the mutant's
+    other squares hold as q's do.  Of the cone's differentials only the
+    one in degree n - 1, [[-d_P^n, 0], [q^n, d_C^{n-1}]], holds q^n, and
+    at v only.  q's cone is acyclic, so dim cone^k = r_k + r_{k-1} in
+    every degree, r_k the rank of its degree-k differential.  If the
+    mutant passes the squares, its cone is a complex with the same pieces
+    and every rank but r_{n-1} the same, so it is acyclic exactly when
+    the rank at v in degree n - 1 is unchanged: a fall leaves cohomology
+    in degree n - 1, and a rise is impossible, since in a complex the
+    ranks in degrees n - 1 and n add up to at most dim cone^n =
+    r_n + r_{n-1}.  So the verdict is the dense check of the two squares
+    at v and the dense rank of that one cone block, against q's; nothing
+    else changes."""
+
+    def __init__(self, P, C, q):
+        self.C = C
+        self.f = dense_chain_map(P, C, q)
+        self.ranks = {}
+
+    def _chain_map(self, n, v, m):
+        """The dense chain map of q with q^n at v replaced by m's."""
+        f, C = self.f, self.C
+        cols = m[n][v]
+        mat = linalg.from_entries(C.pieces[n].dims[v], len(cols),
+                                  ((i, k, a) for k, col in enumerate(cols)
+                                   for i, a in col.items()), C.alg.field)
+        g = f.comps.get(n) or ModuleMorphism(
+            f.source.piece(n), C.pieces[n], {}, check=False)
+        comps = dict(f.comps)
+        comps[n] = ModuleMorphism(g.source, g.target, {**g.mats, v: mat},
+                                  check=False)
+        return ChainMap(f.source, C, comps, check=False)
+
+    def rejects(self, n, v, m):
+        g = self._chain_map(n, v, m)
+        P, C = g.source, self.C
+        for k in (n - 1, n):
+            lhs = dense_diff(C, k, v) * dense_block(g.comps, k, v, P,
+                                                    C.piece(k))
+            rhs = dense_block(g.comps, k + 1, v, P, C.piece(k + 1)) * \
+                dense_diff(P, k, v)
+            if lhs != rhs:
+                return True
+        if (n, v) not in self.ranks:
+            self.ranks[n, v] = dense_rank(dense_cone_matrix(self.f, n - 1, v))
+        return dense_rank(dense_cone_matrix(g, n - 1, v)) != self.ranks[n, v]
 
 
 # (rejected, mutants) per kind of perfectify input, summed over the
@@ -594,8 +668,11 @@ def test_sparse_and_dense_certificates_reject_the_same_mutants(field):
     over MUTANT_FIXTURES, perfectify's sparse certificate
     (derived._certify) and the dense one (dense_certify) both accept the
     cover map q, and after one is added to each nonzero entry of q in
-    turn they reject exactly the same mutants, with
-    EngineInvariantViolation and not through an assert."""
+    turn they reject exactly the same mutants, the sparse one with
+    EngineInvariantViolation and not through an assert.  The full
+    dense_certify runs once per input; each mutant's dense verdict is
+    DenseMutantVerdicts', which checks densely only what the mutant can
+    change."""
     counts = {kind: [0, 0] for kind in MUTANT_COUNTS}
     for name in MUTANT_FIXTURES:
         alg = fixture_over(name, field)
@@ -604,9 +681,10 @@ def test_sparse_and_dense_certificates_reject_the_same_mutants(field):
             P, q = derived._cover_complex(C)
             assert not rejects(derived._certify, P, C, q)
             assert not rejects(dense_certify, P, C, q)
-            for m in mutants(q, alg.field.one()):
+            dense = DenseMutantVerdicts(P, C, q)
+            for n, v, m in mutants(q, alg.field.one()):
                 sparse = rejects(derived._certify, P, C, m)
-                assert sparse == rejects(dense_certify, P, C, m)
+                assert sparse == dense.rejects(n, v, m)
                 counts[kind][0] += sparse
                 counts[kind][1] += 1
     assert {kind: tuple(c) for kind, c in counts.items()} == MUTANT_COUNTS
@@ -616,9 +694,9 @@ def test_perfectify_certificate_is_sparse(monkeypatch):
     """perfectify calls no LabeledComplex.to_rep, Matrix.__mul__,
     from_blocks or ChainMap._validate on the perfectify_inputs of
     auslander_x3 and tensor_kronecker: each is counted while perfectify
-    runs, and every count is 0.  Its cone is ranked by the routine
-    is_quasi_iso ranks with, _cone_is_acyclic, once per input, and
-    is_quasi_iso on the identity of a resolution calls it once."""
+    runs, and every count is 0.  Its cone is ranked by is_quasi_iso once
+    per input, and is_quasi_iso on the degree-0 Hom class of a resolution
+    of a simple, given as its columns, calls none of them either."""
     calls = {}
 
     def counted(name, fn):
@@ -632,18 +710,19 @@ def test_perfectify_certificate_is_sparse(monkeypatch):
     inputs = [C for name in ("auslander_x3", "tensor_kronecker")
               for C in perfectify_inputs(fixture_over(name))]
     R = standard_resolutions(fixture_over("cb3"))[0]
-    (ident,) = chain_map_space(R, R.to_rep(), 0)[1]
+    Rrep = R.to_rep()
+    (ident,) = chain_map_space(R, Rrep, 0)[1]
     for owner, name in ((derived.LabeledComplex, "to_rep"),
                         (Matrix, "__mul__"), (derived.ChainMap, "_validate"),
                         (linalg, "from_blocks"), (derived, "from_blocks"),
-                        (derived, "_cone_is_acyclic")):
+                        (derived, "is_quasi_iso")):
         monkeypatch.setattr(owner, name, counted(
             "%s.%s" % (owner.__name__, name), getattr(owner, name)))
     for C in inputs:
         perfectify(C)
-    assert calls["sphq.derived._cone_is_acyclic"] == len(inputs)
-    assert is_quasi_iso(ident)
-    assert calls.pop("sphq.derived._cone_is_acyclic") == len(inputs) + 1
+    assert calls["sphq.derived.is_quasi_iso"] == len(inputs)
+    assert derived.is_quasi_iso(R, Rrep, map_columns(ident))
+    assert calls.pop("sphq.derived.is_quasi_iso") == len(inputs) + 1
     assert calls == dict.fromkeys(calls, 0)
     assert len(calls) == 5
 
@@ -681,12 +760,13 @@ def d0_objects(algebra_of):
 
 
 def test_chain_maps_and_end_structure_build_no_dense_matrix(monkeypatch):
-    """classify_spherelike, and so the cover loop, chain_map_space and the
-    degree-0 End structure, answer with HomComplexData.delta,
+    """classify_spherelike, and so the cover loop, chain_map_space, the iso
+    test and the degree-0 End structure, answer with HomComplexData.delta,
     derived.kernel_basis, rref and hstack and spherelike.rank and solve
     made to raise, on the d = 0 objects of query_mix and on the simples of
     cb3.  The reports, Q_F included, are those classify_spherelike gives on
-    the dense references, and so is (alpha, beta) of each d = 0 object.
+    the dense references (dense_iso_up_to_shift among them), and so is
+    (alpha, beta) of each d = 0 object.
     Each run builds its modules over algebras built anew, so the dense
     run's resolutions are not memoised on the shared fixtures, and the
     guarded run resolves its modules under the guard."""
@@ -696,6 +776,7 @@ def test_chain_maps_and_end_structure_build_no_dense_matrix(monkeypatch):
         for module in (derived, spherelike):
             m.setattr(module, "chain_map_space", dense_chain_map_space)
         m.setattr(spherelike, "_degree0_end_structure", dense_end_structure)
+        m.setattr(spherelike, "iso_up_to_shift", dense_iso_up_to_shift)
         want = [typed_report(classify_spherelike(M, desc))
                 for desc, M in objects]
         d0 = [resolve(M) for desc, M in objects if not desc.startswith("S")]
@@ -784,3 +865,99 @@ def test_no_matrix_apply_receives_a_zero_vector(monkeypatch):
         classify_spherelike(M, desc)
     assert seen and all(seen), "%d of %d calls on a zero vector" % (
         seen.count(False), len(seen))
+
+
+def recorded_iso_calls(run, monkeypatch):
+    """(F, Y, s) of every iso_up_to_shift call that run() makes, through
+    any sphq module."""
+    calls = []
+    real = derived.iso_up_to_shift
+
+    def recording(F, Y, s):
+        calls.append((F, Y, s))
+        return real(F, Y, s)
+
+    with monkeypatch.context() as m:
+        for module in (derived, spherelike, corpus):
+            m.setattr(module, "iso_up_to_shift", recording)
+        run()
+    return calls
+
+
+def d0_iso_calls(field, monkeypatch):
+    """The iso_up_to_shift calls of classifying the d = 0 objects of
+    query_mix (D0_OBJECTS) over algebras built anew over ``field``."""
+    objects = [(desc, M) for desc, M in d0_objects(
+        lambda name: fixture_over(name, field)) if not desc.startswith("S")]
+    return recorded_iso_calls(
+        lambda: [classify_spherelike(M, desc) for desc, M in objects],
+        monkeypatch)
+
+
+# The answers of iso_up_to_shift on the calls of run_corpus() and of the
+# D0_OBJECTS classifications, counted.
+ISO_ANSWERS = {"corpus": {True: 12, False: 0, "not_witnessed": 3},
+               "QQ": {True: 0, False: 0, "not_witnessed": 12},
+               "GF3": {True: 0, False: 0, "not_witnessed": 12}}
+
+
+@pytest.mark.parametrize("calls", sorted(ISO_ANSWERS))
+def test_iso_up_to_shift_matches_the_dense_reference(calls, monkeypatch):
+    """On every iso_up_to_shift call of run_corpus(), and of classifying
+    the d = 0 objects of query_mix over QQ and GF(3), iso_up_to_shift
+    gives dense_iso_up_to_shift's answer, "not_witnessed" included:
+    chain_map_space's dense chain maps, their dense combinations and the
+    acyclicity of each built cone."""
+    if calls == "corpus":
+        recorded = recorded_iso_calls(corpus.run_corpus, monkeypatch)
+    else:
+        recorded = d0_iso_calls(calls, monkeypatch)
+    answers = [derived.iso_up_to_shift(*c) for c in recorded]
+    assert answers == [dense_iso_up_to_shift(*c) for c in recorded]
+    counts = Counter(answers)
+    assert {a: counts[a] for a in ISO_ANSWERS[calls]} == ISO_ANSWERS[calls]
+
+
+def test_iso_and_end_structure_build_no_chain_map(monkeypatch):
+    """iso_up_to_shift and the degree-0 End structure build no ChainMap
+    and no ModuleMorphism and multiply no Matrix, and iso_up_to_shift
+    calls to_rep on no F, only on Y: counted on every iso_up_to_shift
+    call of run_corpus() and of classifying the D0_OBJECTS over QQ, and
+    on the End structure of each of those objects.  The representation
+    of each Y, and that of F which the End structure's Hom complex takes
+    as its right argument, are built before counting."""
+    d0 = d0_iso_calls("QQ", monkeypatch)
+    recorded = recorded_iso_calls(corpus.run_corpus, monkeypatch) + d0
+    ends = [F for F, _, _ in d0]
+    assert len(ends) == 12
+    for F, Y, _ in recorded:
+        derived.as_rep_complex(Y)
+    for F in ends:
+        F.to_rep()
+    calls, to_rep_of = Counter(), []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def to_rep(self):
+        to_rep_of.append(self)
+        return real_to_rep(self)
+
+    real_to_rep = derived.LabeledComplex.to_rep
+    for owner in (ChainMap, ModuleMorphism):
+        monkeypatch.setattr(owner, "__init__", counted(
+            owner.__name__, owner.__init__))
+    monkeypatch.setattr(Matrix, "__mul__", counted("mul", Matrix.__mul__))
+    monkeypatch.setattr(derived.LabeledComplex, "to_rep", to_rep)
+    answers = []
+    for F, Y, s in recorded:
+        answers.append(derived.iso_up_to_shift(F, Y, s))
+        assert all(G is Y for G in to_rep_of)
+        del to_rep_of[:]
+    assert Counter(answers)["not_witnessed"] == 15
+    for F in ends:
+        spherelike._degree0_end_structure(F)
+    assert calls == {}

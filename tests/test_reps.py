@@ -9,23 +9,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sphq
-from sphq import reps
+from sphq import derived, reps
 from sphq.algebra import Path
 from sphq.constructions import cb, kronecker, kronecker_quasi_simple
 from sphq.corpus import FIXTURE_DIR, load_fixture
-from sphq.derived import LabeledComplex, minimal_projective_resolution
+from sphq.derived import (HomComplexData, LabeledComplex,
+                          minimal_projective_resolution)
 from sphq.errors import EngineInvariantViolation, UnknownVertex
 from sphq.linalg import QQ, Matrix, PrimeField, hstack
 from sphq.reps import (ModuleMorphism, Representation, _quotient_data,
-                       _subrep_from_inclusions, direct_sum, from_generators,
-                       generator_column, hom_basis, injective_module,
-                       kernel_cokernel, projective_module, rep_from_json,
+                       _subrep_from_inclusions, direct_sum, generator_column,
+                       hom_basis, injective_module, kernel_cokernel, projective_module, rep_from_json,
                        rep_to_json, simple_module, standard_basis,
                        standard_module, standard_sum, top_and_radical,
                        zero_rep)
 from sphq.spherelike import interval_module
 
-from reference import dense_apply, dense_rank, dense_rref
+from reference import (dense_apply, dense_col, dense_from_generators,
+                       dense_rank, dense_rref, matrix_columns)
 
 
 def test_projective_dims_cb3():
@@ -227,12 +228,26 @@ FIXTURES = sorted(f[:-5] for f in os.listdir(FIXTURE_DIR))
 STANDARD = {"proj": "projective", "inj": "injective"}
 
 
+def generator_columns(M, labels, images):
+    """derived._cocycle_columns of the map into M from the sum of the P(x)
+    over ``labels`` that sends generator j to the {coordinate: coeff}
+    vector images[j]: the sum is a complex in degree 0, whose Hom complex
+    into M holds the value of generator j in slot (0, j).  Per vertex,
+    one {row: coeff} column per ``standard_basis`` coordinate."""
+    data = HomComplexData(LabeledComplex(M.alg, {0: labels}, {}), M)
+    offsets = data._layout(0)[1]
+    vec = {offsets[0, j] + k: c for j, img in enumerate(images)
+           for k, c in img.items()}
+    return derived._cocycle_columns(data, 0, offsets, vec)[0]
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_standard_sum_is_the_direct_sum_of_standard_modules(name):
     """standard_sum is direct_sum of the standard modules; order[v] lists
     one coordinate per dimension, and generator j of a sum of projectives
     is the unit vector at index[x_j][(j, e_{x_j})]: sending each generator
-    there gives the identity."""
+    there gives the identity, in derived._cocycle_columns as in
+    dense_from_generators."""
     alg = load_fixture(name)
     rng = random.Random(name)
     verts = alg.quiver.vertices
@@ -255,13 +270,23 @@ def test_standard_sum_is_the_direct_sum_of_standard_modules(name):
                 col = generator_column(index, j, x)
                 assert col == index[x][(j, Path(x, x, ()))]
                 gens.append({col: alg.field.one()})
-            ident = from_generators(M, order, gens)
-            assert all(ident[v] == Matrix.identity(M.dims[v], alg.field)
-                       for v in verts)
+            ident = generator_columns(M, labels, gens)
+            dense = dense_from_generators(M, order, [
+                dense_col(Matrix.identity(M.dims[x], alg.field),
+                          generator_column(index, j, x))
+                for j, x in enumerate(labels)])
+            for v in verts:
+                unit = Matrix.identity(M.dims[v], alg.field)
+                assert ident[v] == matrix_columns(unit) == \
+                    matrix_columns(dense[v])
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_from_generators_applies_each_path_to_its_image(name):
+    """The columns that derived._cocycle_columns writes for a map from a
+    sum of projectives, given by the images of its generators, are those
+    of dense_from_generators and of the path actions applied to the
+    images."""
     alg = load_fixture(name)
     rng = random.Random(name)
     verts = alg.quiver.vertices
@@ -272,13 +297,15 @@ def test_from_generators_applies_each_path_to_its_image(name):
         order, _ = standard_basis(alg, "proj", labels)
         images = [[alg.field.from_int(rng.randint(-3, 3))
                    for _ in range(M.dims[x])] for x in labels]
-        mats = from_generators(M, order, [
+        cols = generator_columns(M, labels, [
             {k: c for k, c in enumerate(img) if c} for img in images])
+        dense = dense_from_generators(M, order, images)
         for v in verts:
             reference = [dense_apply(M.path_action(p), images[j])
                          for j, p in order[v]]
-            assert mats[v] == Matrix(len(reference), M.dims[v], reference,
-                                     alg.field).transpose()
+            assert cols[v] == matrix_columns(dense[v]) == matrix_columns(
+                Matrix(len(reference), M.dims[v], reference,
+                       alg.field).transpose())
 
 
 def test_standard_modules_are_built_once_per_algebra():

@@ -8,6 +8,16 @@ are reducible; the surviving paths form the basis.  Finite-dimensionality
 is certified, not assumed: if any path of length == cap survives, the cap
 does not witness nilpotency of the arrow ideal and the build fails.
 
+A product l * m * r of a one-term relation m is a path in the ideal, and
+these paths form the zero set: a path w is in it if w is a one-term
+relation, or if w without its last arrow or without its first arrow is,
+decided in one pass by length.  For each zero path z the unit vector e_z
+lies in the row space, so the reduced row with pivot z is e_z and no other
+reduced row has an entry in column z.  Deleting the zero set's columns
+from the remaining rows therefore leaves the rest of the unique reduced
+form.  So each zero path reduces to 0 with no row written, and only the
+products of multi-term relations become rows, on the other columns.
+
 The terms of a relation are parallel, so each product touches only paths
 with one (source, target) pair.  The rows are sparse {column: coeff} dicts
 grouped by that pair, and each group is reduced on its own by
@@ -156,7 +166,7 @@ class Quiver:
         return Path(arrs[0].source, arrs[-1].target, tuple(a.name for a in arrs))
 
     def path_sort_key(self, p):
-        return (len(p.arrows), tuple(self._arrow_index[a] for a in p.arrows))
+        return (len(p.arrows), tuple(map(self._arrow_index.__getitem__, p.arrows)))
 
     def is_acyclic(self):
         # Kahn peeling on the vertex set.
@@ -269,31 +279,64 @@ class BoundQuiverAlgebra:
         return [p for lst in by_len for p in lst]
 
     def _build_basis(self):
+        """The normal-form tables: ``_reduction`` maps each reducible path,
+        in column order, to its normal form {basis path: coeff} in column
+        order ({} for a zero path), and ``basis``, ``basis_index`` and
+        ``basis_by_st`` list the rest.  The zero paths get no row and no
+        column; the rows are the products of multi-term relations, keyed
+        by (source, arrows) so that no Path is built per product."""
         q = self.quiver
         paths = self._enumerate_paths()
+        # The zero set (module docstring), keyed by (source, arrows) and
+        # decided shortest first, the enumeration order.  A relation has
+        # length >= 2, so a path of length <= 2 is in it only as a relation.
+        zero = {(p.source, p.arrows) for rel in self.relations
+                if len(rel.terms) == 1 for p in rel.terms}
+        target_of = {a.name: a.target for a in q.arrows}
+        for p in paths:
+            arrows = p.arrows
+            if len(arrows) > 2 and ((p.source, arrows[:-1]) in zero or
+                                    (target_of[arrows[0]], arrows[1:]) in zero):
+                zero.add((p.source, arrows))
         # Longest (then lexicographically latest) paths first, so they are
-        # the ones eliminated as pivots.
+        # the ones eliminated as pivots.  A zero-set path reduces to 0 and
+        # gets no column.
         paths.sort(key=q.path_sort_key, reverse=True)
-        col_of = {p: i for i, p in enumerate(paths)}
-        # Ideal slice rows: left_path * relation * right_path within the cap,
-        # grouped by the (source, target) shared by all their paths.
+        reduction = {}
+        col_of = {}
         by_target = {}
         by_source = {}
-        for p in paths:
+        for j, p in enumerate(paths):
+            key = (p.source, p.arrows)
+            if key in zero:
+                reduction[j] = {}
+                continue
+            col_of[key] = j
             by_target.setdefault(p.target, []).append(p)
             by_source.setdefault(p.source, []).append(p)
+        # Ideal slice rows: left_path * relation * right_path within the cap
+        # for each multi-term relation, on the columns outside the zero set,
+        # grouped by the (source, target) shared by all their paths.  A
+        # product whose left or right path is in the zero set is in it too,
+        # so only paths outside it are tried.
         blocks = {}
         for rel in self.relations:
+            if len(rel.terms) == 1:
+                continue
             s, t = rel.endpoints()
+            terms = [(p.arrows, c) for p, c in rel.terms.items()]
             budget = self.length_cap - max(len(p) for p in rel.terms)
             for right in _up_to(by_target.get(s, []), budget):
+                src, head = right.source, right.arrows
                 for left in _up_to(by_source.get(t, []), budget - len(right)):
-                    row = {col_of[Path(right.source, left.target,
-                                       right.arrows + p.arrows + left.arrows)]: c
-                           for p, c in rel.terms.items()}
-                    blocks.setdefault((right.source, left.target), []).append(row)
+                    row = {}
+                    for arrows, c in terms:
+                        j = col_of.get((src, head + arrows + left.arrows))
+                        if j is not None:
+                            row[j] = c
+                    if row:
+                        blocks.setdefault((src, left.target), []).append(row)
         # reduction[pivot path] = {basis path: coeff}, both in column order
-        reduction = {}
         for rows in blocks.values():
             reduced, pivots = sparse_rref(rows, self.field)
             for pc, row in zip(pivots, reduced):

@@ -90,9 +90,6 @@ class BoundedComplex:
         diffs = {n - s: d.scale(sign) for n, d in self.diffs.items()}
         return BoundedComplex(self.alg, pieces, diffs, check=False)
 
-    def cohomology_dims(self):
-        return {n: h for n, h in self._h() if h}
-
     def is_acyclic(self):
         """True when every cohomology group vanishes; stops at the first
         degree with cohomology."""
@@ -254,8 +251,6 @@ def is_quasi_iso(P, C, q):
     unless it stops at the first degree with cohomology; no cone module
     and no dense block is built."""
     field = P.alg.field
-    bases = {n: standard_basis(P.alg, "proj", lab)
-             for n, lab in P.pieces.items()}
 
     def rank_of(n):
         up, dC = q.get(n + 1), C.diffs.get(n)
@@ -267,7 +262,7 @@ def is_quasi_iso(P, C, q):
         for v in P.alg.quiver.vertices:
             cols = [] if dC is None else _columns(dC.mats[v])
             over = None if dC1 is None else _columns(dC1.mats[v])
-            for k, dcol in enumerate(_diff_columns(P, bases, n + 1, v)):
+            for k, dcol in enumerate(_diff_columns(P, n + 1, v)):
                 qcol = {} if up is None else up[v][k]
                 lhs = _sum_columns(qcol, over) if over else {}
                 rhs = _sum_columns(dcol, up2[v]) if up2 else {}
@@ -282,7 +277,8 @@ def is_quasi_iso(P, C, q):
         return total
 
     dims = defaultdict(int)
-    for n, (order, _) in bases.items():
+    for n, lab in P.pieces.items():
+        order = standard_basis(P.alg, "proj", lab)[0]
         dims[n - 1] += sum(len(keys) for keys in order.values())
     for n, M in C.pieces.items():
         dims[n] += M.total_dim()
@@ -417,16 +413,20 @@ def _diff_cells(alg, kind, d, src, tgt, v):
             for p, c in alg.multiply(e, q).terms.items())
 
 
-def _diff_columns(P, bases, n, v):
-    """The columns of d_P^n at vertex v, for a projective-labeled P whose
-    ``standard_basis`` in each degree m is bases[m], as {row: coeff}
-    dicts, one per coordinate of P^n_v, written from P's entries by
-    ``_diff_cells``; each is empty where P has no differential in degree
-    n."""
-    cols = [{} for _ in bases[n][0][v]] if n in bases else []
+@memoised
+def _diff_columns(P, n, v):
+    """The columns of d_P^n at vertex v, for a projective-labeled P, as
+    {row: coeff} dicts, one per ``standard_basis`` coordinate of P^n_v,
+    written from P's entries by ``_diff_cells``; each is empty where P has
+    no differential in degree n.  Built once per P, degree and vertex, so
+    ``iso_up_to_shift`` writes them once for all its candidate maps; the
+    result is shared and must not be mutated."""
+    alg = P.alg
+    src = standard_basis(alg, "proj", P.labels(n))
+    cols = [{} for _ in src[0][v]]
     if n in P.diffs:
-        for r, k, c in _diff_cells(P.alg, "proj", P.diffs[n], bases[n],
-                                   bases[n + 1], v):
+        tgt = standard_basis(alg, "proj", P.labels(n + 1))
+        for r, k, c in _diff_cells(alg, "proj", P.diffs[n], src, tgt, v):
             cols[k][r] = c
     return cols
 
@@ -864,9 +864,12 @@ def iso_up_to_shift(F, Y, s):
     The candidates are the vectors of ``_cocycle_vectors`` in degree 0 of
     Hom(F[s], Y), the same coordinates and differentials as degree -s of
     Hom(F, Y).  Each basis vector is tried, then ``ISO_TRIALS`` seeded
-    combinations sum c_i vec_i, each taken as a vector: the map of
-    ``_cocycle_columns`` is linear in its vector.  ``is_quasi_iso`` ranks
-    each cone; no representation of F and no chain map is built."""
+    combinations sum c_i vec_i.  The map of ``_cocycle_columns`` is linear
+    in its vector, so a combination's columns are summed from the basis
+    vectors' columns (``_sum_columns``), and d_F's columns are written
+    once for all candidates (``_diff_columns`` on F[s]).
+    ``is_quasi_iso`` ranks each cone; no representation of F and no chain
+    map is built."""
     Yrep = as_rep_complex(Y)
     if F.is_zero() and Yrep.is_zero():
         return True
@@ -874,13 +877,12 @@ def iso_up_to_shift(F, Y, s):
     data = HomComplexData(Fs, Yrep)
     layouts = {n: data._layout(n) for n in (-1, 0, 1)}
     vecs = _cocycle_vectors(data, 0, layouts)
-
-    def witnessed(vec):
-        return is_quasi_iso(Fs, Yrep,
-                            _cocycle_columns(data, 0, layouts[0][1], vec))
-
-    if any(witnessed(vec) for vec in vecs):
-        return True
+    maps = []
+    for vec in vecs:
+        q = _cocycle_columns(data, 0, layouts[0][1], vec)
+        if is_quasi_iso(Fs, Yrep, q):
+            return True
+        maps.append(q)
     if len(vecs) > 1:
         field = F.alg.field
         rng = random.Random(_ISO_SEED)
@@ -888,12 +890,13 @@ def iso_up_to_shift(F, Y, s):
             coeffs = [rng.randint(-5, 5) for _ in vecs]
             if all(c == 0 for c in coeffs):
                 coeffs[0] = 1
-            comb = {}
-            for c, vec in zip(coeffs, vecs):
-                c = field.from_int(c)
-                for k, a in vec.items():
-                    comb[k] = comb[k] + c * a if k in comb else c * a
-            if witnessed({k: a for k, a in comb.items() if a}):
+            weights = {i: field.from_int(c) for i, c in enumerate(coeffs)
+                       if c}
+            comb = {p: {v: [_sum_columns(weights, cols)
+                            for cols in zip(*(q[p][v] for q in maps))]
+                        for v in qp}
+                    for p, qp in maps[0].items()}
+            if is_quasi_iso(Fs, Yrep, comb):
                 return True
         return "not_witnessed"
     return False

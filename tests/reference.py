@@ -26,6 +26,13 @@ def vstack(mats):
     return Matrix(len(entries), cols, entries, mats[0].field)
 
 
+def cohomology_dims(X):
+    """{n: dim H^n} of the BoundedComplex X at each degree where it is
+    nonzero, from the full ``_cohomology`` walk that ``is_acyclic`` stops
+    early."""
+    return {n: h for n, h in X._h() if h}
+
+
 def identity_morphism(M):
     return ModuleMorphism(M, M, {v: Matrix.identity(M.dims[v], M.alg.field)
                                  for v in M.dims}, check=False)

@@ -31,8 +31,9 @@ from sphq.reps import (ModuleMorphism, generator_column, standard_basis,
                        standard_module)
 from sphq.spherelike import classify_spherelike, interval_modules
 
-from reference import (dense_certify, dense_chain_map, dense_col,
-                       dense_cover_complex, dense_from_generators,
+import reference
+from reference import (cohomology_dims, dense_certify, dense_chain_map,
+                       dense_col, dense_cover_complex, dense_from_generators,
                        dense_iso_up_to_shift, dense_kernel_basis, dense_rank,
                        dense_rref, dense_solve, identity_morphism,
                        matrix_columns, vstack)
@@ -309,7 +310,7 @@ def test_is_acyclic_agrees_with_cohomology(name, monkeypatch):
     for P, C, q in recorded_maps(name, monkeypatch):
         K = cone(dense_chain_map(P, C, q))
         assert is_quasi_iso(P, C, q) == K.is_acyclic() == \
-            (K.cohomology_dims() == {})
+            (cohomology_dims(K) == {})
 
 
 def test_recorded_cones_have_both_answers(monkeypatch):
@@ -916,6 +917,36 @@ def test_iso_up_to_shift_matches_the_dense_reference(calls, monkeypatch):
     assert answers == [dense_iso_up_to_shift(*c) for c in recorded]
     counts = Counter(answers)
     assert {a: counts[a] for a in ISO_ANSWERS[calls]} == ISO_ANSWERS[calls]
+
+
+@pytest.mark.parametrize("name", ["auslander_x3", "cb3", "dda_2_3_0"])
+def test_iso_up_to_shift_needs_a_weighted_combination(name, monkeypatch):
+    """F = P(1) + P(1) in degree 0: each basis vector of End(F) that
+    _cocycle_vectors gives is a singular matrix unit, and their plain sum
+    is no isomorphism either, so only a seeded combination with unequal
+    coefficients witnesses F = F.  iso_up_to_shift(F, F, 0) is True, and
+    "not_witnessed" with no trials; dense_iso_up_to_shift agrees both
+    times."""
+    alg = load_fixture(name)
+    F = derived.LabeledComplex(alg, {0: ["1", "1"]}, {})
+    Y = F.to_rep()
+    data = HomComplexData(F, Y)
+    layouts = {n: data._layout(n) for n in (-1, 0, 1)}
+    vecs = derived._cocycle_vectors(data, 0, layouts)
+    plain = {}
+    for vec in vecs:
+        for k, a in vec.items():
+            plain[k] = plain.get(k, alg.field.zero()) + a
+    assert len(vecs) == 4
+    assert not any(
+        is_quasi_iso(F, Y, derived._cocycle_columns(data, 0, layouts[0][1], v))
+        for v in vecs + [plain])
+    assert derived.iso_up_to_shift(F, F, 0) is True
+    assert dense_iso_up_to_shift(F, F, 0) is True
+    monkeypatch.setattr(derived, "ISO_TRIALS", 0)
+    monkeypatch.setattr(reference, "ISO_TRIALS", 0)
+    assert derived.iso_up_to_shift(F, F, 0) == "not_witnessed"
+    assert dense_iso_up_to_shift(F, F, 0) == "not_witnessed"
 
 
 def test_iso_and_end_structure_build_no_chain_map(monkeypatch):

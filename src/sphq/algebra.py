@@ -46,8 +46,9 @@ def memoised(fn):
     """Keep ``fn(owner, *args)`` in ``owner._memo`` under ``(fn, *args)``.
 
     The owners are ``BoundQuiverAlgebra``, ``Representation``,
-    ``LabeledComplex`` and ``SpherelikePoset``; each declares
-    ``self._memo = {}`` in ``__init__``, and nothing else reads it.  Rules:
+    ``BoundedComplex``, ``LabeledComplex`` and ``SpherelikePoset``; each
+    declares ``self._memo = {}`` in ``__init__``, and nothing else reads
+    it.  Rules:
 
     * A hit costs one dict lookup.  The lookup is a sentinel ``get``, so an
       exception raised by the build is not chained to a ``KeyError``.

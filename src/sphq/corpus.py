@@ -13,10 +13,10 @@ from .constructions import (canonical, cb, circular, dda, insert_An,
                             kronecker, kronecker_quasi_simple,
                             quiver_isomorphic, synthesize_poset_algebra, tack,
                             tensor_algebra, induce, Embedding)
-from .derived import (chain_map_space, cone, hom_profile, is_minimal,
-                      iso_up_to_shift, minimal_projective_resolution,
-                      nakayama, perfectify, resolve, stalk_complex,
-                      complex_direct_sum, tau_inverse)
+from .derived import (BoundedComplex, chain_map_space, cone, hom_profile,
+                      is_minimal, iso_up_to_shift,
+                      minimal_projective_resolution, nakayama, perfectify,
+                      resolve, stalk_complex, tau_inverse)
 from .ktheory import (euler_matrix, euler_pairing, k_class, perp_lattice,
                       same_lattice)
 from .linalg import QQ, Matrix
@@ -226,15 +226,15 @@ def _crit_ncc():
     checks = {}
     checks["end_profile"] = hom_profile(RE, E) == {0: 1}
     checks["fractional_cy_2_4"] = fractional_cy_check(RE, 2, 4)
-    TiE = perfectify(tau_inverse(RE).to_rep())
-    dim, cands = chain_map_space(TiE, stalk_complex(E), 1)
+    TiE = tau_inverse(RE)
+    stalk = stalk_complex(E)
+    dim, cands = chain_map_space(TiE, stalk, 1)
     checks["unique_triangle_map"] = dim == 1
-    F = perfectify(cone(cands[0]).shift(-1))
+    F = perfectify(cone(TiE, stalk.shift(1), cands[0]).shift(-1))
     repF = classify_spherelike(F, "F")
     checks["F_3_spherelike"] = repF.is_spherelike() and repF.d == 3
     Q = asphericality(F, repF)
-    D = complex_direct_sum([stalk_complex(E).shift(1),
-                            stalk_complex(E).shift(-2)])
+    D = BoundedComplex(alg, {-1: E, 2: E}, {}, check=False)  # E[1] + E[-2]
     checks["QF_hom_match"] = hom_profile(RE, Q) == hom_profile(RE, D)
     checks["QF_splits"] = iso_up_to_shift(perfectify(Q), D, 0) is True
     Emat = euler_matrix(alg)

@@ -27,11 +27,12 @@ A map q from a projective-labeled complex P to a BoundedComplex C has one
 format: q[n][v] lists, for each ``standard_basis`` coordinate of P^n_v in
 order, its image in C^n_v as a {row: coeff} dict of nonzero coefficients.
 The cover loop of resolutions and ``perfectify`` (``_cover_complex``)
-writes its map in it, and so does ``_cocycle_columns`` for a vector of the
-Hom complex.  ``is_quasi_iso(P, C, q)`` is the one test of a map's cone,
-and checks the map's squares on the columns it ranks: ``perfectify``'s
-certificate (``_certify``) and ``iso_up_to_shift`` both call it.  Dense ``ChainMap``s are built only by ``chain_map_space``, whose
-maps ``cone`` turns into Q_F.
+writes its map in it, and so do ``_cocycle_columns`` for a vector of the
+Hom complex and ``chain_map_space``.  ``is_quasi_iso(P, C, q)`` is the one
+test of a map's cone, and checks the map's squares on the columns it
+ranks: ``perfectify``'s certificate (``_certify``) and ``iso_up_to_shift``
+both call it.  ``cone(P, C, q)`` writes the cone from the same columns
+where it is kept, for Q_F and criterion 07; no dense chain map is built.
 """
 
 import random
@@ -40,8 +41,8 @@ from collections import defaultdict
 from .algebra import Element, Path, memoised
 from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
                      EngineInvariantViolation, SchemaError, UnknownVertex)
-from .linalg import (_complement, from_blocks, from_entries, null_space,
-                     rank, scalar_to_str, sparse_rank)
+from .linalg import (_complement, from_entries, null_space, rank,
+                     scalar_to_str, sparse_rank)
 from .reps import (ModuleMorphism, Representation, direct_sum,
                    standard_basis, standard_sum, zero_rep)
 
@@ -57,6 +58,7 @@ class BoundedComplex:
     def __init__(self, alg, pieces, diffs, check=True):
         self.alg = alg
         self.pieces = {n: p for n, p in pieces.items() if p.total_dim() > 0}
+        self._memo = {}
         self.diffs = {}
         for n, d in diffs.items():
             if n in self.pieces and (n + 1) in self.pieces and not d.is_zero():
@@ -126,34 +128,12 @@ def stalk_complex(M):
     return BoundedComplex(M.alg, {0: M}, {}, check=False)
 
 
-def complex_direct_sum(complexes):
-    """Degreewise direct sum; each differential is block diagonal, and the
-    block of a summand without a differential in that degree is zero."""
-    assert complexes
-    alg = complexes[0].alg
-    degs = sorted({n for c in complexes for n in c.pieces})
-    pieces, diffs = {}, {}
-    for n in degs:
-        pieces[n] = direct_sum([c.piece(n) for c in complexes])
-    for n in degs:
-        if n + 1 not in pieces:
-            continue
-        mats = {}
-        for v in alg.quiver.vertices:
-            blocks, r0, c0 = [], 0, 0
-            for c in complexes:
-                d = c.diffs.get(n)
-                if d is not None:
-                    blocks.append((r0, c0, d.mats[v], None))
-                r0 += c.piece(n + 1).dims[v]
-                c0 += c.piece(n).dims[v]
-            mats[v] = from_blocks(r0, c0, blocks, alg.field)
-        diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
-    return BoundedComplex(alg, pieces, diffs, check=False)
-
-
 class ChainMap:
-    """Degree-0 chain map between BoundedComplexes."""
+    """Degree-0 chain map between BoundedComplexes, with its dense
+    chain-map check.  ``sphq`` never builds one: it stays as the tests'
+    reference (``tests/reference.py::dense_chain_map``) and because
+    perfbench/tracer.py looks ``ChainMap._validate`` up in this class body
+    as a boundary, and goes together with that boundary."""
 
     def __init__(self, source, target, comps, check=True):
         self.source = source
@@ -188,43 +168,43 @@ def _compose_present(g, h):
     return None if g is None or h is None else g.compose(h)
 
 
-def _cone_mats(f, n):
-    """Per-vertex matrices of the cone differential C^n -> C^{n+1},
-    C^n = X^{n+1} + Y^n, with blocks [[-d_X^{n+1}, 0], [f^{n+1}, d_Y^n]];
-    None when all three blocks are absent.  A present block is a nonzero
-    morphism, so the differential is then nonzero."""
-    X, Y = f.source, f.target
-    dx, fn, dy = X.diffs.get(n + 1), f.comps.get(n + 1), Y.diffs.get(n)
-    if dx is None and fn is None and dy is None:
-        return None
-    alg = X.alg
-    minus_one = alg.field.from_int(-1)
-    xr, xc = X.piece(n + 2).dims, X.piece(n + 1).dims
-    yr, yc = Y.piece(n + 1).dims, Y.piece(n).dims
-    mats = {}
-    for v in alg.quiver.vertices:
-        blocks = ((0, 0, dx, minus_one), (xr[v], 0, fn, None),
-                  (xr[v], xc[v], dy, None))
-        mats[v] = from_blocks(
-            xr[v] + yr[v], xc[v] + yc[v],
-            [(r0, c0, g.mats[v], c) for r0, c0, g, c in blocks if g is not None],
-            alg.field)
-    return mats
-
-
-def cone(f):
-    """Mapping cone of a chain map: C^n = X^{n+1} + Y^n, with the
-    differential of ``_cone_mats``.  A block absent from ``X.diffs``,
-    ``f.comps`` or ``Y.diffs`` is zero and is never built."""
-    X, Y = f.source, f.target
-    degs = sorted({n - 1 for n in X.pieces} | set(Y.pieces))
-    pieces = {n: direct_sum([X.piece(n + 1), Y.piece(n)]) for n in degs}
+def cone(P, C, q):
+    """Mapping cone of the chain map q from the projective-labeled complex
+    P to the BoundedComplex C, in the format of ``_cover_complex``: pieces
+    P^{n+1} + C^n, P^{n+1} the ``standard_sum`` of its labels, and at each
+    vertex v the differential [[-d_P^{n+1}, 0], [q^{n+1}, d_C^n]], written
+    by one ``from_entries`` from the columns that ``is_quasi_iso`` ranks:
+    those of d_P^{n+1} (``_diff_columns``), those of q^{n+1} with their
+    rows moved down by dim P^{n+2}_v, and those of d_C^n
+    (``_rep_diff_columns``) moved right by dim P^{n+1}_v.  A degree
+    absent from q, P.diffs and C.diffs gets no differential, and
+    ``BoundedComplex`` drops a zero one."""
+    alg = P.alg
+    field = alg.field
+    minus_one = field.from_int(-1)
+    degs = sorted({n - 1 for n in P.pieces} | set(C.pieces))
+    tops = {n: standard_sum(alg, "proj", P.labels(n + 1))[0] for n in degs}
+    pieces = {n: direct_sum([tops[n], C.piece(n)]) for n in degs}
     diffs = {}
     for n in degs:
-        mats = _cone_mats(f, n)
-        if mats is not None:
-            diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
-    return BoundedComplex(X.alg, pieces, diffs, check=False)
+        up, dP, dC = q.get(n + 1), n + 1 in P.diffs, n in C.diffs
+        if not dP and up is None and not dC:
+            continue
+        below, right = tops[n + 1].dims, tops[n].dims
+        mats = {}
+        for v in alg.quiver.vertices:
+            cells = [(r, k, minus_one * c) for k, col in
+                     enumerate(_diff_columns(P, n + 1, v) if dP else ())
+                     for r, c in col.items()]
+            cells += [(r + below[v], k, c) for k, col in
+                      enumerate(up[v] if up else ()) for r, c in col.items()]
+            cells += [(r + below[v], k + right[v], c) for k, col in
+                      enumerate(_rep_diff_columns(C, n, v) if dC else ())
+                      for r, c in col.items()]
+            mats[v] = from_entries(pieces[n + 1].dims[v], pieces[n].dims[v],
+                                   cells, field)
+        diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
+    return BoundedComplex(alg, pieces, diffs, check=False)
 
 
 def is_quasi_iso(P, C, q):
@@ -239,11 +219,11 @@ def is_quasi_iso(P, C, q):
     [[-d_P^{n+1}, 0], [q^{n+1}, d_C^n]].  Swapping the two block rows and
     negating one changes no rank, so each vertex ranks
     [[q^{n+1}, d_C^n], [d_P^{n+1}, 0]] by its columns
-    (``linalg.sparse_rank``, the rank of the transpose): those of d_C^n as
-    ``_columns`` reads them, and for each coordinate k of P^{n+1}_v a copy
-    of column k of q^{n+1} with column k of d_P^{n+1} below it, its rows
-    moved down by dim C^{n+1}_v.  d_P's columns are written from P's own
-    entries (``_diff_columns``).  The same two columns first give the
+    (``linalg.sparse_rank``, the rank of the transpose, which consumes
+    them): copies of those of d_C^n (``_rep_diff_columns``), and for each
+    coordinate k of P^{n+1}_v column k of q^{n+1} with column k of
+    d_P^{n+1} below it, its rows moved down by dim C^{n+1}_v.  d_P's
+    columns are written from P's own entries (``_diff_columns``).  The same two columns first give the
     square d_C^{n+1} q^{n+1} = q^{n+2} d_P^{n+1} on coordinate k, both
     sides summed from columns (``_sum_columns``): those of d_C^{n+1} over
     the q column, and those of q^{n+2} over the d_P column.  The ranks are
@@ -253,15 +233,16 @@ def is_quasi_iso(P, C, q):
     field = P.alg.field
 
     def rank_of(n):
-        up, dC = q.get(n + 1), C.diffs.get(n)
-        if n + 1 not in P.diffs and up is None and dC is None:
+        up = q.get(n + 1)
+        if n + 1 not in P.diffs and up is None and n not in C.diffs:
             return 0
-        dC1, up2 = C.diffs.get(n + 1), q.get(n + 2)
+        up2 = q.get(n + 2)
         below = C.piece(n + 1).dims
         total = 0
         for v in P.alg.quiver.vertices:
-            cols = [] if dC is None else _columns(dC.mats[v])
-            over = None if dC1 is None else _columns(dC1.mats[v])
+            cols = ([dict(col) for col in _rep_diff_columns(C, n, v)]
+                    if n in C.diffs else [])
+            over = _rep_diff_columns(C, n + 1, v) if n + 1 in C.diffs else ()
             for k, dcol in enumerate(_diff_columns(P, n + 1, v)):
                 qcol = {} if up is None else up[v][k]
                 lhs = _sum_columns(qcol, over) if over else {}
@@ -291,6 +272,15 @@ def _columns(M):
     if not M.rows:
         return [{} for _ in range(M.cols)]
     return [{i: c for i, c in enumerate(col) if c} for col in zip(*M.entries)]
+
+
+@memoised
+def _rep_diff_columns(C, n, v):
+    """The columns of d_C^n at vertex v, for a BoundedComplex C with a
+    differential in degree n, as ``_columns`` reads them.  Read once per
+    C, degree and vertex, so ``iso_up_to_shift`` reads them once for all
+    its candidate maps; the result is shared and must not be mutated."""
+    return _columns(C.diffs[n].mats[v])
 
 
 def _sum_columns(vec, cols):
@@ -781,18 +771,14 @@ def hom_profile(F, G):
 
 
 def chain_map_space(F, G, s):
-    """Representatives of H^s Hom(F, G): chain maps F_rep -> G[s].
-
-    Returns (dim, [ChainMap]) with ChainMaps from F.to_rep() to
-    as_rep_complex(G).shift(s) (so each representative is an honest
-    degree-0 chain map): the ``_chain_map`` of each vector of
-    ``_cocycle_vectors``.
-    """
+    """Representatives of H^s Hom(F, G), F perfect: (dim, [q]), each q
+    the map F -> G[s] of a vector of ``_cocycle_vectors`` in the format of
+    ``_cover_complex`` (``_cocycle_columns``), whose target is
+    ``as_rep_complex(G).shift(s)``."""
     data = HomComplexData(F, G)
     layouts = {n: data._layout(n) for n in (s - 1, s, s + 1)}
     vecs = _cocycle_vectors(data, s, layouts)
-    Fs, Gs = F.to_rep(), data.G.shift(s)
-    return len(vecs), [_chain_map(data, s, layouts[s][1], vec, Fs, Gs)
+    return len(vecs), [_cocycle_columns(data, s, layouts[s][1], vec)
                        for vec in vecs]
 
 
@@ -831,22 +817,6 @@ def _cocycle_columns(data, s, offsets, vec):
         q[p] = {v: [Gp.path_apply(path, images[j]) for j, path in keys]
                 for v, keys in order.items()}
     return q
-
-
-def _chain_map(data, s, offsets, vec, source, target):
-    """The chain map from source = F.to_rep() to target, G[s] as a rep
-    complex, of ``_cocycle_columns``: its matrices are written from the
-    columns."""
-    field = data.alg.field
-    comps = {}
-    for p, qp in _cocycle_columns(data, s, offsets, vec).items():
-        M = target.piece(p)
-        comps[p] = ModuleMorphism(source.piece(p), M, {
-            v: from_entries(M.dims[v], len(cols),
-                            ((r, k, c) for k, col in enumerate(cols)
-                             for r, c in col.items()), field)
-            for v, cols in qp.items()}, check=False)
-    return ChainMap(source, target, comps, check=False)
 
 
 ISO_TRIALS = 8

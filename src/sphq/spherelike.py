@@ -164,8 +164,9 @@ def classify_spherelike(obj, desc="object"):
     Algebra, 10.4), and the Hom complex has size |F| dim X and needs no
     representation of F.  Only a projective-labeled input, which is F
     itself, is profiled as Hom(F, F).  ``F.to_rep()`` is built only where
-    it is a Hom argument or a chain map's source: by the degree-0 End
-    structure and by the chain map F -> nu F[-d] of Q_F.
+    it is a Hom argument: by the degree-0 End structure.  Q_F is the
+    ``cone`` of the map F -> nu F[-d] as ``chain_map_space`` gives it, on
+    the representation of nu F[-d] that its Hom complex read.
     """
     F = resolve(obj)
     alg = F.alg
@@ -200,11 +201,12 @@ def classify_spherelike(obj, desc="object"):
                 rep.field_sensitive = True
             rep.verdict = "decomposable_0_spherelike"
         return rep
-    dim, cands = chain_map_space(F, nakayama(F), -d)
+    N = nakayama(F)
+    dim, cands = chain_map_space(F, N, -d)
     if dim != 1:
         raise EngineInvariantViolation(
             "Hom(F, nu F[-d]) has dim %d; Serre duality gives 1" % dim)
-    rep.Q = cone(cands[0])
+    rep.Q = cone(F, N.to_rep().shift(-d), cands[0])
     rep.spherical_witnessed = rep.Q.is_acyclic()
     rep.verdict = ("d_spherical" if rep.spherical_witnessed
                    else "properly_d_spherelike")

@@ -4,9 +4,9 @@ references."""
 import random
 
 from sphq.algebra import Element
-from sphq.derived import (ISO_TRIALS, RESOLUTION_BOUND, _ISO_SEED, ChainMap,
-                          LabeledComplex, as_rep_complex, chain_map_space,
-                          cone)
+from sphq.derived import (ISO_TRIALS, RESOLUTION_BOUND, _ISO_SEED,
+                          BoundedComplex, ChainMap, LabeledComplex,
+                          as_rep_complex, chain_map_space)
 from sphq.errors import (EngineInvariantViolation, GlobalDimensionExceeded,
                          NotChainMap)
 from sphq.linalg import QQ, Matrix, from_blocks, from_entries, hstack
@@ -266,6 +266,73 @@ def dense_chain_map(P, C, q, check=False):
     return ChainMap(Prep, C, comps, check=check)
 
 
+def _dense_cone_mats(f, n):
+    """Per-vertex matrices of the cone differential C^n -> C^{n+1},
+    C^n = X^{n+1} + Y^n, with blocks [[-d_X^{n+1}, 0], [f^{n+1}, d_Y^n]];
+    None when all three blocks are absent.  A present block is a nonzero
+    morphism, so the differential is then nonzero."""
+    X, Y = f.source, f.target
+    dx, fn, dy = X.diffs.get(n + 1), f.comps.get(n + 1), Y.diffs.get(n)
+    if dx is None and fn is None and dy is None:
+        return None
+    alg = X.alg
+    minus_one = alg.field.from_int(-1)
+    xr, xc = X.piece(n + 2).dims, X.piece(n + 1).dims
+    yr, yc = Y.piece(n + 1).dims, Y.piece(n).dims
+    mats = {}
+    for v in alg.quiver.vertices:
+        blocks = ((0, 0, dx, minus_one), (xr[v], 0, fn, None),
+                  (xr[v], xc[v], dy, None))
+        mats[v] = from_blocks(
+            xr[v] + yr[v], xc[v] + yc[v],
+            [(r0, c0, g.mats[v], c) for r0, c0, g, c in blocks if g is not None],
+            alg.field)
+    return mats
+
+
+def dense_cone(f):
+    """Mapping cone of the ChainMap f: X -> Y from its dense blocks:
+    C^n = X^{n+1} + Y^n, with the differential of ``_dense_cone_mats``.
+    A block absent from ``X.diffs``, ``f.comps`` or ``Y.diffs`` is zero
+    and is never built."""
+    X, Y = f.source, f.target
+    degs = sorted({n - 1 for n in X.pieces} | set(Y.pieces))
+    pieces = {n: direct_sum([X.piece(n + 1), Y.piece(n)]) for n in degs}
+    diffs = {}
+    for n in degs:
+        mats = _dense_cone_mats(f, n)
+        if mats is not None:
+            diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats,
+                                      check=False)
+    return BoundedComplex(X.alg, pieces, diffs, check=False)
+
+
+def complex_direct_sum(complexes):
+    """Degreewise direct sum; each differential is block diagonal, and the
+    block of a summand without a differential in that degree is zero."""
+    assert complexes
+    alg = complexes[0].alg
+    degs = sorted({n for c in complexes for n in c.pieces})
+    pieces, diffs = {}, {}
+    for n in degs:
+        pieces[n] = direct_sum([c.piece(n) for c in complexes])
+    for n in degs:
+        if n + 1 not in pieces:
+            continue
+        mats = {}
+        for v in alg.quiver.vertices:
+            blocks, r0, c0 = [], 0, 0
+            for c in complexes:
+                d = c.diffs.get(n)
+                if d is not None:
+                    blocks.append((r0, c0, d.mats[v], None))
+                r0 += c.piece(n + 1).dims[v]
+                c0 += c.piece(n).dims[v]
+            mats[v] = from_blocks(r0, c0, blocks, alg.field)
+        diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
+    return BoundedComplex(alg, pieces, diffs, check=False)
+
+
 def dense_certify(P, C, q):
     """``perfectify``'s certificate from dense matrices: the
     ``dense_chain_map`` of q must pass the dense chain-map check
@@ -277,23 +344,25 @@ def dense_certify(P, C, q):
     except NotChainMap as e:
         raise EngineInvariantViolation(
             "perfectify map is not a chain map: %s" % e) from e
-    if not cone(f).is_acyclic():
+    if not dense_cone(f).is_acyclic():
         raise EngineInvariantViolation(
             "perfectify result is not quasi-isomorphic")
 
 
 def dense_iso_up_to_shift(F, Y, s):
-    """``derived.iso_up_to_shift`` on dense chain maps: the chain maps of
-    ``chain_map_space(F, Y, -s)`` from F.to_rep() to Y[-s], then the same
-    ``ISO_TRIALS`` seeded combinations, each summed from the scaled
-    per-vertex matrices of the basis maps, and each map is a
-    quasi-isomorphism when its built cone is acyclic."""
+    """``derived.iso_up_to_shift`` on dense chain maps: the maps of
+    ``chain_map_space(F, Y, -s)`` as ``dense_chain_map``s from F.to_rep()
+    to Y[-s], then the same ``ISO_TRIALS`` seeded combinations, each
+    summed from the scaled per-vertex matrices of the basis maps, and each
+    map is a quasi-isomorphism when its ``dense_cone`` is acyclic."""
     Yrep = as_rep_complex(Y)
     if F.is_zero() and Yrep.is_zero():
         return True
-    dim, cands = chain_map_space(F, Yrep, -s)
+    dim, maps = chain_map_space(F, Yrep, -s)
+    Ys = Yrep.shift(-s)
+    cands = [dense_chain_map(F, Ys, q) for q in maps]
     for f in cands:
-        if cone(f).is_acyclic():
+        if dense_cone(f).is_acyclic():
             return True
     if dim > 1:
         field = F.alg.field
@@ -307,8 +376,8 @@ def dense_iso_up_to_shift(F, Y, s):
                 for n, g in f.comps.items():
                     g = g.scale(field.from_int(c))
                     comps[n] = comps[n] + g if n in comps else g
-            if cone(ChainMap(cands[0].source, cands[0].target, comps,
-                             check=False)).is_acyclic():
+            if dense_cone(ChainMap(cands[0].source, cands[0].target, comps,
+                                   check=False)).is_acyclic():
                 return True
         return "not_witnessed"
     return False

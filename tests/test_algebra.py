@@ -159,7 +159,7 @@ def test_opposite_reverses():
 
 def test_only_memoised_reads_the_memo():
     """``_memo`` is read only inside ``algebra.memoised`` and assigned only
-    as ``self._memo = {}`` in the ``__init__`` of the four owner classes;
+    as ``self._memo = {}`` in the ``__init__`` of the five owner classes;
     no other name, function or attribute of a sphq module is ``_memo``."""
     allowed, owners, stray = set(), set(), []
     for path in sorted(pathlib.Path(sphq.__file__).parent.glob("*.py")):
@@ -186,7 +186,7 @@ def test_only_memoised_reads_the_memo():
                 stray.append("%s:%d" % (path.name, node.lineno))
     assert stray == []
     assert owners == {"BoundQuiverAlgebra", "Representation",
-                      "LabeledComplex", "SpherelikePoset"}
+                      "BoundedComplex", "LabeledComplex", "SpherelikePoset"}
 
 
 class _Owner:

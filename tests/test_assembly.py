@@ -1,12 +1,12 @@
-"""Cones, direct sums of complexes and element actions, which ``sphq``
-assembles through ``linalg.from_blocks`` from their present blocks only,
-and Hom-complex differentials, profiles, chain maps and degree-0 End
-structures, which it reads from the nonzero entries of the differentials
-only, and the cover loop of resolutions and ``perfectify``, which keeps
-its maps as sparse columns, checked against dense references.
-``sphq`` builds no zero morphism, so the references build every zero
-block themselves: a ``Matrix.zero`` for each absent differential or
-chain-map component, zero corners, hstacks and vstacks."""
+"""Cones, which ``sphq`` writes from the sparse columns of a chain map,
+element actions, Hom-complex differentials, profiles, chain maps and
+degree-0 End structures, which it reads from the nonzero entries of the
+differentials only, and the cover loop of resolutions and ``perfectify``,
+which keeps its maps as sparse columns, checked against dense references.
+The dense cone and direct sum of ``tests/reference.py`` are checked
+against references that build every zero block themselves: a
+``Matrix.zero`` for each absent differential or chain-map component,
+zero corners, hstacks and vstacks."""
 
 import json
 import os
@@ -20,8 +20,8 @@ from sphq.algebra import algebra_from_json
 from sphq.constructions import kronecker, kronecker_quasi_simple
 from sphq.corpus import FIXTURE_DIR, load_fixture
 from sphq.errors import EngineInvariantViolation
-from sphq.derived import (ChainMap, HomComplexData, chain_map_space,
-                          complex_direct_sum, cone, dual_rep_complex,
+from sphq.derived import (ChainMap, HomComplexData, as_rep_complex,
+                          chain_map_space, cone, dual_rep_complex,
                           hom_profile, is_quasi_iso,
                           minimal_projective_resolution, nakayama,
                           perfectify, resolve, stalk_complex, tau,
@@ -32,8 +32,9 @@ from sphq.reps import (ModuleMorphism, generator_column, standard_basis,
 from sphq.spherelike import classify_spherelike, interval_modules
 
 import reference
-from reference import (cohomology_dims, dense_certify, dense_chain_map,
-                       dense_col, dense_cover_complex, dense_from_generators,
+from reference import (cohomology_dims, complex_direct_sum, dense_certify,
+                       dense_chain_map, dense_col, dense_cone,
+                       dense_cover_complex, dense_from_generators,
                        dense_iso_up_to_shift, dense_kernel_basis, dense_rank,
                        dense_rref, dense_solve, identity_morphism,
                        matrix_columns, vstack)
@@ -148,17 +149,20 @@ def test_element_action_matches_the_dense_sum(name):
 @pytest.mark.parametrize("name", ["cb3", "ncc", "auslander_x3", "circular_7_5"])
 def test_cone_matches_the_dense_construction(name):
     """For every chain map chain_map_space returns from a standard-module
-    resolution to the shifts of another, the cone has the pieces and the
-    per-vertex differentials of the dense construction."""
+    resolution to the shifts of another, read as a dense_chain_map, its
+    dense_cone has the pieces and the per-vertex differentials of the
+    dense construction."""
     alg = load_fixture(name)
     res = standard_resolutions(alg)
     maps = 0
     for F in res:
         for G in res:
             for s in HomComplexData(F, G).degree_range():
-                for f in chain_map_space(F, G, s)[1]:
+                Gs = as_rep_complex(G).shift(s)
+                for q in chain_map_space(F, G, s)[1]:
                     maps += 1
-                    C = cone(f)
+                    f = dense_chain_map(F, Gs, q)
+                    C = dense_cone(f)
                     X, Y = f.source, f.target
                     degs = sorted({n - 1 for n in X.pieces} | set(Y.pieces))
                     assert sorted(C.pieces) == [
@@ -277,21 +281,20 @@ def map_columns(f):
 def recorded_maps(name, monkeypatch):
     """(P, C, q) for every map whose cone classify_spherelike asks about
     while classifying the standard and interval modules of a fixture: the
-    maps that iso_up_to_shift ranks through is_quasi_iso, and the maps of
-    chain_map_space whose cone is Q_F, read as columns by map_columns."""
+    maps that iso_up_to_shift ranks through is_quasi_iso, and the maps
+    whose cone is Q_F."""
     recorded = []
 
     def recording(P, C, q):
         recorded.append((P, C, q))
         return is_quasi_iso(P, C, q)
 
-    def space(F, G, s):
-        dim, maps = chain_map_space(F, G, s)
-        recorded.extend((F, f.target, map_columns(f)) for f in maps)
-        return dim, maps
+    def recording_cone(P, C, q):
+        recorded.append((P, C, q))
+        return cone(P, C, q)
 
     monkeypatch.setattr(derived, "is_quasi_iso", recording)
-    monkeypatch.setattr(spherelike, "chain_map_space", space)
+    monkeypatch.setattr(spherelike, "cone", recording_cone)
     alg = load_fixture(name)
     objects = [("%s:%s" % (kind, v), standard_module(alg, kind, v))
                for kind in KINDS for v in alg.quiver.vertices]
@@ -304,11 +307,11 @@ def recorded_maps(name, monkeypatch):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_is_acyclic_agrees_with_cohomology(name, monkeypatch):
     """On every recorded map q: P -> C, the cone-free is_quasi_iso, the
-    early-stopping is_acyclic of the cone built from the dense chain map
+    early-stopping is_acyclic of the dense_cone of the dense chain map
     (dense_chain_map, matrices read back by q_matrices) and its full
     cohomology give one answer."""
     for P, C, q in recorded_maps(name, monkeypatch):
-        K = cone(dense_chain_map(P, C, q))
+        K = dense_cone(dense_chain_map(P, C, q))
         assert is_quasi_iso(P, C, q) == K.is_acyclic() == \
             (cohomology_dims(K) == {})
 
@@ -500,11 +503,59 @@ def test_chain_map_space_matches_the_dense_reference(name, field):
             for s in HomComplexData(F, G).degree_range():
                 dim, got = chain_map_space(F, G, s)
                 want = dense_chain_map_space(F, G, s)
+                Gs = as_rep_complex(G).shift(s)
                 assert dim == want[0]
-                assert [typed_map(f) for f in got] == \
-                    [typed_map(f) for f in want[1]]
+                assert [typed_map(dense_chain_map(F, Gs, q)) for q in got] \
+                    == [typed_map(f) for f in want[1]]
                 maps += dim
     assert maps
+
+
+def typed_complex(X):
+    """Each piece of the BoundedComplex X as its dimensions and its arrow
+    maps with scalar types, and each differential as its per-vertex
+    matrices with scalar types."""
+    return ({n: (M.dims, {a: typed(m) for a, m in M.maps.items()})
+             for n, M in X.pieces.items()},
+            {n: {v: typed(m) for v, m in d.mats.items()}
+             for n, d in X.diffs.items()})
+
+
+def criterion_07_map():
+    """(P, C, q) of criterion 07's cone: P = tau^-1 of the resolution of
+    ncc's E, C = E[1] and q the one map of chain_map_space(P, E, 1)."""
+    E = corpus._ncc_E(load_fixture("ncc"))
+    P = tau_inverse(minimal_projective_resolution(E))
+    stalk = stalk_complex(E)
+    dim, (q,) = chain_map_space(P, stalk, 1)
+    return P, stalk.shift(1), q
+
+
+@pytest.mark.parametrize("name,field", [
+    (name, field) for name in SWEEP_FIXTURES for field in sorted(SWEEP_FIELDS)
+] + [("criterion_07", "QQ")])
+def test_cone_matches_the_dense_reference(name, field):
+    """cone(P, C, q), written from q's columns, equals the dense_cone of
+    the dense_chain_map of q, piece by piece and matrix by matrix, scalar
+    types included: for every map of chain_map_space from a standard
+    resolution to nu of a standard resolution, in every degree of the Hom
+    complex, with the fixture read over QQ, GF(101) and GF(3), and for
+    criterion 07's map."""
+    if name == "criterion_07":
+        cases = [criterion_07_map()]
+    else:
+        alg = fixture_over(name, field)
+        res = standard_resolutions(alg)
+        cases = []
+        for F in res:
+            for G in [nakayama(R) for R in res]:
+                for s in HomComplexData(F, G).degree_range():
+                    Gs = as_rep_complex(G).shift(s)
+                    cases += [(F, Gs, q) for q in chain_map_space(F, G, s)[1]]
+    assert cases
+    for P, C, q in cases:
+        assert typed_complex(cone(P, C, q)) == \
+            typed_complex(dense_cone(dense_chain_map(P, C, q)))
 
 
 def typed_columns(cols):
@@ -695,9 +746,10 @@ def test_perfectify_certificate_is_sparse(monkeypatch):
     """perfectify calls no LabeledComplex.to_rep, Matrix.__mul__,
     from_blocks or ChainMap._validate on the perfectify_inputs of
     auslander_x3 and tensor_kronecker: each is counted while perfectify
-    runs, and every count is 0.  Its cone is ranked by is_quasi_iso once
-    per input, and is_quasi_iso on the degree-0 Hom class of a resolution
-    of a simple, given as its columns, calls none of them either."""
+    runs, and every count is 0; derived no longer imports from_blocks.
+    Its cone is ranked by is_quasi_iso once per input, and is_quasi_iso
+    on the degree-0 Hom class of a resolution of a simple, as
+    chain_map_space gives it, calls none of them either."""
     calls = {}
 
     def counted(name, fn):
@@ -713,19 +765,19 @@ def test_perfectify_certificate_is_sparse(monkeypatch):
     R = standard_resolutions(fixture_over("cb3"))[0]
     Rrep = R.to_rep()
     (ident,) = chain_map_space(R, Rrep, 0)[1]
+    assert "from_blocks" not in vars(derived)
     for owner, name in ((derived.LabeledComplex, "to_rep"),
                         (Matrix, "__mul__"), (derived.ChainMap, "_validate"),
-                        (linalg, "from_blocks"), (derived, "from_blocks"),
-                        (derived, "is_quasi_iso")):
+                        (linalg, "from_blocks"), (derived, "is_quasi_iso")):
         monkeypatch.setattr(owner, name, counted(
             "%s.%s" % (owner.__name__, name), getattr(owner, name)))
     for C in inputs:
         perfectify(C)
     assert calls["sphq.derived.is_quasi_iso"] == len(inputs)
-    assert derived.is_quasi_iso(R, Rrep, map_columns(ident))
+    assert derived.is_quasi_iso(R, Rrep, ident)
     assert calls.pop("sphq.derived.is_quasi_iso") == len(inputs) + 1
     assert calls == dict.fromkeys(calls, 0)
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 # The d = 0 spherelike objects that query_mix classifies.
@@ -737,12 +789,9 @@ STANDARD_KINDS = {"S": "simple", "P": "projective", "I": "injective"}
 
 
 def typed_report(rep):
-    """The report's JSON and its Q_F, each differential with types."""
-    Q = rep.Q
-    return rep.to_json(), None if Q is None else (
-        {n: Q.piece(n).dims for n in Q.pieces},
-        {n: {v: typed(m) for v, m in d.mats.items()}
-         for n, d in Q.diffs.items()})
+    """The report's JSON and its Q_F, pieces and differentials with
+    types."""
+    return rep.to_json(), None if rep.Q is None else typed_complex(rep.Q)
 
 
 def d0_objects(algebra_of):
@@ -760,13 +809,26 @@ def d0_objects(algebra_of):
     return objects
 
 
+def dense_space(F, G, s):
+    """dense_chain_map_space with each chain map read as its columns by
+    map_columns, the format of chain_map_space."""
+    dim, maps = dense_chain_map_space(F, G, s)
+    return dim, [map_columns(f) for f in maps]
+
+
+def dense_q_cone(P, C, q):
+    """The dense_cone of the dense_chain_map of q."""
+    return dense_cone(dense_chain_map(P, C, q))
+
+
 def test_chain_maps_and_end_structure_build_no_dense_matrix(monkeypatch):
     """classify_spherelike, and so the cover loop, chain_map_space, the iso
-    test and the degree-0 End structure, answer with HomComplexData.delta,
-    derived.kernel_basis, rref and hstack and spherelike.rank and solve
-    made to raise, on the d = 0 objects of query_mix and on the simples of
-    cb3.  The reports, Q_F included, are those classify_spherelike gives on
-    the dense references (dense_iso_up_to_shift among them), and so is
+    test, the cone and the degree-0 End structure, answer with
+    HomComplexData.delta, derived.kernel_basis, rref and hstack and
+    spherelike.rank and solve made to raise, on the d = 0 objects of
+    query_mix and on the simples of cb3.  The reports, Q_F included, are
+    those classify_spherelike gives on the dense references
+    (dense_iso_up_to_shift and dense_cone among them), and so is
     (alpha, beta) of each d = 0 object.
     Each run builds its modules over algebras built anew, so the dense
     run's resolutions are not memoised on the shared fixtures, and the
@@ -775,7 +837,8 @@ def test_chain_maps_and_end_structure_build_no_dense_matrix(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(derived, "_cover_complex", dense_cover_complex)
         for module in (derived, spherelike):
-            m.setattr(module, "chain_map_space", dense_chain_map_space)
+            m.setattr(module, "chain_map_space", dense_space)
+        m.setattr(spherelike, "cone", dense_q_cone)
         m.setattr(spherelike, "_degree0_end_structure", dense_end_structure)
         m.setattr(spherelike, "iso_up_to_shift", dense_iso_up_to_shift)
         want = [typed_report(classify_spherelike(M, desc))
@@ -949,6 +1012,32 @@ def test_iso_up_to_shift_needs_a_weighted_combination(name, monkeypatch):
     assert dense_iso_up_to_shift(F, F, 0) == "not_witnessed"
 
 
+def test_each_differential_matrix_is_read_once(monkeypatch):
+    """is_quasi_iso and cone read the columns of C's differentials
+    through the memoised _rep_diff_columns, so the candidate maps of an
+    iso_up_to_shift call share one read: over run_corpus() and over the
+    12 iso_up_to_shift calls of classifying the D0_OBJECTS over QQ, each
+    with several candidates, derived._columns reads no matrix twice."""
+    reads = []
+    real = derived._columns
+
+    def counted(M):
+        reads.append(M)
+        return real(M)
+
+    monkeypatch.setattr(derived, "_columns", counted)
+    corpus.run_corpus()
+    assert len(d0_iso_calls("QQ", monkeypatch)) == 12
+    assert reads
+    assert max(Counter(id(M) for M in reads).values()) == 1
+
+
+# The standard and interval modules of these fixtures include 18 objects
+# with d != 0, five of whose Q_F are not acyclic.
+DN_FIXTURES = ["auslander_x3", "circular_7_5", "dda_2_4_1",
+               "preprojective_a3_cluster"]
+
+
 def test_iso_and_end_structure_build_no_chain_map(monkeypatch):
     """iso_up_to_shift and the degree-0 End structure build no ChainMap
     and no ModuleMorphism and multiply no Matrix, and iso_up_to_shift
@@ -956,7 +1045,11 @@ def test_iso_and_end_structure_build_no_chain_map(monkeypatch):
     call of run_corpus() and of classifying the D0_OBJECTS over QQ, and
     on the End structure of each of those objects.  The representation
     of each Y, and that of F which the End structure's Hom complex takes
-    as its right argument, are built before counting."""
+    as its right argument, are built before counting.  Classifying the
+    standard and interval modules of DN_FIXTURES, built before counting
+    over algebras read anew, builds no ChainMap and multiplies no Matrix
+    either, and for an object with d != 0, whose Q_F it builds, calls
+    to_rep on no F."""
     d0 = d0_iso_calls("QQ", monkeypatch)
     recorded = recorded_iso_calls(corpus.run_corpus, monkeypatch) + d0
     ends = [F for F, _, _ in d0]
@@ -965,6 +1058,12 @@ def test_iso_and_end_structure_build_no_chain_map(monkeypatch):
         derived.as_rep_complex(Y)
     for F in ends:
         F.to_rep()
+    objects = []
+    for name in DN_FIXTURES:
+        alg = fixture_over(name)
+        objects += [(kind, standard_module(alg, kind, v))
+                    for kind in KINDS for v in alg.quiver.vertices]
+        objects += interval_modules(alg)
     calls, to_rep_of = Counter(), []
 
     def counted(name, fn):
@@ -992,3 +1091,12 @@ def test_iso_and_end_structure_build_no_chain_map(monkeypatch):
     for F in ends:
         spherelike._degree0_end_structure(F)
     assert calls == {}
+    qfs = []
+    for desc, M in objects:
+        del to_rep_of[:]
+        rep = classify_spherelike(M, desc)
+        if rep.d:
+            qfs.append(rep.Q)
+            assert all(G is not rep.complex for G in to_rep_of)
+    assert len(qfs) == 18 and sum(not Q.is_acyclic() for Q in qfs) == 5
+    assert calls["ChainMap"] == calls["mul"] == 0

@@ -20,8 +20,7 @@ from sphq.algebra import (Arrow, Element, Path, Quiver, algebra_from_json,
 from sphq.constructions import cb
 from sphq.corpus import FIXTURE_DIR, load_fixture, _ncc_E
 from sphq.derived import (BoundedComplex, ChainMap, chain_map_space,
-                          complex_direct_sum, complex_from_json,
-                          complex_to_json, cone,
+                          complex_from_json, complex_to_json, cone,
                           hom_profile, injective_model, inverse_nakayama,
                           is_minimal, is_quasi_iso, iso_up_to_shift,
                           minimal_projective_resolution, nakayama, perfectify,
@@ -35,7 +34,8 @@ from sphq.reps import (ModuleMorphism, hom_basis, injective_module,
 from sphq.spherelike import (asphericality, classify_spherelike,
                              fractional_cy_check)
 
-from reference import (cohomology_dims, dense_cover_complex, identity_morphism,
+from reference import (cohomology_dims, complex_direct_sum, dense_chain_map,
+                       dense_cone, dense_cover_complex, identity_morphism,
                        q_matrices)
 
 
@@ -56,7 +56,8 @@ def test_resolution_cohomology_is_the_module():
     for v in alg.quiver.vertices:
         S = simple_module(alg, v)
         R = minimal_projective_resolution(S)
-        C = cone(chain_map_space(R, stalk_complex(S), 0)[1][0])
+        stalk = stalk_complex(S)
+        C = cone(R, stalk, chain_map_space(R, stalk, 0)[1][0])
         assert C.is_acyclic()
 
 
@@ -82,7 +83,7 @@ def test_cone_of_self_map_acyclic():
     R = minimal_projective_resolution(simple_module(alg, "1"))
     dim, cands = chain_map_space(R, R.to_rep(), 0)
     assert dim == 1
-    assert cone(cands[0]).is_acyclic()
+    assert cone(R, R.to_rep(), cands[0]).is_acyclic()
 
 
 def record_ranks(monkeypatch):
@@ -128,7 +129,7 @@ def cohomology_in_lowest_degree():
 
     def id_cone(M):
         stalk = stalk_complex(M)
-        return cone(ChainMap(stalk, stalk, {0: identity_morphism(M)}))
+        return dense_cone(ChainMap(stalk, stalk, {0: identity_morphism(M)}))
 
     return complex_direct_sum([id_cone(S).shift(-1), id_cone(T).shift(-2),
                                stalk_complex(S)])
@@ -210,18 +211,23 @@ def test_q_f_splitting_needs_a_combination_of_basis_maps():
     The candidate maps Q_F -> E[1] + E[-2] span a space of dim 2, and
     neither basis map is an isomorphism (End(Q_F) is not local), so only a
     combination of them, found by the seeded trials, witnesses the
-    splitting."""
+    splitting.  tau^-1(E) is taken as it is, as criterion 07 takes it: it
+    is its own minimal model.  E[1] + E[-2] is the complex with E in
+    degrees -1 and 2 and no differential, as criterion 07 writes it."""
     alg = load_fixture("ncc")
     E = _ncc_E(alg)
-    TiE = perfectify(tau_inverse(minimal_projective_resolution(E)).to_rep())
-    _, cands = chain_map_space(TiE, stalk_complex(E), 1)
-    F = perfectify(cone(cands[0]).shift(-1))
+    TiE = tau_inverse(minimal_projective_resolution(E))
+    assert complex_to_json(perfectify(TiE.to_rep())) == complex_to_json(TiE)
+    stalk = stalk_complex(E)
+    _, cands = chain_map_space(TiE, stalk, 1)
+    F = perfectify(cone(TiE, stalk.shift(1), cands[0]).shift(-1))
     Q = perfectify(asphericality(F, classify_spherelike(F, "F")))
-    D = complex_direct_sum([stalk_complex(E).shift(1),
-                            stalk_complex(E).shift(-2)])
+    D = complex_direct_sum([stalk.shift(1), stalk.shift(-2)])
+    assert D.diffs == {} and \
+        {n: D.piece(n).dims for n in D.pieces} == {-1: E.dims, 2: E.dims}
     dim, basis = chain_map_space(Q, D, 0)
     assert dim == 2
-    assert not any(cone(w).is_acyclic() for w in basis)
+    assert not any(cone(Q, D, w).is_acyclic() for w in basis)
     assert iso_up_to_shift(Q, D, 0) is True
 
 
@@ -397,7 +403,7 @@ def test_cover_complex_maps_quasi_isomorphically(name):
             n: ModuleMorphism(Prep.piece(n), C.pieces[n], mats, check=False)
             for n, mats in q_matrices(C, q).items()}, check=True)
         assert f.comps
-        assert cone(f).is_acyclic()
+        assert dense_cone(f).is_acyclic()
 
 
 
@@ -424,13 +430,14 @@ def test_cover_loop_rejects_a_kernel_that_is_not_arrow_stable(source, mats):
             loop(C)
 
 def test_chain_map_check_rejects_every_failing_square():
-    """The identity of res S(1) over cb(3), as chain_map_space returns it,
-    passes the check.  Dropping one component leaves squares with one side
-    zero and one not, and doubling one leaves squares with two different
-    sides; both are rejected."""
+    """The identity of res S(1) over cb(3), as chain_map_space returns it
+    and read as a dense_chain_map, passes the check.  Dropping one
+    component leaves squares with one side zero and one not, and doubling
+    one leaves squares with two different sides; both are rejected."""
     alg = cb(3)
     R = minimal_projective_resolution(simple_module(alg, "1"))
-    dim, (f,) = chain_map_space(R, R.to_rep(), 0)
+    dim, (q,) = chain_map_space(R, R.to_rep(), 0)
+    f = dense_chain_map(R, R.to_rep(), q)
     X, Y = f.source, f.target
     assert sorted(f.comps) == [-3, -2, -1, 0]
     derived.ChainMap(X, Y, f.comps, check=True)

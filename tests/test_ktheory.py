@@ -57,7 +57,8 @@ def test_k_class_of_acyclic_is_zero():
     alg = cb(3)
     S = simple_module(alg, "1")
     R = minimal_projective_resolution(S)
-    C = cone(chain_map_space(R, stalk_complex(S), 0)[1][0])
+    stalk = stalk_complex(S)
+    C = cone(R, stalk, chain_map_space(R, stalk, 0)[1][0])
     assert k_class(C) == [0, 0, 0]
 
 

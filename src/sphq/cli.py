@@ -173,9 +173,8 @@ def cmd_spherelike(args):
 def cmd_asphericality(args):
     alg = load_algebra(args.algebra)
     rep = classify_spherelike(parse_object(alg, args.object), args.object)
-    Q = asphericality(rep.complex, rep)
-    acyclic = Q.is_acyclic()
-    Qp = perfectify(Q)
+    Qp = perfectify(asphericality(rep.complex, rep))
+    acyclic = rep.is_spherical()
     data = {"object": args.object, "verdict": rep.verdict, "d": rep.d,
             "acyclic": acyclic,
             "pieces": {str(n): Qp.labels(n) for n in Qp.degrees()}}

@@ -234,7 +234,7 @@ def _crit_ncc():
     repF = classify_spherelike(F, "F")
     checks["F_3_spherelike"] = repF.is_spherelike() and repF.d == 3
     Q = asphericality(F, repF)
-    D = BoundedComplex(alg, {-1: E, 2: E}, {}, check=False)  # E[1] + E[-2]
+    D = BoundedComplex(alg, {-1: E, 2: E}, {})  # E[1] + E[-2]
     checks["QF_hom_match"] = hom_profile(RE, Q) == hom_profile(RE, D)
     checks["QF_splits"] = iso_up_to_shift(perfectify(Q), D, 0) is True
     Emat = euler_matrix(alg)

@@ -6,7 +6,7 @@ projective resolutions live in degrees <= 0.
 Two complex flavours:
 
 * ``BoundedComplex`` — graded Representations with ModuleMorphism
-  differentials; supports cohomology, shifts, cones.
+  differentials; supports shifts.
 * ``LabeledComplex`` — formal sums of standard-module labels (projective
   or injective) with differentials whose entries are AlgebraElements.
   A "proj"-labeled complex is a perfect complex; the entry in position
@@ -30,9 +30,11 @@ The cover loop of resolutions and ``perfectify`` (``_cover_complex``)
 writes its map in it, and so do ``_cocycle_columns`` for a vector of the
 Hom complex and ``chain_map_space``.  ``is_quasi_iso(P, C, q)`` is the one
 test of a map's cone, and checks the map's squares on the columns it
-ranks: ``perfectify``'s certificate (``_certify``) and ``iso_up_to_shift``
-both call it.  ``cone(P, C, q)`` writes the cone from the same columns
-where it is kept, for Q_F and criterion 07; no dense chain map is built.
+ranks: ``perfectify``'s certificate (``_certify``), ``iso_up_to_shift``
+and classification's Q_F test call it, and it is the only acyclicity test
+in ``sphq``.  ``cone(P, C, q)`` writes the cone from the same columns
+where it is kept: Q_F when that test answers False, and criterion 07's
+cone; no dense chain map is built.
 """
 
 import random
@@ -41,8 +43,8 @@ from collections import defaultdict
 from .algebra import Element, Path, memoised
 from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
                      EngineInvariantViolation, SchemaError, UnknownVertex)
-from .linalg import (_complement, from_entries, null_space, rank,
-                     scalar_to_str, sparse_rank)
+from .linalg import (_complement, from_entries, null_space, scalar_to_str,
+                     sparse_rank)
 from .reps import (ModuleMorphism, Representation, direct_sum,
                    standard_basis, standard_sum, zero_rep)
 
@@ -55,7 +57,11 @@ RESOLUTION_BOUND = 40
 
 
 class BoundedComplex:
-    def __init__(self, alg, pieces, diffs, check=True):
+    """Graded Representations with ModuleMorphism differentials, taken as
+    given: nothing is checked (the tests' check is
+    ``tests/reference.py::check_complex``)."""
+
+    def __init__(self, alg, pieces, diffs):
         self.alg = alg
         self.pieces = {n: p for n, p in pieces.items() if p.total_dim() > 0}
         self._memo = {}
@@ -63,18 +69,6 @@ class BoundedComplex:
         for n, d in diffs.items():
             if n in self.pieces and (n + 1) in self.pieces and not d.is_zero():
                 self.diffs[n] = d
-        if check:
-            self._validate()
-
-    def _validate(self):
-        for n, d in self.diffs.items():
-            if d.source.dims != self.pieces[n].dims or d.target.dims != self.pieces[n + 1].dims:
-                raise SchemaError("differential at degree %d has wrong endpoints" % n)
-        for n in self.diffs:
-            if n + 1 in self.diffs:
-                comp = self.diffs[n + 1].compose(self.diffs[n])
-                if not comp.is_zero():
-                    raise SchemaError("d o d != 0 at degree %d" % n)
 
     def degrees(self):
         return sorted(self.pieces)
@@ -90,19 +84,7 @@ class BoundedComplex:
         sign = self.alg.field.from_int((-1) ** (s % 2))
         pieces = {n - s: p for n, p in self.pieces.items()}
         diffs = {n - s: d.scale(sign) for n, d in self.diffs.items()}
-        return BoundedComplex(self.alg, pieces, diffs, check=False)
-
-    def is_acyclic(self):
-        """True when every cohomology group vanishes; stops at the first
-        degree with cohomology."""
-        return not any(h for _, h in self._h())
-
-    def _h(self):
-        """``_cohomology`` of this complex."""
-        return _cohomology(
-            {n: p.total_dim() for n, p in self.pieces.items()},
-            lambda n: sum(rank(m) for m in self.diffs[n].mats.values())
-            if n in self.diffs else 0)
+        return BoundedComplex(self.alg, pieces, diffs)
 
     def total_dim(self):
         return sum(p.total_dim() for p in self.pieces.values())
@@ -125,7 +107,7 @@ def _cohomology(dims, rank_of):
 
 
 def stalk_complex(M):
-    return BoundedComplex(M.alg, {0: M}, {}, check=False)
+    return BoundedComplex(M.alg, {0: M}, {})
 
 
 class ChainMap:
@@ -203,8 +185,8 @@ def cone(P, C, q):
                       for r, c in col.items()]
             mats[v] = from_entries(pieces[n + 1].dims[v], pieces[n].dims[v],
                                    cells, field)
-        diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
-    return BoundedComplex(alg, pieces, diffs, check=False)
+        diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats)
+    return BoundedComplex(alg, pieces, diffs)
 
 
 def is_quasi_iso(P, C, q):
@@ -373,8 +355,8 @@ class LabeledComplex:
                 cells = _diff_cells(alg, self.kind, d, src, tgt, v)
                 mats[v] = from_entries(len(tgt[0][v]), len(src[0][v]), cells,
                                        alg.field)
-            diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
-        return BoundedComplex(alg, pieces, diffs, check=False)
+            diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats)
+        return BoundedComplex(alg, pieces, diffs)
 
     def total_rank(self):
         return sum(len(lab) for lab in self.pieces.values())
@@ -1003,8 +985,8 @@ def dual_rep_complex(X, op):
     for n, d in X.diffs.items():
         src, tgt = pieces[-n - 1], pieces[-n]
         mats = {v: d.mats[v].transpose() for v in src.dims}
-        diffs[-n - 1] = ModuleMorphism(src, tgt, mats, check=False)
-    return BoundedComplex(op, pieces, diffs, check=False)
+        diffs[-n - 1] = ModuleMorphism(src, tgt, mats)
+    return BoundedComplex(op, pieces, diffs)
 
 
 def _reverse_element(alg, e):

@@ -3,11 +3,13 @@
 An object F with derived endomorphism profile {0:1, d:1} is d-spherelike;
 it is d-spherical when additionally nu F is isomorphic to F[d].  For
 d != 0 the map space F -> nu F[-d] has dimension 1 by Serre duality, and
-F is spherical exactly when the cone Q_F of its map vanishes; the report
-keeps Q_F.  For d = 0 the degree-0 endomorphism ring (dimension 2)
-decides between k[x]/x^2 (indecomposable) and k x k (decomposable).  The
-spherical subcategory of F consists of the objects A with
-Hom^*(A, Q_F) = 0.
+F is spherical exactly when the cone Q_F of its map vanishes, that is
+when the map is a quasi-isomorphism.  The report keeps Q_F: the zero
+complex when F is spherical, which is Q_F up to isomorphism, and else the
+cone, written only then.  For d = 0 the degree-0 endomorphism ring
+(dimension 2) decides between k[x]/x^2 (indecomposable) and k x k
+(decomposable).  The spherical subcategory of F consists of the objects
+A with Hom^*(A, Q_F) = 0.
 """
 
 import functools
@@ -24,11 +26,11 @@ from .linalg import (Matrix, _complement, _forward, _sub_multiple,
 from .reps import (Representation, generator_column, hom_basis,
                    simple_module, standard_basis)
 from . import reps as _reps
-from .derived import (RESOLUTION_BOUND, HomComplexData, _cocycle_columns,
-                      _cocycle_vectors, _sum_columns, chain_map_space, cone,
-                      hom_profile, iso_up_to_shift,
-                      minimal_projective_resolution, nakayama, perfectify,
-                      resolve)
+from .derived import (RESOLUTION_BOUND, BoundedComplex, HomComplexData,
+                      _cocycle_columns, _cocycle_vectors, _sum_columns,
+                      chain_map_space, cone, hom_profile, is_quasi_iso,
+                      iso_up_to_shift, minimal_projective_resolution,
+                      nakayama, perfectify, resolve)
 
 
 @memoised
@@ -56,7 +58,7 @@ class SpherelikeReport:
         self.field_sensitive = field_sensitive
         self.note = note
         self.complex = complex  # perfect presentation used
-        self.Q = None  # Q_F, built when d != 0
+        self.Q = None  # Q_F when d != 0: the zero complex if spherical
 
     def is_spherelike(self):
         return self.verdict in ("d_spherical", "properly_d_spherelike",
@@ -164,9 +166,11 @@ def classify_spherelike(obj, desc="object"):
     Algebra, 10.4), and the Hom complex has size |F| dim X and needs no
     representation of F.  Only a projective-labeled input, which is F
     itself, is profiled as Hom(F, F).  ``F.to_rep()`` is built only where
-    it is a Hom argument: by the degree-0 End structure.  Q_F is the
-    ``cone`` of the map F -> nu F[-d] as ``chain_map_space`` gives it, on
-    the representation of nu F[-d] that its Hom complex read.
+    it is a Hom argument: by the degree-0 End structure.  For d != 0, F is
+    spherical when the map F -> nu F[-d] that ``chain_map_space`` gives is
+    a quasi-isomorphism onto the representation of nu F[-d] that its Hom
+    complex read (``is_quasi_iso``); Q_F is then the zero complex, and
+    otherwise the ``cone`` of that map.
     """
     F = resolve(obj)
     alg = F.alg
@@ -206,21 +210,23 @@ def classify_spherelike(obj, desc="object"):
     if dim != 1:
         raise EngineInvariantViolation(
             "Hom(F, nu F[-d]) has dim %d; Serre duality gives 1" % dim)
-    rep.Q = cone(F, N.to_rep().shift(-d), cands[0])
-    rep.spherical_witnessed = rep.Q.is_acyclic()
-    rep.verdict = ("d_spherical" if rep.spherical_witnessed
-                   else "properly_d_spherelike")
-    if rep.verdict == "d_spherical" and d < 0:
+    target = N.to_rep().shift(-d)
+    rep.spherical_witnessed = is_quasi_iso(F, target, cands[0])
+    if not rep.spherical_witnessed:
+        rep.verdict = "properly_d_spherelike"
+        rep.Q = cone(F, target, cands[0])
+        return rep
+    if d < 0:
         raise EngineInvariantViolation(
             "spherical object with negative d=%d over finite global dimension" % d)
+    rep.verdict = "d_spherical"
+    rep.Q = BoundedComplex(alg, {}, {})
     return rep
 
 
-def asphericality(F, report=None):
-    """Q_F, the cone of the unique map F -> nu F[-d] that classification
-    built; acyclic iff F spherical."""
-    if report is None:
-        report = classify_spherelike(F)
+def asphericality(F, report):
+    """Q_F from F's classification ``report``: the cone of the unique map
+    F -> nu F[-d], or the zero complex when F is spherical."""
     if not report.is_spherelike():
         raise NonUniqueMap("object is not spherelike; no canonical map")
     if report.d == 0:

@@ -6,10 +6,10 @@ import random
 from sphq.algebra import Element
 from sphq.derived import (ISO_TRIALS, RESOLUTION_BOUND, _ISO_SEED,
                           BoundedComplex, ChainMap, LabeledComplex,
-                          as_rep_complex, chain_map_space)
-from sphq.errors import (EngineInvariantViolation, GlobalDimensionExceeded,
-                         NotChainMap)
-from sphq.linalg import QQ, Matrix, from_blocks, from_entries, hstack
+                          _cohomology, as_rep_complex, chain_map_space)
+from sphq.errors import (AlgebraMismatch, EngineInvariantViolation,
+                         GlobalDimensionExceeded, NotChainMap, SchemaError)
+from sphq.linalg import QQ, Matrix, from_blocks, from_entries, hstack, rank
 from sphq.reps import ModuleMorphism, direct_sum, standard_sum
 
 
@@ -26,16 +26,58 @@ def vstack(mats):
     return Matrix(len(entries), cols, entries, mats[0].field)
 
 
+def check_morphism(f):
+    """Raise unless the ModuleMorphism f has endpoints over one algebra and
+    intertwines every arrow: target_a f_u = f_v source_a, dense products."""
+    if f.source.alg is not f.target.alg and f.source.alg != f.target.alg:
+        raise AlgebraMismatch("morphism endpoints over different algebras")
+    for a in f.source.alg.quiver.arrows:
+        lhs = f.target.maps[a.name] * f.mats[a.source]
+        rhs = f.mats[a.target] * f.source.maps[a.name]
+        if not (lhs - rhs).is_zero():
+            raise SchemaError("morphism does not intertwine arrow %s" % a.name)
+    return f
+
+
+def check_complex(X):
+    """Raise SchemaError unless each differential of the BoundedComplex X
+    runs between its pieces and d o d = 0, dense products."""
+    for n, d in X.diffs.items():
+        if d.source.dims != X.pieces[n].dims or d.target.dims != X.pieces[n + 1].dims:
+            raise SchemaError("differential at degree %d has wrong endpoints" % n)
+    for n in X.diffs:
+        if n + 1 in X.diffs:
+            comp = X.diffs[n + 1].compose(X.diffs[n])
+            if not comp.is_zero():
+                raise SchemaError("d o d != 0 at degree %d" % n)
+    return X
+
+
+def _dense_cohomology(X):
+    """``derived._cohomology`` of the BoundedComplex X, each differential
+    ranked as its per-vertex matrices."""
+    return _cohomology(
+        {n: p.total_dim() for n, p in X.pieces.items()},
+        lambda n: sum(rank(m) for m in X.diffs[n].mats.values())
+        if n in X.diffs else 0)
+
+
+def dense_is_acyclic(X):
+    """True when every cohomology group of the BoundedComplex X vanishes;
+    stops at the first degree with cohomology.  The dense oracle of
+    ``derived.is_quasi_iso``."""
+    return not any(h for _, h in _dense_cohomology(X))
+
+
 def cohomology_dims(X):
     """{n: dim H^n} of the BoundedComplex X at each degree where it is
-    nonzero, from the full ``_cohomology`` walk that ``is_acyclic`` stops
-    early."""
-    return {n: h for n, h in X._h() if h}
+    nonzero, from the full walk that ``dense_is_acyclic`` stops early."""
+    return {n: h for n, h in _dense_cohomology(X) if h}
 
 
 def identity_morphism(M):
     return ModuleMorphism(M, M, {v: Matrix.identity(M.dims[v], M.alg.field)
-                                 for v in M.dims}, check=False)
+                                 for v in M.dims})
 
 
 def dense_col(M, j):
@@ -238,7 +280,7 @@ def dense_cover_complex(C):
         q[n] = ModuleMorphism(Pn, Cn, {
             v: Matrix(Cn.dims[v], E[v].cols,
                       E[v].entries[A.dims[v] - Cn.dims[v]:], field)
-            for v in verts}, check=False)
+            for v in verts})
         prev = (Pn, order, E)
         n -= 1
     return (LabeledComplex(alg, pieces, diffs, "proj"),
@@ -261,7 +303,7 @@ def dense_chain_map(P, C, q, check=False):
     """q, read back by ``q_matrices``, as a ChainMap from P.to_rep() to C;
     ``check`` runs the dense chain-map check."""
     Prep = P.to_rep()
-    comps = {n: ModuleMorphism(Prep.piece(n), C.pieces[n], mats, check=False)
+    comps = {n: ModuleMorphism(Prep.piece(n), C.pieces[n], mats)
              for n, mats in q_matrices(C, q).items()}
     return ChainMap(Prep, C, comps, check=check)
 
@@ -302,9 +344,8 @@ def dense_cone(f):
     for n in degs:
         mats = _dense_cone_mats(f, n)
         if mats is not None:
-            diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats,
-                                      check=False)
-    return BoundedComplex(X.alg, pieces, diffs, check=False)
+            diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats)
+    return BoundedComplex(X.alg, pieces, diffs)
 
 
 def complex_direct_sum(complexes):
@@ -329,8 +370,8 @@ def complex_direct_sum(complexes):
                 r0 += c.piece(n + 1).dims[v]
                 c0 += c.piece(n).dims[v]
             mats[v] = from_blocks(r0, c0, blocks, alg.field)
-        diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats, check=False)
-    return BoundedComplex(alg, pieces, diffs, check=False)
+        diffs[n] = ModuleMorphism(pieces[n], pieces[n + 1], mats)
+    return BoundedComplex(alg, pieces, diffs)
 
 
 def dense_certify(P, C, q):
@@ -344,7 +385,7 @@ def dense_certify(P, C, q):
     except NotChainMap as e:
         raise EngineInvariantViolation(
             "perfectify map is not a chain map: %s" % e) from e
-    if not dense_cone(f).is_acyclic():
+    if not dense_is_acyclic(dense_cone(f)):
         raise EngineInvariantViolation(
             "perfectify result is not quasi-isomorphic")
 
@@ -362,7 +403,7 @@ def dense_iso_up_to_shift(F, Y, s):
     Ys = Yrep.shift(-s)
     cands = [dense_chain_map(F, Ys, q) for q in maps]
     for f in cands:
-        if dense_cone(f).is_acyclic():
+        if dense_is_acyclic(dense_cone(f)):
             return True
     if dim > 1:
         field = F.alg.field
@@ -376,8 +417,8 @@ def dense_iso_up_to_shift(F, Y, s):
                 for n, g in f.comps.items():
                     g = g.scale(field.from_int(c))
                     comps[n] = comps[n] + g if n in comps else g
-            if dense_cone(ChainMap(cands[0].source, cands[0].target, comps,
-                                   check=False)).is_acyclic():
+            if dense_is_acyclic(dense_cone(ChainMap(
+                    cands[0].source, cands[0].target, comps, check=False))):
                 return True
         return "not_witnessed"
     return False

@@ -315,6 +315,19 @@ def test_rep_file_with_misshapen_matrix_is_input_error(tmp_path, capsys, maps):
     assert json.loads(err)["error"]["code"] == "input"
 
 
+def test_rep_file_breaking_a_relation_is_input_error(tmp_path, capsys):
+    """Over cb3, a1 = a2 = [[1]] leaves the path a1 a2 acting as 1, not 0,
+    so the relation check of Representation rejects the file."""
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"dims": {"1": 1, "2": 1, "3": 1},
+                                "maps": {"a1": [[1]], "a2": [[1]]}}))
+    code, out, err = run(capsys, "hom", "cb3", "--from", "file:%s" % path,
+                         "--to", "S:1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "input"
+
+
 HOM_FROM = ("hom", "cb3", "--to", "S:1", "--from")
 with open(os.path.join(FIXTURE_DIR, "cb2.json")) as fh:
     CB2 = json.load(fh)

@@ -34,9 +34,11 @@ from sphq.reps import (ModuleMorphism, hom_basis, injective_module,
 from sphq.spherelike import (asphericality, classify_spherelike,
                              fractional_cy_check)
 
-from reference import (cohomology_dims, complex_direct_sum, dense_chain_map,
-                       dense_cone, dense_cover_complex, identity_morphism,
-                       q_matrices)
+import reference
+from reference import (check_complex, check_morphism, cohomology_dims,
+                       complex_direct_sum, dense_chain_map, dense_cone,
+                       dense_cover_complex, dense_is_acyclic,
+                       identity_morphism, q_matrices)
 
 
 def a2_algebra():
@@ -58,7 +60,7 @@ def test_resolution_cohomology_is_the_module():
         R = minimal_projective_resolution(S)
         stalk = stalk_complex(S)
         C = cone(R, stalk, chain_map_space(R, stalk, 0)[1][0])
-        assert C.is_acyclic()
+        assert dense_is_acyclic(C)
 
 
 def test_hom_profile_a2():
@@ -83,18 +85,19 @@ def test_cone_of_self_map_acyclic():
     R = minimal_projective_resolution(simple_module(alg, "1"))
     dim, cands = chain_map_space(R, R.to_rep(), 0)
     assert dim == 1
-    assert cone(R, R.to_rep(), cands[0]).is_acyclic()
+    assert dense_is_acyclic(cone(R, R.to_rep(), cands[0]))
 
 
 def record_ranks(monkeypatch):
-    """Wrap ``derived.rank`` so that it records each matrix it ranks."""
-    ranked, rank = [], derived.rank
+    """Wrap the ``rank`` of ``reference`` so that it records each matrix
+    ``dense_is_acyclic`` and ``cohomology_dims`` rank."""
+    ranked, rank = [], reference.rank
 
     def recording(m):
         ranked.append((m.rows, m.cols, m.entries))
         return rank(m)
 
-    monkeypatch.setattr(derived, "rank", recording)
+    monkeypatch.setattr(reference, "rank", recording)
     return ranked
 
 
@@ -143,7 +146,7 @@ def test_acyclicity_tests_stop_at_the_first_degree_with_cohomology(monkeypatch):
     X = cohomology_in_lowest_degree()
     assert X.degrees() == [0, 1, 2] and sorted(X.diffs) == [0, 1]
     ranked = record_ranks(monkeypatch)
-    assert not X.is_acyclic()
+    assert not dense_is_acyclic(X)
     assert ranked == per_vertex(X.diffs[0])
     # the cone of the zero map 0 -> X has X's differentials, which
     # is_quasi_iso ranks as sparse columns
@@ -153,6 +156,18 @@ def test_acyclicity_tests_stop_at_the_first_degree_with_cohomology(monkeypatch):
     assert not is_quasi_iso(zero, X, {})
     assert columns == per_vertex_columns(X.diffs[0])
     assert ranked == []
+
+
+def test_is_quasi_iso_is_the_one_acyclicity_test():
+    """derived ranks no dense matrix: BoundedComplex has no is_acyclic and
+    derived imports no rank, so is_quasi_iso is the only acyclicity test;
+    BoundedComplex and ModuleMorphism take no check, their dense checks
+    being reference.check_complex and reference.check_morphism."""
+    assert not {"is_acyclic", "_h", "_validate"} & set(vars(BoundedComplex))
+    assert "_validate" not in vars(ModuleMorphism)
+    assert "rank" not in vars(derived)
+    for cls in (BoundedComplex, ModuleMorphism):
+        assert "check" not in inspect.signature(cls).parameters
 
 
 def test_cohomology_dims_ranks_each_differential_once(monkeypatch):
@@ -227,7 +242,7 @@ def test_q_f_splitting_needs_a_combination_of_basis_maps():
         {n: D.piece(n).dims for n in D.pieces} == {-1: E.dims, 2: E.dims}
     dim, basis = chain_map_space(Q, D, 0)
     assert dim == 2
-    assert not any(cone(Q, D, w).is_acyclic() for w in basis)
+    assert not any(dense_is_acyclic(cone(Q, D, w)) for w in basis)
     assert iso_up_to_shift(Q, D, 0) is True
 
 
@@ -400,10 +415,10 @@ def test_cover_complex_maps_quasi_isomorphically(name):
         assert all(len(cols) == Prep.piece(n).dims[x]
                    for n, qn in q.items() for x, cols in qn.items())
         f = derived.ChainMap(Prep, C, {
-            n: ModuleMorphism(Prep.piece(n), C.pieces[n], mats, check=False)
+            n: ModuleMorphism(Prep.piece(n), C.pieces[n], mats)
             for n, mats in q_matrices(C, q).items()}, check=True)
         assert f.comps
-        assert dense_cone(f).is_acyclic()
+        assert dense_is_acyclic(dense_cone(f))
 
 
 
@@ -421,10 +436,10 @@ def test_cover_loop_rejects_a_kernel_that_is_not_arrow_stable(source, mats):
     Cm1 = standard_module(alg, source, "1")
     P1 = projective_module(alg, "1")
     d = ModuleMorphism(Cm1, P1, {v: Matrix(P1.dims[v], Cm1.dims[v], m)
-                                 for v, m in mats.items()}, check=False)
+                                 for v, m in mats.items()})
     with pytest.raises(SchemaError):
-        d._validate()
-    C = BoundedComplex(alg, {-1: Cm1, 0: P1}, {-1: d})
+        check_morphism(d)
+    C = check_complex(BoundedComplex(alg, {-1: Cm1, 0: P1}, {-1: d}))
     for loop in (derived._cover_complex, dense_cover_complex):
         with pytest.raises(EngineInvariantViolation, match="arrow-stable"):
             loop(C)
@@ -453,7 +468,8 @@ def test_chain_map_check_rejects_every_failing_square():
 def test_perfectify_of_an_identity_is_zero(kind):
     alg = cb(3)
     M = standard_module(alg, kind, "1")
-    C = derived.BoundedComplex(alg, {0: M, 1: M}, {0: identity_morphism(M)})
+    C = check_complex(derived.BoundedComplex(alg, {0: M, 1: M},
+                                             {0: identity_morphism(M)}))
     assert perfectify(C).is_zero()
 
 
@@ -463,7 +479,8 @@ def test_perfectify_bound_exceeded():
     from sphq.constructions import ci
     alg = ci(2)
     P, S = projective_module(alg, "1"), simple_module(alg, "1")
-    C = derived.BoundedComplex(alg, {-1: P, 0: S}, {-1: hom_basis(P, S)[0]})
+    C = check_complex(derived.BoundedComplex(alg, {-1: P, 0: S},
+                                             {-1: hom_basis(P, S)[0]}))
     with pytest.raises(GlobalDimensionExceeded):
         perfectify(C)
 

@@ -336,3 +336,39 @@ def test_euler_prefilter_drops_no_spherelike_candidate(monkeypatch):
                 break
         assert [desc for desc, _ in classified] == passed
     assert dropped > 0
+
+
+# (objects, nonzero dim Hom^i(A, B) over all pairs and degrees) for the
+# node objects and resolved interval modules of criterion 10's families.
+DDA_HOM_COUNTS = {(1, 2, 0): (6, 35), (2, 3, 0): (10, 82), (2, 3, 1): (15, 167),
+                  (1, 3, 0): (12, 123), (2, 4, 1): (21, 293)}
+
+
+@pytest.mark.parametrize("family", sorted(DDA_HOM_COUNTS),
+                         ids=lambda f: "dda_%d_%d_%d" % f)
+def test_hom_dimensions_of_dda_objects_are_bounded(family):
+    """Broomhead-Pauksztello-Ploog ("Discrete derived categories I", Math.
+    Z. 2017, arXiv 1312.5203) bound the Hom spaces between indecomposables
+    of D^b(Lambda(r, n, m)): as recalled here, and not checked against the
+    paper's hypotheses, every dim Hom^i(A, B) is at most 2, and at most 1
+    when r > 1.  The objects are criterion 10's poset nodes and the
+    interval modules, which are local and so indecomposable, resolved.
+    For r = 1 the value 2 is reached only at Hom^0 of the d = 0 node with
+    itself, whose End is k[x]/x^2; that node is an interval module, which
+    so appears twice."""
+    r = family[0]
+    poset = build_poset(("dda",) + family)
+    objects = [(x, poset.nodes[x].obj) for x in poset.order]
+    objects += [(desc, derived.minimal_projective_resolution(M))
+                for desc, M in spherelike.interval_modules(poset.alg)]
+    dims = {(a, b, i): dim for a, A in objects for b, B in objects
+            for i, dim in derived.hom_profile(A, B).items()}
+    assert (len(objects), len(dims)) == DDA_HOM_COUNTS[family]
+    twos = {key for key, dim in dims.items() if dim > 1}
+    if r > 1:
+        assert not twos
+    else:
+        (node,) = [poset.nodes[x] for x in poset.order if poset.nodes[x].d == 0]
+        copies = (node.name, node.desc)
+        assert twos == {(a, b, 0) for a in copies for b in copies}
+        assert max(dims.values()) == 2

@@ -15,7 +15,7 @@ from sphq.constructions import cb, kronecker, kronecker_quasi_simple
 from sphq.corpus import FIXTURE_DIR, load_fixture
 from sphq.derived import (HomComplexData, LabeledComplex,
                           minimal_projective_resolution)
-from sphq.errors import EngineInvariantViolation, UnknownVertex
+from sphq.errors import EngineInvariantViolation, SchemaError, UnknownVertex
 from sphq.linalg import QQ, Matrix, PrimeField, hstack
 from sphq.reps import (ModuleMorphism, Representation, _quotient_data,
                        _subrep_from_inclusions, direct_sum, generator_column,
@@ -25,9 +25,9 @@ from sphq.reps import (ModuleMorphism, Representation, _quotient_data,
                        zero_rep)
 from sphq.spherelike import interval_module
 
-from reference import (cohomology_dims, dense_apply, dense_col,
-                       dense_from_generators, dense_rank, dense_rref,
-                       matrix_columns)
+from reference import (check_morphism, cohomology_dims, dense_apply,
+                       dense_col, dense_from_generators, dense_rank,
+                       dense_rref, matrix_columns)
 
 
 def test_projective_dims_cb3():
@@ -116,13 +116,34 @@ def test_rep_json_roundtrip():
         assert again.maps[a.name] == M.maps[a.name]
 
 
+RELATION_CASES = [
+    # the path a1 a2 acts as 1, not 0
+    (lambda: cb(2), (1, 1), {"a1": [[1]], "a2": [[1]]}, False),
+    (lambda: load_fixture("cb3"), (1, 1, 1),
+     {"a1": [[1]], "a2": [[1]]}, False),
+    # the path a c acts as 0, and the two terms of c a - b d cancel
+    (lambda: load_fixture("auslander_x3"), (1, 2, 1),
+     {"a": [[1], [0]], "c": [[0, 1]], "b": [[0, 1]], "d": [[1], [0]]}, True),
+    # b d acts as twice c a
+    (lambda: load_fixture("auslander_x3"), (1, 2, 1),
+     {"a": [[1], [0]], "c": [[0, 1]], "b": [[0, 2]], "d": [[1], [0]]}, False),
+]
+
+
 def test_representation_relation_check():
-    alg = cb(2)
-    # a 2-dim rep violating the relation a2*a1 = 0 must be rejected
-    one = Matrix(1, 1, [[QQ.one()]], QQ)
-    with pytest.raises(Exception):
-        Representation(alg, {"1": 1, "2": 1},
-                       {"a1": one, "a2": one.transpose()})
+    """Representation checks that every relation acts as 0, a
+    multi-term relation as the sum of its terms."""
+    for make_alg, dims, maps, valid in RELATION_CASES:
+        alg = make_alg()
+        dims = dict(zip(alg.quiver.vertices, dims))
+        mats = {a: Matrix(len(rows), len(rows[0]),
+                          [[QQ.from_int(x) for x in row] for row in rows], QQ)
+                for a, rows in maps.items()}
+        if valid:
+            Representation(alg, dims, mats)
+        else:
+            with pytest.raises(SchemaError, match="relation does not vanish"):
+                Representation(alg, dims, mats)
 
 
 def _matrices(field):
@@ -175,8 +196,8 @@ def _revalidated(rep):
 def _check_kernel_cokernel(f):
     M, N = f.source, f.target
     ker, coker, incl, proj = kernel_cokernel(f)
-    ModuleMorphism(_revalidated(ker), M, incl.mats, check=True)
-    ModuleMorphism(N, _revalidated(coker), proj.mats, check=True)
+    check_morphism(ModuleMorphism(_revalidated(ker), M, incl.mats))
+    check_morphism(ModuleMorphism(N, _revalidated(coker), proj.mats))
     for v in M.dims:
         r = dense_rank(f.mats[v])
         assert ker.dims[v] == M.dims[v] - r
@@ -195,10 +216,10 @@ def test_top_radical_and_kernel_cokernel_revalidate(name):
         for kind in ("simple", "projective", "injective"):
             M = standard_module(alg, kind, v)
             tr = top_and_radical(M)
-            ModuleMorphism(_revalidated(tr.rad), M, tr.rad_inclusion.mats,
-                           check=True)
-            ModuleMorphism(M, _revalidated(tr.top), tr.top_projection.mats,
-                           check=True)
+            check_morphism(ModuleMorphism(_revalidated(tr.rad), M,
+                                          tr.rad_inclusion.mats))
+            check_morphism(ModuleMorphism(M, _revalidated(tr.top),
+                                          tr.top_projection.mats))
             assert all(m.is_zero() for m in tr.top.maps.values())
             for w in M.dims:
                 sect = tr.top_section[w]

@@ -2,16 +2,18 @@
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
+from sphq import spherelike
 from sphq.algebra import Quiver, algebra_from_json, build_algebra
 from sphq.constructions import (cb, ci, circular, induce, kronecker,
                                 kronecker_quasi_simple)
 from sphq.corpus import FIXTURE_DIR, load_fixture
-from sphq.derived import (LabeledComplex, hom_profile, iso_up_to_shift,
-                          minimal_projective_resolution, nakayama, perfectify,
-                          resolve)
+from sphq.derived import (LabeledComplex, chain_map_space, cone, hom_profile,
+                          iso_up_to_shift, minimal_projective_resolution,
+                          nakayama, perfectify, resolve)
 from sphq.errors import (DZeroUnsupported, GlobalDimensionExceeded,
                          UnsupportedCandidateSet)
 from sphq.linalg import QQ, PrimeField
@@ -21,6 +23,8 @@ from sphq.spherelike import (_is_rational_square, asphericality,
                              certify_finite_gldim, classify_spherelike,
                              fractional_cy_check, in_spherical_subcat,
                              interval_modules, scan)
+
+from reference import dense_chain_map, dense_cone, dense_is_acyclic
 
 
 def test_simple_over_cb_is_spherical():
@@ -52,42 +56,72 @@ def test_induced_circular_properly_spherelike():
 def test_asphericality_acyclic_iff_spherical():
     alg = cb(3)
     F = resolve(simple_module(alg, "1"))
-    Q = asphericality(F)
-    assert Q.is_acyclic()
+    Q = asphericality(F, classify_spherelike(F))
+    assert Q.is_zero() and dense_is_acyclic(Q)
 
     big, emb = circular(7, [5], with_embedding=True)
     G = induce(emb, minimal_projective_resolution(simple_module(emb.small, "1")))
-    Q2 = asphericality(G)
-    assert not Q2.is_acyclic()
+    Q2 = asphericality(G, classify_spherelike(G))
+    assert not dense_is_acyclic(Q2)
 
 
-def test_d_nonzero_verdict_is_q_f_acyclic():
-    """For d != 0 classification decides sphericity by Q_F = 0.  On the
-    simples and interval modules of six fixtures this agrees with the iso
-    test F[d] = nu F, and asphericality hands back the report's Q_F."""
-    seen = set()
-    for fixture in ("cb3", "auslander_x3", "circular_7_5", "dda_1_3_0",
-                    "dda_2_3_1", "preprojective_a3_cluster"):
+def same_complex(X, Y):
+    """The BoundedComplexes X and Y have the same pieces, arrow map by
+    arrow map, and the same differentials, matrix by matrix."""
+    return ({n: (M.dims, M.maps) for n, M in X.pieces.items()} ==
+            {n: (M.dims, M.maps) for n, M in Y.pieces.items()} and
+            {n: d.mats for n, d in X.diffs.items()} ==
+            {n: d.mats for n, d in Y.diffs.items()})
+
+
+def test_d_nonzero_verdict_is_q_f_acyclic(monkeypatch):
+    """For d != 0 classification decides sphericity by is_quasi_iso of
+    the map q: F -> nu F[-d].  On the standard and interval modules of
+    every fixture this agrees with the dense cone of q being acyclic and
+    with the iso test F[d] = nu F.  A spherical F's Q_F is the zero
+    complex; a properly spherelike F's Q_F is the dense cone, and is the
+    only cone classification writes.  asphericality hands back the
+    report's Q_F."""
+    cones = []
+
+    def counting_cone(P, C, q):
+        cones.append(q)
+        return cone(P, C, q)
+
+    monkeypatch.setattr(spherelike, "cone", counting_cone)
+    seen = Counter()
+    for fixture in sorted(f[:-5] for f in os.listdir(FIXTURE_DIR)):
         alg = load_fixture(fixture)
-        simples = [("S:%s" % v, simple_module(alg, v))
-                   for v in alg.quiver.vertices]
-        for desc, M in simples + interval_modules(alg):
+        standard = [("%s:%s" % (kind[0].upper(), v),
+                     standard_module(alg, kind, v))
+                    for kind in ("simple", "projective", "injective")
+                    for v in alg.quiver.vertices]
+        for desc, M in standard + interval_modules(alg):
+            del cones[:]
             rep = classify_spherelike(M, desc)
             if rep.d in (None, 0):
-                assert rep.Q is None
+                assert rep.Q is None and not cones
                 continue
-            F = rep.complex
-            iso = iso_up_to_shift(F, nakayama(F).to_rep(), rep.d)
-            assert rep.is_spherical() == rep.Q.is_acyclic() == (iso is True)
+            F, d = rep.complex, rep.d
+            N = nakayama(F)
+            target = N.to_rep().shift(-d)
+            dim, (q,) = chain_map_space(F, N, -d)
+            K = dense_cone(dense_chain_map(F, target, q))
+            iso = iso_up_to_shift(F, N.to_rep(), d)
+            assert rep.is_spherical() == dense_is_acyclic(K) == (iso is True)
+            if rep.is_spherical():
+                assert rep.Q.pieces == {} and rep.Q.diffs == {} and not cones
+            else:
+                assert same_complex(rep.Q, K) and len(cones) == 1
             assert asphericality(F, rep) is rep.Q
-            seen.add(rep.verdict)
-    assert seen == {"d_spherical", "properly_d_spherelike"}
+            seen[rep.verdict] += 1
+    assert seen == {"d_spherical": 27, "properly_d_spherelike": 6}
 
 
 def test_membership_table_circular():
     big, emb = circular(7, [5], with_embedding=True)
     G = induce(emb, minimal_projective_resolution(simple_module(emb.small, "1")))
-    Q = asphericality(G)
+    Q = asphericality(G, classify_spherelike(G))
     want = {"1": True, "2": True, "3": True, "4": False, "6": False}
     for v, expect in want.items():
         assert in_spherical_subcat(simple_module(big, v), Q) == expect

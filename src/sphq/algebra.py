@@ -425,15 +425,20 @@ class BoundQuiverAlgebra:
     def multiply(self, a, b):
         """Product of normal-form elements; multiply(a, b) = first b, then a.
 
-        The term products are summed into one dict; a coefficient that
-        cancels to zero is dropped at once, so the terms keep the order of
-        adding the products one at a time.  A factor given as a Path is
-        read as that path with coefficient one, and is not wrapped in an
-        Element."""
-        field = self.field
-        aterms = {a: field.one()} if isinstance(a, Path) else a.terms
-        bterms = {b: field.one()} if isinstance(b, Path) else b.terms
-        out = {}
+        A factor given as a Path is read as that path with coefficient one,
+        and is not wrapped in an Element."""
+        one = self.field.one()
+        aterms = {a: one} if isinstance(a, Path) else a.terms
+        bterms = {b: one} if isinstance(b, Path) else b.terms
+        return Element(self.add_product({}, aterms, bterms), self.field)
+
+    def add_product(self, out, aterms, bterms):
+        """Add the product of the {path: coeff} term dicts aterms and bterms
+        (first b, then a) into the term dict ``out`` and return it.  The
+        term products are summed into it one at a time through
+        ``mult_paths``; a coefficient that cancels to zero is dropped at
+        once, so no Element is built and the terms keep the order of adding
+        the products one at a time."""
         for p, cp in aterms.items():
             for q, cq in bterms.items():
                 c = cp * cq
@@ -446,7 +451,7 @@ class BoundQuiverAlgebra:
                             del out[r]
                     else:
                         out[r] = c * cr
-        return Element(out, field)
+        return out
 
     def slice_basis(self, x, y):
         """Basis of e_x A e_y: normal paths y -> x."""

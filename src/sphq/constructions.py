@@ -11,6 +11,10 @@ from .derived import LabeledComplex
 from .linalg import QQ, Matrix, scalar_to_str, sparse_rank
 from .reps import Representation
 
+# Largest n + m of a Lambda(r, n, m) that ``dda`` builds: its path basis and
+# poset search grow faster than n^2.  It sits above Lambda(2, 45, 43).
+DDA_BOUND = 100
+
 
 class Embedding:
     """Corner embedding of a small algebra into a big one.
@@ -314,6 +318,9 @@ def dda(r, n, m, field=None):
     field = field or QQ
     if not (n >= 2 and 1 <= r < n and m >= 0):
         raise FamilyParameterError("dda needs n >= 2, 1 <= r < n, m >= 0")
+    if n + m > DDA_BOUND:
+        raise FamilyParameterError("dda needs n + m <= %d, got %d"
+                                   % (DDA_BOUND, n + m))
     q = _cycle_quiver(n)
     rels = [Element({q.path(["a%d" % i, "a%d" % (i + 1)]): field.one()}, field)
             for i in range(1, r + 1)]

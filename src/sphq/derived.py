@@ -43,8 +43,8 @@ from collections import defaultdict
 from .algebra import Element, Path, memoised
 from .errors import (GlobalDimensionExceeded, NotChainMap, NotElementValued,
                      EngineInvariantViolation, SchemaError, UnknownVertex)
-from .linalg import (_complement, from_entries, null_space, scalar_to_str,
-                     sparse_rank)
+from .linalg import (_complement, _kernel_vectors, _reduce, from_entries,
+                     null_space, scalar_to_str, sparse_rank)
 from .reps import (ModuleMorphism, Representation, direct_sum,
                    standard_basis, standard_sum, zero_rep)
 
@@ -305,6 +305,10 @@ class LabeledComplex:
         return not self.pieces
 
     def _validate(self):
+        """Shapes, that each nonzero entry lies in the slice between its
+        labels, and d o d = 0: each cell of d^{n+1} d^n sums the products
+        of its entries into one term table (``alg.add_product``), so no
+        Element is built per product, and must come out empty."""
         alg = self.alg
         for n, d in self.diffs.items():
             src, tgt = self.pieces[n], self.pieces[n + 1]
@@ -323,13 +327,14 @@ class LabeledComplex:
                 continue
             d1, d2 = self.diffs[n], self.diffs[n + 1]
             for j in range(len(self.pieces[n])):
-                col = [(i, row[j]) for i, row in enumerate(d1) if row[j].terms]
+                col = [(i, row[j].terms) for i, row in enumerate(d1)
+                       if row[j].terms]
                 for row2 in d2:
-                    acc = alg.zero_element()
-                    for i, e in col:
+                    acc = {}
+                    for i, terms in col:
                         if row2[i].terms:
-                            acc = acc + alg.multiply(e, row2[i])
-                    if acc.terms:
+                            alg.add_product(acc, terms, row2[i].terms)
+                    if acc:
                         raise SchemaError("d o d != 0 at degree %d (labeled)" % n)
 
     def shift(self, s):
@@ -367,22 +372,31 @@ def _diff_cells(alg, kind, d, src, tgt, v):
     map given by the element matrix d between sums of standard modules of
     ``kind``, in their ``standard_basis`` coordinates src and tgt (each an
     (order, index) pair).  ``LabeledComplex.to_rep`` writes its matrices
-    and ``_diff_columns`` the sparse columns of d_P from these cells."""
+    and ``_diff_columns`` the sparse columns of d_P from these cells.  Each
+    cell's product is summed from ``alg.mult_paths`` terms into one term
+    table (``alg.add_product``), so no Element is built per product."""
+    one = alg.field.one()
     if kind == "proj":
         # basis path p: x_j -> v maps to p * e in P(y_i)
         tgt_index = tgt[1][v]
-        return ((tgt_index[i, q], col, c)
-                for col, (j, p) in enumerate(src[0][v])
-                for i, row in enumerate(d) if row[j].terms
-                for q, c in alg.multiply(p, row[j]).terms.items())
+        for col, (j, p) in enumerate(src[0][v]):
+            path = {p: one}
+            for i, row in enumerate(d):
+                if row[j].terms:
+                    for q, c in alg.add_product({}, path,
+                                                row[j].terms).items():
+                        yield tgt_index[i, q], col, c
+        return
     # dual of left multiplication: entry (q, p) is the coefficient of the
     # I(x_j)-basis path p in e * q, q: v -> y_i, so each product e * q
     # fills its row
     src_index = src[1][v]
-    return ((r, src_index[j, p], c)
-            for r, (i, q) in enumerate(tgt[0][v])
-            for j, e in enumerate(d[i]) if e.terms
-            for p, c in alg.multiply(e, q).terms.items())
+    for r, (i, q) in enumerate(tgt[0][v]):
+        path = {q: one}
+        for j, e in enumerate(d[i]):
+            if e.terms:
+                for p, c in alg.add_product({}, e.terms, path).items():
+                    yield r, src_index[j, p], c
 
 
 @memoised
@@ -494,10 +508,11 @@ def _cover_complex(C):
     The generators of P^n are picked from the top of F^n (Green, Solberg
     and Zacharia, *Minimal projective resolutions*, Trans. AMS 2001)
     without building F^n as a module.  At vertex v, the kernel vectors K
-    of Phi^n_v (``linalg.null_space``; every unit vector at the top
-    degree, where Phi^n has no rows) span F^n_v, and the arrows a into v
-    map F^n onto the span of the images R of the kernel vectors at the
-    source of a.  One ``_forward`` pass over R, then K
+    of Phi^n_v (``linalg._kernel_vectors`` of its reduced rows, as
+    ``null_space`` reads them, with no copy of the loop's fresh rows) span
+    F^n_v, and the arrows a into v map F^n onto the span of the images R
+    of the kernel vectors at the source of a.  One ``_forward`` pass over
+    R, then K
     (``linalg._complement``), keeps the vectors of K that are pivot
     columns of [R | K].  Since the
     vectors of K are independent and R = K R' for the arrow maps R' of
@@ -507,16 +522,32 @@ def _cover_complex(C):
     rad F^n_v in F^n_v.  A rank of [R | K] above the number of vectors of
     K, also when K is empty, would mean F^n is not arrow-stable.
 
+    Only nonzero work is done.  Each step visits only the vertices where
+    P^{n+1}_v + C^n_v is nonzero; elsewhere F^n_v = 0.  Where Phi^n_v has
+    no nonzero row (at the top degree, and wherever E^{n+1}_v and d_C^n
+    vanish), K is the unit vectors, read off with no elimination.  Where
+    every arrow image R is zero, all of K is kept with no ``_forward``
+    pass: K is independent, so the rank of [R | K] is the number of its
+    vectors and the arrow-stability check is vacuous there; it runs
+    wherever R is nonzero.  ``moved`` applies C^n's arrow maps only to a
+    vector with a C part.  The arrow images, computed once per arrow and
+    kernel vector to pick the generators, are kept as the generators'
+    arrow columns of E^n and q^n (``_complement`` gets copies, since
+    ``_forward`` consumes its rows), and a generator's trivial-path column
+    is the generator itself, so only paths of two or more arrows are
+    applied again.
+
     These choices are those of a dense loop (the kernel basis read off
     the reduced form of the dense Phi^n_v, then the pivot columns of the
     reduced form of [R | K] beyond R): the reduced echelon form is unique,
-    so ``null_space`` gives the same kernel vectors, ``_forward`` finds
+    so ``_kernel_vectors`` gives the same kernel vectors, ``_forward`` finds
     the same independent columns, and normal forms are unique, so path
     products give the same columns of E.
     """
     alg = C.alg
     field = alg.field
-    minus_one = field.from_int(-1)
+    zero, one, minus_one = (alg.zero_element(), field.one(),
+                            field.from_int(-1))
     verts = alg.quiver.vertices
     arrow_path = {a.name: Path(a.source, a.target, (a.name,))
                   for a in alg.quiver.arrows}
@@ -533,33 +564,34 @@ def _cover_complex(C):
         Cn, dC = C.piece(n), C.diffs.get(n)
         order, index = above
         psize = {v: len(order[v]) for v in verts}
-        width = {v: psize[v] + Cn.dims[v] for v in verts}
+        live = [v for v in verts if psize[v] or Cn.dims[v]]
 
         def moved(p, vec):
             """(column, c): the path p applied to the vector ``vec`` of
             P^{n+1} + C^n at its source, as a vector at its target and its
             C^n part c, a {coordinate: coeff} vector of C^n at the target."""
-            x, v = p.source, p.target
+            size, at_x, to_v = psize[p.source], order[p.source], index[p.target]
             col, cvec = {}, {}
             for k, c in vec.items():
-                if k >= psize[x]:
-                    cvec[k - psize[x]] = c
+                if k >= size:
+                    cvec[k - size] = c
                     continue
-                i, p0 = order[x][k]
+                i, p0 = at_x[k]
                 for r, cr in alg.mult_paths(p, p0).terms.items():
-                    key = index[v][i, r]
+                    key = to_v[i, r]
                     old = col.get(key)
                     col[key] = c * cr if old is None else old + c * cr
             col = {k: c for k, c in col.items() if c}
+            if not cvec:
+                return col, cvec
             cimg = Cn.path_apply(p, cvec)
-            col.update((k + psize[v], c) for k, c in cimg.items())
+            size = psize[p.target]
+            col.update((k + size, c) for k, c in cimg.items())
             return col, cimg
 
-        kernels = {}
-        for v in verts:
-            if not width[v]:
-                kernels[v] = []
-                continue
+        kernels = {v: [] for v in verts}
+        for v in live:
+            width = psize[v] + Cn.dims[v]
             rows = defaultdict(dict)
             for k, col in enumerate(E[v]):
                 for r, c in col.items():
@@ -569,28 +601,37 @@ def _cover_complex(C):
                     for k, c in enumerate(row, psize[v]):
                         if c:
                             rows[r][k] = minus_one * c
-            kernels[v] = null_space(rows.values(), width[v], field)
+            if rows:
+                # fresh rows of nonzero entries, reduced in place
+                kernels[v] = _kernel_vectors(*_reduce(list(rows.values()),
+                                                      field), width, field)
+            else:
+                kernels[v] = [{k: one} for k in range(width)]
         if n < lo and not any(kernels.values()):
             break
         if n < lo - RESOLUTION_BOUND:
             raise GlobalDimensionExceeded(RESOLUTION_BOUND,
                                           "resolving a module")
-        labels, gens = [], []
-        for v in verts:
-            if not width[v]:  # no image and no kernel: stable
-                continue
-            image = [moved(arrow_path[a.name], vec)[0]
-                     for a in alg.quiver.arrows_in[v]
-                     for vec in kernels[a.source]]
-            kept, rk = _complement(image, kernels[v], field)
-            if rk != len(kernels[v]):
-                raise EngineInvariantViolation(
-                    "F^%d is not arrow-stable at vertex %s" % (n, v))
+        labels, gens, arrow_cols = [], [], {}
+        for v in live:
+            image = []
+            for a in alg.quiver.arrows_in[v]:
+                for vec in kernels[a.source]:
+                    out = arrow_cols[a.name, id(vec)] = moved(
+                        arrow_path[a.name], vec)
+                    if out[0]:
+                        image.append(dict(out[0]))
+            kept = kernels[v]
+            if image:
+                kept, rk = _complement(image, kept, field)
+                if rk != len(kernels[v]):
+                    raise EngineInvariantViolation(
+                        "F^%d is not arrow-stable at vertex %s" % (n, v))
             labels += [v] * len(kept)
             gens += kept
         if n + 1 in pieces:
             # the P part of generator j is its coordinates (i, p) in P^{n+1}
-            d = [[alg.zero_element() for _ in labels] for _ in pieces[n + 1]]
+            d = [[zero] * len(labels) for _ in pieces[n + 1]]
             for j, (x, vec) in enumerate(zip(labels, gens)):
                 terms = defaultdict(dict)
                 for k, c in vec.items():
@@ -602,10 +643,24 @@ def _cover_complex(C):
             diffs[n] = d
         pieces[n] = labels
         above = standard_basis(alg, "proj", labels)
-        cols = {v: [moved(p, gens[j]) for j, p in above[0][v]] for v in verts}
-        E = {v: [col for col, _ in vcols] for v, vcols in cols.items()}
+        E, qn = {}, {}
+        for v in verts:
+            E[v], qn[v] = cols, cparts = [], []
+            for j, p in above[0][v]:
+                vec = gens[j]
+                if not p.arrows:  # the generator, its C part from psize on
+                    size = psize[labels[j]]
+                    col, cpart = vec, {k - size: c for k, c in vec.items()
+                                       if k >= size}
+                elif len(p.arrows) == 1:  # no image: zero, v is not live
+                    col, cpart = arrow_cols.get((p.arrows[0], id(vec)),
+                                                ({}, {}))
+                else:
+                    col, cpart = moved(p, vec)
+                cols.append(col)
+                cparts.append(cpart)
         if n in C.pieces:
-            q[n] = {v: [c for _, c in vcols] for v, vcols in cols.items()}
+            q[n] = qn
         qrow = psize
         n -= 1
     return LabeledComplex(alg, pieces, diffs, "proj"), q

@@ -404,15 +404,20 @@ def null_space(rows, ncols, field=QQ):
 def _kernel_vectors(reduced, pivots, ncols, field):
     """One {coordinate: coeff} vector per free column f of the reduced
     rows with their pivots, in increasing f, with 1 at f and minus column
-    f of the reduced rows at their pivots.  A reduced row is zero left of
-    its pivot, so each vector's keys ascend."""
+    f of the reduced rows at their pivots.  Each reduced row is scattered
+    once, in pivot order, into the vectors of its free columns, so the
+    work is its nonzero entries.  A reduced row is zero left of its pivot
+    and at every other pivot, so each vector's keys ascend."""
     one = field.one()
-    kernel = []
-    for f in sorted(set(range(ncols)).difference(pivots)):
-        vec = {pc: -row[f] for row, pc in zip(reduced, pivots) if f in row}
+    kernel = {f: {} for f in range(ncols)}
+    for row, pc in zip(reduced, pivots):
+        del kernel[pc]
+        for f, c in row.items():
+            if f != pc:
+                kernel[f][pc] = -c
+    for f, vec in kernel.items():
         vec[f] = one
-        kernel.append(vec)
-    return kernel
+    return list(kernel.values())
 
 
 def kernel_basis(M):

@@ -32,6 +32,10 @@ from .derived import (RESOLUTION_BOUND, BoundedComplex, HomComplexData,
                       iso_up_to_shift, minimal_projective_resolution,
                       nakayama, perfectify, resolve)
 
+# Most tuples of arrow matrices, summed over all dimension vectors, that
+# ``scan`` enumerates for all_indecomposables_up_to_dimvector.
+SCAN_BOUND = 200000
+
 
 @memoised
 def certify_finite_gldim(alg):
@@ -345,7 +349,9 @@ def candidate_list(alg, descriptor, dim_bound=None):
 
 
 def _indecomposables_up_to(alg, dim_bound):
-    """Exhaustive enumeration over a prime field; refused over the rationals."""
+    """Exhaustive enumeration over a prime field; refused over the
+    rationals, and before anything is enumerated when the tuples of arrow
+    matrices over all dimension vectors number more than ``SCAN_BOUND``."""
     if alg.field.characteristic == 0:
         raise UnsupportedCandidateSet(
             "all_indecomposables_up_to_dimvector requires a prime field "
@@ -356,16 +362,27 @@ def _indecomposables_up_to(alg, dim_bound):
             % (dim_bound,))
     p = alg.field.characteristic
     verts = alg.quiver.vertices
-    out = []
-    seen = []
+    # each nonzero dimension vector has at least one tuple (p^0), so their
+    # number bounds the work from below before they are listed
+    if (dim_bound + 1) ** len(verts) - 1 > SCAN_BOUND:
+        raise UnsupportedCandidateSet(
+            "enumeration too large (%d^%d dimension vectors, bound %d)"
+            % (dim_bound + 1, len(verts), SCAN_BOUND))
+    vectors = []
     for dims in itertools.product(*(range(0, dim_bound + 1) for _ in verts)):
         if sum(dims) == 0:
             continue
         dv = dict(zip(verts, dims))
         shapes = [(a, dv[a.target] * dv[a.source]) for a in alg.quiver.arrows]
-        total = sum(s for _, s in shapes)
-        if p ** total > 200000:
-            raise UnsupportedCandidateSet("enumeration too large (p^%d matrices)" % total)
+        vectors.append((dims, dv, shapes, sum(s for _, s in shapes)))
+    work = sum(p ** total for *_, total in vectors)
+    if work > SCAN_BOUND:
+        raise UnsupportedCandidateSet(
+            "enumeration too large (%d tuples of matrices over GF(%d), "
+            "bound %d)" % (work, p, SCAN_BOUND))
+    out = []
+    seen = []
+    for dims, dv, shapes, total in vectors:
         for flat in itertools.product(range(p), repeat=total):
             maps = {}
             idx = 0

@@ -194,6 +194,19 @@ def dense_kernel_basis(M):
                   [[v[i] for v in cols] for i in range(M.cols)], M.field)
 
 
+def kernel_vectors_by_free_column(reduced, pivots, ncols, field):
+    """The kernel vectors of ``linalg._kernel_vectors`` by the formula it
+    replaced, in O(free columns x rank): for each free column f in
+    increasing order, every reduced row is asked for its entry at f."""
+    one = field.one()
+    kernel = []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        vec = {pc: -row[f] for row, pc in zip(reduced, pivots) if f in row}
+        vec[f] = one
+        kernel.append(vec)
+    return kernel
+
+
 def dense_solve(M, b):
     """Particular solution of M x = b with the free variables 0, read off
     ``dense_rref`` of [M | b], or None if inconsistent."""

@@ -10,6 +10,7 @@ zero corners, hstacks and vstacks."""
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -630,6 +631,54 @@ def test_cover_loop_matches_the_dense_reference(name, field, monkeypatch):
         monkeypatch.setattr(derived, fn, refuse)
     assert [typed_cover(*derived._cover_complex(C), C)
             for C in inputs] == want
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_cover_loop_does_only_nonzero_work(name, monkeypatch):
+    """On the resolution of every standard module, the cover loop applies
+    no trivial path and no path twice to the same vector: each arrow image
+    is computed once, to pick the generators, and kept as the generator's
+    arrow column, and a generator's trivial-path column is the generator
+    itself, so only paths of two or more arrows are applied to write the
+    columns.  No vertex where Phi^n has no nonzero row reaches the
+    elimination ``_reduce``, and ``_complement`` runs only on a nonzero
+    image."""
+    alg = load_fixture(name)
+    modules = [standard_module(alg, kind, v)
+               for kind in KINDS for v in alg.quiver.vertices]
+    moved_code = next(c for c in derived._cover_complex.__code__.co_consts
+                      if getattr(c, "co_name", None) == "moved")
+    moved, rows, images = [], [], []
+    reduce, complement = derived._reduce, derived._complement
+
+    def record_reduce(rs, field):
+        rows.append(len(rs))
+        return reduce(rs, field)
+
+    def record_complement(image, vecs, field):
+        image = list(image)
+        images.append(any(image))
+        return complement(image, vecs, field)
+
+    def record_moved(frame, event, arg):
+        if event == "call" and frame.f_code is moved_code:
+            # the vector is kept, so no id is reused while it is recorded
+            moved.append((frame.f_locals["p"], frame.f_locals["vec"]))
+
+    monkeypatch.setattr(derived, "_reduce", record_reduce)
+    monkeypatch.setattr(derived, "_complement", record_complement)
+    for M in modules:
+        moved.clear()
+        previous = sys.getprofile()
+        sys.setprofile(record_moved)
+        try:
+            derived._cover_complex(stalk_complex(M))
+        finally:
+            sys.setprofile(previous)
+        assert all(p.arrows for p, _ in moved)
+        assert len({(p, id(vec)) for p, vec in moved}) == len(moved)
+    assert rows and 0 not in rows
+    assert images and all(images)
 
 
 def rejects(certify, P, C, q):

@@ -11,12 +11,14 @@ import pytest
 
 import sphq
 from sphq import spherelike
-from sphq.algebra import algebra_from_json
+from sphq.algebra import algebra_from_json, algebra_to_json
 from sphq.cli import load_algebra, main, parse_object
+from sphq.constructions import DDA_BOUND, dda
 from sphq.corpus import FIXTURE_DIR
 from sphq.derived import complex_from_json, is_minimal
+from sphq.linalg import PrimeField
 from sphq.reps import projective_module, rep_to_json, simple_module
-from sphq.spherelike import interval_modules
+from sphq.spherelike import SCAN_BOUND, interval_modules
 
 
 @contextlib.contextmanager
@@ -423,6 +425,42 @@ def test_negative_dimbound_is_input_error(tmp_path, capsys):
     code, out, _ = run(capsys, "scan", str(path), "--set", "dimbound:0")
     assert code == 0
     assert json.loads(out)["reports"] == []
+
+
+def test_unbounded_inputs_are_refused_at_once(tmp_path, capsys):
+    """Inputs whose work has no bound of its own are refused before any
+    of it is done, as input errors naming the bound: a Lambda(r, n, m)
+    above DDA_BOUND in n + m, and a dimbound scan whose tuples of arrow
+    matrices over all dimension vectors number more than SCAN_BOUND,
+    whether there are too many vectors (2^26 for Lambda(2, 14, 12)) or
+    too many matrices over few vectors (3^18 at (3, 3) on cb2)."""
+    big = tmp_path / "l2_14_12_gf2.json"
+    big.write_text(json.dumps(algebra_to_json(
+        dda(2, 14, 12, field=PrimeField(2))[0])))
+    gf3 = tmp_path / "cb2_gf3.json"
+    gf3.write_text(json.dumps(dict(CB2, field={"kind": "prime", "p": 3})))
+    cases = [
+        (("poset", "family:dda:2,300,298"), "dda needs n + m <= %d, got 598"
+         % DDA_BOUND),
+        (("family", "dda:2,300,298"), "dda needs n + m <= %d, got 598"
+         % DDA_BOUND),
+        (("scan", str(big), "--set", "dimbound:1"),
+         "enumeration too large (2^26 dimension vectors, bound %d)"
+         % SCAN_BOUND),
+        (("scan", str(gf3), "--set", "dimbound:3"),
+         "enumeration too large (%d tuples of matrices over GF(3), bound %d)"
+         % (sum(3 ** (2 * a * b) for a in range(4) for b in range(4)) - 1,
+            SCAN_BOUND)),
+    ]
+    for argv, message in cases:
+        with time_limit(1):
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"code": "input",
+                                            "message": message}
+    # Lambda(2, 45, 43), the largest poset planned for a scale workload,
+    # stays below the bound
+    assert 45 + 43 <= DDA_BOUND
 
 
 def test_complex_file_with_nonzero_d_squared_is_input_error(tmp_path, capsys):

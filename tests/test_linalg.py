@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from sphq.linalg import (Matrix, PrimeField, QQ, block_diag, from_blocks,
                          scalar_to_str, solve, sparse_rank, sparse_rref)
 
 from reference import (dense_apply, dense_kernel_basis, dense_rank,
-                       dense_rref, dense_solve, vstack)
+                       dense_rref, dense_solve,
+                       kernel_vectors_by_free_column, vstack)
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
@@ -338,6 +340,36 @@ def rank_cases(draw):
 @given(rank_cases())
 def test_sparse_rank_matches_rank(M):
     assert sparse_rank(sparse_rows(M.entries), M.field) == dense_rank(M)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+def test_kernel_vectors_match_the_free_column_formula(field):
+    """``_kernel_vectors`` scatters each reduced row once; on random sparse
+    systems, among them systems with no rows and of full rank, it returns
+    the vectors of the O(free x rank) formula in ``tests/reference.py``,
+    in the same order, with the same keys in the same order and the same
+    scalar types."""
+    rng = random.Random(3)
+    values = [field.parse(x) for x in ("1", "-1", "2", "-2", "3", "1/2")
+              if field.characteristic == 0 or "/" not in x]
+    systems = [([], 0), ([], 5),
+               ([{0: values[0]}, {1: values[2]}, {2: values[3]}], 3)]
+    for _ in range(300):
+        ncols = rng.randint(1, 9)
+        rows = [{j: rng.choice(values) for j in rng.sample(
+                    range(ncols), rng.randint(0, min(3, ncols)))}
+                for _ in range(rng.randint(0, 8))]
+        systems.append((rows, ncols))
+    for rows, ncols in systems:
+        reduced, pivots = sparse_rref(rows, field)
+        got = linalg._kernel_vectors(reduced, pivots, ncols, field)
+        want = kernel_vectors_by_free_column(reduced, pivots, ncols, field)
+        assert got == want
+        assert [list(vec.items()) for vec in got] == \
+            [list(vec.items()) for vec in want]
+        assert [type(c) for vec in got for c in vec.values()] == \
+            [type(c) for vec in want for c in vec.values()]
+        assert len(got) == ncols - len(pivots)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF2", "GF3", "GF7"])

@@ -14,7 +14,9 @@ from sphq.errors import (EngineInvariantViolation, IncompatibleKinds,
 from sphq.ktheory import euler_matrix, euler_pairing, k_class
 from sphq.poset import (PosetNode, SpherelikePoset, SubcatSignature,
                         build_poset, compare, hasse_dot, stats, verify_edges)
-from sphq.spherelike import classify_spherelike
+from sphq.reps import simple_module
+from sphq.spherelike import (asphericality, classify_spherelike,
+                             in_spherical_subcat)
 
 
 def vs(*verts):
@@ -372,3 +374,45 @@ def test_hom_dimensions_of_dda_objects_are_bounded(family):
         copies = (node.name, node.desc)
         assert twos == {(a, b, 0) for a in copies for b in copies}
         assert max(dims.values()) == 2
+
+
+# Criterion 10's families, each with the number of (W, F) pairs compared
+# across D: the simples and node objects W against each node F with a Q_F.
+DUALITY_PAIRS = {(1, 2, 0): 0, (2, 3, 0): 12, (2, 3, 1): 24, (1, 3, 0): 12,
+                 (2, 4, 1): 50}
+
+
+@pytest.mark.parametrize("family", sorted(DUALITY_PAIRS),
+                         ids=lambda f: "dda_%d_%d_%d" % f)
+def test_posets_agree_across_the_duality(family):
+    """The vector-space dual D = Hom_k(-, k) is a contravariant
+    equivalence D^b(Lambda) -> D^b(Lambda^op), so being spherelike, the
+    degree d, being spherical and the spherical subcategory D_F carry
+    across it.  For each node F of criterion 10's poset, DF =
+    dual_rep_complex(as_rep_complex(F), Lambda^op) classifies with F's d
+    and verdict, and for every simple and node object W,
+    in_spherical_subcat(W, Q_F) == in_spherical_subcat(DW, Q_DF).  The
+    dual side runs the whole stack again through ``opposite()``,
+    ``dual_rep_complex``, ``perfectify`` and Lambda^op's Nakayama
+    functor."""
+    poset = build_poset(("dda",) + family)
+    alg = poset.alg
+    op = alg.opposite()
+    objects = [simple_module(alg, v) for v in alg.quiver.vertices]
+    objects += [poset.nodes[x].obj for x in poset.order]
+    duals = [derived.dual_rep_complex(derived.as_rep_complex(W), op)
+             for W in objects]
+    nodes = [poset.nodes[x] for x in poset.order]
+    pairs = 0
+    for node, DF in zip(nodes, duals[-len(nodes):]):
+        report = classify_spherelike(DF)
+        assert (report.d, report.verdict) == (node.d, node.verdict)
+        if node.Q is None:
+            assert report.is_spherical()
+            continue
+        Q_dual = asphericality(report.complex, report)
+        for W, DW in zip(objects, duals):
+            assert in_spherical_subcat(W, node.Q) == \
+                in_spherical_subcat(DW, Q_dual)
+            pairs += 1
+    assert pairs == DUALITY_PAIRS[family]
